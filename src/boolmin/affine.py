@@ -88,7 +88,10 @@ def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
 
     if inconsistent:
         unsat = min_unsat_formula(lang)
-        assert unsat is not None, "inconsistent system but no unsatisfiable formula exists"
+        if unsat is None:
+            raise RuntimeError(
+                "inconsistent system but no cached minimum unsatisfiable formula; this is a bug"
+            )
         stats = MinimizeStats(len(formula.clauses), len(unsat.clauses), rank=None)
         return unsat, stats
 

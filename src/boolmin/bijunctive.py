@@ -361,7 +361,8 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
 
     def unsat_result():
         unsat = min_unsat_formula(lang)
-        assert unsat is not None
+        if unsat is None:
+            raise RuntimeError("unsatisfiable formula but no cached minimum one; this is a bug")
         return unsat, MinimizeStats(len(formula.clauses), len(unsat.clauses))
 
     if g.contradictory:

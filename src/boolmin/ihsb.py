@@ -127,30 +127,58 @@ class ImplGraph:
                 new_ors.add(reps)
         self.ors = new_ors
 
-    def reach(self) -> dict[int, set[int]]:
-        """Reachability over implication edges, including u leads to u."""
-        adj: dict[int, set[int]] = {}
+    def successors(self) -> list[list[int]]:
+        succ: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.impl:
-            adj.setdefault(u, set()).add(v)
-        out: dict[int, set[int]] = {}
+            succ[u].append(v)
+        return succ
 
-        def dfs(start: int) -> set[int]:
-            if start in out:
-                return out[start]
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in adj.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            out[start] = seen
-            return seen
+    def closure(self, labels: list[int]) -> list[int]:
+        """out[u] is the OR of labels[v] over every v that u leads to through
+        implications (u leads to u).
 
-        for node in range(self.n):
-            dfs(node)
+        Tarjan's strongly connected components, iteratively: a component
+        closes only after every component it reaches has closed, so its value
+        is its members' labels plus its successors' finished values."""
+        succ = self.successors()
+        out = list(labels)  # final for sinks, which are never visited
+        order: dict[int, int] = {}
+        low = [self.n] * self.n  # n for sinks and closed nodes: lowers nothing
+        stack: list[int] = []
+        for root in range(self.n):
+            if root in order or not succ[root]:
+                continue
+            work = [(root, 0)]
+            while work:
+                u, i = work.pop()
+                if i == 0:
+                    order[u] = low[u] = len(order)
+                    stack.append(u)
+                else:
+                    low[u] = min(low[u], low[succ[u][i - 1]])
+                if i < len(succ[u]):
+                    work.append((u, i + 1))
+                    v = succ[u][i]
+                    if v not in order and succ[v]:
+                        work.append((v, 0))
+                elif low[u] == order[u]:
+                    members = [stack.pop()]
+                    while members[-1] != u:
+                        members.append(stack.pop())
+                    value = 0
+                    for w in members:
+                        low[w] = self.n
+                        value |= labels[w]
+                        for x in succ[w]:
+                            value |= out[x]
+                    for w in members:
+                        out[w] = value
         return out
+
+    def reach(self) -> list[int]:
+        """Reachability bitsets: bit v of reach[u] is set iff u leads to v
+        through implications (u leads to u)."""
+        return self.closure([1 << u for u in range(self.n)])
 
     def clause_count(self) -> int:
         classes: dict[int, int] = {}
@@ -161,12 +189,33 @@ class ImplGraph:
         return len(self.pos) + len(self.neg) + len(self.impl) + len(self.ors) + eq_clauses
 
 
+def _bits(vs) -> int:
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return mask
+
+
+def _members(mask: int):
+    """Set bit positions of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def leadsto(g: ImplGraph, u: int, v: int) -> bool:
     """u leads to v through implications and equalities (u leads to u)."""
     ru, rv = g.find(u), g.find(v)
-    if ru == rv:
-        return True
-    return rv in g.reach()[ru]
+    succ = g.successors()
+    seen = {ru}
+    stack = [ru]
+    while stack and rv not in seen:
+        for y in succ[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return rv in seen
 
 
 def graph_from_cnf(formula: CnfFormula) -> tuple[ImplGraph, BaseTemplates]:
@@ -200,131 +249,129 @@ def graph_from_cnf(formula: CnfFormula) -> tuple[ImplGraph, BaseTemplates]:
     return g, templates
 
 
+def _falsy(g: ImplGraph, reach: list[int]) -> int:
+    """Bitset of the nodes that lead to a negative literal."""
+    neg = _bits(g.neg)
+    return _bits(u for u in range(g.n) if reach[u] & neg)
+
+
 def unsat_check_ihsb(g: ImplGraph) -> bool:
     """True iff some OR-clause (literals count as 1-ary OR-clauses) has every
     disjunct leading to a variable occurring as a negative literal."""
-    reach = g.reach()
-    falsy = {u for u in range(g.n) if reach[u] & g.neg or u in g.neg}
-    clauses = [frozenset({p}) for p in sorted(g.pos)] + sorted(g.ors, key=sorted)
-    return any(all(x in falsy for x in c) for c in clauses)
+    falsy = _falsy(g, g.reach())
+    return bool(_bits(g.pos) & falsy) or any(not _bits(c) & ~falsy for c in g.ors)
 
 
-def _sorted_ors(g: ImplGraph) -> list[frozenset[int]]:
-    return sorted(g.ors, key=lambda c: tuple(sorted(c)))
+def _add_literals(literals: set[int], mask: int) -> bool:
+    new = mask & ~_bits(literals)
+    literals.update(_members(new))
+    return bool(new)
 
 
-def _clause_leads(reach, src, dst) -> bool:
-    return all(any(y in reach[x] for y in dst) for x in src)
+# Each rule applies to every match against the reach sets of the pass and
+# returns whether it changed the graph.  Every rewrite keeps the formula
+# equivalent: literals it adds are entailed, and clauses it drops or shrinks
+# are entailed by clauses that the same rule keeps.  Implications made
+# tautological by new literals are left to the tautology rule.
 
 
 def _rule_or_subsumption(g: ImplGraph, reach) -> bool:
-    ors = _sorted_ors(g)
-    for i, a in enumerate(ors):
-        for b in ors[i + 1 :]:
-            ab = _clause_leads(reach, a, b)
-            ba = _clause_leads(reach, b, a)
-            if ab and ba:
-                g.ors.discard(a)
-                return True
-            if ab:
-                g.ors.discard(b)
-                return True
-            if ba:
-                g.ors.discard(a)
-                return True
-    for p in sorted(g.pos):
-        for c in ors:
-            if c in g.ors and any(y in reach[p] for y in c):
-                g.ors.discard(c)
-                return True
-    return False
+    """Drop every OR-clause entailed by another one or by a positive literal.
+
+    Clause j entails clause k when each x in j leads to some y in k.  Of
+    clauses entailing each other the last in sorted order stays."""
+    ors = sorted(g.ors, key=sorted)
+    occ = [0] * g.n  # occ[y]: indices of the clauses containing y
+    for j, c in enumerate(ors):
+        for y in c:
+            occ[y] |= 1 << j
+    hit = g.closure(occ)  # hit[x]: clauses containing some y that x leads to
+    dropped = 0
+    for p in g.pos:
+        dropped |= hit[p]
+    # Entailment is a preorder, so scanning from the end, a clause not yet
+    # dropped is the last of its class and entailed by nothing stronger.
+    for j in range(len(ors) - 1, -1, -1):
+        if not dropped >> j & 1:
+            entailed = -1
+            for x in ors[j]:
+                entailed &= hit[x]
+            dropped |= entailed & ~(1 << j)
+    for j in _members(dropped):
+        g.ors.discard(ors[j])
+    return bool(dropped)
 
 
 def _rule_literal_intro(g: ImplGraph, reach) -> bool:
-    for c in _sorted_ors(g):
-        common = set.intersection(*(reach[x] for x in c))
-        for v in sorted(common):
-            if v not in g.pos:
-                g.pos.add(v)
-                g.impl = {(a, b) for a, b in g.impl if b != v}
-                return True
-    return False
+    """A variable every member of an OR-clause leads to is entailed."""
+    common = 0
+    for c in g.ors:
+        both = -1
+        for x in c:
+            both &= reach[x]
+        common |= both
+    return _add_literals(g.pos, common)
 
 
 def _rule_positive_propagation(g: ImplGraph, reach) -> bool:
-    entailed = set()
+    entailed = 0
     for p in g.pos:
         entailed |= reach[p]
-    for u, w in sorted(g.impl):
-        if u in entailed:
-            g.impl.discard((u, w))
-            g.pos.add(w)
-            return True
-    return False
+    return _add_literals(g.pos, entailed)
 
 
 def _rule_negative_propagation(g: ImplGraph, reach) -> bool:
-    falsy = {u for u in range(g.n) if reach[u] & g.neg}
-    for u, w in sorted(g.impl):
-        if w in falsy:
-            g.impl.discard((u, w))
-            g.neg.add(u)
-            return True
-    return False
+    return _add_literals(g.neg, _falsy(g, reach))
 
 
-def _rule_drop_falsified_from_ors(g: ImplGraph, reach) -> bool:
-    falsy = {u for u in range(g.n) if reach[u] & g.neg}
-    for c in _sorted_ors(g):
-        dead = {x for x in c if x in falsy}
-        if dead:
-            rest = c - dead
-            assert rest, "empty OR-clause: input was unsatisfiable"
+def _rule_shrink_ors(g: ImplGraph, reach) -> bool:
+    """Drop from each OR-clause the falsified members and every member that
+    leads to another member; of members leading to each other the least
+    stays."""
+    falsy = _falsy(g, reach)
+    fired = False
+    for c in list(g.ors):
+        mask = _bits(c)
+        drop = {x for x in c if falsy >> x & 1} | {
+            x for x in c for y in _members(reach[x] & mask & ~(1 << x))
+            if y < x or not reach[y] >> x & 1
+        }
+        if drop == c:
+            raise RuntimeError(
+                "OR-clause emptied by falsified members: the input was "
+                "unsatisfiable; this is a bug"
+            )
+        if drop:
+            fired = True
             g.ors.discard(c)
+            rest = c - drop
             if len(rest) == 1:
-                g.pos.add(next(iter(rest)))
+                g.pos.update(rest)
             else:
-                g.ors.add(frozenset(rest))
-            return True
-    return False
-
-
-def _rule_intra_clause_subsumption(g: ImplGraph, reach) -> bool:
-    for c in _sorted_ors(g):
-        for xi in sorted(c):
-            for xj in sorted(c):
-                if xi == xj or xj not in reach[xi]:
-                    continue
-                drop = max(xi, xj) if xi in reach[xj] else xi
-                rest = c - {drop}
-                g.ors.discard(c)
-                if len(rest) == 1:
-                    g.pos.add(next(iter(rest)))
-                else:
-                    g.ors.add(frozenset(rest))
-                return True
-    return False
+                g.ors.add(rest)
+    return fired
 
 
 def _rule_cycle_collapse(g: ImplGraph, reach) -> bool:
-    nodes = {u for edge in g.impl for u in edge}
-    for u in sorted(nodes):
-        cycle = {v for v in nodes if v in reach[u] and u in reach[v]}
-        if len(cycle) >= 2:
-            for v in cycle:
-                g.union(u, v)
-            g.impl = {e for e in g.impl if not (e[0] in cycle and e[1] in cycle)}
-            g.normalize()
-            return True
-    return False
+    """Merge each strongly connected component (nodes with equal reach sets)
+    into one equality class."""
+    first: dict[int, int] = {}
+    fired = False
+    for u in {u for edge in g.impl for u in edge}:
+        other = first.setdefault(reach[u], u)
+        if other != u:
+            g.union(u, other)
+            fired = True
+    if fired:
+        g.normalize()
+    return fired
 
 
 def _rule_tautology_removal(g: ImplGraph, reach) -> bool:
-    for u, w in sorted(g.impl):
-        if w in g.pos or u in g.neg:
-            g.impl.discard((u, w))
-            return True
-    return False
+    kept = {(u, w) for u, w in g.impl if w not in g.pos and u not in g.neg}
+    fired = len(kept) != len(g.impl)
+    g.impl = kept
+    return fired
 
 
 _RULES = (
@@ -332,53 +379,37 @@ _RULES = (
     _rule_literal_intro,
     _rule_positive_propagation,
     _rule_negative_propagation,
-    _rule_drop_falsified_from_ors,
-    _rule_intra_clause_subsumption,
+    _rule_shrink_ors,
     _rule_cycle_collapse,
     _rule_tautology_removal,
 )
 
 
-def _transitive_reduction_dag(nodes: list[int], reach) -> set[tuple[int, int]]:
-    """Unique transitive reduction of the reachability DAG over nodes."""
-    strict = {u: (reach[u] - {u}) & set(nodes) for u in nodes}
-    out = set()
-    for u in nodes:
-        for v in strict[u]:
-            if not any(v in strict[w] for w in strict[u] if w != v):
-                out.add((u, v))
-    return out
-
-
-def _canonical_implications(g: ImplGraph, eq_available: bool) -> set[tuple[int, int]]:
-    """Minimum implication set with the original reachability: the unique
-    DAG reduction, plus one cycle per strongly connected component when the
-    language cannot express equality."""
-    reach = g.reach()
+def _canonical_implications(g: ImplGraph, reach: list[int]) -> set[tuple[int, int]]:
+    """Minimum implication set with the original reachability: one cycle per
+    strongly connected component (left only when the language cannot express
+    equality), plus the unique transitive reduction of the condensation."""
     nodes = sorted({u for e in g.impl for u in e})
-    if eq_available:
-        # cycles were collapsed into equality classes already
-        return _transitive_reduction_dag(nodes, reach)
-    comp_of: dict[int, int] = {}
+    # nodes with equal reach sets lead to each other: one component each,
+    # named by its least member
+    first: dict[int, int] = {}
+    comp = {u: first.setdefault(reach[u], u) for u in nodes}
+    members: dict[int, list[int]] = {}
     for u in nodes:
-        group = sorted(v for v in nodes if v in reach[u] and u in reach[v])
-        comp_of[u] = group[0]
-    comps = sorted(set(comp_of.values()))
-    comp_members = {c: sorted(u for u in nodes if comp_of[u] == c) for c in comps}
-    comp_reach = {
-        c: {comp_of[v] for v in reach[c] if v in comp_of} - {c} for c in comps
-    }
+        members.setdefault(comp[u], []).append(u)
+    succ = dict.fromkeys(members, 0)
+    for u, v in g.impl:
+        if comp[u] != comp[v]:
+            succ[comp[u]] |= 1 << comp[v]
     edges: set[tuple[int, int]] = set()
-    for c in comps:
-        members = comp_members[c]
-        if len(members) >= 2:
-            for a, b in zip(members, members[1:]):
-                edges.add((a, b))
-            edges.add((members[-1], members[0]))
-    for c in comps:
-        for d in comp_reach[c]:
-            if not any(d in comp_reach[w] for w in comp_reach[c] if w != d):
-                edges.add((c, d))
+    for c, group in members.items():
+        if len(group) >= 2:
+            edges.update(zip(group, group[1:]))
+            edges.add((group[-1], group[0]))
+        further = 0
+        for d in _members(succ[c]):
+            further |= reach[d] & ~(1 << d)
+        edges.update((c, d) for d in _members(succ[c] & ~further))
     return edges
 
 
@@ -406,26 +437,31 @@ class PartitionedFormula:
 def min_ihsb(g: ImplGraph, eq_available: bool = True) -> tuple[PartitionedFormula, int]:
     """Run the fixpoint rules to completion and canonicalize.
 
+    Each pass applies every rule, in order, to all of its matches; reach is
+    recomputed after a rule that removed implications.  Passes repeat until
+    one changes nothing, and the count of passes is returned.
+
     The input must be satisfiable; callers handle unsatisfiable formulas by
     substituting the precomputed minimum unsatisfiable formula.
     """
+    rules = [r for r in _RULES if eq_available or r is not _rule_cycle_collapse]
     cap = (g.clause_count() + g.n) ** 2 + 16
     passes = 0
     changed = True
+    reach = g.reach()
     while changed:
         passes += 1
         if passes > cap:
             raise RuntimeError("ihsb fixpoint did not stabilize; this is a bug")
         changed = False
-        reach = g.reach()
-        for rule in _RULES:
-            if rule is _rule_cycle_collapse and not eq_available:
-                continue
+        for rule in rules:
+            edges = len(g.impl)
             if rule(g, reach):
                 changed = True
-                break
+                if len(g.impl) != edges:
+                    reach = g.reach()
 
-    impl = _canonical_implications(g, eq_available)
+    impl = _canonical_implications(g, reach)
 
     classes: dict[int, list[int]] = {}
     for v in range(g.n):
@@ -512,7 +548,8 @@ def min_ihsb_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     g, templates = graph_from_cnf(formula)
     if unsat_check_ihsb(g):
         unsat = min_unsat_formula(formula.language)
-        assert unsat is not None
+        if unsat is None:
+            raise RuntimeError("unsatisfiable formula but no cached minimum one; this is a bug")
         return unsat, MinimizeStats(len(formula.clauses), len(unsat.clauses))
     base, passes = min_ihsb(g, eq_available=templates.eq is not None)
     out = restrict_vocabulary(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence
 
 from .errors import FormatError, ResourceLimitError
 
@@ -239,7 +239,7 @@ class BApp:
     args: tuple["BNode", ...]
 
 
-BNode = Union[BVar, BApp]
+BNode = BVar | BApp
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,7 @@ class SizeMeasure(Enum):
     CLAUSES = "clauses"
 
 
-Formula = Union[CnfFormula, BFormula]
+Formula = CnfFormula | BFormula
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import pytest
 
 from boolmin.errors import ClassificationError
 from boolmin.ihsb import (
+    ImplGraph,
     graph_from_cnf,
     language_templates,
     leadsto,
     match_base_template,
+    min_ihsb,
     min_ihsb_cnf,
     min_ihsb_minus_cnf,
     unsat_check_ihsb,
@@ -24,6 +26,9 @@ from boolmin.oracle import brute_min_cnf
 from boolmin.std import rel_eq, rel_impl, rel_nand, rel_neg, rel_or, rel_pos
 
 from conftest import random_cnf
+
+# IHSB+ without equality: cycles stay implication cycles in the output
+NO_EQ = ConstraintLanguage((rel_pos(), rel_neg(), rel_impl(), rel_or(2), rel_or(3)))
 
 
 def F(lang, names, *specs):
@@ -227,17 +232,77 @@ def test_entailed_implications_from_components(t9):
                     assert part
 
 
-def test_random_optimality_and_idempotence(t9):
-    rng = random.Random(47)
+def check_optimality_and_idempotence(lang, minimize, seed, count):
+    rng = random.Random(seed)
     checked = 0
-    while checked < 120:
-        f = random_cnf(t9, rng, rng.randint(2, 6), rng.randint(1, 6))
+    while checked < count:
+        f = random_cnf(lang, rng, rng.randint(2, 6), rng.randint(1, 6))
         if not satisfiable(f):
             continue
         checked += 1
-        out, _ = min_ihsb_cnf(f)
+        out, _ = minimize(f)
         assert equivalent(out, f)
-        oracle = brute_min_cnf(t9, f, max(1, len(f.clauses)))
+        oracle = brute_min_cnf(lang, f, max(1, len(f.clauses)))
         assert len(out.clauses) == oracle[0]
-        again, _ = min_ihsb_cnf(out)
+        again, _ = minimize(out)
         assert again.clauses == out.clauses
+
+
+def test_random_optimality_and_idempotence(t9):
+    check_optimality_and_idempotence(t9, min_ihsb_cnf, 47, 120)
+
+
+@pytest.mark.parametrize(
+    "lang, minimize",
+    [(NO_EQ, min_ihsb_cnf), (NO_EQ.dual(), min_ihsb_minus_cnf)],
+    ids=["ihsb+", "ihsb-"],
+)
+def test_random_optimality_without_equality(lang, minimize):
+    check_optimality_and_idempotence(lang, minimize, 53, 80)
+
+
+def test_mutually_entailing_ors_keep_one():
+    # a <-> c and b <-> d: each OR-clause entails the other
+    specs = [("or2", (0, 1)), ("or2", (2, 3))]
+    specs += [("imp", e) for e in ((0, 2), (2, 0), (1, 3), (3, 1))]
+    out, _ = minimize(F(NO_EQ, "abcd", *specs))
+    # the later clause in sorted order stays
+    assert [c for c in out.clauses if c.relation == "or2"] == [Clause("or2", (2, 3))]
+    assert len(out.clauses) == 5
+
+
+def test_mutual_members_keep_least():
+    # a <-> b inside one OR-clause: the clause needs only the least of them
+    f = F(NO_EQ, "abc", ("or3", (0, 1, 2)), ("imp", (0, 1)), ("imp", (1, 0)))
+    out, _ = minimize(f)
+    assert Clause("or2", (0, 2)) in out.clauses
+    assert len(out.clauses) == 3
+
+
+def test_or_subsumption_chain_in_one_pass(t9):
+    # {a, b} entails {c, d}, which entails {e, f}
+    specs = [("or2", (0, 1)), ("or2", (2, 3)), ("or2", (4, 5))]
+    specs += [("imp", e) for e in ((0, 2), (1, 3), (2, 4), (3, 5))]
+    out, stats = minimize(F(t9, "abcdef", *specs))
+    assert [c for c in out.clauses if c.relation == "or2"] == [Clause("or2", (0, 1))]
+    assert len(out.clauses) == 5
+    # one pass drops both weaker clauses, one more finds nothing to do
+    assert stats.passes == 2
+
+
+def test_positive_literal_drops_several_ors(t9):
+    f = F(t9, "abcdef", ("pos", (0,)), ("imp", (0, 1)),
+          ("or2", (1, 2)), ("or2", (3, 1)), ("or3", (0, 4, 5)))
+    out, stats = minimize(f)
+    assert sorted(out.clauses, key=lambda c: c.vars) == [
+        Clause("pos", (0,)), Clause("pos", (1,))]
+    assert stats.passes == 2
+
+
+def test_emptied_or_clause_is_an_error():
+    # unsatisfiable: both members of the OR-clause are negative literals
+    g = ImplGraph(2)
+    g.ors.add(frozenset({0, 1}))
+    g.neg.update({0, 1})
+    with pytest.raises(RuntimeError, match="this is a bug"):
+        min_ihsb(g)

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import boolmin
 from boolmin.errors import FormatError, ResourceLimitError
 from boolmin.model import (
     BApp,
@@ -163,3 +167,23 @@ def test_table_bit_order():
     f = BoolFunction("first", 2, (0, 0, 1, 1))  # equals x1
     assert f.value((1, 0)) == 1
     assert f.value((0, 1)) == 0
+
+
+def test_reimport_releases_earlier_import():
+    # A typing.Union over package classes is cached by typing for the life of
+    # the process, which keeps every earlier import of the package alive.
+    code = """
+import gc, importlib, sys, weakref
+def fresh():
+    for name in [m for m in sys.modules if m.split(".")[0] == "boolmin"]:
+        del sys.modules[name]
+    return importlib.import_module("boolmin.model")
+first = weakref.ref(fresh().BVar)
+fresh()
+fresh()
+gc.collect()
+sys.exit(first() is not None)
+"""
+    src = os.path.dirname(os.path.dirname(boolmin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
