@@ -6,7 +6,7 @@ bijunctive, affine, and the OR/AND/XOR tuple DP), and validates results
 against brute-force oracles at desk scale.
 """
 
-from .affine import MinimizeStats, clause_to_equation, min_affine, parity_constant
+from .affine import clause_to_equation, min_affine, parity_constant
 from .bijunctive import LiteralGraph, min_bijunctive, to_literal_graph
 from .classify import (
     ClassificationReport,
@@ -56,6 +56,7 @@ from .model import (
     CnfFormula,
     ConstraintLanguage,
     MeeInstance,
+    MinimizeStats,
     Relation,
     SizeMeasure,
     dualize,

@@ -2,11 +2,9 @@
 equations and a maximal linearly independent subset of them is minimum."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ClassificationError
-from .model import Clause, CnfFormula, Relation
-from .oracle import min_unsat_formula
+from .model import Clause, CnfFormula, MinimizeStats, Relation
+from .oracle import unsat_minimum
 
 
 def parity_constant(rel: Relation) -> int | None:
@@ -40,24 +38,6 @@ def clause_to_equation(clause: Clause, rel: Relation) -> tuple[int, int]:
     return coeffs, c
 
 
-@dataclass(frozen=True)
-class MinimizeStats:
-    input_clauses: int
-    output_clauses: int
-    passes: int = 0
-    rank: int | None = None
-
-    def lines(self) -> list[str]:
-        out = [
-            f"input_clauses={self.input_clauses}",
-            f"output_clauses={self.output_clauses}",
-            f"passes={self.passes}",
-        ]
-        if self.rank is not None:
-            out.append(f"rank={self.rank}")
-        return out
-
-
 def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     """Keep a maximal independent subset of clause rows, greedily in input
     order; inconsistent systems yield the cached minimum unsatisfiable
@@ -87,13 +67,7 @@ def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
         kept.append(idx)
 
     if inconsistent:
-        unsat = min_unsat_formula(lang)
-        if unsat is None:
-            raise RuntimeError(
-                "inconsistent system but no cached minimum unsatisfiable formula; this is a bug"
-            )
-        stats = MinimizeStats(len(formula.clauses), len(unsat.clauses), rank=None)
-        return unsat, stats
+        return unsat_minimum(formula)
 
     out = CnfFormula(
         lang,

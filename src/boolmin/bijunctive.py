@@ -11,39 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .affine import MinimizeStats
+from . import graph
+from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import Clause, CnfFormula, ConstraintLanguage, Relation
-from .oracle import min_unsat_formula
-
-OR2 = frozenset({(0, 1), (1, 0), (1, 1)})
-NAND2 = frozenset({(0, 0), (0, 1), (1, 0)})
-IMP = frozenset({(0, 0), (0, 1), (1, 1)})
-IMP_FLIPPED = frozenset({(0, 0), (1, 0), (1, 1)})
-EQ = frozenset({(0, 0), (1, 1)})
-XOR = frozenset({(0, 1), (1, 0)})
-
-
-def match_binary_template(rel: Relation):
-    """Binary/unary irreducible shapes: ("pos",)/("neg",)/("or",)/("nand",)/
-    ("imp", flipped)/("eq",)/("xor",); None otherwise."""
-    if rel.arity == 1:
-        if rel.tuples == frozenset({(1,)}):
-            return ("pos",)
-        if rel.tuples == frozenset({(0,)}):
-            return ("neg",)
-        return None
-    if rel.arity != 2:
-        return None
-    table = {
-        OR2: ("or",),
-        NAND2: ("nand",),
-        IMP: ("imp", False),
-        IMP_FLIPPED: ("imp", True),
-        EQ: ("eq",),
-        XOR: ("xor",),
-    }
-    return table.get(rel.tuples)
+from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats
+from .oracle import unsat_minimum
 
 
 def pos_lit(v: int) -> int:
@@ -79,22 +51,12 @@ class LiteralGraph:
     def force(self, lit: int) -> None:
         self.forced.add(lit)
 
-    def reach(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {}
+    def reach(self) -> list[int]:
+        """Reachability bitsets over the 2n literals (see graph.reach)."""
+        succ: list[list[int]] = [[] for _ in range(2 * self.n)]
         for a, b in self.edges:
-            adj.setdefault(a, set()).add(b)
-        out: dict[int, set[int]] = {}
-        for start in range(2 * self.n):
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in adj.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            out[start] = seen
-        return out
+            succ[a].append(b)
+        return graph.reach(succ)
 
 
 def to_literal_graph(formula: CnfFormula) -> LiteralGraph:
@@ -102,8 +64,8 @@ def to_literal_graph(formula: CnfFormula) -> LiteralGraph:
     g = LiteralGraph(formula.n_vars)
     for clause in formula.clauses:
         rel = formula.language.get(clause.relation)
-        kind = match_binary_template(rel)
-        if kind is None:
+        kind = relation_shape(rel)
+        if kind is None or rel.arity > 2:
             raise ClassificationError(
                 f"relation {clause.relation} is not an irreducible binary shape; "
                 "language misclassified as irreducible bijunctive"
@@ -146,7 +108,7 @@ class _Emitter:
 
     def __init__(self, lang: ConstraintLanguage):
         self.lang = lang
-        self.kinds = [(rel, match_binary_template(rel)) for rel in lang.relations]
+        self.kinds = [(rel, relation_shape(rel)) for rel in lang.relations]
 
     def unit(self, v: int, want: int) -> Clause | None:
         for rel, kind in self.kinds:
@@ -358,39 +320,34 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     lang = formula.language
     g = to_literal_graph(formula)
     emitter = _Emitter(lang)
-
-    def unsat_result():
-        unsat = min_unsat_formula(lang)
-        if unsat is None:
-            raise RuntimeError("unsatisfiable formula but no cached minimum one; this is a bug")
-        return unsat, MinimizeStats(len(formula.clauses), len(unsat.clauses))
-
     if g.contradictory:
-        return unsat_result()
+        return unsat_minimum(formula)
     reach = g.reach()
 
     # forced closure: explicit units plus literals whose negation is untenable
     seeds = set(g.forced)
     for lit in range(2 * g.n):
-        if negate(lit) in reach[lit]:
+        if reach[lit] >> negate(lit) & 1:
             seeds.add(negate(lit))
-    forced: set[int] = set()
+    forced_mask = 0
     for s in seeds:
-        forced |= reach[s]
+        forced_mask |= reach[s]
+    forced = set(graph.members(forced_mask))
     if any(negate(lit) in forced for lit in forced):
-        return unsat_result()
+        return unsat_minimum(formula)
     forced_vars = {lit_var(lit) for lit in forced}
 
     free_lits = [
         lit for lit in range(2 * g.n) if lit_var(lit) not in forced_vars
     ]
-    # strongly connected literal classes among free literals
-    class_of: dict[int, int] = {}
+    # strongly connected literal classes among free literals: a free literal
+    # reaches only free or forced-true literals (reaching a forced-false one
+    # would force it), so no class crosses into the forced ones
+    class_of = graph.components(free_lits, reach)
+    class_members: dict[int, list[int]] = {}
     for lit in free_lits:
-        group = sorted(m for m in free_lits if m in reach[lit] and lit in reach[m])
-        class_of[lit] = group[0]
-
-    class_roots = sorted(set(class_of.values()))
+        class_members.setdefault(class_of[lit], []).append(lit)
+    class_roots = sorted(class_members)
 
     def wedge(v: int, want: int) -> list[Clause] | None:
         # implying both sides of an anti-equivalent free class makes the
@@ -401,11 +358,11 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
             if mirror == root:
                 continue
             first = second = None
-            for lit in sorted(l for l in free_lits if class_of[l] == root):
+            for lit in class_members[root]:
                 first = emitter.edge_clause(src, lit)
                 if first is not None:
                     break
-            for lit in sorted(l for l in free_lits if class_of[l] == mirror):
+            for lit in class_members[mirror]:
                 second = emitter.edge_clause(src, lit)
                 if second is not None:
                     break
@@ -420,10 +377,10 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     # literal of its smallest variable
     canonical_classes = []
     seen_roots = set()
-    for root in sorted(set(class_of.values())):
+    for root in class_roots:
         if root in seen_roots:
             continue
-        members = sorted(lit for lit in free_lits if class_of[lit] == root)
+        members = class_members[root]
         mirror_root = class_of[negate(root)]
         seen_roots.update({root, mirror_root})
         canonical_classes.append((root, members))
@@ -433,24 +390,15 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
         polarity = {lit_var(lit): 1 - (lit & 1) for lit in members}
         clauses.extend(_class_tree_clauses(polarity, emitter))
 
-    # condensation over class roots, then its unique transitive reduction
-    comp_reach = {
-        r: {class_of[m] for m in reach[r] if m in class_of} - {r} for r in class_roots
-    }
-    reduced = set()
-    for r in class_roots:
-        for s in comp_reach[r]:
-            if not any(s in comp_reach[w] for w in comp_reach[r] if w != s):
-                reduced.add((r, s))
     emitted_pairs = set()
-    for r, s in sorted(reduced):
+    for r, s in sorted(graph.reduction(g.edges, class_of, reach)):
         mirror = (class_of[negate(s)], class_of[negate(r)])
         if mirror in emitted_pairs:
             continue
         emitted_pairs.add((r, s))
         clause = None
-        for a in sorted(lit for lit in free_lits if class_of[lit] == r):
-            for b in sorted(lit for lit in free_lits if class_of[lit] == s):
+        for a in class_members[r]:
+            for b in class_members[s]:
                 clause = emitter.edge_clause(a, b)
                 if clause is not None:
                     break

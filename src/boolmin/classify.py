@@ -9,14 +9,13 @@ from .model import BoolFunction, ConstraintLanguage, Relation, all_assignments, 
 
 CLOSURE_OPS = ("min2", "max2", "maj3", "xor3", "orAndMix", "andOrMix")
 
-# closure op -> relation property it characterizes
-OP_PROPERTY = {
-    "min2": "horn",
-    "max2": "dual_horn",
-    "maj3": "bijunctive",
-    "xor3": "affine",
-    "orAndMix": "ihsb_plus",
-    "andOrMix": "ihsb_minus",
+_UNARY_SHAPES = {frozenset({(1,)}): ("pos",), frozenset({(0,)}): ("neg",)}
+_BINARY_SHAPES = {
+    frozenset({(0, 0), (0, 1), (1, 1)}): ("imp", False),
+    frozenset({(0, 0), (1, 0), (1, 1)}): ("imp", True),
+    frozenset({(0, 0), (1, 1)}): ("eq",),
+    frozenset({(0, 0), (0, 1), (1, 0)}): ("nand",),
+    frozenset({(0, 1), (1, 0)}): ("xor",),
 }
 
 
@@ -48,6 +47,22 @@ def closed_under(rel: Relation, op: str) -> bool:
     # maj3: (a&b)|(a&c)|(b&c) == (a & (b|c)) | (b&c) for fixed (b, c)
     combos = {(b | c, b & c) for b in codes for c in codes}
     return all(((a & u) | v) in inside for a in codes for (u, v) in combos)
+
+
+def relation_shape(rel: Relation):
+    """The base shape of a relation, or None.
+
+    ("pos",) and ("neg",) are the literals x and not-x; ("imp", flipped) is
+    x -> y, or y -> x when flipped; ("eq",), ("nand",) and ("xor",) are the
+    binary equality, NAND and XOR; ("or", m) is the m-ary OR.
+    """
+    if rel.arity == 1:
+        return _UNARY_SHAPES.get(rel.tuples)
+    if rel.arity == 2 and rel.tuples in _BINARY_SHAPES:
+        return _BINARY_SHAPES[rel.tuples]
+    if len(rel.tuples) == (1 << rel.arity) - 1 and all(any(t) for t in rel.tuples):
+        return ("or", rel.arity)
+    return None
 
 
 def _drop_coordinate(code: int, bit_pos: int) -> int:

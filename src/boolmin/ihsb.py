@@ -10,48 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .affine import MinimizeStats
+from . import graph
+from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import Clause, CnfFormula, ConstraintLanguage, Relation
-from .oracle import min_unsat_formula
-
-IMP_TUPLES = frozenset({(0, 0), (0, 1), (1, 1)})
-IMP_FLIPPED_TUPLES = frozenset({(0, 0), (1, 0), (1, 1)})
-EQ_TUPLES = frozenset({(0, 0), (1, 1)})
-
-
-def match_base_template(rel: Relation):
-    """Classify a relation as one of the base shapes, or None.
-
-    Returns ("pos",) / ("neg",) / ("imp", flipped) / ("eq",) / ("or", m).
-    """
-    if rel.arity == 1:
-        if rel.tuples == frozenset({(1,)}):
-            return ("pos",)
-        if rel.tuples == frozenset({(0,)}):
-            return ("neg",)
-        return None
-    if rel.arity == 2:
-        if rel.tuples == IMP_TUPLES:
-            return ("imp", False)
-        if rel.tuples == IMP_FLIPPED_TUPLES:
-            return ("imp", True)
-        if rel.tuples == EQ_TUPLES:
-            return ("eq",)
-    if len(rel.tuples) == (1 << rel.arity) - 1 and all(any(t) for t in rel.tuples):
-        return ("or", rel.arity)
-    return None
+from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats
+from .oracle import unsat_minimum
 
 
 @dataclass
 class BaseTemplates:
-    """Which base shapes the language offers, and through which relation."""
+    """Which base shapes the language offers, and through which relation;
+    `shapes` holds the shape of every relation name."""
 
     pos: str | None = None
     neg: str | None = None
     imp: tuple[str, bool] | None = None
     eq: str | None = None
     or_arities: dict[int, str] = field(default_factory=dict)
+    shapes: dict[str, tuple] = field(default_factory=dict)
 
 
 def language_templates(lang: ConstraintLanguage) -> BaseTemplates:
@@ -62,12 +38,13 @@ def language_templates(lang: ConstraintLanguage) -> BaseTemplates:
     """
     t = BaseTemplates()
     for rel in lang.relations:
-        kind = match_base_template(rel)
-        if kind is None:
+        kind = relation_shape(rel)
+        if kind is None or kind[0] in ("nand", "xor"):
             raise ClassificationError(
                 f"relation {rel.name} is not an IHSB+ base shape; "
                 "language misclassified as irreducible IHSB+"
             )
+        t.shapes[rel.name] = kind
         if kind[0] == "pos" and t.pos is None:
             t.pos = rel.name
         elif kind[0] == "neg" and t.neg is None:
@@ -133,52 +110,10 @@ class ImplGraph:
             succ[u].append(v)
         return succ
 
-    def closure(self, labels: list[int]) -> list[int]:
-        """out[u] is the OR of labels[v] over every v that u leads to through
-        implications (u leads to u).
-
-        Tarjan's strongly connected components, iteratively: a component
-        closes only after every component it reaches has closed, so its value
-        is its members' labels plus its successors' finished values."""
-        succ = self.successors()
-        out = list(labels)  # final for sinks, which are never visited
-        order: dict[int, int] = {}
-        low = [self.n] * self.n  # n for sinks and closed nodes: lowers nothing
-        stack: list[int] = []
-        for root in range(self.n):
-            if root in order or not succ[root]:
-                continue
-            work = [(root, 0)]
-            while work:
-                u, i = work.pop()
-                if i == 0:
-                    order[u] = low[u] = len(order)
-                    stack.append(u)
-                else:
-                    low[u] = min(low[u], low[succ[u][i - 1]])
-                if i < len(succ[u]):
-                    work.append((u, i + 1))
-                    v = succ[u][i]
-                    if v not in order and succ[v]:
-                        work.append((v, 0))
-                elif low[u] == order[u]:
-                    members = [stack.pop()]
-                    while members[-1] != u:
-                        members.append(stack.pop())
-                    value = 0
-                    for w in members:
-                        low[w] = self.n
-                        value |= labels[w]
-                        for x in succ[w]:
-                            value |= out[x]
-                    for w in members:
-                        out[w] = value
-        return out
-
     def reach(self) -> list[int]:
         """Reachability bitsets: bit v of reach[u] is set iff u leads to v
         through implications (u leads to u)."""
-        return self.closure([1 << u for u in range(self.n)])
+        return graph.reach(self.successors())
 
     def clause_count(self) -> int:
         classes: dict[int, int] = {}
@@ -187,21 +122,6 @@ class ImplGraph:
             classes[r] = classes.get(r, 0) + 1
         eq_clauses = sum(size - 1 for size in classes.values())
         return len(self.pos) + len(self.neg) + len(self.impl) + len(self.ors) + eq_clauses
-
-
-def _bits(vs) -> int:
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    return mask
-
-
-def _members(mask: int):
-    """Set bit positions of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def leadsto(g: ImplGraph, u: int, v: int) -> bool:
@@ -223,8 +143,7 @@ def graph_from_cnf(formula: CnfFormula) -> tuple[ImplGraph, BaseTemplates]:
     templates = language_templates(formula.language)
     g = ImplGraph(formula.n_vars)
     for clause in formula.clauses:
-        rel = formula.language.get(clause.relation)
-        kind = match_base_template(rel)
+        kind = templates.shapes[clause.relation]
         if kind[0] == "pos":
             g.pos.add(clause.vars[0])
         elif kind[0] == "neg":
@@ -251,20 +170,20 @@ def graph_from_cnf(formula: CnfFormula) -> tuple[ImplGraph, BaseTemplates]:
 
 def _falsy(g: ImplGraph, reach: list[int]) -> int:
     """Bitset of the nodes that lead to a negative literal."""
-    neg = _bits(g.neg)
-    return _bits(u for u in range(g.n) if reach[u] & neg)
+    neg = graph.bits(g.neg)
+    return graph.bits(u for u in range(g.n) if reach[u] & neg)
 
 
 def unsat_check_ihsb(g: ImplGraph) -> bool:
     """True iff some OR-clause (literals count as 1-ary OR-clauses) has every
     disjunct leading to a variable occurring as a negative literal."""
     falsy = _falsy(g, g.reach())
-    return bool(_bits(g.pos) & falsy) or any(not _bits(c) & ~falsy for c in g.ors)
+    return bool(graph.bits(g.pos) & falsy) or any(not graph.bits(c) & ~falsy for c in g.ors)
 
 
 def _add_literals(literals: set[int], mask: int) -> bool:
-    new = mask & ~_bits(literals)
-    literals.update(_members(new))
+    new = mask & ~graph.bits(literals)
+    literals.update(graph.members(new))
     return bool(new)
 
 
@@ -285,7 +204,8 @@ def _rule_or_subsumption(g: ImplGraph, reach) -> bool:
     for j, c in enumerate(ors):
         for y in c:
             occ[y] |= 1 << j
-    hit = g.closure(occ)  # hit[x]: clauses containing some y that x leads to
+    # hit[x]: clauses containing some y that x leads to
+    hit = graph.closure(g.successors(), occ)
     dropped = 0
     for p in g.pos:
         dropped |= hit[p]
@@ -297,7 +217,7 @@ def _rule_or_subsumption(g: ImplGraph, reach) -> bool:
             for x in ors[j]:
                 entailed &= hit[x]
             dropped |= entailed & ~(1 << j)
-    for j in _members(dropped):
+    for j in graph.members(dropped):
         g.ors.discard(ors[j])
     return bool(dropped)
 
@@ -331,9 +251,9 @@ def _rule_shrink_ors(g: ImplGraph, reach) -> bool:
     falsy = _falsy(g, reach)
     fired = False
     for c in list(g.ors):
-        mask = _bits(c)
+        mask = graph.bits(c)
         drop = {x for x in c if falsy >> x & 1} | {
-            x for x in c for y in _members(reach[x] & mask & ~(1 << x))
+            x for x in c for y in graph.members(reach[x] & mask & ~(1 << x))
             if y < x or not reach[y] >> x & 1
         }
         if drop == c:
@@ -355,12 +275,10 @@ def _rule_shrink_ors(g: ImplGraph, reach) -> bool:
 def _rule_cycle_collapse(g: ImplGraph, reach) -> bool:
     """Merge each strongly connected component (nodes with equal reach sets)
     into one equality class."""
-    first: dict[int, int] = {}
     fired = False
-    for u in {u for edge in g.impl for u in edge}:
-        other = first.setdefault(reach[u], u)
-        if other != u:
-            g.union(u, other)
+    for u, rep in graph.components({u for edge in g.impl for u in edge}, reach).items():
+        if rep != u:
+            g.union(u, rep)
             fired = True
     if fired:
         g.normalize()
@@ -389,27 +307,15 @@ def _canonical_implications(g: ImplGraph, reach: list[int]) -> set[tuple[int, in
     """Minimum implication set with the original reachability: one cycle per
     strongly connected component (left only when the language cannot express
     equality), plus the unique transitive reduction of the condensation."""
-    nodes = sorted({u for e in g.impl for u in e})
-    # nodes with equal reach sets lead to each other: one component each,
-    # named by its least member
-    first: dict[int, int] = {}
-    comp = {u: first.setdefault(reach[u], u) for u in nodes}
-    members: dict[int, list[int]] = {}
-    for u in nodes:
-        members.setdefault(comp[u], []).append(u)
-    succ = dict.fromkeys(members, 0)
-    for u, v in g.impl:
-        if comp[u] != comp[v]:
-            succ[comp[u]] |= 1 << comp[v]
-    edges: set[tuple[int, int]] = set()
-    for c, group in members.items():
+    comp = graph.components({u for e in g.impl for u in e}, reach)
+    edges = graph.reduction(g.impl, comp, reach)
+    groups: dict[int, list[int]] = {}
+    for u, c in comp.items():
+        groups.setdefault(c, []).append(u)
+    for group in groups.values():
         if len(group) >= 2:
             edges.update(zip(group, group[1:]))
             edges.add((group[-1], group[0]))
-        further = 0
-        for d in _members(succ[c]):
-            further |= reach[d] & ~(1 << d)
-        edges.update((c, d) for d in _members(succ[c] & ~further))
     return edges
 
 
@@ -547,10 +453,7 @@ def min_ihsb_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     satisfiability, minimize, re-emit in the language's own vocabulary."""
     g, templates = graph_from_cnf(formula)
     if unsat_check_ihsb(g):
-        unsat = min_unsat_formula(formula.language)
-        if unsat is None:
-            raise RuntimeError("unsatisfiable formula but no cached minimum one; this is a bug")
-        return unsat, MinimizeStats(len(formula.clauses), len(unsat.clauses))
+        return unsat_minimum(formula)
     base, passes = min_ihsb(g, eq_available=templates.eq is not None)
     out = restrict_vocabulary(
         base, templates, formula.language, formula.var_names, formula.language_path

@@ -184,6 +184,24 @@ class CnfFormula:
         )
 
 
+@dataclass(frozen=True)
+class MinimizeStats:
+    input_clauses: int
+    output_clauses: int
+    passes: int = 0
+    rank: int | None = None
+
+    def lines(self) -> list[str]:
+        out = [
+            f"input_clauses={self.input_clauses}",
+            f"output_clauses={self.output_clauses}",
+            f"passes={self.passes}",
+        ]
+        if self.rank is not None:
+            out.append(f"rank={self.rank}")
+        return out
+
+
 def clause_mask(rel: Relation, var_ids: Sequence[int], n_vars: int) -> int:
     """Solution bitmask of a single clause over an n-variable assignment space."""
     codes = rel.codes

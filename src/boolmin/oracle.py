@@ -19,6 +19,7 @@ from .model import (
     Clause,
     CnfFormula,
     ConstraintLanguage,
+    MinimizeStats,
     Relation,
     SizeMeasure,
     all_assignments,
@@ -155,6 +156,15 @@ def min_unsat_formula(lang: ConstraintLanguage, clause_bound: int = 4) -> CnfFor
             clauses = tuple(reps[ci] for ci in picked)
             return CnfFormula(lang, var_names, clauses)
     return None
+
+
+def unsat_minimum(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
+    """The minimum unsatisfiable formula of the language, as the minimized
+    form of an unsatisfiable input, with its stats."""
+    unsat = min_unsat_formula(formula.language)
+    if unsat is None:
+        raise RuntimeError("unsatisfiable formula but no cached minimum one; this is a bug")
+    return unsat, MinimizeStats(len(formula.clauses), len(unsat.clauses))
 
 
 def _compositions(total: int, parts: int):

@@ -129,18 +129,30 @@ def test_contraposition_closure_preserved(bijunctive_full):
         # restricted to unforced variables, which determines equivalence here
         assert equivalent(out, f)
         reach_in, reach_out = g_in.reach(), g_out.reach()
-        forced = set()
+        forced = 0
         seeds = set(g_in.forced) | {
-            lit ^ 1 for lit in range(2 * g_in.n) if (lit ^ 1) in reach_in[lit]
+            lit ^ 1 for lit in range(2 * g_in.n) if reach_in[lit] >> (lit ^ 1) & 1
         }
         for s in seeds:
             forced |= reach_in[s]
-        forced_vars = {lit // 2 for lit in forced}
+        forced_vars = {lit // 2 for lit in range(2 * g_in.n) if forced >> lit & 1}
         for a in range(2 * g_in.n):
             for b in range(2 * g_in.n):
                 if a // 2 in forced_vars or b // 2 in forced_vars:
                     continue
-                assert (b in reach_in[a]) == (b in reach_out[a])
+                assert (reach_in[a] >> b & 1) == (reach_out[a] >> b & 1)
+
+
+def test_long_chain_with_skip_edges():
+    # x_i -> x_{i+1} and x_i -> x_{i+2}: the skip edges are all redundant
+    n = 2000
+    lang = lang_of("imp")
+    specs = [("imp", (i, i + 1)) for i in range(n - 1)]
+    specs += [("imp", (i, i + 2)) for i in range(n - 2)]
+    f = F(lang, [f"x{i}" for i in range(n)], *specs)
+    out, stats = min_bijunctive(f)
+    assert set(out.clauses) == {Clause("imp", (i, i + 1)) for i in range(n - 1)}
+    assert len(out.clauses) == stats.output_clauses == n - 1
 
 
 def test_enumerated_languages_against_oracle():

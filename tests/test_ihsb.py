@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from boolmin.classify import relation_shape
 from boolmin.errors import ClassificationError
 from boolmin.ihsb import (
     ImplGraph,
     graph_from_cnf,
     language_templates,
     leadsto,
-    match_base_template,
     min_ihsb,
     min_ihsb_cnf,
     min_ihsb_minus_cnf,
@@ -23,7 +23,7 @@ from boolmin.model import (
     satisfiable,
 )
 from boolmin.oracle import brute_min_cnf
-from boolmin.std import rel_eq, rel_impl, rel_nand, rel_neg, rel_or, rel_pos
+from boolmin.std import rel_eq, rel_impl, rel_nand, rel_neg, rel_or, rel_pos, rel_xor
 
 from conftest import random_cnf
 
@@ -42,14 +42,16 @@ def minimize(f):
 
 
 def test_template_matching():
-    assert match_base_template(rel_pos()) == ("pos",)
-    assert match_base_template(rel_neg()) == ("neg",)
-    assert match_base_template(rel_impl()) == ("imp", False)
+    assert relation_shape(rel_pos()) == ("pos",)
+    assert relation_shape(rel_neg()) == ("neg",)
+    assert relation_shape(rel_impl()) == ("imp", False)
     flipped = Relation("pmi", 2, frozenset({(0, 0), (1, 0), (1, 1)}))
-    assert match_base_template(flipped) == ("imp", True)
-    assert match_base_template(rel_eq()) == ("eq",)
-    assert match_base_template(rel_or(3)) == ("or", 3)
-    assert match_base_template(rel_nand(2)) is None
+    assert relation_shape(flipped) == ("imp", True)
+    assert relation_shape(rel_eq()) == ("eq",)
+    assert relation_shape(rel_or(3)) == ("or", 3)
+    assert relation_shape(rel_nand(2)) == ("nand",)
+    assert relation_shape(rel_xor()) == ("xor",)
+    assert relation_shape(rel_nand(3)) is None
 
 
 def test_normalize_clause_orientations(t9):
@@ -61,9 +63,10 @@ def test_normalize_clause_orientations(t9):
 
 
 def test_misclassified_language_rejected():
-    lang = ConstraintLanguage((rel_nand(2),))
-    with pytest.raises(ClassificationError):
-        language_templates(lang)
+    # nand and xor have a shape, but not an IHSB+ one
+    for rel in (rel_nand(2), rel_xor(), rel_nand(3)):
+        with pytest.raises(ClassificationError):
+            language_templates(ConstraintLanguage((rel,)))
 
 
 def test_leadsto(t9):
