@@ -20,7 +20,7 @@ from boolmin import (
 )
 from boolmin.formats import parse_bformula, serialize_cnf_formula, serialize_mee_instance
 from boolmin.gadgets import eval_dnf
-from boolmin.model import BApp, BVar, all_assignments, count_gates, eval_by_name
+from boolmin.model import BApp, BVar, all_assignments, count_gates
 from boolmin.std import fn_and, rel_parity
 
 # --- non-satisfiability reduces to minimization --------------------------------
@@ -64,7 +64,7 @@ terms = [(("x", True), ("y", False)), (("x", True), ("z", True), ("w", False))]
 cnf = pure_horn_dnf_to_cnf(terms)
 print(serialize_cnf_formula(cnf, "positive-horn.lang").rstrip())
 agrees = all(
-    eval_by_name(cnf, dict(zip(cnf.var_names, bits))) == 1 - eval_dnf(terms, dict(zip(cnf.var_names, bits)))
+    cnf.eval(bits) == 1 - eval_dnf(terms, dict(zip(cnf.var_names, bits)))
     for bits in all_assignments(len(cnf.var_names))
 )
 print("negation-equivalent to the DNF:", agrees)

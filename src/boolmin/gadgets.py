@@ -17,10 +17,11 @@ from .model import (
     ConstraintLanguage,
     MeeInstance,
     SizeMeasure,
-    all_assignments,
     formula_size,
     satisfiable,
     substitute,
+    truth_table,
+    var_mask,
 )
 from .oracle import min_unsat_formula
 from .std import rel_horn_impl
@@ -105,9 +106,10 @@ def _arg_order(formula: BFormula) -> tuple[str, ...]:
 
 
 def _check_table(formula: BFormula, names: tuple[str, ...], expected) -> None:
-    for bits in all_assignments(len(names)):
-        if formula.eval(dict(zip(names, bits))) != expected(*bits):
-            raise ValueError(f"gadget connective contract violated by {names}")
+    """`expected` maps the names' variable masks to the intended mask."""
+    columns = [var_mask(i, len(names)) for i in range(len(names))]
+    if truth_table(formula, names) != expected(*columns):
+        raise ValueError(f"gadget connective contract violated by {names}")
 
 
 def _fresh_names(avoid: set[str], n: int, prefix: str) -> list[str]:
@@ -149,9 +151,9 @@ def build_and_or_gadget(
     if len(or_vars) != 3:
         raise FormatError("f_or must use exactly three variables (x, y, t)")
     ox, oy, ot = or_vars
-    for a, b in product((0, 1), repeat=2):
-        if f_or.eval({ox: a, oy: b, ot: 1}) != (a | b):
-            raise ValueError("f_or(x, y, 1) must equal x or y")
+    x, y, full = var_mask(0, 2), var_mask(1, 2), 0b1111
+    if f_or.mask({ox: x, oy: y, ot: full}, full) != x | y:
+        raise ValueError("f_or(x, y, 1) must equal x or y")
 
     functions = _merged_functions(f_and, f_or, h1, h2)
 
@@ -186,7 +188,7 @@ def build_maj_gadget(
     maj_vars = _arg_order(f_maj)
     if len(maj_vars) != 3:
         raise FormatError("f_maj must use exactly three variables")
-    _check_table(f_maj, maj_vars, lambda a, b, c: 1 if a + b + c >= 2 else 0)
+    _check_table(f_maj, maj_vars, lambda a, b, c: (a & b) | (a & c) | (b & c))
     mx, my, mz = maj_vars
 
     functions = _merged_functions(f_maj, h1, h2)
@@ -238,18 +240,15 @@ def reduce_unsat_to_mee_cnf(lang: ConstraintLanguage, formula: CnfFormula) -> Re
         small_formulas.extend(combinations_with_replacement(candidates, j))
 
     for clause_tuple in small_formulas:
+        # the assignments to the variables the trial uses, all others 0
         used = sorted({v for c in clause_tuple for v in c.vars})
         trial = CnfFormula(lang, formula.var_names, tuple(clause_tuple))
-        for bits in all_assignments(len(used)):
-            values = [0] * n
-            for var, bit in zip(used, bits):
-                values[var] = bit
-            if all(
-                tuple(values[v] for v in c.vars) in lang.get(c.relation).tuples
-                for c in clause_tuple
-            ):
-                if formula.eval(values):
-                    return _fixed_negative(formula, SizeMeasure.CLAUSES)
+        columns = [0] * n
+        for k, var in enumerate(used):
+            columns[var] = var_mask(k, len(used))
+        full = (1 << (1 << len(used))) - 1
+        if trial.mask(columns, full) & formula.mask(columns, full):
+            return _fixed_negative(formula, SizeMeasure.CLAUSES)
     return ReductionResult(MeeInstance(formula, k_min, SizeMeasure.CLAUSES), False)
 
 

@@ -10,14 +10,25 @@ Bit conventions used throughout the package:
   assignment whose binary encoding is i with x1 as the most significant bit.
 * An assignment over variables 0..n-1 is indexed the same way: variable 0
   is the most significant bit of the assignment index.
+
+All truth-table work runs on one bit-parallel kernel.  A *mask* is an int
+with one bit per assignment column (bit idx of a full table is the value at
+assignment idx); `full` sets every column and `var_mask(i, n)` is variable
+i's column.  Relations and functions compile once (`mask_op`, cached) to
+`op(masks, full)`, applied pointwise: OR, AND and XOR/XNOR tables fold with
+one bit operation per argument, other tables are a sum of products over
+their true rows.  `CnfFormula.mask` and `BFormula.mask` evaluate over any
+columns: all 2^n assignments (`truth_table`), one assignment (`eval`, with
+`full = 1`), or the n + 1 probes of `post.relevant_variables`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from operator import and_, or_, xor
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ResourceLimitError
 
@@ -72,6 +83,11 @@ class Relation:
     def codes(self) -> frozenset[int]:
         """Tuples as integers, first argument = most significant bit."""
         return frozenset(tuple_to_code(t) for t in self.tuples)
+
+    @cached_property
+    def mask_op(self) -> MaskOp:
+        """The relation as a function, applied pointwise to argument masks."""
+        return _compile(tuple(int(code in self.codes) for code in range(1 << self.arity)))
 
     def contains(self, t: tuple[int, ...]) -> bool:
         return t in self.tuples
@@ -161,19 +177,18 @@ class CnfFormula:
         """1 iff the assignment (indexed by variable id) satisfies every clause."""
         if len(values) != self.n_vars:
             raise FormatError("assignment length does not match variable count")
+        return self.mask(values, 1)
+
+    def mask(self, columns: Sequence[int], full: int) -> int:
+        """Conjunction of the clause masks, given each variable id's mask."""
+        out = full
         for c in self.clauses:
-            rel = self.language.get(c.relation)
-            if tuple(values[v] for v in c.vars) not in rel.tuples:
-                return 0
-        return 1
+            out &= self.language.get(c.relation).mask_op([columns[v] for v in c.vars], full)
+        return out
 
     def solution_mask(self) -> int:
         """Bitmask over 2^n assignment indices; variable 0 is the MSB."""
-        check_var_cap(self.n_vars)
-        mask = (1 << (1 << self.n_vars)) - 1
-        for c in self.clauses:
-            mask &= clause_mask(self.language.get(c.relation), c.vars, self.n_vars)
-        return mask
+        return truth_table(self, self.var_names)
 
     def dual(self) -> "CnfFormula":
         return CnfFormula(
@@ -202,19 +217,68 @@ class MinimizeStats:
         return out
 
 
+def var_mask(i: int, n: int) -> int:
+    """Variable i's column over the 2^n assignments: the block of h zeros
+    and h ones, h = 2^(n-1-i), doubled by shifts (linear in 2^n)."""
+    h = 1 << (n - 1 - i)
+    mask, width = ((1 << h) - 1) << h, 2 * h
+    while width < 1 << n:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
 def clause_mask(rel: Relation, var_ids: Sequence[int], n_vars: int) -> int:
     """Solution bitmask of a single clause over an n-variable assignment space."""
-    codes = rel.codes
-    arity = rel.arity
-    shifts = [n_vars - 1 - v for v in var_ids]
-    mask = 0
-    for idx in range(1 << n_vars):
-        code = 0
-        for s in shifts:
-            code = (code << 1) | ((idx >> s) & 1)
-        if code in codes:
-            mask |= 1 << idx
-    return mask
+    return rel.mask_op([var_mask(v, n_vars) for v in var_ids], (1 << (1 << n_vars)) - 1)
+
+
+# op(masks, full) -> mask: a function applied pointwise to argument masks
+MaskOp = Callable[[Sequence[int], int], int]
+
+
+def _compile(table: tuple[int, ...]) -> MaskOp:
+    """Mask operator of a truth table (entry i at the argument code i)."""
+    size = len(table)
+    parity = tuple(bin(code).count("1") & 1 for code in range(size))
+    if table == (0,) + (1,) * (size - 1):
+        return _or
+    if table == (0,) * (size - 1) + (1,):
+        return _and
+    if table == parity:
+        return _xor
+    if all(a != b for a, b in zip(table, parity)):
+        return _xnor
+    arity = size.bit_length() - 1
+    return partial(_sum_of_products, [code_to_tuple(c, arity) for c in range(size) if table[c]])
+
+
+def _or(masks: Sequence[int], full: int) -> int:
+    return reduce(or_, masks, 0)
+
+
+def _and(masks: Sequence[int], full: int) -> int:
+    return reduce(and_, masks, full)
+
+
+def _xor(masks: Sequence[int], full: int) -> int:
+    return reduce(xor, masks, 0)
+
+
+def _xnor(masks: Sequence[int], full: int) -> int:
+    return full ^ reduce(xor, masks, 0)
+
+
+def _sum_of_products(rows: list[tuple[int, ...]], masks: Sequence[int], full: int) -> int:
+    """OR over the true rows of the AND of the matching literal masks."""
+    literals = ([full ^ m for m in masks], masks)
+    out = 0
+    for row in rows:
+        term = full
+        for i, bit in enumerate(row):
+            term &= literals[bit][i]
+        out |= term
+    return out
 
 
 @dataclass(frozen=True)
@@ -239,6 +303,11 @@ class BoolFunction:
         if len(args) != self.arity:
             raise FormatError(f"function {self.name}: expected {self.arity} arguments")
         return self.table[tuple_to_code(args)]
+
+    @cached_property
+    def mask_op(self) -> MaskOp:
+        """The function applied pointwise to argument masks."""
+        return _compile(self.table)
 
     def dual(self) -> "BoolFunction":
         size = 1 << self.arity
@@ -271,7 +340,17 @@ class BFormula:
         names = [f.name for f in self.functions]
         if len(set(names)) != len(names):
             raise FormatError("duplicate function names in basis")
-        _check_node(self.root, self.by_name)
+        funcs = self.by_name
+        for node in _walk(self.root):
+            if isinstance(node, BVar):
+                continue
+            f = funcs.get(node.func)
+            if f is None:
+                raise FormatError(f"unknown function {node.func!r}")
+            if len(node.args) != f.arity:
+                raise FormatError(
+                    f"function {node.func}: got {len(node.args)} arguments, arity is {f.arity}"
+                )
 
     @cached_property
     def by_name(self) -> dict[str, BoolFunction]:
@@ -280,12 +359,31 @@ class BFormula:
     @cached_property
     def var_names(self) -> tuple[str, ...]:
         """Variables of the tree in canonical (sorted) order."""
-        seen: set[str] = set()
-        _collect_vars(self.root, seen)
-        return tuple(sorted(seen))
+        return tuple(sorted({node.name for node in _walk(self.root) if isinstance(node, BVar)}))
 
     def eval(self, values: Mapping[str, int]) -> int:
-        return _eval_node(self.root, self.by_name, values)
+        return self.mask(values, 1)
+
+    def mask(self, columns: Mapping[str, int], full: int) -> int:
+        """The root's mask, given each variable's mask (post-order, no recursion)."""
+        funcs = self.by_name
+        out: list[int] = []
+        stack: list[tuple[BNode, bool]] = [(self.root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if isinstance(node, BVar):
+                if node.name not in columns:
+                    raise FormatError(f"assignment does not cover variable {node.name!r}")
+                out.append(columns[node.name])
+            elif expanded:
+                split = len(out) - len(node.args)
+                value = funcs[node.func].mask_op(out[split:], full)
+                del out[split:]
+                out.append(value)
+            else:
+                stack.append((node, True))
+                stack.extend((a, False) for a in reversed(node.args))
+        return out[0]
 
     def size(self, measure: "SizeMeasure") -> int:
         if measure is SizeMeasure.LITERALS:
@@ -300,36 +398,14 @@ class BFormula:
         )
 
 
-def _check_node(node: BNode, funcs: dict[str, BoolFunction]) -> None:
-    if isinstance(node, BVar):
-        return
-    f = funcs.get(node.func)
-    if f is None:
-        raise FormatError(f"unknown function {node.func!r}")
-    if len(node.args) != f.arity:
-        raise FormatError(
-            f"function {node.func}: got {len(node.args)} arguments, arity is {f.arity}"
-        )
-    for a in node.args:
-        _check_node(a, funcs)
-
-
-def _collect_vars(node: BNode, out: set[str]) -> None:
-    if isinstance(node, BVar):
-        out.add(node.name)
-    else:
-        for a in node.args:
-            _collect_vars(a, out)
-
-
-def _eval_node(node: BNode, funcs: dict[str, BoolFunction], values: Mapping[str, int]) -> int:
-    if isinstance(node, BVar):
-        try:
-            return values[node.name]
-        except KeyError:
-            raise FormatError(f"assignment does not cover variable {node.name!r}") from None
-    args = tuple(_eval_node(a, funcs, values) for a in node.args)
-    return funcs[node.func].value(args)
+def _walk(root: BNode) -> Iterator[BNode]:
+    """Every node occurrence of the tree, without recursion."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BApp):
+            stack.extend(node.args)
 
 
 def _dual_node(node: BNode) -> BNode:
@@ -396,32 +472,27 @@ def formula_vars(formula: Formula) -> tuple[str, ...]:
     return formula.var_names
 
 
-def eval_by_name(formula: Formula, values: Mapping[str, int]) -> int:
-    """Evaluate either formula kind against an assignment keyed by name."""
+def truth_table(formula: Formula, names: Sequence[str], var_cap: int = DEFAULT_VAR_CAP) -> int:
+    """Mask over the 2^len(names) assignments to names (names[0] is the MSB
+    of the index); names must cover the formula's variables."""
+    n = len(names)
+    check_var_cap(n, var_cap)
+    columns = {name: var_mask(i, n) for i, name in enumerate(names)}
+    full = (1 << (1 << n)) - 1
     if isinstance(formula, CnfFormula):
-        return formula.eval([values[name] for name in formula.var_names])
-    return formula.eval(values)
+        return formula.mask([columns[name] for name in formula.var_names], full)
+    return formula.mask(columns, full)
 
 
 def equivalent(f1: Formula, f2: Formula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
     """True iff the truth tables over the union of variable sets agree."""
     names = sorted(set(formula_vars(f1)) | set(formula_vars(f2)))
-    check_var_cap(len(names), var_cap)
-    for bits in all_assignments(len(names)):
-        values = dict(zip(names, bits))
-        if eval_by_name(f1, values) != eval_by_name(f2, values):
-            return False
-    return True
+    return truth_table(f1, names, var_cap) == truth_table(f2, names, var_cap)
 
 
 def satisfiable(formula: Formula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
     """True iff some assignment evaluates to 1."""
-    names = formula_vars(formula)
-    check_var_cap(len(names), var_cap)
-    for bits in all_assignments(len(names)):
-        if eval_by_name(formula, dict(zip(names, bits))):
-            return True
-    return False
+    return truth_table(formula, formula_vars(formula), var_cap) != 0
 
 
 def dualize(obj):

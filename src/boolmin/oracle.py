@@ -22,8 +22,9 @@ from .model import (
     MinimizeStats,
     Relation,
     SizeMeasure,
-    all_assignments,
     clause_mask,
+    truth_table,
+    var_mask,
 )
 
 MAX_ORACLE_VARS = 8
@@ -181,29 +182,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _formula_mask(formula: BFormula, pool: tuple[str, ...]) -> int:
-    mask = 0
-    for idx, bits in enumerate(all_assignments(len(pool))):
-        if formula.eval(dict(zip(pool, bits))):
-            mask |= 1 << idx
-    return mask
-
-
-def _apply_masks(f: BoolFunction, child_masks: tuple[int, ...], full: int) -> int:
-    """Pointwise application of f to child solution masks via bit algebra."""
-    out = 0
-    for code in range(1 << f.arity):
-        if not f.table[code]:
-            continue
-        term = full
-        for i, m in enumerate(child_masks):
-            term &= m if (code >> (f.arity - 1 - i)) & 1 else full & ~m
-            if not term:
-                break
-        out |= term
-    return out
-
-
 def brute_min_bformula(
     basis: tuple[BoolFunction, ...],
     formula: BFormula,
@@ -224,15 +202,9 @@ def brute_min_bformula(
     while fresh in formula.var_names:
         fresh += "w"
     pool = tuple(sorted(set(formula.var_names) | {fresh}))
+    target = truth_table(formula, pool)
     full = (1 << (1 << len(pool))) - 1
-    target = _formula_mask(formula, pool)
-    var_masks: dict[str, int] = {}
-    for i, name in enumerate(pool):
-        mask = 0
-        for idx in range(1 << len(pool)):
-            if (idx >> (len(pool) - 1 - i)) & 1:
-                mask |= 1 << idx
-        var_masks[name] = mask
+    var_masks = {name: var_mask(i, len(pool)) for i, name in enumerate(pool)}
 
     if measure is SizeMeasure.LITERALS:
         levels = _levels_by_literals(basis, var_masks, full, bound)
@@ -258,14 +230,16 @@ def _levels_by_literals(basis, var_masks, full, bound):
     while changed:
         changed = False
         for size in range(bound + 1):
+            level = levels[size]
             for f in basis:
                 if f.arity == 0 and size != 0:
                     continue
+                op = f.mask_op
                 for split in _compositions(size, f.arity):
-                    for combo in product(*(list(levels[s].items()) for s in split)):
-                        out = _apply_masks(f, tuple(m for m, _ in combo), full)
-                        if out not in levels[size]:
-                            levels[size][out] = BApp(f.name, tuple(t for _, t in combo))
+                    for combo in product(*(list(levels[s]) for s in split)):
+                        out = op(combo, full)
+                        if out not in level:
+                            level[out] = _app(f, levels, split, combo)
                             changed = True
     return levels
 
@@ -276,10 +250,17 @@ def _levels_by_gates(basis, var_masks, full, bound):
     for name, mask in var_masks.items():
         levels[0][mask] = BVar(name)
     for g in range(1, bound + 1):
+        level = levels[g]
         for f in basis:
+            op = f.mask_op
             for split in _compositions(g - 1, f.arity):
-                for combo in product(*(list(levels[s].items()) for s in split)):
-                    out = _apply_masks(f, tuple(m for m, _ in combo), full)
-                    if out not in levels[g]:
-                        levels[g][out] = BApp(f.name, tuple(t for _, t in combo))
+                for combo in product(*(list(levels[s]) for s in split)):
+                    out = op(combo, full)
+                    if out not in level:
+                        level[out] = _app(f, levels, split, combo)
     return levels
+
+
+def _app(f: BoolFunction, levels, split, combo) -> BApp:
+    """The tree applying f to the subtrees stored under the combo's masks."""
+    return BApp(f.name, tuple(levels[s][m] for s, m in zip(split, combo)))

@@ -85,16 +85,15 @@ def relevant_variables(formula: BFormula, cls: str) -> tuple[frozenset[str], int
         ok = {"V": shape.or_function, "E": shape.and_function, "L": shape.xor_function}[cls]
         if not ok:
             raise ClassificationError(f"function {f.name} is outside class {cls}")
+    # one evaluation over n + 1 columns: column 0 is the baseline and
+    # column j + 1 flips variable j
     names = formula.var_names
-    base_bit = 1 if cls == "E" else 0
-    baseline = {name: base_bit for name in names}
-    c = formula.eval(baseline)
-    relevant = set()
-    for name in names:
-        probe = dict(baseline)
-        probe[name] = 1 - base_bit
-        if formula.eval(probe) != c:
-            relevant.add(name)
+    full = (1 << (len(names) + 1)) - 1
+    flip = full if cls == "E" else 0
+    columns = {name: flip ^ (2 << j) for j, name in enumerate(names)}
+    values = formula.mask(columns, full)
+    c = values & 1
+    relevant = {name for j, name in enumerate(names) if (values >> (j + 1)) & 1 != c}
     return frozenset(relevant), c
 
 

@@ -38,7 +38,6 @@ from boolmin.model import (
     clause_mask,
     dualize,
     equivalent,
-    eval_by_name,
     satisfiable,
 )
 from boolmin.oracle import brute_min_bformula, brute_min_cnf, expressible
@@ -413,7 +412,7 @@ def test_criterion_7_reduction_soundness():
         names = out.var_names
         for bits in all_assignments(len(names)):
             values = dict(zip(names, bits))
-            if eval_by_name(out, values) != 1 - eval_dnf(terms, values):
+            if out.eval(bits) != 1 - eval_dnf(terms, values):
                 problems.append(("dnf", terms))
                 break
     _report(7, "reduction soundness on 200 inputs per generator", problems)

@@ -22,7 +22,6 @@ from boolmin.model import (
     SizeMeasure,
     all_assignments,
     equivalent,
-    eval_by_name,
     satisfiable,
 )
 from boolmin.oracle import brute_min_bformula, brute_min_cnf
@@ -114,7 +113,7 @@ def test_horn_dnf_translation():
     names = out.var_names
     for bits in all_assignments(len(names)):
         values = dict(zip(names, bits))
-        assert eval_by_name(out, values) == 1 - eval_dnf(terms, values)
+        assert out.eval(bits) == 1 - eval_dnf(terms, values)
 
 
 def test_horn_dnf_validation():

@@ -18,12 +18,14 @@ from boolmin.model import (
     Relation,
     SizeMeasure,
     all_assignments,
+    clause_mask,
     count_gates,
     count_literals,
     dualize,
     equivalent,
     formula_size,
     satisfiable,
+    truth_table,
 )
 from boolmin.std import fn_and, fn_or, fn_xor, rel_impl
 
@@ -187,3 +189,126 @@ sys.exit(first() is not None)
     src = os.path.dirname(os.path.dirname(boolmin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_pinned_mask_conventions(t9):
+    # variable 0 is the most significant bit of the assignment index
+    f = CnfFormula(t9, ("x0", "x1", "x2"), (Clause("pos", (0,)),))
+    assert f.solution_mask() == 0b11110000
+    g = CnfFormula(t9, ("x0", "x1", "x2"), (Clause("neg", (2,)),))
+    assert g.solution_mask() == 0b01010101
+    assert CnfFormula(t9, ("x0", "x1", "x2"), ()).solution_mask() == 0xFF
+    assert clause_mask(rel_impl(), (1, 1), 3) == 0xFF
+    assert clause_mask(rel_impl(), (0, 1), 2) == 0b1011
+    wide = CnfFormula(t9, tuple(f"v{i}" for i in range(25)), (Clause("pos", (0,)),))
+    with pytest.raises(ResourceLimitError):
+        wide.solution_mask()
+
+
+def test_deep_chain_without_recursion():
+    or2 = fn_or(2)
+    root = BVar("x")
+    for i in range(5000):
+        root = BApp("or2", (root, BVar("y" if i % 2 else "z")))
+    f = BFormula(bf(or2), root)
+    assert f.var_names == ("x", "y", "z")
+    assert f.eval({"x": 0, "y": 0, "z": 1}) == 1
+    assert f.eval({"x": 0, "y": 0, "z": 0}) == 0
+    assert equivalent(f, f)
+    assert satisfiable(f)
+
+
+# --- the mask kernel against pointwise evaluation by definition --------------
+
+
+def _ref_cnf(f: CnfFormula, bits) -> int:
+    return int(all(
+        tuple(bits[v] for v in c.vars) in f.language.get(c.relation).tuples for c in f.clauses
+    ))
+
+
+def _ref_node(node, funcs, values) -> int:
+    if isinstance(node, BVar):
+        return values[node.name]
+    return funcs[node.func].value([_ref_node(a, funcs, values) for a in node.args])
+
+
+def _ref_table(rows) -> int:
+    """Mask whose bit idx is the idx-th value (assignments in index order)."""
+    return sum(bit << idx for idx, bit in enumerate(rows))
+
+
+def test_cnf_kernel_matches_pointwise(t9, bijunctive_full, affine_lang):
+    rng = random.Random(2024)
+    for lang in (t9, bijunctive_full, affine_lang):
+        for n in range(1, 11):
+            for _ in range(4 if n < 8 else 2):
+                f = random_cnf(lang, rng, n, rng.choice((0, 1, 2, 3, n, 2 * n)))
+                rel = rng.choice([r for r in lang.relations if r.arity > 1])
+                v = rng.randrange(n)
+                repeated = Clause(rel.name, (v,) * rel.arity)
+                for g in (f, CnfFormula(lang, f.var_names, f.clauses + (repeated,))):
+                    rows = [_ref_cnf(g, bits) for bits in all_assignments(n)]
+                    assert g.solution_mask() == _ref_table(rows)
+                    assert [g.eval(bits) for bits in all_assignments(n)] == rows
+                    assert satisfiable(g) == any(rows)
+                    assert equivalent(g, g)
+                for c in f.clauses:
+                    r = lang.get(c.relation)
+                    rows = [int(tuple(b[x] for x in c.vars) in r.tuples) for b in all_assignments(n)]
+                    assert clause_mask(r, c.vars, n) == _ref_table(rows)
+
+
+def _random_tree(basis, rng, depth):
+    usable = [f for f in basis if depth > 0 or f.arity == 0]
+    if not usable or rng.random() < 0.25:
+        return BVar(rng.choice("abcde"))
+    f = rng.choice(usable)
+    return BApp(f.name, tuple(_random_tree(basis, rng, depth - 1) for _ in range(f.arity)))
+
+
+def test_bformula_kernel_matches_pointwise():
+    rng = random.Random(7)
+    maj3 = BoolFunction("maj3", 3, tuple(int(sum(t) >= 2) for t in all_assignments(3)))
+    basis = bf(
+        BoolFunction("one", 0, (1,)),
+        BoolFunction("zero", 0, (0,)),
+        BoolFunction("not", 1, (1, 0)),
+        fn_xor(2, 1),
+        maj3,
+        BoolFunction("imp", 2, (1, 1, 0, 1)),
+        BoolFunction("rnd3", 3, tuple(rng.randrange(2) for _ in range(8))),
+        fn_and(3),
+        fn_or(2),
+        fn_xor(3),
+    )
+    for _ in range(150):
+        f = BFormula(basis, _random_tree(basis, rng, rng.randint(0, 5)))
+        names = tuple(sorted(set(f.var_names) | {"e"}))
+        rows = [_ref_node(f.root, f.by_name, dict(zip(names, bits)))
+                for bits in all_assignments(len(names))]
+        assert truth_table(f, names) == _ref_table(rows)
+        assert [f.eval(dict(zip(names, bits))) for bits in all_assignments(len(names))] == rows
+        assert satisfiable(f) == any(rows)
+        g = BFormula(basis, BApp("not", (BApp("not", (f.root,)),)))
+        assert equivalent(f, g)
+        assert not equivalent(f, BFormula(basis, BApp("not", (f.root,))))
+
+
+def test_equivalence_at_twenty_variables(t9):
+    rng = random.Random(20)
+    n = 20
+    model = [rng.randrange(2) for _ in range(n)]
+    clauses = []
+    while len(clauses) < 40:
+        rel = rng.choice(t9.relations)
+        c = Clause(rel.name, tuple(rng.randrange(n) for _ in range(rel.arity)))
+        if tuple(model[v] for v in c.vars) in rel.tuples:
+            clauses.append(c)
+    names = tuple(f"v{i}" for i in range(n))
+    f = CnfFormula(t9, names, tuple(clauses))
+    assert f.eval(model) == 1
+    assert equivalent(f, CnfFormula(t9, names, tuple(reversed(clauses))))
+    v = rng.randrange(n)
+    excluding = Clause("neg" if model[v] else "pos", (v,))
+    assert not equivalent(f, CnfFormula(t9, names, tuple(reversed(clauses)) + (excluding,)))
