@@ -22,20 +22,28 @@ def parity_constant(rel: Relation) -> int | None:
     return constants.pop()
 
 
-def clause_to_equation(clause: Clause, rel: Relation) -> tuple[int, int]:
-    """GF(2) row (coefficient bitmask keyed by variable id, constant bit).
-
-    Repeated variables in a clause cancel pairwise.
-    """
+def _xor_constant(rel: Relation) -> int:
     c = parity_constant(rel)
     if c is None:
         raise ClassificationError(
             f"relation {rel.name} is not an XOR clause; language misclassified as irreducible affine"
         )
+    return c
+
+
+def _coefficients(clause: Clause) -> int:
     coeffs = 0
     for v in clause.vars:
         coeffs ^= 1 << v
-    return coeffs, c
+    return coeffs
+
+
+def clause_to_equation(clause: Clause, rel: Relation) -> tuple[int, int]:
+    """GF(2) row (coefficient bitmask keyed by variable id, constant bit).
+
+    Repeated variables in a clause cancel pairwise.
+    """
+    return _coefficients(clause), _xor_constant(rel)
 
 
 def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
@@ -43,10 +51,12 @@ def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     order; inconsistent systems yield the cached minimum unsatisfiable
     formula for the language."""
     lang = formula.language
+    constants: dict[str, int] = {}
     rows = []
     for idx, clause in enumerate(formula.clauses):
-        rel = lang.get(clause.relation)
-        rows.append((clause_to_equation(clause, rel), idx))
+        if clause.relation not in constants:
+            constants[clause.relation] = _xor_constant(lang.get(clause.relation))
+        rows.append(((_coefficients(clause), constants[clause.relation]), idx))
 
     # incremental elimination; each basis row is (pivot bit, coeffs, const)
     basis: list[tuple[int, int, int]] = []

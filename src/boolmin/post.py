@@ -9,9 +9,30 @@ in two phases: compositions first (every state then has a "generic" tree
 realization whose relevant variables each label exactly one leaf), then
 variable identifications, which commute past compositions and can always be
 deferred to the end.  AND-bases are handled by duality.
+
+The composition phase is one pass in nondecreasing gate count, in the manner
+of Knuth's generalization of Dijkstra's algorithm (Knuth 1977): a gate count
+only adds under composition, so a cell is final when it leaves the heap.  A
+settled cell grows as a host and as a guest against the cells settled so
+far.  At a relevant leaf it takes every *unit*, a cell with at most
+max-arity leaves; at an irrelevant leaf it takes the cheapest cell of each
+leaf count, since an irrelevant insertion reads nothing else of its guest.
+
+Units rather than bare seeds keep the leaf bound exact.  Any tree can be
+built from its root by insertions in which leafless subtrees (constants)
+travel with their parent gate: a relevant leaf takes a gate with its
+leafless arguments filled in, which is a unit, and an irrelevant leaf takes
+a whole subtree.  Every open leaf then ends as a subtree with at least one
+leaf, so no intermediate cell has more leaves than the tree, and a cell
+within n_bound is reached through cells within it.  (min_post's bound is at
+least the largest arity, so the units are built within it too.)  Inserting
+bare gates and constants one at a time would pass through cells above the
+bound.
 """
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
 
@@ -26,7 +47,6 @@ from .model import (
     SizeMeasure,
     count_gates,
     count_literals,
-    substitute,
 )
 
 
@@ -103,7 +123,10 @@ Ref = tuple
 
 @dataclass(frozen=True)
 class ReachTable:
-    """Generic-composition reachability: state -> (min gates, back-reference)."""
+    """Generic-composition reachability: state -> (min gates, back-reference).
+
+    A back-reference is ("var",), ("fn", name), or ("rel" | "irr", host,
+    guest): guest inserted at a relevant or an irrelevant leaf of host."""
 
     cls: str
     states: dict[State, tuple[int, Ref]]
@@ -112,18 +135,19 @@ class ReachTable:
 def build_reach_table(
     basis: tuple[BoolFunction, ...], cls: str, n_bound: int
 ) -> ReachTable:
-    """Close the seed tuples under relevant/irrelevant composition, keeping
-    the minimum gate count per (c, l, n) cell."""
-    states: dict[State, tuple[int, Ref]] = {}
+    """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
+    settling cells in nondecreasing gate count (Knuth 1977)."""
+    unit_arity = max((f.arity for f in basis), default=0)
+    best: dict[State, int] = {}
+    heap: list[tuple[int, State, Ref]] = []
 
-    def offer(state: State, g: int, ref: Ref) -> bool:
+    def offer(state: State, g: int, ref: Ref) -> None:
         if state[2] > n_bound or state[1] > state[2]:
-            return False
-        known = states.get(state)
-        if known is None or g < known[0]:
-            states[state] = (g, ref)
-            return True
-        return False
+            return
+        known = best.get(state)
+        if known is None or g < known:
+            best[state] = g
+            heapq.heappush(heap, (g, state, ref))
 
     offer((0, 1, 1), 0, ("var",))
     for f in basis:
@@ -131,22 +155,43 @@ def build_reach_table(
         seed = _normalize(cls, shape.zero_value, len(shape.relevant), f.arity)
         offer(seed, 1, ("fn", f.name))
 
-    changed = True
-    while changed:
-        changed = False
-        items = list(states.items())
-        for s1, (g1, _) in items:
-            t1 = FuncTuple(*s1, g1)
-            for s2, (g2, _) in items:
-                t2 = FuncTuple(*s2, g2)
-                if t1.l >= 1:
-                    t = tuple_compose(t1, t2, "relevant", cls)
-                    if offer((t.c, t.l, t.n), t.g, ("rel", s1, s2)):
-                        changed = True
-                if t1.l < t1.n:
-                    t = tuple_compose(t1, t2, "irrelevant", cls)
-                    if offer((t.c, t.l, t.n), t.g, ("irr", s1, s2)):
-                        changed = True
+    states: dict[State, tuple[int, Ref]] = {}
+    units: list[tuple[State, int]] = []
+    cheapest: dict[int, tuple[State, int]] = {}  # leaf count -> first settled
+    rel_hosts: list[tuple[State, int]] = []
+    irr_hosts: list[tuple[State, int]] = []
+
+    def grow(host: State, g1: int, guest: State, g2: int, tag: str) -> None:
+        mode = "relevant" if tag == "rel" else "irrelevant"
+        t = tuple_compose(FuncTuple(*host, g1), FuncTuple(*guest, g2), mode, cls)
+        offer((t.c, t.l, t.n), t.g, (tag, host, guest))
+
+    while heap:
+        g, s, ref = heapq.heappop(heap)
+        if s in states:
+            continue
+        states[s] = (g, ref)
+        _, l, n = s
+        first_of_n = n not in cheapest
+        if first_of_n:
+            cheapest[n] = (s, g)
+        if n <= unit_arity:
+            units.append((s, g))
+        if l >= 1:
+            rel_hosts.append((s, g))
+            for u, gu in units:
+                grow(s, g, u, gu, "rel")
+        if l < n:
+            irr_hosts.append((s, g))
+            for v, gv in cheapest.values():
+                grow(s, g, v, gv, "irr")
+        # as a guest, s meets every host settled so far
+        if first_of_n:
+            for h, gh in irr_hosts:
+                grow(h, gh, s, g, "irr")
+        if n <= unit_arity:
+            for h, gh in rel_hosts:
+                grow(h, gh, s, g, "rel")
     return ReachTable(cls, states)
 
 
@@ -160,46 +205,100 @@ def _identify_compatible(cls: str, l_state: int, l_target: int) -> bool:
     return l_target >= 1
 
 
-def _realize(state: State, table: ReachTable, basis, namer) -> tuple[BNode, list[str]]:
-    """Generic tree for a state: every designated (relevant) variable labels
-    exactly one leaf, all leaf names fresh and distinct."""
-    g, ref = table.states[state]
-    if ref[0] == "var":
-        name = next(namer)
-        return BVar(name), [name]
-    if ref[0] == "fn":
-        f = basis[ref[1]]
-        shape = function_shape(f)
-        args = [next(namer) for _ in range(f.arity)]
-        if state[0] == 1 and table.cls == "V":
-            designated = []
+def _witness(
+    state: State,
+    table: ReachTable,
+    basis: tuple[BoolFunction, ...],
+    relevant_sorted: list[str],
+    avoid: set[str],
+) -> BNode:
+    """The tree that a state's back-references describe, its designated
+    (relevant) leaves named after the target's relevant variables.
+
+    One explicit-stack walk over the back-references builds each part once.
+    Leaves are integer ids, and `slot` keeps the argument list and index that
+    holds each one, so a guest goes into its host's leaf in constant time and
+    the host's designated and free leaf queues grow in place.
+    """
+    cls = table.cls
+    shapes = {f.name: (f.arity, function_shape(f).relevant) for f in basis}
+    leaf_ids = count()
+    slot: dict[int, tuple[list, int]] = {}
+    # (one-element root box, designated leaves, free leaves) per built part
+    parts: list[tuple[list, deque[int], deque[int]]] = []
+    stack: list[tuple[State, bool]] = [(state, False)]
+    while stack:
+        s, expanded = stack.pop()
+        ref = table.states[s][1]
+        tag = ref[0]
+        if tag == "var":
+            leaf = next(leaf_ids)
+            box: list = [leaf]
+            slot[leaf] = (box, 0)
+            parts.append((box, deque([leaf]), deque()))
+        elif tag == "fn":
+            arity, relevant = shapes[ref[1]]
+            args: list = [next(leaf_ids) for _ in range(arity)]
+            for i, leaf in enumerate(args):
+                slot[leaf] = (args, i)
+            des = deque(a for i, a in enumerate(args) if i in relevant)
+            free = deque(a for i, a in enumerate(args) if i not in relevant)
+            parts.append(([(ref[1], args)], des, free))
+        elif not expanded:
+            stack.append((s, True))
+            stack.append((ref[2], False))
+            stack.append((ref[1], False))
+            continue
         else:
-            designated = [args[i] for i in sorted(shape.relevant)]
-        return BApp(f.name, tuple(BVar(a) for a in args)), designated
-    _, s1, s2 = ref
-    node1, des1 = _realize(s1, table, basis, namer)
-    node2, des2 = _realize(s2, table, basis, namer)
-    if ref[0] == "rel":
-        target = des1[0]
-        node = substitute(node1, {target: node2})
-        designated = des1[1:] + des2
-    else:
-        leaves: list[str] = []
-        _leaf_names(node1, leaves)
-        target = next(name for name in leaves if name not in set(des1))
-        node = substitute(node1, {target: node2})
-        designated = des1
-    if table.cls == "V" and state[0] == 1:
-        designated = []
-    return node, designated
+            guest_box, guest_des, guest_free = parts.pop()
+            _, des, free = parts[-1]
+            if tag == "rel":
+                leaf = des.popleft()
+                des.extend(guest_des)
+            else:
+                # below an irrelevant leaf every leaf of the guest is irrelevant
+                leaf = free.popleft()
+                free.extend(guest_des)
+            free.extend(guest_free)
+            args, i = slot.pop(leaf)
+            args[i] = guest_box[0]
+            if isinstance(args[i], int):
+                slot[args[i]] = (args, i)
+        if cls == "V" and s[0] == 1:
+            # an OR that is constant 1 has no relevant variable left
+            _, des, free = parts[-1]
+            free.extend(des)
+            des.clear()
 
-
-def _leaf_names(node: BNode, out: list[str]) -> None:
-    if isinstance(node, BVar):
-        out.append(node.name)
+    box, des, _ = parts[0]
+    names = dict(zip(des, relevant_sorted))
+    fresh = (f"z{i}" for i in count() if f"z{i}" not in avoid)
+    extras = list(des)[len(relevant_sorted):]
+    if cls == "L":
+        # extras cancel in pairs, so each pair shares one irrelevant name
+        for a, b in zip(extras[::2], extras[1::2]):
+            names[a] = names[b] = next(fresh)
     else:
-        for a in node.args:
-            _leaf_names(a, out)
+        for leaf in extras:
+            names[leaf] = relevant_sorted[-1]
+
+    out: list[BNode] = []
+    walk: list[tuple[object, bool]] = [(box[0], False)]
+    while walk:
+        node, expanded = walk.pop()
+        if isinstance(node, int):
+            if node not in names:
+                names[node] = next(fresh)
+            out.append(BVar(names[node]))
+        elif expanded:
+            split = len(out) - len(node[1])
+            app = BApp(node[0], tuple(out[split:]))
+            del out[split:]
+            out.append(app)
+        else:
+            walk.append((node, True))
+            walk.extend((a, False) for a in reversed(node[1]))
+    return out[0]
 
 
 @dataclass(frozen=True)
@@ -207,6 +306,7 @@ class PostStats:
     measure: SizeMeasure
     min_size: int
     tuple: State
+    reach_states: int
 
     def lines(self) -> list[str]:
         c, l, n = self.tuple
@@ -214,37 +314,8 @@ class PostStats:
             f"measure={self.measure.value}",
             f"min_size={self.min_size}",
             f"tuple=({c},{l},{n})",
+            f"reach_states={self.reach_states}",
         ]
-
-
-def _finish_witness(
-    node: BNode,
-    designated: list[str],
-    relevant_sorted: list[str],
-    cls: str,
-    avoid: set[str],
-) -> BNode:
-    l_target = len(relevant_sorted)
-    mapping: dict[str, BNode] = {}
-    for i, name in enumerate(designated[:l_target]):
-        mapping[name] = BVar(relevant_sorted[i])
-    fresh = (f"z{i}" for i in count() if f"z{i}" not in avoid)
-    extras = designated[l_target:]
-    if cls == "L":
-        # extras cancel in pairs, so each pair shares one irrelevant name
-        for i in range(0, len(extras), 2):
-            z = BVar(next(fresh))
-            mapping[extras[i]] = z
-            mapping[extras[i + 1]] = z
-    else:
-        for name in extras:
-            mapping[name] = BVar(relevant_sorted[-1])
-    leaves: list[str] = []
-    _leaf_names(node, leaves)
-    for name in leaves:
-        if name not in mapping:
-            mapping[name] = BVar(next(fresh))
-    return substitute(node, mapping)
 
 
 def min_post(
@@ -287,14 +358,11 @@ def min_post(
         return None
     size, state = best
 
-    namer = (f"_t{i}" for i in count())
-    basis_by_name = {f.name: f for f in basis}
-    node, designated = _realize(state, table, basis_by_name, namer)
-    witness_root = _finish_witness(
-        node, designated, sorted(relevant), cls, set(formula.var_names)
+    witness_root = _witness(
+        state, table, basis, sorted(relevant), set(formula.var_names)
     )
     witness = BFormula(basis, witness_root)
-    return size, witness, PostStats(measure, size, state)
+    return size, witness, PostStats(measure, size, state, len(table.states))
 
 
 def gate_lower_bound(relevant_count: int, max_arity: int) -> int:

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
+from boolmin.classify import function_shape
 from boolmin.errors import ClassificationError
 from boolmin.formats import parse_bformula
 from boolmin.model import (
+    BApp,
     BFormula,
+    BoolFunction,
     BVar,
     SizeMeasure,
+    all_assignments,
     dualize,
     equivalent,
     formula_size,
@@ -15,6 +19,7 @@ from boolmin.model import (
 from boolmin.oracle import brute_min_bformula
 from boolmin.post import (
     FuncTuple,
+    build_reach_table,
     gate_lower_bound,
     min_post,
     relevant_variables,
@@ -115,7 +120,11 @@ def test_min_post_unreachable_target():
 
 def test_min_post_matches_oracle_small():
     rng = random.Random(61)
-    bases = [(fn_or(2),), (fn_or(3),), (fn_xor(2),), (fn_and(2),)]
+    bases = [
+        (fn_or(2),), (fn_or(3),), (fn_xor(2),), (fn_and(2),),
+        (fn_or(2), fn_const(0)), (fn_or(2), fn_const(1)),
+        (fn_xor(2), fn_const(1)), (fn_and(2), fn_const(0)),
+    ]
     for basis in bases:
         for _ in range(15):
             phi = random_bformula(basis, rng, rng.randint(1, 5))
@@ -127,6 +136,97 @@ def test_min_post_matches_oracle_small():
                 assert formula_size(witness, measure) == size
                 oracle = brute_min_bformula(basis, phi, measure, 6)
                 assert oracle is not None and oracle[0] == size
+
+
+def closure_reference(basis, cls, n_bound):
+    """Min gates per (c, l, n): every pairwise composition, in rounds until
+    no cell improves."""
+    states = {(0, 1, 1): 0}
+    for f in basis:
+        shape = function_shape(f)
+        c, l = shape.zero_value, len(shape.relevant)
+        seed = (1, 0, f.arity) if cls == "V" and c == 1 else (c, l, f.arity)
+        if seed[2] <= n_bound:
+            states[seed] = min(1, states.get(seed, 1))
+    changed = True
+    while changed:
+        changed = False
+        items = [FuncTuple(*s, g) for s, g in states.items()]
+        for t1 in items:
+            modes = [m for m, ok in (("relevant", t1.l >= 1), ("irrelevant", t1.l < t1.n)) if ok]
+            for t2 in items:
+                for mode in modes:
+                    t = tuple_compose(t1, t2, mode, cls)
+                    s = (t.c, t.l, t.n)
+                    if t.n <= n_bound and t.l <= t.n and t.g < states.get(s, t.g + 1):
+                        states[s] = t.g
+                        changed = True
+    return states
+
+
+def random_post_function(rng, cls, name):
+    """An OR (cls "V") or XOR (cls "L") of a random subset of 0..3
+    arguments, with a random constant offset."""
+    arity = rng.randint(0, 3)
+    c = rng.randint(0, 1)
+    rel = [i for i in range(arity) if rng.random() < 0.7]
+    if cls == "V":
+        table = tuple(c | any(t[i] for i in rel) for t in all_assignments(arity))
+    else:
+        table = tuple((c + sum(t[i] for i in rel)) % 2 for t in all_assignments(arity))
+    return BoolFunction(name, arity, tuple(int(v) for v in table))
+
+
+def min_gates(basis, cls, n_bound):
+    return {s: g for s, (g, _) in build_reach_table(basis, cls, n_bound).states.items()}
+
+
+def test_reach_table_matches_pairwise_closure():
+    rng = random.Random(73)
+    for _ in range(40):
+        cls = rng.choice("VL")
+        basis = tuple(random_post_function(rng, cls, f"f{i}") for i in range(rng.randint(1, 3)))
+        n_bound = rng.randint(1, 24)
+        assert min_gates(basis, cls, n_bound) == closure_reference(basis, cls, n_bound)
+    # a 2D state space: the dummy argument makes l < n reachable
+    or2_dummy = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
+    basis = (fn_or(2), or2_dummy)
+    assert min_gates(basis, "V", 32) == closure_reference(basis, "V", 32)
+    # a constant inside a gate: some cells are reached only by inserting a
+    # unit (a gate with its constant argument) at a relevant leaf
+    xor2_dummy = BoolFunction("xor2d", 3, tuple(b ^ c for _, b, c in all_assignments(3)))
+    basis = (fn_const(0), xor2_dummy)
+    assert min_gates(basis, "L", 7) == closure_reference(basis, "L", 7)
+
+
+def balanced_or_tree(leaves):
+    """Group a level into or3 gates (or2 where a pair is left) until one
+    root remains."""
+    level = list(leaves)
+    while len(level) > 1:
+        nxt = []
+        while level:
+            k = 2 if len(level) in (2, 4) else min(3, len(level))
+            group, level = level[:k], level[k:]
+            nxt.append(group[0] if k == 1 else BApp(f"or{k}", tuple(group)))
+        level = nxt
+    return level[0]
+
+
+def test_min_post_deep_witness():
+    n = 3000
+    basis = (fn_or(2), fn_or(3))
+    names = [f"x{i}" for i in range(n)]
+    phi = BFormula(basis, balanced_or_tree(BVar(v) for v in names))
+    for measure, expected in (
+        (SizeMeasure.LITERALS, n),
+        (SizeMeasure.GATES, gate_lower_bound(n, 3)),
+    ):
+        size, witness, stats = min_post(basis, phi, measure)
+        assert size == expected
+        assert formula_size(witness, measure) == size
+        assert relevant_variables(witness, "V") == (frozenset(names), 0)
+        assert stats.lines()[-1] == f"reach_states={stats.reach_states}"
 
 
 def test_min_post_duality():
