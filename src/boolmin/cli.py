@@ -3,7 +3,7 @@ gadget generation and format utilities.
 
 Exit codes: 0 success or positive decision, 1 negative decision, 2 malformed
 input, 3 resource cap exceeded, 4 the classification forbids polynomial
-minimization.
+minimization, 5 internal error (a fault in boolmin, never a decision).
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ EXIT_NEGATIVE = 1
 EXIT_MALFORMED = 2
 EXIT_RESOURCE = 3
 EXIT_CLASSIFICATION = 4
+EXIT_INTERNAL = 5
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -426,6 +427,9 @@ def main(argv=None) -> int:
     except ClassificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLASSIFICATION
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

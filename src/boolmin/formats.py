@@ -18,6 +18,7 @@ from .model import (
     MeeInstance,
     Relation,
     SizeMeasure,
+    fold,
 )
 
 _BIT_RE = re.compile(r"^[01]+$")
@@ -39,8 +40,11 @@ def _parse_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in token)
 
 
-def parse_language(text: str, base_dir: str = ".") -> ConstraintLanguage:
-    """Parse a sequence of relation blocks and include lines."""
+def parse_language(
+    text: str, base_dir: str = ".", _including: tuple[str, ...] = ()
+) -> ConstraintLanguage:
+    """Parse a sequence of relation blocks and include lines.  `_including`
+    holds the real paths of the files on the current include chain."""
     relations: list[Relation] = []
     lines = _content_lines(text)
     i = 0
@@ -50,9 +54,7 @@ def parse_language(text: str, base_dir: str = ".") -> ConstraintLanguage:
             if len(tokens) != 2:
                 raise FormatError("include expects exactly one path")
             path = os.path.join(base_dir, tokens[1])
-            with open(path, encoding="utf-8") as fh:
-                included = parse_language(fh.read(), os.path.dirname(path) or ".")
-            relations.extend(included.relations)
+            relations.extend(load_language(path, _including).relations)
             i += 1
         elif tokens[0] == "relation":
             if len(tokens) != 4 or tokens[2] != "arity":
@@ -82,9 +84,14 @@ def parse_relation(text: str) -> Relation:
     return lang.relations[0]
 
 
-def load_language(path: str) -> ConstraintLanguage:
+def load_language(path: str, _including: tuple[str, ...] = ()) -> ConstraintLanguage:
+    real = os.path.realpath(path)
+    if real in _including:
+        cycle = _including[_including.index(real):] + (real,)
+        raise FormatError("include cycle: " + " -> ".join(cycle))
     with open(path, encoding="utf-8") as fh:
-        return parse_language(fh.read(), os.path.dirname(path) or ".")
+        text = fh.read()
+    return parse_language(text, os.path.dirname(path) or ".", _including + (real,))
 
 
 def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
@@ -166,31 +173,31 @@ def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
     tokens = _TOKEN_RE.findall(stripped)
     if not tokens:
         raise FormatError("empty B-formula")
-    node, pos = _parse_expr(tokens, 0)
-    if pos != len(tokens):
+    tokens_left = iter(tokens)
+    # one explicit stack of open applications: (function name, arguments so far)
+    open_apps: list[tuple[str, list[BNode]]] = []
+    for tok in tokens_left:
+        if tok == "(":
+            func = next(tokens_left, "(")
+            if func in ("(", ")"):
+                raise FormatError("expected a function name after '('")
+            open_apps.append((func, []))
+            continue
+        if tok != ")":
+            node: BNode = BVar(tok)
+        elif open_apps:
+            func, args = open_apps.pop()
+            node = BApp(func, tuple(args))
+        else:
+            raise FormatError("unexpected ')'")
+        if not open_apps:
+            break
+        open_apps[-1][1].append(node)
+    else:
+        raise FormatError("unbalanced parentheses")
+    if next(tokens_left, None) is not None:
         raise FormatError("trailing tokens after B-formula expression")
     return BFormula(functions, node)
-
-
-def _parse_expr(tokens: list[str], pos: int) -> tuple[BNode, int]:
-    tok = tokens[pos]
-    if tok == ")":
-        raise FormatError("unexpected ')'")
-    if tok != "(":
-        return BVar(tok), pos + 1
-    pos += 1
-    if pos >= len(tokens) or tokens[pos] in ("(", ")"):
-        raise FormatError("expected a function name after '('")
-    func = tokens[pos]
-    pos += 1
-    args = []
-    while True:
-        if pos >= len(tokens):
-            raise FormatError("unbalanced parentheses")
-        if tokens[pos] == ")":
-            return BApp(func, tuple(args)), pos + 1
-        node, pos = _parse_expr(tokens, pos)
-        args.append(node)
 
 
 def load_bformula(path: str, functions: tuple[BoolFunction, ...]) -> BFormula:
@@ -231,16 +238,9 @@ def serialize_functions(funcs: tuple[BoolFunction, ...]) -> str:
     return "".join(serialize_function(f) for f in funcs)
 
 
-def serialize_bnode(node: BNode) -> str:
-    if isinstance(node, BVar):
-        return node.name
-    if not node.args:
-        return f"({node.func})"
-    return "(" + node.func + " " + " ".join(serialize_bnode(a) for a in node.args) + ")"
-
-
 def serialize_bformula(formula: BFormula) -> str:
-    return serialize_bnode(formula.root) + "\n"
+    text = fold(formula.root, lambda v: v.name, lambda n, args: f"({' '.join([n.func, *args])})")
+    return text + "\n"
 
 
 def mee_header(instance: MeeInstance, fixed_negative: bool = False) -> str:

@@ -17,6 +17,7 @@ from .model import (
     ConstraintLanguage,
     MeeInstance,
     SizeMeasure,
+    _walk,
     formula_size,
     satisfiable,
     substitute,
@@ -90,19 +91,10 @@ def _merged_functions(*formulas: BFormula) -> tuple[BoolFunction, ...]:
 
 
 def _arg_order(formula: BFormula) -> tuple[str, ...]:
-    """Connective argument roles follow first occurrence in the tree."""
-    order: list[str] = []
-
-    def walk(node: BNode) -> None:
-        if isinstance(node, BVar):
-            if node.name not in order:
-                order.append(node.name)
-        else:
-            for a in node.args:
-                walk(a)
-
-    walk(formula.root)
-    return tuple(order)
+    """Connective argument roles follow first occurrence in the tree, left
+    to right (the order of the leaves in post-order)."""
+    leaves = (n.name for n in reversed(list(_walk(formula.root))) if isinstance(n, BVar))
+    return tuple(dict.fromkeys(leaves))
 
 
 def _check_table(formula: BFormula, names: tuple[str, ...], expected) -> None:

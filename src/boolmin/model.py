@@ -28,7 +28,7 @@ from enum import Enum
 from functools import cached_property, partial, reduce
 from itertools import product
 from operator import and_, or_, xor
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import FormatError, ResourceLimitError
 
@@ -39,6 +39,8 @@ DUAL_SUFFIX = "~"
 
 # bit vector indexed by variable id; length equals the formula's variable count
 Assignment = tuple[int, ...]
+
+T = TypeVar("T")
 
 
 def dual_name(name: str) -> str:
@@ -320,10 +322,19 @@ class BVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BApp:
+    """Equality and hashing compare the pre-order node keys, which with the
+    arities determine the tree, so neither recurses."""
+
     func: str
     args: tuple["BNode", ...]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BApp) and _key(self) == _key(other)
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
 
 
 BNode = BVar | BApp
@@ -365,41 +376,26 @@ class BFormula:
         return self.mask(values, 1)
 
     def mask(self, columns: Mapping[str, int], full: int) -> int:
-        """The root's mask, given each variable's mask (post-order, no recursion)."""
+        """The root's mask, given each variable's mask."""
         funcs = self.by_name
-        out: list[int] = []
-        stack: list[tuple[BNode, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if isinstance(node, BVar):
-                if node.name not in columns:
-                    raise FormatError(f"assignment does not cover variable {node.name!r}")
-                out.append(columns[node.name])
-            elif expanded:
-                split = len(out) - len(node.args)
-                value = funcs[node.func].mask_op(out[split:], full)
-                del out[split:]
-                out.append(value)
-            else:
-                stack.append((node, True))
-                stack.extend((a, False) for a in reversed(node.args))
-        return out[0]
 
-    def size(self, measure: "SizeMeasure") -> int:
-        if measure is SizeMeasure.LITERALS:
-            return count_literals(self.root)
-        if measure is SizeMeasure.GATES:
-            return count_gates(self.root)
-        raise FormatError("clause count is only defined for CNF formulas")
+        def leaf(node: BVar) -> int:
+            if node.name not in columns:
+                raise FormatError(f"assignment does not cover variable {node.name!r}")
+            return columns[node.name]
+
+        return fold(self.root, leaf, lambda node, args: funcs[node.func].mask_op(args, full))
 
     def dual(self) -> "BFormula":
         return BFormula(
-            tuple(f.dual() for f in self.functions), _dual_node(self.root)
+            tuple(f.dual() for f in self.functions),
+            fold(self.root, lambda v: v, lambda n, args: BApp(dual_name(n.func), tuple(args))),
         )
 
 
 def _walk(root: BNode) -> Iterator[BNode]:
-    """Every node occurrence of the tree, without recursion."""
+    """Every node occurrence of the tree in pre-order, arguments right to
+    left, without recursion."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -408,31 +404,39 @@ def _walk(root: BNode) -> Iterator[BNode]:
             stack.extend(node.args)
 
 
-def _dual_node(node: BNode) -> BNode:
-    if isinstance(node, BVar):
-        return node
-    return BApp(dual_name(node.func), tuple(_dual_node(a) for a in node.args))
+def _key(root: BNode) -> tuple:
+    return tuple((n.func, len(n.args)) if isinstance(n, BApp) else n.name for n in _walk(root))
+
+
+def fold(root: BNode, leaf: Callable[[BVar], T], app: Callable[[BApp, list[T]], T]) -> T:
+    """Post-order evaluation without recursion: `leaf(v)` at each variable,
+    `app(node, values)` at each application, values left to right.  (`_walk`
+    yields arguments right to left, so its reverse is that post-order.)"""
+    out: list[T] = []
+    for node in reversed(list(_walk(root))):
+        if isinstance(node, BVar):
+            out.append(leaf(node))
+        else:
+            split = len(out) - len(node.args)
+            value = app(node, out[split:])
+            del out[split:]
+            out.append(value)
+    return out[0]
 
 
 def count_literals(node: BNode) -> int:
     """Number of variable-leaf occurrences (constant applications count 0)."""
-    if isinstance(node, BVar):
-        return 1
-    return sum(count_literals(a) for a in node.args)
+    return sum(isinstance(n, BVar) for n in _walk(node))
 
 
 def count_gates(node: BNode) -> int:
     """Number of function symbols in the tree."""
-    if isinstance(node, BVar):
-        return 0
-    return 1 + sum(count_gates(a) for a in node.args)
+    return sum(isinstance(n, BApp) for n in _walk(node))
 
 
 def substitute(node: BNode, mapping: Mapping[str, BNode]) -> BNode:
     """Replace variable leaves according to mapping (missing names stay)."""
-    if isinstance(node, BVar):
-        return mapping.get(node.name, node)
-    return BApp(node.func, tuple(substitute(a, mapping) for a in node.args))
+    return fold(node, lambda v: mapping.get(v.name, v), lambda n, args: BApp(n.func, tuple(args)))
 
 
 class SizeMeasure(Enum):
@@ -463,13 +467,11 @@ def formula_size(formula: Formula, measure: SizeMeasure) -> int:
         if measure is not SizeMeasure.CLAUSES:
             raise FormatError("CNF formulas are sized by clause count")
         return len(formula.clauses)
-    return formula.size(measure)
-
-
-def formula_vars(formula: Formula) -> tuple[str, ...]:
-    if isinstance(formula, CnfFormula):
-        return formula.var_names
-    return formula.var_names
+    if measure is SizeMeasure.LITERALS:
+        return count_literals(formula.root)
+    if measure is SizeMeasure.GATES:
+        return count_gates(formula.root)
+    raise FormatError("clause count is only defined for CNF formulas")
 
 
 def truth_table(formula: Formula, names: Sequence[str], var_cap: int = DEFAULT_VAR_CAP) -> int:
@@ -486,13 +488,13 @@ def truth_table(formula: Formula, names: Sequence[str], var_cap: int = DEFAULT_V
 
 def equivalent(f1: Formula, f2: Formula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
     """True iff the truth tables over the union of variable sets agree."""
-    names = sorted(set(formula_vars(f1)) | set(formula_vars(f2)))
+    names = sorted(set(f1.var_names) | set(f2.var_names))
     return truth_table(f1, names, var_cap) == truth_table(f2, names, var_cap)
 
 
 def satisfiable(formula: Formula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
     """True iff some assignment evaluates to 1."""
-    return truth_table(formula, formula_vars(formula), var_cap) != 0
+    return truth_table(formula, formula.var_names, var_cap) != 0
 
 
 def dualize(obj):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import ResourceLimitError
+from .errors import FormatError, ResourceLimitError
 from .model import (
     BApp,
     BFormula,
@@ -196,6 +196,8 @@ def brute_min_bformula(
     renamed into that pool without changing its function or size (variables
     irrelevant to the tree may share one name), so the search is exact.
     """
+    if bound < 0:
+        raise FormatError("size bound must be nonnegative")
     if bound > MAX_ORACLE_BF_SIZE:
         raise ResourceLimitError(f"brute_min_bformula bound capped at {MAX_ORACLE_BF_SIZE}")
     fresh = "w"
@@ -222,8 +224,8 @@ def brute_min_bformula(
 def _levels_by_literals(basis, var_masks, full, bound):
     """levels[s] maps truth-table mask -> some tree with exactly s leaves."""
     levels: dict[int, dict[int, BNode]] = {s: {} for s in range(bound + 1)}
-    for name, mask in var_masks.items():
-        levels[1][mask] = BVar(name)
+    if bound >= 1:
+        levels[1] = {mask: BVar(name) for name, mask in var_masks.items()}
     # constant applications add size-0 subtrees and unary/constant feedback
     # within a level, so iterate to a fixpoint
     changed = True

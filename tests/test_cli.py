@@ -1,6 +1,13 @@
+import os
+import random
+import re
+import subprocess
+import sys
+
 import pytest
 
-from boolmin import formats
+import boolmin
+from boolmin import cli, formats
 from boolmin.cli import main
 from boolmin.model import equivalent
 from boolmin.std import theorem9_language
@@ -185,3 +192,166 @@ def test_malformed_input_exit_code(workdir, capsys):
     (workdir / "bad.cnf").write_text("language base.lang\nvars x\nclause or2 x q\n")
     assert main(["minimize", "--formula", "bad.cnf"]) == 2
     assert main(["minimize", "--formula", "missing.cnf"]) == 2
+
+
+def test_internal_error_is_not_a_decision(workdir, capsys, monkeypatch):
+    def crash(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_classify", crash)
+    assert main(["classify", "--basis", "basis.fns"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_classify", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["classify", "--basis", "basis.fns"])
+
+
+# --- the exit-code contract under malformed and extreme inputs ---------------
+
+DEPTH = 3000
+
+
+def _deep(text: str) -> str:
+    return "(or2 x " * DEPTH + text.strip() + ")" * DEPTH + "\n"
+
+
+def _extra_files(workdir) -> None:
+    """Inputs for the subcommands the fixture files do not cover."""
+    files = {
+        "self.lang": "include self.lang\nrelation pos arity 1\n1\n",
+        "a.lang": "include b.lang\n",
+        "b.lang": "include a.lang\nrelation pos arity 1\n1\n",
+        "deep.bf": _deep("y"),
+        "y.bf": "y\n",
+        "or3.rel": "relation or3 arity 3\n001 010 011 100 101 110 111\n",
+        "imp.rel": "relation imp arity 2\n00 01 11\n",
+        "xor.lang": "relation odd2 arity 2\n01 10\n",
+        "u.cnf": "language xor.lang\nvars x\nclause odd2 x x\n",
+        "an.fns": "function andnot arity 2 table 0010\n",
+        "psi.bf": "(andnot x x)\n",
+        "target.bf": "(andnot y y)\n",
+        "g.fns": "function and2 arity 2 table 0001\nfunction orT arity 3 table 00010111\n"
+                 "function maj arity 3 table 00010111\n",
+        "fand.bf": "(and2 x y)\n",
+        "for.bf": "(orT x y t)\n",
+        "fmaj.bf": "(maj x y z)\n",
+        "h1.bf": "x\n",
+        "h2.bf": "(and2 x x)\n",
+        "d.dnf": "term x ~y\nterm x z ~w\n",
+    }
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+
+
+# every subcommand, with the files its run may have mutated
+FUZZ_CASES = [
+    (["classify", "--language", "base.lang"], ["base.lang"]),
+    (["classify", "--basis", "basis.fns"], ["basis.fns"]),
+    (["minimize", "--formula", "f.cnf", "--stats"], ["f.cnf", "base.lang"]),
+    (["minimize-post", "--basis", "basis.fns", "--formula", "phi.bf", "--measure", "literals"],
+     ["phi.bf", "basis.fns"]),
+    (["minimize-post", "--basis", "basis.fns", "--formula", "phi.bf", "--measure", "gates",
+      "--stats"], ["phi.bf"]),
+    (["irreducible", "--relation", "or3.rel"], ["or3.rel"]),
+    (["equiv", "--a", "f.cnf", "--b", "u.cnf"], ["f.cnf", "u.cnf"]),
+    (["equiv", "--a", "phi.bf", "--b", "y.bf", "--basis", "basis.fns"], ["phi.bf", "y.bf"]),
+    (["dualize", "--formula", "f.cnf"], ["f.cnf", "base.lang"]),
+    (["oracle", "min-cnf", "--formula", "f.cnf", "--max-clauses", "3"], ["f.cnf"]),
+    (["oracle", "min-bf", "--basis", "basis.fns", "--formula", "phi.bf", "--measure",
+      "literals", "--max-size", "3"], ["phi.bf", "basis.fns"]),
+    (["oracle", "expressible", "--relation", "imp.rel", "--base", "base.lang",
+      "--max-clauses", "3"], ["imp.rel", "base.lang"]),
+    (["oracle", "min-unsat", "--language", "xor.lang", "--max-clauses", "3"], ["xor.lang"]),
+    (["gadget", "unsat-post", "--basis", "an.fns", "--psi", "psi.bf", "--formula",
+      "target.bf", "--measure", "literals"], ["an.fns", "psi.bf", "target.bf"]),
+    (["gadget", "unsat-cnf", "--formula", "u.cnf"], ["u.cnf", "xor.lang"]),
+    (["gadget", "and-or", "--basis", "g.fns", "--f-and", "fand.bf", "--f-or", "for.bf",
+      "--h1", "h1.bf", "--h2", "h2.bf"], ["g.fns", "fand.bf", "for.bf", "h1.bf", "h2.bf"]),
+    (["gadget", "maj", "--basis", "g.fns", "--f-maj", "fmaj.bf", "--h1", "h1.bf",
+      "--h2", "h1.bf"], ["fmaj.bf", "h1.bf"]),
+    (["gadget", "horn-dnf", "--dnf", "d.dnf"], ["d.dnf"]),
+    (["gen-random", "--language", "base.lang", "--vars", "4", "--clauses", "3",
+      "--seed", "9"], ["base.lang"]),
+]
+
+# the inputs that once escaped the contract, with their exit codes
+CONTRACT_CASES = [
+    (["classify", "--language", "self.lang"], 2),
+    (["classify", "--language", "a.lang"], 2),
+    (["minimize-post", "--basis", "basis.fns", "--formula", "deep.bf", "--measure",
+      "literals"], 0),
+    (["minimize-post", "--basis", "basis.fns", "--formula", "deep.bf", "--measure",
+      "gates"], 0),
+    (["equiv", "--a", "deep.bf", "--b", "phi.bf", "--basis", "basis.fns"], 0),
+    (["oracle", "min-bf", "--basis", "basis.fns", "--formula", "phi.bf", "--measure",
+      "literals", "--max-size", "-1"], 2),
+]
+
+_PIECE_RE = re.compile(r"\s+|[()]|[^\s()]+")
+
+
+def _mutate(rng: random.Random, name: str, text: str, vocabulary: list[str]) -> str:
+    # the deep wrap costs a full run on 6000 nodes, so it is drawn less often
+    kind = rng.choices(("drop", "insert", "swap", "truncate", "include", "deep"),
+                       weights=(3, 3, 3, 2, 1, 1))[0]
+    if kind == "truncate":
+        return text[: rng.randrange(len(text) + 1)]
+    if kind == "include":
+        return f"include {name}\n" + text
+    if kind == "deep":
+        return _deep(text)
+    pieces = _PIECE_RE.findall(text)
+    words = [i for i, p in enumerate(pieces) if not p.isspace()]
+    i, j = rng.choice(words), rng.choice(words)
+    if kind == "drop":
+        del pieces[i]
+    elif kind == "insert":
+        pieces.insert(i, f" {rng.choice(vocabulary)} ")
+    else:
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("argv, expected", CONTRACT_CASES)
+def test_contract_cases(workdir, capsys, argv, expected):
+    _extra_files(workdir)
+    assert main(argv) == expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_seeded_cli_fuzz(workdir, capsys):
+    _extra_files(workdir)
+    pristine = {p.name: p.read_text() for p in workdir.iterdir()}
+    vocabulary = sorted({w for t in pristine.values() for w in _PIECE_RE.findall(t)
+                         if not w.isspace()} | {"include", "-1", "0", "9"})
+    rng = random.Random(2011)
+    codes = set()
+    for _ in range(300):
+        argv, names = rng.choice(FUZZ_CASES)
+        name = rng.choice(names)
+        (workdir / name).write_text(_mutate(rng, name, pristine[name], vocabulary))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert 0 <= code <= 4, (argv, name, (workdir / name).read_text()[:200], err)
+        assert "Traceback" not in err
+        codes.add(code)
+        (workdir / name).write_text(pristine[name])
+    assert {0, 2} <= codes
+
+
+def test_contract_with_asserts_stripped(workdir):
+    # `python -O` strips every assert: the contract must not rest on one
+    _extra_files(workdir)
+    src = os.path.dirname(os.path.dirname(boolmin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, expected in (CONTRACT_CASES[2], CONTRACT_CASES[0]):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "boolmin.cli", *argv],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -31,6 +31,23 @@ def test_include(tmp_path):
     assert [r.name for r in lang.relations] == ["pos", "neg"]
 
 
+def test_include_cycles(tmp_path):
+    (tmp_path / "self.lang").write_text("include self.lang\nrelation pos arity 1\n1\n")
+    with pytest.raises(FormatError, match="include cycle: .*self.lang -> .*self.lang"):
+        formats.load_language(str(tmp_path / "self.lang"))
+    (tmp_path / "a.lang").write_text("include b.lang\n")
+    (tmp_path / "b.lang").write_text("include a.lang\nrelation pos arity 1\n1\n")
+    with pytest.raises(FormatError, match="a.lang -> .*b.lang -> .*a.lang"):
+        formats.load_language(str(tmp_path / "a.lang"))
+    # a diamond is no cycle: the relation it brings twice is the error
+    (tmp_path / "d.lang").write_text("relation pos arity 1\n1\n")
+    (tmp_path / "l.lang").write_text("include d.lang\n")
+    (tmp_path / "r.lang").write_text("include d.lang\n")
+    (tmp_path / "top.lang").write_text("include l.lang\ninclude r.lang\n")
+    with pytest.raises(FormatError, match="duplicate relation names"):
+        formats.load_language(str(tmp_path / "top.lang"))
+
+
 def test_cnf_roundtrip(tmp_path):
     lang = theorem9_language(3)
     (tmp_path / "base.lang").write_text(formats.serialize_language(lang))

@@ -4,6 +4,7 @@ import pytest
 
 from boolmin.formats import parse_bformula
 from boolmin.gadgets import (
+    _arg_order,
     build_and_or_gadget,
     build_maj_gadget,
     eval_dnf,
@@ -210,6 +211,12 @@ def test_maj_gadget_cases():
     gadget, l = build_maj_gadget(f_maj, h1, h2, 3)
     found = brute_min_bformula((MAJ,), gadget, SizeMeasure.GATES, min(7, l))
     assert found is None
+
+
+def test_arg_order_is_left_to_right():
+    # pre-order with the last argument first would meet w, z, x, y
+    f = parse_bformula("(maj (maj y x y) z (maj x z w))", (MAJ,))
+    assert _arg_order(f) == ("y", "x", "z", "w")
 
 
 def test_maj_gadget_case_table():

@@ -7,6 +7,7 @@ import pytest
 
 import boolmin
 from boolmin.errors import FormatError, ResourceLimitError
+from boolmin.formats import parse_bformula, serialize_bformula
 from boolmin.model import (
     BApp,
     BFormula,
@@ -25,6 +26,7 @@ from boolmin.model import (
     equivalent,
     formula_size,
     satisfiable,
+    substitute,
     truth_table,
 )
 from boolmin.std import fn_and, fn_or, fn_xor, rel_impl
@@ -207,15 +209,29 @@ def test_pinned_mask_conventions(t9):
 
 def test_deep_chain_without_recursion():
     or2 = fn_or(2)
-    root = BVar("x")
-    for i in range(5000):
-        root = BApp("or2", (root, BVar("y" if i % 2 else "z")))
-    f = BFormula(bf(or2), root)
+
+    def chain(last: str) -> BApp:
+        root = BVar("x")
+        for i in range(5000):
+            root = BApp("or2", (root, BVar("y" if i % 2 else "z")))
+        return BApp("or2", (root, BVar(last)))
+
+    f = BFormula(bf(or2), chain("x"))
     assert f.var_names == ("x", "y", "z")
     assert f.eval({"x": 0, "y": 0, "z": 1}) == 1
     assert f.eval({"x": 0, "y": 0, "z": 0}) == 0
     assert equivalent(f, f)
     assert satisfiable(f)
+    assert parse_bformula(serialize_bformula(f), bf(or2)) == f
+    assert f.dual().dual() == f
+    assert formula_size(f, SizeMeasure.LITERALS) == 5002
+    assert formula_size(f, SizeMeasure.GATES) == 5001
+    swapped = substitute(f.root, {"z": BVar("w"), "x": BApp("or2", (BVar("u"), BVar("v")))})
+    assert BFormula(bf(or2), swapped).var_names == ("u", "v", "w", "y")
+    assert count_literals(swapped) == 5004
+    twin = chain("x")
+    assert twin is not f.root and twin == f.root and hash(twin) == hash(f.root)
+    assert chain("y") != f.root
 
 
 # --- the mask kernel against pointwise evaluation by definition --------------

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from boolmin.errors import ResourceLimitError
+from boolmin.errors import FormatError, ResourceLimitError
 from boolmin.model import (
+    BApp,
+    BFormula,
+    BoolFunction,
     Clause,
     CnfFormula,
     ConstraintLanguage,
@@ -85,6 +88,18 @@ def test_brute_min_bformula_examples():
     phi = parse_bformula("(or3 x y y)", (or3,))
     size, _ = brute_min_bformula((or3,), phi, SizeMeasure.LITERALS, 6)
     assert size == 3
+
+
+def test_brute_min_bformula_small_bounds():
+    # a constant-1 gate makes (or2 x (k)) a formula without literals
+    k = BoolFunction("k", 0, (1,))
+    phi = parse_bformula("(or2 x (k))", (fn_or(2), k))
+    assert brute_min_bformula(phi.functions, phi, SizeMeasure.LITERALS, 0) == (
+        0, BFormula(phi.functions, BApp("k", ())),
+    )
+    for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
+        with pytest.raises(FormatError):
+            brute_min_bformula(phi.functions, phi, measure, -1)
 
 
 def test_brute_min_bformula_witness_sizes():
