@@ -58,22 +58,27 @@ def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
             constants[clause.relation] = _xor_constant(lang.get(clause.relation))
         rows.append(((_coefficients(clause), constants[clause.relation]), idx))
 
-    # incremental elimination; each basis row is (pivot bit, coeffs, const)
-    basis: list[tuple[int, int, int]] = []
+    # incremental elimination; each basis row is keyed by its top bit, and a
+    # new row is reduced only while its own top bit is one of those pivots
+    basis: dict[int, tuple[int, int]] = {}
     kept: list[int] = []
+    reductions = 0
     inconsistent = False
     for (coeffs, const), idx in rows:
-        for pivot, bcoeffs, bconst in basis:
-            if coeffs & pivot:
-                coeffs ^= bcoeffs
-                const ^= bconst
+        while coeffs:
+            pivot = coeffs.bit_length() - 1
+            row = basis.get(pivot)
+            if row is None:
+                break
+            coeffs ^= row[0]
+            const ^= row[1]
+            reductions += 1
         if coeffs == 0:
             if const == 1:
                 inconsistent = True
                 break
             continue
-        pivot = 1 << (coeffs.bit_length() - 1)
-        basis.append((pivot, coeffs, const))
+        basis[pivot] = (coeffs, const)
         kept.append(idx)
 
     if inconsistent:
@@ -85,5 +90,7 @@ def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
         tuple(formula.clauses[i] for i in kept),
         formula.language_path,
     )
-    stats = MinimizeStats(len(formula.clauses), len(kept), rank=len(kept))
+    stats = MinimizeStats(
+        len(formula.clauses), len(kept), rank=len(kept), reductions=reductions
+    )
     return out, stats

@@ -18,7 +18,6 @@ from .model import (
     MeeInstance,
     Relation,
     SizeMeasure,
-    fold,
 )
 
 _BIT_RE = re.compile(r"^[01]+$")
@@ -239,8 +238,25 @@ def serialize_functions(funcs: tuple[BoolFunction, ...]) -> str:
 
 
 def serialize_bformula(formula: BFormula) -> str:
-    text = fold(formula.root, lambda v: v.name, lambda n, args: f"({' '.join([n.func, *args])})")
-    return text + "\n"
+    """`(func arg ...)` text in one walk: the stack holds nodes still to
+    emit and literal text (separators, closing parentheses) to copy, so each
+    token is written once and joined at the end."""
+    parts: list[str] = []
+    stack: list[BNode | str] = [formula.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, BVar):
+            parts.append(item.name)
+        else:
+            parts.append("(" + item.func)
+            stack.append(")")
+            for arg in reversed(item.args):
+                stack.append(arg)
+                stack.append(" ")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def mee_header(instance: MeeInstance, fixed_negative: bool = False) -> str:

@@ -207,6 +207,7 @@ class MinimizeStats:
     output_clauses: int
     passes: int = 0
     rank: int | None = None
+    reductions: int | None = None
 
     def lines(self) -> list[str]:
         out = [
@@ -216,6 +217,8 @@ class MinimizeStats:
         ]
         if self.rank is not None:
             out.append(f"rank={self.rank}")
+        if self.reductions is not None:
+            out.append(f"reductions={self.reductions}")
         return out
 
 

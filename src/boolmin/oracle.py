@@ -52,6 +52,13 @@ def _candidate_clauses(
     return masks, reps
 
 
+def _check_clause_bound(k_max: int) -> None:
+    if k_max < 0:
+        raise FormatError("clause bound must be nonnegative")
+    if k_max > MAX_ORACLE_CLAUSES:
+        raise ResourceLimitError(f"clause bound capped at {MAX_ORACLE_CLAUSES}")
+
+
 def _min_cover(masks: list[int], universe: int, k_max: int) -> list[int] | None:
     """Smallest selection of masks (as candidate indices) whose non-solution
     sets cover `universe`; None if impossible within k_max.
@@ -106,8 +113,7 @@ def brute_min_cnf(
     n = formula.n_vars
     if n > MAX_ORACLE_VARS:
         raise ResourceLimitError(f"brute_min_cnf supports at most {MAX_ORACLE_VARS} variables")
-    if k_max > MAX_ORACLE_CLAUSES:
-        raise ResourceLimitError(f"brute_min_cnf supports k_max up to {MAX_ORACLE_CLAUSES}")
+    _check_clause_bound(k_max)
     target = formula.solution_mask()
     masks, reps = _candidate_clauses(lang, n, target)
     universe = ((1 << (1 << n)) - 1) & ~target
@@ -126,8 +132,7 @@ def expressible(rel: Relation, base: ConstraintLanguage, clause_bound: int) -> b
     n = rel.arity
     if n > 4:
         raise ResourceLimitError("expressible supports relations of arity at most 4")
-    if clause_bound > MAX_ORACLE_CLAUSES:
-        raise ResourceLimitError(f"clause bound capped at {MAX_ORACLE_CLAUSES}")
+    _check_clause_bound(clause_bound)
     target = 0
     for code in rel.codes:
         target |= 1 << code
@@ -146,8 +151,7 @@ def min_unsat_formula(lang: ConstraintLanguage, clause_bound: int = 4) -> CnfFor
     the one-variable search is already exhaustive), then widened to two
     variables as a safety net.
     """
-    if clause_bound > MAX_ORACLE_CLAUSES:
-        raise ResourceLimitError(f"clause bound capped at {MAX_ORACLE_CLAUSES}")
+    _check_clause_bound(clause_bound)
     for n in (1, 2):
         var_names = tuple(f"u{i}" for i in range(n))
         masks, reps = _candidate_clauses(lang, n, 0)

@@ -4,6 +4,7 @@ import pytest
 
 from boolmin.affine import clause_to_equation, min_affine, parity_constant
 from boolmin.errors import ClassificationError
+from boolmin.formats import serialize_cnf_formula
 from boolmin.model import (
     Clause,
     CnfFormula,
@@ -11,7 +12,7 @@ from boolmin.model import (
     equivalent,
     satisfiable,
 )
-from boolmin.oracle import brute_min_cnf
+from boolmin.oracle import brute_min_cnf, min_unsat_formula
 from boolmin.std import rel_or, rel_parity, rel_pos
 
 from conftest import random_cnf
@@ -142,3 +143,83 @@ def test_min_affine_matches_oracle(affine_lang):
         oracle = brute_min_cnf(affine_lang, f, max(1, len(f.clauses)))
         assert oracle is not None
         assert len(out.clauses) == oracle[0]
+
+
+# --- the pivot-indexed elimination against the former all-rows loop ---------
+
+
+def _reference_kept(rows):
+    """The former O(m·rank) elimination: each new row is reduced by every
+    basis row in turn.  Kept row indices, or None if the system is
+    inconsistent."""
+    basis = []
+    kept = []
+    for idx, (coeffs, const) in enumerate(rows):
+        for pivot, bcoeffs, bconst in basis:
+            if coeffs & pivot:
+                coeffs ^= bcoeffs
+                const ^= bconst
+        if coeffs == 0:
+            if const == 1:
+                return None
+            continue
+        basis.append((1 << (coeffs.bit_length() - 1), coeffs, const))
+        kept.append(idx)
+    return kept
+
+
+def _elimination_corpus(lang):
+    """Random systems of units and 2- and 3-term parities, n up to 1500, with
+    inserted cancelling clauses and duplicates.  Unplanted systems (random
+    constants) are mostly inconsistent; planted ones (constants read off a
+    hidden assignment) are consistent and keep up to about n rows."""
+    names = {(1, 0): "neg", (1, 1): "pos", (2, 0): "even2", (2, 1): "odd2",
+             (3, 0): "even3", (3, 1): "odd3"}
+    rng = random.Random(47)
+    for n in (1, 2, 3, 6, 15, 40, 120, 400, 1500):
+        for ratio in (0.05, 0.3, 0.7, 1.2):
+            for planted in (False, True):
+                hidden = [rng.randrange(2) for _ in range(n)]
+
+                def clause(ids):
+                    const = sum(hidden[v] for v in ids) % 2 if planted else rng.randrange(2)
+                    return Clause(names[len(ids), const], ids)
+
+                clauses = [
+                    clause(tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))))
+                    for _ in range(max(1, int(ratio * n)))
+                ]
+                for _ in range(rng.randint(0, 3)):
+                    # x+y+x cancels to y, x+x to the constant alone
+                    x, y = rng.randrange(n), rng.randrange(n)
+                    extra = clause(rng.choice([(x, y, x), (x, x)]))
+                    clauses.insert(rng.randrange(len(clauses) + 1), extra)
+                for _ in range(rng.randint(0, 3)):
+                    clauses.insert(rng.randrange(len(clauses) + 1), rng.choice(clauses))
+                if rng.random() < 0.1:
+                    # x+x = 1 cancels to 0 = 1
+                    clauses.insert(rng.randrange(len(clauses) + 1), Clause("odd2", (0, 0)))
+                yield CnfFormula(lang, tuple(f"v{i}" for i in range(n)), tuple(clauses))
+
+
+def test_min_affine_matches_all_rows_reference(affine_lang):
+    unsat = serialize_cnf_formula(min_unsat_formula(affine_lang), "affine.lang")
+    consistent = inconsistent = 0
+    largest_kept = 0
+    for f in _elimination_corpus(affine_lang):
+        rows = [clause_to_equation(c, affine_lang.get(c.relation)) for c in f.clauses]
+        kept = _reference_kept(rows)
+        out, stats = min_affine(f)
+        text = serialize_cnf_formula(out, "affine.lang")
+        if kept is None:
+            inconsistent += 1
+            assert text == unsat
+            continue
+        consistent += 1
+        largest_kept = max(largest_kept, len(kept))
+        expected = CnfFormula(affine_lang, f.var_names, tuple(f.clauses[i] for i in kept))
+        assert out.clauses == expected.clauses
+        assert text == serialize_cnf_formula(expected, "affine.lang")
+        assert stats.rank == len(kept) and stats.reductions is not None
+    assert consistent >= 20 and inconsistent >= 20
+    assert largest_kept > 1000

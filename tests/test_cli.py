@@ -56,6 +56,17 @@ def test_minimize_roundtrip(workdir, capsys):
     assert len(minimized.clauses) == 1
 
 
+def test_minimize_affine_stats_end_with_reductions(capsys):
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "data", "equations.cnf")
+    code, out = run(capsys, "minimize", "--formula", demo, "--stats")
+    assert code == 0
+    stats = [line for line in out.splitlines() if line.startswith("# ")]
+    # x+z is y+z plus x+y: two row XORs reduce it to 0 = 0
+    assert stats == [
+        "# input_clauses=3", "# output_clauses=2", "# passes=0", "# rank=2", "# reductions=2",
+    ]
+
+
 def test_minimize_refuses_horn(workdir, capsys):
     (workdir / "horn.lang").write_text(
         "relation horn2 arity 3\n000 001 010 011 100 101 111\n"
@@ -123,6 +134,20 @@ def test_oracle_subcommands(workdir, capsys):
     (workdir / "or.lang").write_text("relation or2 arity 2\n01 10 11\n")
     code, out = run(capsys, "oracle", "min-unsat", "--language", "or.lang", "--max-clauses", "3")
     assert code == 1 and "min_unsat=none" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["min-cnf", "--formula", "f.cnf"],
+    ["expressible", "--relation", "imp.rel", "--base", "base.lang"],
+    ["min-unsat", "--language", "base.lang"],
+])
+def test_oracle_negative_clause_bound_is_malformed(workdir, capsys, argv):
+    (workdir / "imp.rel").write_text("relation imp arity 2\n00 01 11\n")
+    code = main(["oracle", *argv, "--max-clauses", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "clause bound must be nonnegative" in captured.err
 
 
 def test_dualize_writes_language(workdir, capsys):

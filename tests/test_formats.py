@@ -2,7 +2,7 @@ import pytest
 
 from boolmin import formats
 from boolmin.errors import FormatError
-from boolmin.model import BApp, BVar, MeeInstance, SizeMeasure
+from boolmin.model import BApp, BFormula, BVar, MeeInstance, SizeMeasure
 from boolmin.std import fn_or, fn_xor, theorem9_language
 
 
@@ -86,6 +86,22 @@ def test_bformula_roundtrip():
     assert formats.parse_bformula(formats.serialize_bformula(f), funcs) == f
     bare = formats.parse_bformula("x", funcs)
     assert bare.root == BVar("x")
+
+
+def test_deep_bformula_roundtrip():
+    # a right-nested chain 20000 deep, alternating which side nests
+    funcs = (fn_or(2), fn_xor(3))
+    root = BVar("x")
+    for i in range(20000):
+        leaf = BVar(f"v{i % 7}")
+        if i % 3 == 0:
+            root = BApp("xor3", (leaf, root, leaf))
+        else:
+            root = BApp("or2", (leaf, root) if i % 2 else (root, leaf))
+    f = BFormula(funcs, root)
+    text = formats.serialize_bformula(f)
+    assert text.startswith("(or2 ") and text.endswith(")\n")
+    assert formats.parse_bformula(text, funcs) == f
 
 
 def test_bformula_errors():
