@@ -75,3 +75,27 @@ from .post import (
 )
 
 __version__ = "0.1.0"
+
+
+def minimize(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
+    """Minimize a CNF formula with the polynomial minimizer that the
+    classification of its language selects.
+
+    Raises ClassificationError when the language holds a reducible relation
+    (minimality is guaranteed only for irreducible languages) or when no
+    polynomial minimizer applies to its verdict."""
+    report = classify_language(formula.language)
+    if report.irreducibility_caveat:
+        raise ClassificationError(
+            "language contains reducible relations; minimization is "
+            "guaranteed only for irreducible languages"
+        )
+    minimizer = {
+        "P-affine": min_affine,
+        "P-bijunctive": min_bijunctive,
+        "P-ihsb+": min_ihsb_cnf,
+        "P-ihsb-": min_ihsb_minus_cnf,
+    }.get(report.verdict)
+    if minimizer is None:
+        raise ClassificationError(f"verdict={report.verdict}; no polynomial minimizer applies")
+    return minimizer(formula)

@@ -6,15 +6,20 @@ under contraposition).  Minimization collapses strongly connected literal
 classes, pins forced variables, transitive-reduces the condensation counting
 a skew-paired edge as one clause, and re-emits using the language's own
 relations.  The construction is validated against the brute-force oracle.
+
+Both directions read one table per relation of arity <= 2: its diagonal
+(the values it allows one variable repeated in every argument) and the value
+pairs it allows on (u, v) when applied as (u, v) and as (v, u).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import graph
 from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats
+from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats, Relation
 from .oracle import unsat_minimum
 
 
@@ -34,6 +39,22 @@ def lit_var(lit: int) -> int:
     return lit // 2
 
 
+def _lit(v: int, value: int) -> int:
+    """The literal `v = value`."""
+    return 2 * v + 1 - value
+
+
+# every value pair of two arguments, and the pairs allowed by = and xor
+_PAIRS = frozenset(itertools.product((0, 1), repeat=2))
+_EQ = frozenset({(0, 0), (1, 1)})
+_XOR = frozenset({(0, 1), (1, 0)})
+
+
+def _diagonal(rel: Relation) -> frozenset[int]:
+    """The values a relation allows one variable repeated in every argument."""
+    return frozenset(t[0] for t in rel.tuples if len(set(t)) == 1)
+
+
 @dataclass
 class LiteralGraph:
     """Directed edges over 2n literals, closed under contraposition, plus
@@ -48,9 +69,6 @@ class LiteralGraph:
         self.edges.add((a, b))
         self.edges.add((negate(b), negate(a)))
 
-    def force(self, lit: int) -> None:
-        self.forced.add(lit)
-
     def reach(self) -> list[int]:
         """Reachability bitsets over the 2n literals (see graph.reach)."""
         succ: list[list[int]] = [[] for _ in range(2 * self.n)]
@@ -60,164 +78,130 @@ class LiteralGraph:
 
 
 def to_literal_graph(formula: CnfFormula) -> LiteralGraph:
-    """Encode every clause as literal implications or forced marks."""
+    """Encode every clause as literal implications or forced marks.
+
+    A binary relation that excludes the pair (x, y) puts the skew pair
+    u = x -> v != y on its arguments (u, v).  A unary relation, or a binary
+    one on a repeated variable, reads the diagonal instead: no value is a
+    contradiction and a single value is forced."""
     g = LiteralGraph(formula.n_vars)
+    rules: dict[str, tuple[frozenset[int], frozenset[tuple[int, int]]]] = {}
     for clause in formula.clauses:
-        rel = formula.language.get(clause.relation)
-        kind = relation_shape(rel)
-        if kind is None or rel.arity > 2:
-            raise ClassificationError(
-                f"relation {clause.relation} is not an irreducible binary shape; "
-                "language misclassified as irreducible bijunctive"
-            )
-        if rel.arity == 1:
-            v = clause.vars[0]
-            g.force(pos_lit(v) if kind[0] == "pos" else neg_lit(v))
-            continue
-        a, b = clause.vars
-        if kind[0] == "imp" and kind[1]:
-            a, b = b, a
-        if a == b:
-            diag = {bits[0] for bits in rel.tuples if bits[0] == bits[1]}
-            if diag == {0, 1}:
-                continue
-            if diag == {1}:
-                g.force(pos_lit(a))
-            elif diag == {0}:
-                g.force(neg_lit(a))
-            else:
+        rule = rules.get(clause.relation)
+        if rule is None:
+            rel = formula.language.get(clause.relation)
+            if relation_shape(rel) is None or rel.arity > 2:
+                raise ClassificationError(
+                    f"relation {clause.relation} is not an irreducible binary shape; "
+                    "language misclassified as irreducible bijunctive"
+                )
+            rule = rules[clause.relation] = (_diagonal(rel), _PAIRS - rel.tuples)
+        diagonal, excluded = rule
+        u, v = clause.vars[0], clause.vars[-1]
+        if u == v:
+            if not diagonal:
                 g.contradictory = True
+            elif len(diagonal) == 1:
+                g.forced.add(_lit(u, *diagonal))
             continue
-        if kind[0] == "or":
-            g.add_pair(neg_lit(a), pos_lit(b))
-        elif kind[0] == "nand":
-            g.add_pair(pos_lit(a), neg_lit(b))
-        elif kind[0] == "imp":
-            g.add_pair(pos_lit(a), pos_lit(b))
-        elif kind[0] == "eq":
-            g.add_pair(pos_lit(a), pos_lit(b))
-            g.add_pair(pos_lit(b), pos_lit(a))
-        elif kind[0] == "xor":
-            g.add_pair(pos_lit(a), neg_lit(b))
-            g.add_pair(neg_lit(a), pos_lit(b))
+        for x, y in excluded:
+            g.add_pair(_lit(u, x), _lit(v, 1 - y))
     return g
 
 
 class _Emitter:
-    """Finds language clauses realizing units, equivalences and edge pairs."""
+    """Finds language clauses realizing units, equivalences and edge pairs.
+    Every lookup keeps the first match in language order, and within one
+    relation the application (u, v) before (v, u)."""
 
     def __init__(self, lang: ConstraintLanguage):
-        self.lang = lang
-        self.kinds = [(rel, relation_shape(rel)) for rel in lang.relations]
+        # (name, swapped, pairs allowed on (u, v)); symmetric relations twice
+        self.oriented = [
+            (rel.name, swap, pairs)
+            for rel in lang.relations if rel.arity == 2
+            for swap, pairs in ((False, rel.tuples), (True, frozenset(t[::-1] for t in rel.tuples)))
+        ]
+        self.first: dict[frozenset, tuple[str, bool]] = {}
+        for name, swap, pairs in self.oriented:
+            self.first.setdefault(pairs, (name, swap))
+        # literal a (u = 1 - sa) implies literal b (v = 1 - sb) alone iff the
+        # clause excludes exactly (1 - sa, sb)
+        self.edges = {
+            (sa, sb): self.first.get(_PAIRS - {(1 - sa, sb)}) for sa in (0, 1) for sb in (0, 1)
+        }
+        self.units: dict[int, Relation] = {}
+        for rel in lang.relations:
+            diagonal = _diagonal(rel)
+            if rel.arity <= 2 and len(diagonal) == 1:
+                self.units.setdefault(*diagonal, rel)
+        self.same_cost, self.anti_cost = (
+            None if pair is None else len(pair) for pair in (self.same_pair(0, 1), self.anti_pair(0, 1))
+        )
+
+    @staticmethod
+    def _clause(hit: tuple[str, bool] | None, u: int, v: int) -> Clause | None:
+        return None if hit is None else Clause(hit[0], (v, u) if hit[1] else (u, v))
 
     def unit(self, v: int, want: int) -> Clause | None:
-        for rel, kind in self.kinds:
-            if rel.arity == 1 and kind[0] == ("pos" if want else "neg"):
-                return Clause(rel.name, (v,))
-            if rel.arity == 2:
-                diag = {bits[0] for bits in rel.tuples if bits[0] == bits[1]}
-                if diag == {want}:
-                    return Clause(rel.name, (v, v))
-        return None
+        rel = self.units.get(want)
+        return None if rel is None else Clause(rel.name, (v,) * rel.arity)
 
     def pin_link(self, u: int, a: int, v: int, b: int) -> Clause | None:
         """A clause over pinned u (value a) that forces v to b."""
-        for rel, _ in self.kinds:
-            if rel.arity != 2:
-                continue
-            if (a, b) in rel.tuples and {y for x, y in rel.tuples if x == a} == {b}:
-                return Clause(rel.name, (u, v))
-            if (b, a) in rel.tuples and {x for x, y in rel.tuples if y == a} == {b}:
-                return Clause(rel.name, (v, u))
-        return None
+        return next((self._clause((name, swap), u, v) for name, swap, pairs in self.oriented
+                     if {y for x, y in pairs if x == a} == {b}), None)
 
     def pair_pin(self, u: int, a: int, v: int, b: int) -> list[Clause] | None:
         """Two clauses over {u, v} whose conjunction pins (u, v) = (a, b);
         needed when the language has no unary-capable relation at all."""
-        options: list[tuple[frozenset, Clause]] = []
-        for rel, _ in self.kinds:
-            if rel.arity != 2:
-                continue
-            if (a, b) in rel.tuples:
-                options.append((frozenset(rel.tuples), Clause(rel.name, (u, v))))
-            if (b, a) in rel.tuples:
-                flipped = frozenset((y, x) for x, y in rel.tuples)
-                options.append((flipped, Clause(rel.name, (v, u))))
-        for i, (s1, c1) in enumerate(options):
-            for s2, c2 in options[i + 1 :]:
-                if s1 & s2 == {(a, b)}:
-                    return [c1, c2]
-        return None
+        options = [(pairs, self._clause((name, swap), u, v))
+                   for name, swap, pairs in self.oriented if (a, b) in pairs]
+        return next(([c1, c2] for i, (s1, c1) in enumerate(options)
+                     for s2, c2 in options[i + 1 :] if s1 & s2 == {(a, b)}), None)
 
     def edge_clause(self, a: int, b: int) -> Clause | None:
         """One clause whose literal encoding is the pair {a->b, ~b->~a}."""
-        u, v = lit_var(a), lit_var(b)
-        sa, sb = a & 1, b & 1
-        for rel, kind in self.kinds:
-            if rel.arity != 2:
-                continue
-            if kind[0] == "or" and (sa, sb) == (1, 0):
-                return Clause(rel.name, (u, v))
-            if kind[0] == "nand" and (sa, sb) == (0, 1):
-                return Clause(rel.name, (u, v))
-            if kind[0] == "imp":
-                if (sa, sb) == (0, 0):
-                    return Clause(rel.name, (v, u) if kind[1] else (u, v))
-                if (sa, sb) == (1, 1):
-                    # ~u -> ~v is the contrapositive of v -> u
-                    return Clause(rel.name, (u, v) if kind[1] else (v, u))
-        return None
+        return self._clause(self.edges[a & 1, b & 1], lit_var(a), lit_var(b))
+
+    def _one_or_two(self, pairs: frozenset, u: int, v: int, *edges) -> list[Clause] | None:
+        """One clause allowing exactly `pairs` on (u, v), else one edge clause
+        per literal edge."""
+        one = self._clause(self.first.get(pairs), u, v)
+        if one is not None:
+            return [one]
+        two = [self.edge_clause(a, b) for a, b in edges]
+        return None if None in two else two
 
     def same_pair(self, u: int, v: int) -> list[Clause] | None:
-        for rel, kind in self.kinds:
-            if kind[0] == "eq":
-                return [Clause(rel.name, (u, v))]
-        first = self.edge_clause(pos_lit(u), pos_lit(v))
-        second = self.edge_clause(pos_lit(v), pos_lit(u))
-        if first is not None and second is not None:
-            return [first, second]
-        return None
+        return self._one_or_two(_EQ, u, v, (pos_lit(u), pos_lit(v)), (pos_lit(v), pos_lit(u)))
 
     def anti_pair(self, u: int, v: int) -> list[Clause] | None:
-        for rel, kind in self.kinds:
-            if kind[0] == "xor":
-                return [Clause(rel.name, (u, v))]
-        first = self.edge_clause(pos_lit(u), neg_lit(v))
-        second = self.edge_clause(neg_lit(u), pos_lit(v))
-        if first is not None and second is not None:
-            return [first, second]
-        return None
+        return self._one_or_two(_XOR, u, v, (pos_lit(u), neg_lit(v)), (neg_lit(u), pos_lit(v)))
 
-    def same_cost(self) -> int | None:
-        pair = self.same_pair(0, 1)
-        return None if pair is None else len(pair)
 
-    def anti_cost(self) -> int | None:
-        pair = self.anti_pair(0, 1)
-        return None if pair is None else len(pair)
+def _first_edge(emitter: _Emitter, sources: list[int], targets: list[int]) -> Clause | None:
+    """The edge clause of the first (source, target) literal pair that has one."""
+    return next((c for a in sources for b in targets
+                 if (c := emitter.edge_clause(a, b)) is not None), None)
 
 
 def _class_tree_clauses(members: dict[int, int], emitter: _Emitter) -> list[Clause]:
-    """Spanning structure for one equivalence class; members maps variable ->
-    polarity (1 for same as representative literal, 0 for opposite).
+    """Spanning structure for one equivalence class of at least two
+    variables; members maps variable -> polarity (1 for same as
+    representative literal, 0 for opposite).
 
     Costs: a same-polarity link costs 1 with an equality relation else 2 via
     implications; an opposite link costs 1 with XOR else 2 via OR plus NAND.
-    The cheaper of (polarity chains + one cross link) and (all cross links)
-    is emitted.
+    The cheapest of (polarity chains + one cross link), (all cross links)
+    and a cycle of edge clauses is emitted.
     """
     plus = sorted(v for v, s in members.items() if s == 1)
     minus = sorted(v for v, s in members.items() if s == 0)
-    a = emitter.same_cost()
-    b = emitter.anti_cost()
 
     def chains_plus_cross() -> list[Clause] | None:
-        if plus and minus:
-            if a is None and (len(plus) > 1 or len(minus) > 1):
-                return None
-            if b is None:
-                return None
-        elif a is None:
+        if emitter.same_cost is None and (len(plus) > 1 or len(minus) > 1):
+            return None
+        if plus and minus and emitter.anti_cost is None:
             return None
         out: list[Clause] = []
         for group in (plus, minus):
@@ -228,12 +212,11 @@ def _class_tree_clauses(members: dict[int, int], emitter: _Emitter) -> list[Clau
         return out
 
     def all_cross() -> list[Clause] | None:
-        if not plus or not minus or b is None:
+        if not plus or not minus or emitter.anti_cost is None:
             return None
         out: list[Clause] = []
-        root = minus[0]
         for v in plus:
-            out.extend(emitter.anti_pair(v, root))
+            out.extend(emitter.anti_pair(v, minus[0]))
         for w in minus[1:]:
             out.extend(emitter.anti_pair(plus[0], w))
         return out
@@ -242,13 +225,8 @@ def _class_tree_clauses(members: dict[int, int], emitter: _Emitter) -> list[Clau
         # a directed cycle through the literals: one clause per edge, beating
         # pairwise links when no single-clause equivalence relation exists
         lits = [pos_lit(v) for v in plus] + [neg_lit(v) for v in minus]
-        out: list[Clause] = []
-        for x, y in zip(lits, lits[1:] + lits[:1]):
-            clause = emitter.edge_clause(x, y)
-            if clause is None:
-                return None
-            out.append(clause)
-        return out
+        out = [emitter.edge_clause(x, y) for x, y in zip(lits, lits[1:] + lits[:1])]
+        return None if None in out else out
 
     options = [c for c in (chains_plus_cross(), all_cross(), cycle()) if c is not None]
     if not options:
@@ -264,54 +242,31 @@ def _pin_clauses(forced: set[int], emitter: _Emitter, wedge) -> list[Clause]:
     values = {lit_var(lit): 1 - (lit & 1) for lit in forced}
     clauses: list[Clause] = []
     pinned: list[int] = []
-    pending = sorted(values)
-    for v in list(pending):
+    pending: list[int] = []
+    for v in sorted(values):
         unit = emitter.unit(v, values[v])
-        if unit is not None:
+        if unit is None:
+            pending.append(v)
+        else:
             clauses.append(unit)
             pinned.append(v)
-            pending.remove(v)
     while pending:
-        progress = False
-        for v in list(pending):
-            for u in pinned:
-                link = emitter.pin_link(u, values[u], v, values[v])
-                if link is not None:
-                    clauses.append(link)
-                    pinned.append(v)
-                    pending.remove(v)
-                    progress = True
-                    break
-            if progress:
-                break
-        if progress:
-            continue
-        for u in list(pending):
-            for v in list(pending):
-                if v <= u:
-                    continue
-                pair = emitter.pair_pin(u, values[u], v, values[v])
-                if pair is not None:
-                    clauses.extend(pair)
-                    pinned.extend((u, v))
-                    pending.remove(u)
-                    pending.remove(v)
-                    progress = True
-                    break
-            if progress:
-                break
-        if progress:
-            continue
-        for v in list(pending):
-            pinning = wedge(v, values[v])
-            if pinning is not None:
-                clauses.extend(pinning)
-                pinned.append(v)
-                pending.remove(v)
-                progress = True
-                break
-        if not progress:
+        # (variables, clauses) of the first mechanism that applies; pending
+        # stays sorted, so each pair has u < v
+        step = next(
+            (([v], [c]) for v in pending for u in pinned
+             if (c := emitter.pin_link(u, values[u], v, values[v])) is not None), None
+        ) or next(
+            (([u, v], cs) for i, u in enumerate(pending) for v in pending[i + 1 :]
+             if (cs := emitter.pair_pin(u, values[u], v, values[v])) is not None), None
+        ) or next(
+            (([v], cs) for v in pending if (cs := wedge(v, values[v])) is not None), None
+        )
+        if step is None:
             raise VocabularyError(f"language cannot pin variables {pending}")
+        clauses.extend(step[1])
+        pinned.extend(step[0])
+        pending = [v for v in pending if v not in step[0]]
     return clauses
 
 
@@ -325,10 +280,7 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     reach = g.reach()
 
     # forced closure: explicit units plus literals whose negation is untenable
-    seeds = set(g.forced)
-    for lit in range(2 * g.n):
-        if reach[lit] >> negate(lit) & 1:
-            seeds.add(negate(lit))
+    seeds = g.forced | {negate(lit) for lit in range(2 * g.n) if reach[lit] >> negate(lit) & 1}
     forced_mask = 0
     for s in seeds:
         forced_mask |= reach[s]
@@ -337,9 +289,7 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
         return unsat_minimum(formula)
     forced_vars = {lit_var(lit) for lit in forced}
 
-    free_lits = [
-        lit for lit in range(2 * g.n) if lit_var(lit) not in forced_vars
-    ]
+    free_lits = [lit for lit in range(2 * g.n) if lit_var(lit) not in forced_vars]
     # strongly connected literal classes among free literals: a free literal
     # reaches only free or forced-true literals (reaching a forced-false one
     # would force it), so no class crosses into the forced ones
@@ -352,62 +302,40 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     def wedge(v: int, want: int) -> list[Clause] | None:
         # implying both sides of an anti-equivalent free class makes the
         # source literal untenable, which pins v without a unary relation
-        src = pos_lit(v) if want == 0 else neg_lit(v)
+        src = [_lit(v, 1 - want)]
         for root in class_roots:
             mirror = class_of[negate(root)]
             if mirror == root:
                 continue
-            first = second = None
-            for lit in class_members[root]:
-                first = emitter.edge_clause(src, lit)
-                if first is not None:
-                    break
-            for lit in class_members[mirror]:
-                second = emitter.edge_clause(src, lit)
-                if second is not None:
-                    break
+            first = _first_edge(emitter, src, class_members[root])
+            second = _first_edge(emitter, src, class_members[mirror])
             if first is not None and second is not None:
                 return [first, second]
         return None
 
-    clauses: list[Clause] = []
-    clauses.extend(_pin_clauses(forced, emitter, wedge))
+    clauses = _pin_clauses(forced, emitter, wedge)
 
     # one canonical class per mirror pair: the one holding the positive
     # literal of its smallest variable
-    canonical_classes = []
     seen_roots = set()
     for root in class_roots:
         if root in seen_roots:
             continue
+        seen_roots.update({root, class_of[negate(root)]})
         members = class_members[root]
-        mirror_root = class_of[negate(root)]
-        seen_roots.update({root, mirror_root})
-        canonical_classes.append((root, members))
-    for root, members in canonical_classes:
-        if len(members) < 2:
-            continue
-        polarity = {lit_var(lit): 1 - (lit & 1) for lit in members}
-        clauses.extend(_class_tree_clauses(polarity, emitter))
+        if len(members) > 1:
+            polarity = {lit_var(lit): 1 - (lit & 1) for lit in members}
+            clauses.extend(_class_tree_clauses(polarity, emitter))
 
     emitted_pairs = set()
     for r, s in sorted(graph.reduction(g.edges, class_of, reach)):
-        mirror = (class_of[negate(s)], class_of[negate(r)])
-        if mirror in emitted_pairs:
+        if (class_of[negate(s)], class_of[negate(r)]) in emitted_pairs:
             continue
         emitted_pairs.add((r, s))
-        clause = None
-        for a in class_members[r]:
-            for b in class_members[s]:
-                clause = emitter.edge_clause(a, b)
-                if clause is not None:
-                    break
-            if clause is not None:
-                break
+        clause = _first_edge(emitter, class_members[r], class_members[s])
         if clause is None:
             raise VocabularyError("language cannot express a literal implication edge")
         clauses.append(clause)
 
     out = CnfFormula(lang, formula.var_names, tuple(clauses), formula.language_path)
-    stats = MinimizeStats(len(formula.clauses), len(clauses))
-    return out, stats
+    return out, MinimizeStats(len(formula.clauses), len(clauses))

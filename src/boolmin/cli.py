@@ -12,9 +12,7 @@ import os
 import random
 import sys
 
-from . import formats
-from .affine import min_affine
-from .bijunctive import min_bijunctive
+from . import formats, minimize
 from .classify import classify_basis, classify_language, function_shape, is_irreducible, report_lines
 from .errors import ClassificationError, FormatError, ResourceLimitError
 from .gadgets import (
@@ -24,7 +22,6 @@ from .gadgets import (
     reduce_unsat_to_mee_cnf,
     reduce_unsat_to_mee_post,
 )
-from .ihsb import min_ihsb_cnf, min_ihsb_minus_cnf
 from .model import Clause, CnfFormula, MeeInstance, SizeMeasure, dualize, equivalent
 from .oracle import brute_min_bformula, brute_min_cnf, expressible, min_unsat_formula
 from .post import min_post
@@ -97,29 +94,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    formula = _load_formula(args.formula)
-    report = classify_language(formula.language)
-    if report.irreducibility_caveat:
-        print(
-            "error: language contains reducible relations; minimization is "
-            "guaranteed only for irreducible languages",
-            file=sys.stderr,
-        )
-        return EXIT_CLASSIFICATION
-    dispatch = {
-        "P-affine": min_affine,
-        "P-bijunctive": min_bijunctive,
-        "P-ihsb+": min_ihsb_cnf,
-        "P-ihsb-": min_ihsb_minus_cnf,
-    }
-    minimizer = dispatch.get(report.verdict)
-    if minimizer is None:
-        print(
-            f"error: verdict={report.verdict}; no polynomial minimizer applies",
-            file=sys.stderr,
-        )
-        return EXIT_CLASSIFICATION
-    out, stats = minimizer(formula)
+    out, stats = minimize(_load_formula(args.formula))
     text = ""
     if args.stats:
         text += "".join(f"# {line}\n" for line in stats.lines())
@@ -241,10 +216,10 @@ def _parse_dnf(text: str):
             raise FormatError("DNF files contain `term LIT...` lines (~x negates)")
         term = []
         for tok in tokens[1:]:
-            if tok.startswith("~"):
-                term.append((tok[1:], False))
-            else:
-                term.append((tok, True))
+            name = tok.removeprefix("~")
+            if not name:
+                raise FormatError(f"DNF literal {tok!r} names no variable")
+            term.append((name, not tok.startswith("~")))
         terms.append(tuple(term))
     if not terms:
         raise FormatError("empty DNF")
@@ -295,6 +270,8 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_gen_random(args) -> int:
+    if args.vars < 0 or args.clauses < 0:
+        raise FormatError("--vars and --clauses must be nonnegative")
     lang = formats.parse_language(*_read(args.language))
     rng = random.Random(args.seed)
     names = tuple(f"v{i}" for i in range(args.vars))

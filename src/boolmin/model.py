@@ -91,9 +91,6 @@ class Relation:
         """The relation as a function, applied pointwise to argument masks."""
         return _compile(tuple(int(code in self.codes) for code in range(1 << self.arity)))
 
-    def contains(self, t: tuple[int, ...]) -> bool:
-        return t in self.tuples
-
     def dual(self) -> "Relation":
         flipped = frozenset(tuple(1 - b for b in t) for t in self.tuples)
         return Relation(dual_name(self.name), self.arity, flipped)

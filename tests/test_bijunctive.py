@@ -9,8 +9,11 @@ from boolmin.model import (
     Clause,
     CnfFormula,
     ConstraintLanguage,
+    Relation,
+    clause_mask,
     equivalent,
     satisfiable,
+    var_mask,
 )
 from boolmin.oracle import brute_min_cnf
 from boolmin.std import rel_eq, rel_impl, rel_nand, rel_neg, rel_or, rel_pos, rel_xor
@@ -23,6 +26,7 @@ BASE = {
     "or2": rel_or(2),
     "nand2": rel_nand(2),
     "imp": rel_impl(),
+    "pmi": Relation("pmi", 2, frozenset({(0, 0), (1, 0), (1, 1)})),  # y -> x
     "eq": rel_eq(),
     "xor": rel_xor(),
 }
@@ -48,6 +52,34 @@ def test_literal_graph_encoding(bijunctive_full):
     g = to_literal_graph(f)
     assert (pos_lit(0), neg_lit(1)) in g.edges
     assert (neg_lit(0), pos_lit(1)) in g.edges
+
+
+def _two_sat_mask(g, n: int) -> int:
+    """Solutions of the literal graph read as 2-SAT: every forced literal
+    holds and every edge a -> b is satisfied."""
+    full = (1 << (1 << n)) - 1
+    if g.contradictory:
+        return 0
+
+    def holds(lit):
+        return var_mask(lit // 2, n) ^ (full if lit & 1 else 0)
+
+    mask = full
+    for lit in g.forced:
+        mask &= holds(lit)
+    for a, b in g.edges:
+        mask &= (full ^ holds(a)) | holds(b)
+    return mask
+
+
+@pytest.mark.parametrize("name", list(BASE))
+def test_literal_graph_reads_as_clause(name):
+    # every argument pattern over two variables, repeated variable included
+    rel = BASE[name]
+    lang = lang_of(name)
+    for args in itertools.product(range(2), repeat=rel.arity):
+        g = to_literal_graph(F(lang, "xy", (name, args)))
+        assert _two_sat_mask(g, 2) == clause_mask(rel, args, 2), (name, args)
 
 
 def test_template_rejects_ternary(t9):

@@ -1,5 +1,10 @@
 import random
 
+import pytest
+
+import boolmin
+from boolmin.affine import min_affine
+from boolmin.bijunctive import min_bijunctive
 from boolmin.classify import (
     classify_basis,
     classify_language,
@@ -10,6 +15,8 @@ from boolmin.classify import (
     relation_flags,
     report_lines,
 )
+from boolmin.errors import ClassificationError
+from boolmin.ihsb import min_ihsb_cnf, min_ihsb_minus_cnf
 from boolmin.model import (
     BoolFunction,
     ConstraintLanguage,
@@ -31,6 +38,8 @@ from boolmin.std import (
     rel_pos,
     rel_xor,
 )
+
+from conftest import random_cnf
 
 
 def rel_from(name, arity, tuples):
@@ -140,6 +149,30 @@ def test_classify_language_caveat():
     lines = report_lines(report)
     assert any(line.startswith("caveat=") for line in lines)
     assert "verdict=" + report.verdict in lines
+
+
+@pytest.mark.parametrize("rels, verdict, minimizer", [
+    ((rel_or(2), rel_impl()), "P-bijunctive", min_bijunctive),
+    ((rel_parity(2, 1), rel_parity(3, 0)), "P-affine", min_affine),
+    ((rel_or(3), rel_impl()), "P-ihsb+", min_ihsb_cnf),
+    ((rel_nand(3), rel_impl()), "P-ihsb-", min_ihsb_minus_cnf),
+])
+def test_minimize_dispatches_by_verdict(rels, verdict, minimizer):
+    lang = ConstraintLanguage(rels)
+    assert classify_language(lang).verdict == verdict
+    rng = random.Random(61)
+    for _ in range(20):
+        f = random_cnf(lang, rng, rng.randint(1, 5), rng.randint(1, 6))
+        assert boolmin.minimize(f) == minimizer(f)
+
+
+def test_minimize_refusals_raise():
+    reducible = ConstraintLanguage((rel_or(2), Relation("top", 1, frozenset({(0,), (1,)}))))
+    horn = ConstraintLanguage((rel_horn_impl(2),))
+    with pytest.raises(ClassificationError, match="reducible relations"):
+        boolmin.minimize(random_cnf(reducible, random.Random(1), 2, 2))
+    with pytest.raises(ClassificationError, match="no polynomial minimizer applies"):
+        boolmin.minimize(random_cnf(horn, random.Random(1), 3, 2))
 
 
 def test_ihsb_implies_horn_side():

@@ -74,6 +74,9 @@ def test_minimize_refuses_horn(workdir, capsys):
     (workdir / "h.cnf").write_text("language horn.lang\nvars x y z\nclause horn2 x y z\n")
     code = main(["minimize", "--formula", "h.cnf"])
     assert code == 4
+    assert capsys.readouterr().err == (
+        "error: verdict=NP-complete-horn; no polynomial minimizer applies\n"
+    )
 
 
 def test_minimize_refuses_reducible(workdir, capsys):
@@ -81,6 +84,10 @@ def test_minimize_refuses_reducible(workdir, capsys):
     (workdir / "r.cnf").write_text("language red.lang\nvars x\nclause top x\n")
     code = main(["minimize", "--formula", "r.cnf"])
     assert code == 4
+    assert capsys.readouterr().err == (
+        "error: language contains reducible relations; minimization is "
+        "guaranteed only for irreducible languages\n"
+    )
 
 
 def test_minimize_post(workdir, capsys):
@@ -267,6 +274,7 @@ def _extra_files(workdir) -> None:
         "h1.bf": "x\n",
         "h2.bf": "(and2 x x)\n",
         "d.dnf": "term x ~y\nterm x z ~w\n",
+        "bare.dnf": "term x ~\n",
     }
     for name, text in files.items():
         (workdir / name).write_text(text)
@@ -314,6 +322,11 @@ CONTRACT_CASES = [
     (["equiv", "--a", "deep.bf", "--b", "phi.bf", "--basis", "basis.fns"], 0),
     (["oracle", "min-bf", "--basis", "basis.fns", "--formula", "phi.bf", "--measure",
       "literals", "--max-size", "-1"], 2),
+    (["gadget", "horn-dnf", "--dnf", "bare.dnf"], 2),
+    (["gen-random", "--language", "base.lang", "--vars", "-1", "--clauses", "0", "--seed", "9"],
+     2),
+    (["gen-random", "--language", "base.lang", "--vars", "4", "--clauses", "-1", "--seed", "9"],
+     2),
 ]
 
 _PIECE_RE = re.compile(r"\s+|[()]|[^\s()]+")
