@@ -217,8 +217,8 @@ def _parse_dnf(text: str):
         term = []
         for tok in tokens[1:]:
             name = tok.removeprefix("~")
-            if not name:
-                raise FormatError(f"DNF literal {tok!r} names no variable")
+            if not name or name.startswith("~"):
+                raise FormatError(f"DNF literal {tok!r} is not a variable or its negation")
             term.append((name, not tok.startswith("~")))
         terms.append(tuple(term))
     if not terms:
@@ -272,6 +272,8 @@ def cmd_gadget(args) -> int:
 def cmd_gen_random(args) -> int:
     if args.vars < 0 or args.clauses < 0:
         raise FormatError("--vars and --clauses must be nonnegative")
+    if args.clauses and not args.vars:
+        raise FormatError("clauses need at least one variable")
     lang = formats.parse_language(*_read(args.language))
     rng = random.Random(args.seed)
     names = tuple(f"v{i}" for i in range(args.vars))

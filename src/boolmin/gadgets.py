@@ -4,7 +4,7 @@ pure-Horn DNF translation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, count, product
+from itertools import combinations, combinations_with_replacement, count, islice, product
 
 from .errors import ClassificationError, FormatError, ResourceLimitError
 from .model import (
@@ -26,6 +26,10 @@ from .model import (
 )
 from .oracle import min_unsat_formula
 from .std import rel_horn_impl
+
+
+# assignments of one weight checked per mask call by reduce_unsat_to_mee_post
+WEIGHT_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,16 @@ def reduce_unsat_to_mee_post(
         weight_cap = _max_vars_within_gate_bound(basis, k)
     names = formula.var_names
     weight_cap = min(weight_cap, len(names))
-    for size in range(weight_cap + 1):
-        for true_vars in combinations(names, size):
-            values = {name: 1 if name in true_vars else 0 for name in names}
-            if formula.eval(values):
+    for weight in range(weight_cap + 1):
+        # one mask bit per set of `weight` true variables, in blocks that
+        # keep the columns small when there are many such sets
+        subsets = combinations(names, weight)
+        while block := list(islice(subsets, WEIGHT_BLOCK)):
+            columns = dict.fromkeys(names, 0)
+            for bit, true_vars in enumerate(block):
+                for name in true_vars:
+                    columns[name] |= 1 << bit
+            if formula.mask(columns, (1 << len(block)) - 1):
                 return _fixed_negative(formula, measure)
     return ReductionResult(MeeInstance(formula, k, measure), False)
 

@@ -22,7 +22,6 @@ from .model import (
     MinimizeStats,
     Relation,
     SizeMeasure,
-    clause_mask,
     truth_table,
     var_mask,
 )
@@ -40,9 +39,12 @@ def _candidate_clauses(
     masks: list[int] = []
     reps: list[Clause] = []
     seen: set[int] = set()
+    columns = [var_mask(i, n_vars) for i in range(n_vars)]
+    full = (1 << (1 << n_vars)) - 1
     for rel in lang.relations:
+        op = rel.mask_op
         for ids in product(range(n_vars), repeat=rel.arity):
-            mask = clause_mask(rel, ids, n_vars)
+            mask = op([columns[v] for v in ids], full)
             if mask in seen:
                 continue
             seen.add(mask)
@@ -192,18 +194,27 @@ def brute_min_bformula(
     measure: SizeMeasure,
     bound: int,
 ) -> tuple[int, BFormula] | None:
-    """Exhaustive enumeration of basis-formula trees up to `bound` leaves or
-    gates; smallest size of one equivalent to `formula`, with a witness.
+    """Exhaustive least-size search over basis-formula trees up to `bound`
+    leaves or gates; smallest size of one equivalent to `formula`, with a
+    witness.
 
-    Enumeration is semantic: per size level, trees are deduplicated by their
-    truth table over var(formula) plus one fresh variable.  Any tree can be
-    renamed into that pool without changing its function or size (variables
-    irrelevant to the tree may share one name), so the search is exact.
+    Enumeration is semantic: trees are identified by their truth table over
+    var(formula) plus one fresh variable.  Any tree can be renamed into that
+    pool without changing its function or size (variables irrelevant to the
+    tree may share one name), so the search is exact.
+
+    Sizes are built in increasing order, each truth table is kept only at
+    the least size it has, and the search stops at the first tree found for
+    the target.  The pruning loses no minimum: every subtree of a least-size
+    tree is least-size for its own table, since swapping in a cheaper
+    subtree would keep the function and lower the size.
     """
     if bound < 0:
         raise FormatError("size bound must be nonnegative")
     if bound > MAX_ORACLE_BF_SIZE:
         raise ResourceLimitError(f"brute_min_bformula bound capped at {MAX_ORACLE_BF_SIZE}")
+    if measure not in (SizeMeasure.LITERALS, SizeMeasure.GATES):
+        raise ValueError("B-formula sizes are literal or gate counts")
     fresh = "w"
     while fresh in formula.var_names:
         fresh += "w"
@@ -211,62 +222,34 @@ def brute_min_bformula(
     target = truth_table(formula, pool)
     full = (1 << (1 << len(pool))) - 1
     var_masks = {name: var_mask(i, len(pool)) for i, name in enumerate(pool)}
-
-    if measure is SizeMeasure.LITERALS:
-        levels = _levels_by_literals(basis, var_masks, full, bound)
-    elif measure is SizeMeasure.GATES:
-        levels = _levels_by_gates(basis, var_masks, full, bound)
-    else:
-        raise ValueError("B-formula sizes are literal or gate counts")
-
-    for size in sorted(levels):
-        if target in levels[size]:
-            return size, BFormula(basis, levels[size][target])
-    return None
-
-
-def _levels_by_literals(basis, var_masks, full, bound):
-    """levels[s] maps truth-table mask -> some tree with exactly s leaves."""
-    levels: dict[int, dict[int, BNode]] = {s: {} for s in range(bound + 1)}
-    if bound >= 1:
-        levels[1] = {mask: BVar(name) for name, mask in var_masks.items()}
-    # constant applications add size-0 subtrees and unary/constant feedback
-    # within a level, so iterate to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for size in range(bound + 1):
-            level = levels[size]
+    # a gate costs 1 and a variable 0, or the reverse
+    gate_cost = 1 if measure is SizeMeasure.GATES else 0
+    trees: dict[int, BNode] = {}  # each truth table's first tree of least size
+    levels: list[list[int]] = []  # levels[s]: the tables of least size s
+    for size in range(bound + 1):
+        level: list[int] = []
+        levels.append(level)
+        if size == 1 - gate_cost:
+            for name, mask in var_masks.items():
+                trees[mask] = BVar(name)
+                level.append(mask)
+            if target in trees:
+                return size, BFormula(basis, trees[target])
+        # a gates level reads smaller levels only, so one sweep settles it; a
+        # literals level reads itself through size-0 subtrees (constants) and
+        # unary functions, so it is swept to a fixpoint
+        changed = size >= gate_cost
+        while changed:
+            changed = False
             for f in basis:
-                if f.arity == 0 and size != 0:
-                    continue
                 op = f.mask_op
-                for split in _compositions(size, f.arity):
-                    for combo in product(*(list(levels[s]) for s in split)):
+                for split in _compositions(size - gate_cost, f.arity):
+                    for combo in product(*(levels[s] for s in split)):
                         out = op(combo, full)
-                        if out not in level:
-                            level[out] = _app(f, levels, split, combo)
-                            changed = True
-    return levels
-
-
-def _levels_by_gates(basis, var_masks, full, bound):
-    """levels[g] maps truth-table mask -> some tree with exactly g gates."""
-    levels: dict[int, dict[int, BNode]] = {g: {} for g in range(bound + 1)}
-    for name, mask in var_masks.items():
-        levels[0][mask] = BVar(name)
-    for g in range(1, bound + 1):
-        level = levels[g]
-        for f in basis:
-            op = f.mask_op
-            for split in _compositions(g - 1, f.arity):
-                for combo in product(*(list(levels[s]) for s in split)):
-                    out = op(combo, full)
-                    if out not in level:
-                        level[out] = _app(f, levels, split, combo)
-    return levels
-
-
-def _app(f: BoolFunction, levels, split, combo) -> BApp:
-    """The tree applying f to the subtrees stored under the combo's masks."""
-    return BApp(f.name, tuple(levels[s][m] for s, m in zip(split, combo)))
+                        if out not in trees:
+                            trees[out] = BApp(f.name, tuple(trees[m] for m in combo))
+                            level.append(out)
+                            if out == target:
+                                return size, BFormula(basis, trees[out])
+                            changed = not gate_cost
+    return None

@@ -220,6 +220,17 @@ def test_gen_random_deterministic(workdir, capsys):
     assert len(parsed.clauses) == 3
 
 
+def test_malformed_inputs_are_described(workdir, capsys):
+    argv = ["gen-random", "--language", "base.lang", "--vars", "0", "--clauses", "3", "--seed", "9"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: clauses need at least one variable\n"
+    (workdir / "double.dnf").write_text("term x ~~y\n")
+    assert main(["gadget", "horn-dnf", "--dnf", "double.dnf"]) == 2
+    assert capsys.readouterr().err == (
+        "error: DNF literal '~~y' is not a variable or its negation\n"
+    )
+
+
 def test_malformed_input_exit_code(workdir, capsys):
     (workdir / "bad.cnf").write_text("language base.lang\nvars x\nclause or2 x q\n")
     assert main(["minimize", "--formula", "bad.cnf"]) == 2
@@ -275,6 +286,7 @@ def _extra_files(workdir) -> None:
         "h2.bf": "(and2 x x)\n",
         "d.dnf": "term x ~y\nterm x z ~w\n",
         "bare.dnf": "term x ~\n",
+        "double.dnf": "term x ~~y\n",
     }
     for name, text in files.items():
         (workdir / name).write_text(text)
@@ -327,6 +339,11 @@ CONTRACT_CASES = [
      2),
     (["gen-random", "--language", "base.lang", "--vars", "4", "--clauses", "-1", "--seed", "9"],
      2),
+    (["gadget", "horn-dnf", "--dnf", "double.dnf"], 2),
+    (["gen-random", "--language", "base.lang", "--vars", "0", "--clauses", "3", "--seed", "9"],
+     2),
+    (["gen-random", "--language", "base.lang", "--vars", "0", "--clauses", "0", "--seed", "9"],
+     0),
 ]
 
 _PIECE_RE = re.compile(r"\s+|[()]|[^\s()]+")

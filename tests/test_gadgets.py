@@ -1,10 +1,14 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from boolmin.formats import parse_bformula
 from boolmin.gadgets import (
+    WEIGHT_BLOCK,
     _arg_order,
+    _max_vars_within_gate_bound,
     build_and_or_gadget,
     build_maj_gadget,
     eval_dnf,
@@ -23,10 +27,11 @@ from boolmin.model import (
     SizeMeasure,
     all_assignments,
     equivalent,
+    formula_size,
     satisfiable,
 )
 from boolmin.oracle import brute_min_bformula, brute_min_cnf
-from boolmin.std import fn_and, rel_parity
+from boolmin.std import fn_and, fn_or, rel_parity
 
 ANDNOT = BoolFunction("andnot", 2, (0, 0, 1, 0))  # x and not y
 
@@ -74,6 +79,57 @@ def test_post_reduction_soundness_both_measures():
                 found = brute_min_bformula((ANDNOT,), phi, measure, result.instance.bound)
                 positive = found is not None and found[0] <= result.instance.bound
             assert positive == (not satisfiable(phi))
+
+
+def _reference_fixed_negative(basis, psi, formula, measure):
+    """The verdict probed one assignment at a time, lightest first."""
+    k = formula_size(psi, measure)
+    cap = k if measure is SizeMeasure.LITERALS else _max_vars_within_gate_bound(basis, k)
+    names = formula.var_names
+    for size in range(min(cap, len(names)) + 1):
+        for true_vars in combinations(names, size):
+            if formula.eval({name: int(name in true_vars) for name in names}):
+                return True
+    return False
+
+
+def _chain(fn, names):
+    node = BVar(names[0])
+    for name in names[1:]:
+        node = BApp(fn.name, (node, BVar(name)))
+    return node
+
+
+def test_post_reduction_verdict_matches_per_assignment_probe():
+    and2, or2, and3 = fn_and(2), fn_or(2), fn_and(3)
+    functions = (ANDNOT, and2, or2, and3)
+    # psi of 2..5 literals and 1..4 gates, so the weight cap moves
+    psis = [BFormula(functions, _chain(ANDNOT, "xxyzu"[:n])) for n in (2, 3, 4, 5)]
+    rng = random.Random(83)
+    from conftest import random_btree
+
+    verdicts = set()
+    for _ in range(200):
+        basis = rng.choice(((ANDNOT,), functions))
+        psi = rng.choice(psis)
+        measure = rng.choice((SizeMeasure.LITERALS, SizeMeasure.GATES))
+        phi = BFormula(functions, random_btree(functions, rng, rng.randint(1, 9), "abcdefgh"))
+        expected = _reference_fixed_negative(basis, psi, phi, measure)
+        assert reduce_unsat_to_mee_post(basis, psi, phi, measure).fixed_negative == expected
+        verdicts.add(expected)
+    assert verdicts == {False, True}
+
+    # 16 variables put the 4368 sets of weight 5 in two blocks: the only
+    # light model, l..p true, is the last set, and 6 true variables are
+    # above the cap
+    assert comb(16, 5) > WEIGHT_BLOCK
+    psi = psis[-1]
+    for needed, expected in (("lmnop", True), ("klmnop", False)):
+        others = [c for c in "abcdefghijklmnop" if c not in needed]
+        phi = BFormula(functions, BApp("andnot", (_chain(and2, needed), _chain(or2, others))))
+        assert _reference_fixed_negative((ANDNOT,), psi, phi, SizeMeasure.LITERALS) == expected
+        result = reduce_unsat_to_mee_post((ANDNOT,), psi, phi, SizeMeasure.LITERALS)
+        assert result.fixed_negative == expected
 
 
 def test_cnf_reduction_examples():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from boolmin.model import (
     BApp,
     BFormula,
     BoolFunction,
+    BVar,
     Clause,
     CnfFormula,
     ConstraintLanguage,
@@ -15,8 +17,16 @@ from boolmin.model import (
     all_assignments,
     equivalent,
     formula_size,
+    truth_table,
+    var_mask,
 )
-from boolmin.oracle import brute_min_bformula, brute_min_cnf, expressible, min_unsat_formula
+from boolmin.oracle import (
+    _compositions,
+    brute_min_bformula,
+    brute_min_cnf,
+    expressible,
+    min_unsat_formula,
+)
 from boolmin.std import (
     fn_and,
     fn_or,
@@ -29,7 +39,7 @@ from boolmin.std import (
     rel_pos,
     rel_xor,
 )
-from boolmin.formats import parse_bformula
+from boolmin.formats import parse_bformula, serialize_bformula
 
 from conftest import random_cnf
 
@@ -147,3 +157,123 @@ def test_min_unsat_is_unsatisfiable(t9):
     result = min_unsat_formula(t9)
     assert result is not None
     assert all(result.eval(bits) == 0 for bits in all_assignments(result.n_vars))
+
+
+# --- the least-size search against the level builders it replaced -----------
+
+
+def _reference_levels_by_literals(basis, var_masks, full, bound):
+    """levels[s] maps truth-table mask -> some tree with exactly s leaves."""
+    levels = {s: {} for s in range(bound + 1)}
+    if bound >= 1:
+        levels[1] = {mask: BVar(name) for name, mask in var_masks.items()}
+    # constant applications add size-0 subtrees and unary/constant feedback
+    # within a level, so iterate to a fixpoint
+    changed = True
+    while changed:
+        changed = False
+        for size in range(bound + 1):
+            level = levels[size]
+            for f in basis:
+                if f.arity == 0 and size != 0:
+                    continue
+                for split in _compositions(size, f.arity):
+                    for combo in product(*(list(levels[s]) for s in split)):
+                        out = f.mask_op(combo, full)
+                        if out not in level:
+                            level[out] = _reference_app(f, levels, split, combo)
+                            changed = True
+    return levels
+
+
+def _reference_levels_by_gates(basis, var_masks, full, bound):
+    """levels[g] maps truth-table mask -> some tree with exactly g gates."""
+    levels = {g: {} for g in range(bound + 1)}
+    for name, mask in var_masks.items():
+        levels[0][mask] = BVar(name)
+    for g in range(1, bound + 1):
+        level = levels[g]
+        for f in basis:
+            for split in _compositions(g - 1, f.arity):
+                for combo in product(*(list(levels[s]) for s in split)):
+                    out = f.mask_op(combo, full)
+                    if out not in level:
+                        level[out] = _reference_app(f, levels, split, combo)
+    return levels
+
+
+def _reference_app(f, levels, split, combo):
+    return BApp(f.name, tuple(levels[s][m] for s, m in zip(split, combo)))
+
+
+def _reference_min_bformula(basis, formula, measure, bound):
+    """Every level up to the bound in full, then the least one holding the
+    target: the search as it was before levels kept least sizes only."""
+    fresh = "w"
+    while fresh in formula.var_names:
+        fresh += "w"
+    pool = tuple(sorted(set(formula.var_names) | {fresh}))
+    target = truth_table(formula, pool)
+    full = (1 << (1 << len(pool))) - 1
+    var_masks = {name: var_mask(i, len(pool)) for i, name in enumerate(pool)}
+    if measure is SizeMeasure.LITERALS:
+        levels = _reference_levels_by_literals(basis, var_masks, full, bound)
+    else:
+        levels = _reference_levels_by_gates(basis, var_masks, full, bound)
+    for size in sorted(levels):
+        if target in levels[size]:
+            return size, BFormula(basis, levels[size][target])
+    return None
+
+
+def _random_basis(rng, prefix):
+    functions = []
+    for i in range(rng.randint(1, 2)):
+        arity = rng.choice((0, 1, 2, 2, 3))
+        table = tuple(rng.randint(0, 1) for _ in range(1 << arity))
+        functions.append(BoolFunction(f"{prefix}{i}", arity, table))
+    return tuple(functions)
+
+
+def _random_tree(basis, rng, depth, pool):
+    """A variable or an application (a constant among them), at most `depth`
+    applications deep."""
+    if depth == 0 or rng.random() < 0.3:
+        return BVar(rng.choice(pool))
+    f = rng.choice(basis)
+    return BApp(f.name, tuple(_random_tree(basis, rng, depth - 1, pool) for _ in range(f.arity)))
+
+
+def test_least_size_search_matches_level_builders():
+    """Sizes agree everywhere, witnesses byte for byte wherever one sweep
+    settles a level: every gates search, and every literals search over a
+    basis without constants and unary functions.  Elsewhere the fixpoint
+    may settle a level in another order; such a witness must still have
+    the same size and be equivalent."""
+    rng = random.Random(2011)
+    nones = other_witness = 0
+    for _ in range(600):
+        basis = _random_basis(rng, "f")
+        # half the targets come from a foreign basis, which puts some above
+        # the bound or out of reach
+        own = basis if rng.random() < 0.5 else _random_basis(rng, "g")
+        if not any(f.arity for f in own):
+            own += (fn_or(2),)
+        phi = BFormula(own, _random_tree(own, rng, 3, "xy"[: rng.randint(1, 2)]))
+        measure = rng.choice((SizeMeasure.LITERALS, SizeMeasure.GATES))
+        # a ternary function at bound 5 costs the reference up to 1.5 s
+        bound = rng.randint(3, 4 if any(f.arity == 3 for f in basis) else 5)
+        expected = _reference_min_bformula(basis, phi, measure, bound)
+        found = brute_min_bformula(basis, phi, measure, bound)
+        if expected is None:
+            assert found is None
+            nones += 1
+            continue
+        assert found is not None and found[0] == expected[0]
+        if serialize_bformula(found[1]) != serialize_bformula(expected[1]):
+            assert measure is SizeMeasure.LITERALS and any(f.arity <= 1 for f in basis)
+            assert equivalent(found[1], phi)
+            assert formula_size(found[1], measure) == found[0]
+            other_witness += 1
+    assert nones >= 30
+    print(f"[least-size search] searches=600 none={nones} other_witness={other_witness}")
