@@ -4,6 +4,9 @@ DNF translation.
 
 Run from the repository root:  python demos/demo_gadgets.py
 """
+import os
+import tempfile
+
 from boolmin import (
     BFormula,
     BoolFunction,
@@ -18,7 +21,13 @@ from boolmin import (
     reduce_unsat_to_mee_post,
     satisfiable,
 )
-from boolmin.formats import parse_bformula, serialize_cnf_formula, serialize_mee_instance
+from boolmin.formats import (
+    load_cnf_formula,
+    parse_bformula,
+    serialize_cnf_formula,
+    serialize_language,
+    serialize_mee_instance,
+)
 from boolmin.gadgets import eval_dnf
 from boolmin.model import BApp, BVar, all_assignments, count_gates
 from boolmin.std import fn_and, rel_parity
@@ -62,9 +71,19 @@ print()
 # --- pure-Horn DNF negation ------------------------------------------------------
 terms = [(("x", True), ("y", False)), (("x", True), ("z", True), ("w", False))]
 cnf = pure_horn_dnf_to_cnf(terms)
-print(serialize_cnf_formula(cnf, "positive-horn.lang").rstrip())
+# the clauses name the positive Horn relation, so the formula is written with
+# its language file beside it, as `boolmin gadget horn-dnf --out F` does
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "horn.cnf")
+    with open(path + ".lang", "w", encoding="utf-8") as fh:
+        fh.write(serialize_language(cnf.language))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_cnf_formula(cnf, "horn.cnf.lang"))
+    loaded = load_cnf_formula(path)
+print(serialize_language(loaded.language).rstrip())
+print(serialize_cnf_formula(loaded).rstrip())
 agrees = all(
-    cnf.eval(bits) == 1 - eval_dnf(terms, dict(zip(cnf.var_names, bits)))
-    for bits in all_assignments(len(cnf.var_names))
+    loaded.eval(bits) == 1 - eval_dnf(terms, dict(zip(loaded.var_names, bits)))
+    for bits in all_assignments(len(loaded.var_names))
 )
 print("negation-equivalent to the DNF:", agrees)

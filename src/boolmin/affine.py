@@ -84,7 +84,7 @@ def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     if inconsistent:
         return unsat_minimum(formula)
 
-    out = CnfFormula(
+    out = CnfFormula._trusted(
         lang,
         formula.var_names,
         tuple(formula.clauses[i] for i in kept),

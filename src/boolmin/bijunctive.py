@@ -337,5 +337,5 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
             raise VocabularyError("language cannot express a literal implication edge")
         clauses.append(clause)
 
-    out = CnfFormula(lang, formula.var_names, tuple(clauses), formula.language_path)
+    out = CnfFormula._trusted(lang, formula.var_names, tuple(clauses), formula.language_path)
     return out, MinimizeStats(len(formula.clauses), len(clauses))

@@ -142,22 +142,26 @@ def cmd_equiv(args) -> int:
     return EXIT_OK if same else EXIT_NEGATIVE
 
 
-def cmd_dualize(args) -> int:
-    formula = _load_formula(args.formula)
-    dual = dualize(formula)
-    lang_text = formats.serialize_language(dual.language)
-    if args.out:
-        lang_path = args.out + ".lang"
+def _write_with_language(formula: CnfFormula, out: str | None, what: str, lang_name: str) -> None:
+    """Write a formula together with the language its clauses name.  With
+    `out`, the language goes to `out.lang` and the formula, which references
+    that file by its base name, to `out`; without it, both go to standard
+    output, the language block first."""
+    lang_text = formats.serialize_language(formula.language)
+    if out:
+        lang_path = out + ".lang"
         with open(lang_path, "w", encoding="utf-8") as fh:
             fh.write(lang_text)
-        _write_out(
-            formats.serialize_cnf_formula(dual, os.path.basename(lang_path)), args.out
-        )
+        _write_out(formats.serialize_cnf_formula(formula, os.path.basename(lang_path)), out)
     else:
-        print("# dual language")
+        print(f"# {what} language")
         sys.stdout.write(lang_text)
-        print("# dual formula (clauses reference the relations above)")
-        sys.stdout.write(formats.serialize_cnf_formula(dual, "dual.lang"))
+        print(f"# {what} formula (clauses reference the relations above)")
+        sys.stdout.write(formats.serialize_cnf_formula(formula, lang_name))
+
+
+def cmd_dualize(args) -> int:
+    _write_with_language(dualize(_load_formula(args.formula)), args.out, "dual", "dual.lang")
     return EXIT_OK
 
 
@@ -264,7 +268,7 @@ def cmd_gadget(args) -> int:
     if args.gadget_kind == "horn-dnf":
         terms = _parse_dnf(_read(args.dnf)[0])
         out = pure_horn_dnf_to_cnf(terms)
-        sys.stdout.write(formats.serialize_cnf_formula(out, "positive-horn.lang"))
+        _write_with_language(out, args.out, "positive Horn", "positive-horn.lang")
         return EXIT_OK
     raise FormatError(f"unknown gadget kind {args.gadget_kind!r}")
 
@@ -380,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_gadget)
     q = gsub.add_parser("horn-dnf")
     q.add_argument("--dnf", required=True)
+    q.add_argument("--out")
     q.set_defaults(func=cmd_gadget)
 
     p = sub.add_parser("gen-random", help="seeded random formula generator")

@@ -94,43 +94,78 @@ def load_language(path: str, _including: tuple[str, ...] = ()) -> ConstraintLang
 
 
 def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
-    """Parse `language PATH`, `vars ...`, `clause REL var...` lines."""
+    """Parse `language PATH`, `vars ...`, `clause REL var...` lines.
+
+    Every check runs here, once per clause, so the result is built without
+    `CnfFormula`'s own validation.  The first fault wins, in this order:
+    line errors in file order, a missing language line, an unknown variable
+    (in clause order), duplicate variable names, then an unknown relation
+    or a wrong argument count (in clause order)."""
     language = None
     language_path = None
     var_names: list[str] = []
     saw_vars = False
-    clause_specs: list[tuple[str, list[str]]] = []
-    for tokens in _content_lines(text):
+    clause_lines: list[list[str]] = []
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    for line in lines:
+        tokens = line.split()
+        if not tokens:
+            continue
         key = tokens[0]
-        if key == "language":
+        if key == "clause":
+            if len(tokens) < 2:
+                raise FormatError("clause line needs a relation name")
+            clause_lines.append(tokens)
+        elif key == "vars":
+            if saw_vars:
+                raise FormatError("duplicate vars line")
+            saw_vars = True
+            var_names = tokens[1:]
+        elif key == "language":
             if language is not None:
                 raise FormatError("duplicate language line")
             if len(tokens) != 2:
                 raise FormatError("language expects exactly one path")
             language_path = tokens[1]
             language = load_language(os.path.join(base_dir, language_path))
-        elif key == "vars":
-            if saw_vars:
-                raise FormatError("duplicate vars line")
-            saw_vars = True
-            var_names = tokens[1:]
-        elif key == "clause":
-            if len(tokens) < 2:
-                raise FormatError("clause line needs a relation name")
-            clause_specs.append((tokens[1], tokens[2:]))
         else:
             raise FormatError(f"unexpected token {key!r} in formula file")
+    del lines
     if language is None:
         raise FormatError("formula file is missing a language line")
+    # the name lookup bounds every id; an arity mismatch (None for an unknown
+    # relation) is reported only after the unknown-variable and duplicate-name
+    # checks, which come first
     index = {name: i for i, name in enumerate(var_names)}
+    var_id = index.__getitem__
+    arity = {r.name: r.arity for r in language.relations}.get
     clauses = []
-    for rel, args in clause_specs:
+    bad = None
+    # each line's tokens are released once its clause is built
+    clause_lines.reverse()
+    while clause_lines:
+        tokens = clause_lines.pop()
+        rel = tokens[1]
         try:
-            ids = tuple(index[a] for a in args)
+            ids = tuple(map(var_id, tokens[2:]))
         except KeyError as exc:
             raise FormatError(f"clause {rel}: unknown variable {exc.args[0]!r}") from None
-        clauses.append(Clause(rel, ids))
-    return CnfFormula(language, tuple(var_names), tuple(clauses), language_path)
+        clause = Clause(rel, ids)
+        if bad is None and arity(rel) != len(ids):
+            bad = clause
+        clauses.append(clause)
+    if len(index) != len(var_names):
+        raise FormatError("duplicate variable names")
+    if bad is not None:
+        expected = arity(bad.relation)
+        if expected is None:
+            raise FormatError(f"unknown relation {bad.relation!r}")
+        raise FormatError(
+            f"clause {bad.relation}: got {len(bad.vars)} arguments, arity is {expected}"
+        )
+    return CnfFormula._trusted(language, tuple(var_names), tuple(clauses), language_path)
 
 
 def load_cnf_formula(path: str) -> CnfFormula:
@@ -221,10 +256,9 @@ def serialize_cnf_formula(formula: CnfFormula, language_path: str | None = None)
     lines = [f"language {path}"]
     if formula.var_names:
         lines.append("vars " + " ".join(formula.var_names))
+    name = formula.var_names.__getitem__
     for c in formula.clauses:
-        lines.append(
-            "clause " + c.relation + " " + " ".join(formula.var_names[v] for v in c.vars)
-        )
+        lines.append("clause " + c.relation + " " + " ".join(map(name, c.vars)))
     return "\n".join(lines) + "\n"
 
 

@@ -174,10 +174,11 @@ def _falsy(g: ImplGraph, reach: list[int]) -> int:
     return graph.bits(u for u in range(g.n) if reach[u] & neg)
 
 
-def unsat_check_ihsb(g: ImplGraph) -> bool:
+def unsat_check_ihsb(g: ImplGraph, reach: list[int] | None = None) -> bool:
     """True iff some OR-clause (literals count as 1-ary OR-clauses) has every
-    disjunct leading to a variable occurring as a negative literal."""
-    falsy = _falsy(g, g.reach())
+    disjunct leading to a variable occurring as a negative literal.  `reach`
+    is `g.reach()` if the caller already has it."""
+    falsy = _falsy(g, g.reach() if reach is None else reach)
     return bool(graph.bits(g.pos) & falsy) or any(not graph.bits(c) & ~falsy for c in g.ors)
 
 
@@ -340,7 +341,9 @@ class PartitionedFormula:
         )
 
 
-def min_ihsb(g: ImplGraph, eq_available: bool = True) -> tuple[PartitionedFormula, int]:
+def min_ihsb(
+    g: ImplGraph, eq_available: bool = True, reach: list[int] | None = None
+) -> tuple[PartitionedFormula, int]:
     """Run the fixpoint rules to completion and canonicalize.
 
     Each pass applies every rule, in order, to all of its matches; reach is
@@ -348,13 +351,15 @@ def min_ihsb(g: ImplGraph, eq_available: bool = True) -> tuple[PartitionedFormul
     one changes nothing, and the count of passes is returned.
 
     The input must be satisfiable; callers handle unsatisfiable formulas by
-    substituting the precomputed minimum unsatisfiable formula.
+    substituting the precomputed minimum unsatisfiable formula.  `reach` is
+    `g.reach()` if the caller already has it.
     """
     rules = [r for r in _RULES if eq_available or r is not _rule_cycle_collapse]
     cap = (g.clause_count() + g.n) ** 2 + 16
     passes = 0
     changed = True
-    reach = g.reach()
+    if reach is None:
+        reach = g.reach()
     while changed:
         passes += 1
         if passes > cap:
@@ -445,16 +450,17 @@ def restrict_vocabulary(
         padded = c + (c[-1],) * (m - len(c))
         clauses.append(Clause(templates.or_arities[m], padded))
 
-    return CnfFormula(lang, var_names, tuple(clauses), language_path)
+    return CnfFormula._trusted(lang, var_names, tuple(clauses), language_path)
 
 
 def min_ihsb_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     """Full pipeline for irreducible IHSB+ languages: normalize, check
     satisfiability, minimize, re-emit in the language's own vocabulary."""
     g, templates = graph_from_cnf(formula)
-    if unsat_check_ihsb(g):
+    reach = g.reach()
+    if unsat_check_ihsb(g, reach):
         return unsat_minimum(formula)
-    base, passes = min_ihsb(g, eq_available=templates.eq is not None)
+    base, passes = min_ihsb(g, templates.eq is not None, reach)
     out = restrict_vocabulary(
         base, templates, formula.language, formula.var_names, formula.language_path
     )
@@ -462,6 +468,7 @@ def min_ihsb_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
 
 
 def min_ihsb_minus_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
-    """IHSB- languages minimize through duality: dualize, minimize, dualize back."""
+    """IHSB- languages minimize through duality: dualize, minimize, dualize
+    back over the input's own language."""
     dual_out, stats = min_ihsb_cnf(formula.dual())
-    return dual_out.dual(), stats
+    return dual_out.dual(formula.language), stats

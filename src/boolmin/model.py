@@ -168,6 +168,26 @@ class CnfFormula:
             if any(not 0 <= v < n for v in c.vars):
                 raise FormatError(f"clause {c.relation}: variable id out of range")
 
+    @classmethod
+    def _trusted(
+        cls,
+        language: ConstraintLanguage,
+        var_names: tuple[str, ...],
+        clauses: tuple[Clause, ...],
+        language_path: str | None = None,
+    ) -> "CnfFormula":
+        """A formula from parts already checked, without `__post_init__`:
+        the parser's own checks, or clauses derived from a checked formula
+        over relations of the language they name, at their arity."""
+        formula = object.__new__(cls)
+        # field by field, as the frozen dataclass's own __init__ sets them
+        set_field = object.__setattr__
+        set_field(formula, "language", language)
+        set_field(formula, "var_names", var_names)
+        set_field(formula, "clauses", clauses)
+        set_field(formula, "language_path", language_path)
+        return formula
+
     @property
     def n_vars(self) -> int:
         return len(self.var_names)
@@ -189,9 +209,12 @@ class CnfFormula:
         """Bitmask over 2^n assignment indices; variable 0 is the MSB."""
         return truth_table(self, self.var_names)
 
-    def dual(self) -> "CnfFormula":
-        return CnfFormula(
-            self.language.dual(),
+    def dual(self, language: ConstraintLanguage | None = None) -> "CnfFormula":
+        """The formula over the dual relations.  `language`, when given, is
+        `self.language.dual()` already at hand (the dual of a dual language
+        is the language itself), so it is not rebuilt."""
+        return CnfFormula._trusted(
+            self.language.dual() if language is None else language,
             self.var_names,
             tuple(Clause(dual_name(c.relation), c.vars) for c in self.clauses),
             self.language_path,

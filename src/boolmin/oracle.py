@@ -167,11 +167,14 @@ def min_unsat_formula(lang: ConstraintLanguage, clause_bound: int = 4) -> CnfFor
 
 def unsat_minimum(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     """The minimum unsatisfiable formula of the language, as the minimized
-    form of an unsatisfiable input, with its stats."""
+    form of an unsatisfiable input (over its language path), with its stats."""
     unsat = min_unsat_formula(formula.language)
     if unsat is None:
         raise RuntimeError("unsatisfiable formula but no cached minimum one; this is a bug")
-    return unsat, MinimizeStats(len(formula.clauses), len(unsat.clauses))
+    out = CnfFormula._trusted(
+        formula.language, unsat.var_names, unsat.clauses, formula.language_path
+    )
+    return out, MinimizeStats(len(formula.clauses), len(unsat.clauses))
 
 
 def _compositions(total: int, parts: int):

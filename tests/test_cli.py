@@ -9,7 +9,8 @@ import pytest
 import boolmin
 from boolmin import cli, formats
 from boolmin.cli import main
-from boolmin.model import equivalent
+from boolmin.gadgets import eval_dnf
+from boolmin.model import all_assignments, equivalent, satisfiable
 from boolmin.std import theorem9_language
 
 
@@ -207,7 +208,30 @@ def test_gadget_horn_dnf(workdir, capsys):
     (workdir / "d.dnf").write_text("term x ~y\nterm x z ~w\n")
     code, out = run(capsys, "gadget", "horn-dnf", "--dnf", "d.dnf")
     assert code == 0
-    assert "clause horn2 x x y" in out
+    # the language block comes first, since the clauses name its relation
+    assert out.index("relation horn2 arity 3") < out.index("clause horn2 x x y")
+
+
+def test_gadget_horn_dnf_out_loads(workdir, capsys):
+    (workdir / "d.dnf").write_text("term x ~y\nterm x z ~w\nterm y w ~z\n")
+    code, out = run(capsys, "gadget", "horn-dnf", "--dnf", "d.dnf", "--out", "horn.cnf")
+    assert code == 0 and out == ""
+    assert (workdir / "horn.cnf").read_text().startswith("language horn.cnf.lang\n")
+    loaded = formats.load_cnf_formula(str(workdir / "horn.cnf"))
+    terms = cli._parse_dnf((workdir / "d.dnf").read_text())
+    for bits in all_assignments(loaded.n_vars):
+        values = dict(zip(loaded.var_names, bits))
+        assert loaded.eval(bits) == 1 - eval_dnf(terms, values)
+
+
+def test_minimize_unsatisfiable_input(workdir, capsys):
+    # the minimum unsatisfiable formula is written over the input's language file
+    (workdir / "u.cnf").write_text("language base.lang\nvars x y\nclause pos x\nclause neg x\n")
+    code, out = run(capsys, "minimize", "--formula", "u.cnf")
+    assert code == 0
+    minimized = formats.parse_cnf_formula(out, str(workdir))
+    assert minimized.language_path == "base.lang"
+    assert not satisfiable(minimized) and len(minimized.clauses) == 2
 
 
 def test_gen_random_deterministic(workdir, capsys):

@@ -1,8 +1,11 @@
+import os
+import random
+
 import pytest
 
 from boolmin import formats
 from boolmin.errors import FormatError
-from boolmin.model import BApp, BFormula, BVar, MeeInstance, SizeMeasure
+from boolmin.model import BApp, BFormula, BVar, Clause, CnfFormula, MeeInstance, SizeMeasure
 from boolmin.std import fn_or, fn_xor, theorem9_language
 
 
@@ -66,6 +69,172 @@ def test_cnf_errors(tmp_path):
         formats.parse_cnf_formula(
             "language base.lang\nvars x\nclause or2 x q\n", str(tmp_path)
         )
+
+
+def reference_parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
+    """The parser before its single pass: comments stripped from every line,
+    then ids resolved, then every clause checked again by the public
+    `CnfFormula` constructor."""
+    language = None
+    language_path = None
+    var_names: list[str] = []
+    saw_vars = False
+    clause_specs: list[tuple[str, list[str]]] = []
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line.split())
+    for tokens in lines:
+        key = tokens[0]
+        if key == "language":
+            if language is not None:
+                raise FormatError("duplicate language line")
+            if len(tokens) != 2:
+                raise FormatError("language expects exactly one path")
+            language_path = tokens[1]
+            language = formats.load_language(os.path.join(base_dir, language_path))
+        elif key == "vars":
+            if saw_vars:
+                raise FormatError("duplicate vars line")
+            saw_vars = True
+            var_names = tokens[1:]
+        elif key == "clause":
+            if len(tokens) < 2:
+                raise FormatError("clause line needs a relation name")
+            clause_specs.append((tokens[1], tokens[2:]))
+        else:
+            raise FormatError(f"unexpected token {key!r} in formula file")
+    if language is None:
+        raise FormatError("formula file is missing a language line")
+    index = {name: i for i, name in enumerate(var_names)}
+    clauses = []
+    for rel, args in clause_specs:
+        try:
+            ids = tuple(index[a] for a in args)
+        except KeyError as exc:
+            raise FormatError(f"clause {rel}: unknown variable {exc.args[0]!r}") from None
+        clauses.append(Clause(rel, ids))
+    return CnfFormula(language, tuple(var_names), tuple(clauses), language_path)
+
+
+def _outcome(parse, text: str, base_dir: str):
+    try:
+        f = parse(text, base_dir)
+    except (FormatError, OSError) as exc:
+        return type(exc).__name__, str(exc)
+    return f.language, f.var_names, f.clauses, f.language_path
+
+
+# (relation, arity) of theorem9_language(3), plus names it does not hold
+_RELATIONS = [("pos", 1), ("neg", 1), ("imp", 2), ("eq", 2), ("or2", 2), ("or3", 3)]
+
+
+def _mutate(rng: random.Random, lines: list[str]) -> None:
+    """Apply one fault (or a harmless variation) from the parser's error list."""
+    kind = rng.choice((
+        "unknown-var", "dup-name", "unknown-rel", "arity", "no-language", "dup-language",
+        "language-args", "missing-language-file", "no-vars", "dup-vars", "late-vars",
+        "bare-clause", "comment", "comment-line", "clause-first", "bad-key", "blank",
+    ))
+    clause_at = [i for i, line in enumerate(lines) if line.startswith("clause")]
+    at = rng.randrange(len(lines) + 1)
+    if kind == "unknown-var" and clause_at:
+        i = rng.choice(clause_at)
+        lines[i] += " q" + str(rng.randrange(3))
+    elif kind == "dup-name":
+        for i, line in enumerate(lines):
+            if line.startswith("vars") and len(line.split()) > 1:
+                lines[i] += " " + rng.choice(line.split()[1:])
+    elif kind == "unknown-rel" and clause_at:
+        i = rng.choice(clause_at)
+        lines[i] = "clause nope " + " ".join(lines[i].split()[2:])
+    elif kind == "arity" and clause_at:
+        i = rng.choice(clause_at)
+        tokens = lines[i].split()
+        lines[i] = " ".join(tokens[:-1] if len(tokens) > 2 and rng.random() < 0.5
+                            else tokens + tokens[-1:])
+    elif kind == "no-language":
+        lines[:] = [line for line in lines if not line.startswith("language")]
+    elif kind == "dup-language":
+        lines.insert(at, "language base.lang")
+    elif kind == "language-args":
+        lines.insert(at, "language base.lang other.lang")
+    elif kind == "missing-language-file":
+        lines[:] = ["language missing.lang" if line.startswith("language") else line
+                    for line in lines]
+    elif kind == "no-vars":
+        lines[:] = [line for line in lines if not line.startswith("vars")]
+    elif kind == "dup-vars":
+        lines.insert(at, "vars a b")
+    elif kind == "late-vars":
+        vars_at = [i for i, line in enumerate(lines) if line.startswith("vars")]
+        if vars_at:
+            lines.append(lines.pop(vars_at[0]))
+    elif kind == "bare-clause":
+        lines.insert(at, "clause")
+    elif kind == "comment" and lines:
+        i = rng.randrange(len(lines))
+        cut = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:cut] + " # " + lines[i][cut:]
+    elif kind == "comment-line":
+        lines.insert(at, "  # clause or3 x y z")
+    elif kind == "clause-first":
+        lines.insert(0, "clause imp x y")
+    elif kind == "bad-key":
+        lines.insert(at, "relation or2 arity 2")
+    elif kind == "blank":
+        lines.insert(at, rng.choice(("", "   ", "\t")))
+
+
+def test_cnf_parser_matches_reference(tmp_path):
+    """The single-pass parser gives the reference's formula, or its error:
+    the same message, and the same first fault when a file has several."""
+    (tmp_path / "base.lang").write_text(formats.serialize_language(theorem9_language(3)))
+    base = str(tmp_path)
+    rng = random.Random(11)
+    errors = set()
+    for _ in range(1500):
+        names = [f"v{i}" for i in range(rng.randrange(1, 6))]
+        lines = ["language base.lang", "vars " + " ".join(names)]
+        for _ in range(rng.randrange(6)):
+            rel, arity = rng.choice(_RELATIONS)
+            lines.append(" ".join(["clause", rel] + [rng.choice(names) for _ in range(arity)]))
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            _mutate(rng, lines)
+        sep = rng.choice(("\n", "\r\n", "\n\n"))
+        text = sep.join(lines) + rng.choice(("", "\n", " # trailing\n"))
+        expected = _outcome(reference_parse_cnf_formula, text, base)
+        assert _outcome(formats.parse_cnf_formula, text, base) == expected, text
+        if isinstance(expected[0], str):
+            errors.add(expected[1].split(":")[0].split("'")[0])
+    # the corpus reaches every kind of fault
+    assert len(errors) >= 10, errors
+
+
+@pytest.mark.parametrize("text, message", [
+    # a line error anywhere beats an unknown variable in an earlier clause
+    ("language base.lang\nvars x\nclause imp x q\nvars y\n", "duplicate vars line"),
+    # without a vars line every name is unknown
+    ("language base.lang\nclause imp x q\n", "clause imp: unknown variable 'x'"),
+    # an unknown variable beats duplicate names, which beat relation faults
+    ("language base.lang\nvars x x\nclause nope x\nclause imp x q\n",
+     "clause imp: unknown variable 'q'"),
+    ("language base.lang\nvars x x\nclause nope x\n", "duplicate variable names"),
+    # relation faults are reported in clause order
+    ("language base.lang\nvars x\nclause imp x\nclause nope x\n",
+     "clause imp: got 1 arguments, arity is 2"),
+    ("language base.lang\nvars x\nclause nope x\nclause imp x\n", "unknown relation 'nope'"),
+    ("clause imp x y\nvars x y\nlanguage base.lang\nlanguage base.lang\n",
+     "duplicate language line"),
+    ("vars x\n", "formula file is missing a language line"),
+])
+def test_cnf_error_precedence(tmp_path, text, message):
+    (tmp_path / "base.lang").write_text(formats.serialize_language(theorem9_language(3)))
+    with pytest.raises(FormatError) as exc:
+        formats.parse_cnf_formula(text, str(tmp_path))
+    assert str(exc.value) == message
+    assert _outcome(reference_parse_cnf_formula, text, str(tmp_path)) == ("FormatError", message)
 
 
 def test_function_roundtrip():

@@ -98,6 +98,19 @@ def test_unsat_check_matches_truth_table(t9):
         assert unsat_check_ihsb(g) == (not satisfiable(f))
 
 
+def test_reach_passed_on_matches_fresh_reach(t9):
+    # min_ihsb_cnf computes reach once for the check and the fixpoint
+    rng = random.Random(41)
+    for _ in range(60):
+        f = random_cnf(t9, rng, rng.randint(2, 6), rng.randint(1, 8))
+        g, _ = graph_from_cnf(f)
+        fresh, _ = graph_from_cnf(f)
+        reach = g.reach()
+        assert unsat_check_ihsb(g, reach) == unsat_check_ihsb(fresh)
+        if not unsat_check_ihsb(fresh):
+            assert min_ihsb(g, True, reach) == min_ihsb(fresh)
+
+
 def test_empty_formula(t9):
     f = CnfFormula(t9, ("x",), ())
     out, stats = min_ihsb_cnf(f)

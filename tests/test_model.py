@@ -65,6 +65,35 @@ def test_eval_errors(t9):
         f.eval((1,))
 
 
+def test_public_constructor_rejects_each_fault(t9):
+    with pytest.raises(FormatError, match="^duplicate variable names$"):
+        CnfFormula(t9, ("x", "y", "x"), ())
+    with pytest.raises(FormatError, match="^unknown relation 'nope'$"):
+        CnfFormula(t9, ("x",), (Clause("pos", (0,)), Clause("nope", (0,))))
+    with pytest.raises(FormatError, match="^clause or2: got 1 arguments, arity is 2$"):
+        CnfFormula(t9, ("x",), (Clause("or2", (0,)),))
+    for bad in (1, -1):
+        with pytest.raises(FormatError, match="^clause imp: variable id out of range$"):
+            CnfFormula(t9, ("x",), (Clause("imp", (0, bad)),))
+
+
+def test_derived_formulas_pass_the_public_checks(t9, bijunctive_full, affine_lang):
+    """Formulas the package builds without validation (duals, minimizer
+    outputs, the minimum unsatisfiable formula) are ones the public
+    constructor accepts, over the input's language and language path."""
+    rng = random.Random(5)
+    for lang in (t9, t9.dual(), bijunctive_full, affine_lang):
+        for _ in range(40):
+            f = random_cnf(lang, rng, rng.randrange(1, 6), rng.randrange(8))
+            f = CnfFormula(f.language, f.var_names, f.clauses, "in.lang")
+            out, _ = boolmin.minimize(f)
+            for g in (out, f.dual(), out.dual(), f.dual().dual(lang)):
+                assert CnfFormula(g.language, g.var_names, g.clauses, g.language_path) == g
+            assert out.language == lang and out.language_path == "in.lang"
+            assert f.dual().dual(lang) == f
+            assert equivalent(out, f)
+
+
 def test_equivalence_example6_rewriting(t9):
     # (x or y1) and (x or y2) agrees with x or (y1 and y2)
     f1 = CnfFormula(t9, ("x", "y1", "y2"), (Clause("or2", (0, 1)), Clause("or2", (0, 2))))
