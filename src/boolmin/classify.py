@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import BoolFunction, ConstraintLanguage, Relation, all_assignments, tuple_to_code
+from .graph import bits
+from .model import BoolFunction, ConstraintLanguage, Relation, dual_name, var_mask
 
 CLOSURE_OPS = ("min2", "max2", "maj3", "xor3", "orAndMix", "andOrMix")
 
@@ -65,103 +66,60 @@ def relation_shape(rel: Relation):
     return None
 
 
-def _drop_coordinate(code: int, bit_pos: int) -> int:
-    low = code & ((1 << bit_pos) - 1)
-    return ((code >> (bit_pos + 1)) << bit_pos) | low
-
-
-def projection_codes(rel: Relation, omit: int) -> frozenset[int]:
-    """Codes of the projection of R onto all coordinates except `omit`."""
-    bit_pos = rel.arity - 1 - omit
-    return frozenset(_drop_coordinate(code, bit_pos) for code in rel.codes)
+def _flip(mask: int, i: int, n: int) -> int:
+    """Table mask over n variables with variable i negated: each row trades
+    its value with the row across column i."""
+    col = var_mask(i, n)
+    h = 1 << (n - 1 - i)
+    return ((mask & col) >> h) | ((mask << h) & col)
 
 
 def is_irreducible(rel: Relation) -> bool:
     """True iff R is not equivalent to the conjunction of its n projections
     that each omit one coordinate (the tightest decomposition into clauses
-    each missing a variable)."""
+    each missing a variable).  Lifted back to n coordinates, the projection
+    omitting coordinate i is R | flip_i(R)."""
     n = rel.arity
-    projections = [projection_codes(rel, i) for i in range(n)]
-    inside = rel.codes
-    for code in range(1 << n):
-        if code in inside:
-            continue
-        if all(
-            _drop_coordinate(code, n - 1 - i) in projections[i] for i in range(n)
-        ):
-            # a tuple outside R survives every projection constraint
-            return True
-    return False
+    mask = bits(rel.codes)
+    lifted = (1 << (1 << n)) - 1
+    for i in range(n):
+        lifted &= mask | _flip(mask, i, n)
+    return lifted != mask
 
 
 @dataclass(frozen=True)
 class FunctionShape:
     """Which of the three tractable shapes a function has, with its
-    relevant-variable set and the values at the two constant baselines."""
+    relevant-variable set and its value at the all-zero assignment."""
 
     or_function: bool
     and_function: bool
     xor_function: bool
     relevant: frozenset[int]
     zero_value: int
-    one_value: int
-
-    @property
-    def constant(self) -> int:
-        """Offset against the all-zero baseline."""
-        return self.zero_value
-
-
-def _semantic_relevant(f: BoolFunction) -> frozenset[int]:
-    n = f.arity
-    relevant = set()
-    for i in range(n):
-        flip = 1 << (n - 1 - i)
-        for code in range(1 << n):
-            if not code & flip and f.table[code] != f.table[code | flip]:
-                relevant.add(i)
-                break
-    return frozenset(relevant)
 
 
 def function_shape(f: BoolFunction) -> FunctionShape:
-    """Detect OR/AND/XOR shape by the unit-vector test plus a full table check.
+    """Detect OR/AND/XOR shape by comparing the table mask with the OR, the
+    AND and the parity of the relevant variables' columns.
 
-    Constants have all three shapes.
+    Variable i is relevant iff negating it changes the table.  Constants have
+    all three shapes.
     """
     n = f.arity
-    zero = f.table[0]
-    one = f.table[-1]
-    relevant = _semantic_relevant(f)
-
-    is_or = False
-    if not relevant:
-        is_or = True
-    elif zero == 0:
-        unit_set = {i for i in range(n) if f.table[1 << (n - 1 - i)] == 1}
-        is_or = all(
-            f.table[tuple_to_code(t)] == (1 if any(t[i] for i in unit_set) else 0)
-            for t in all_assignments(n)
-        )
-
-    is_and = False
-    if not relevant:
-        is_and = True
-    elif one == 1:
-        full = (1 << n) - 1
-        unit_set = {i for i in range(n) if f.table[full ^ (1 << (n - 1 - i))] == 0}
-        is_and = all(
-            f.table[tuple_to_code(t)] == (1 if all(t[i] for i in unit_set) else 0)
-            for t in all_assignments(n)
-        )
-
-    unit_set = {i for i in range(n) if f.table[1 << (n - 1 - i)] != zero}
-    is_xor = all(
-        f.table[tuple_to_code(t)] == (zero + sum(t[i] for i in unit_set)) % 2
-        for t in all_assignments(n)
+    mask = bits(code for code, value in enumerate(f.table) if value)
+    relevant = frozenset(i for i in range(n) if _flip(mask, i, n) != mask)
+    full = (1 << (1 << n)) - 1
+    any_of, all_of, parity = 0, full, full if f.table[0] else 0
+    for i in relevant:
+        col = var_mask(i, n)
+        any_of |= col
+        all_of &= col
+        parity ^= col
+    constant = not relevant
+    return FunctionShape(
+        constant or mask == any_of, constant or mask == all_of, mask == parity, relevant, f.table[0]
     )
-
-    return FunctionShape(is_or, is_and, is_xor, relevant, zero, one)
 
 
 def classify_basis(funcs) -> str:
@@ -228,10 +186,11 @@ def _implication_template_match(rel: Relation) -> HornWitness | None:
     n = rel.arity
     if n < 3 or len(rel.tuples) != (1 << n) - 1:
         return None
-    missing = next(iter(set(all_assignments(n)) - rel.tuples))
-    if missing.count(0) != 1:
+    missing = (((1 << (1 << n)) - 1) ^ bits(rel.codes)).bit_length() - 1
+    zeros = ((1 << n) - 1) ^ missing  # the missing tuple's 0 coordinates
+    if zeros.bit_count() != 1:
         return None
-    head = missing.index(0)
+    head = n - zeros.bit_length()
     perm = tuple(i for i in range(n) if i != head) + (head,)
     return HornWitness(rel.name, n - 1, perm)
 
@@ -285,8 +244,6 @@ def classify_language(lang: ConstraintLanguage) -> ClassificationReport:
         verdict = "NP-complete-dualhorn"
         dual_witness = find_positive_horn_witness(lang.dual())
         if dual_witness is not None:
-            from .model import dual_name
-
             witness = HornWitness(
                 dual_name(dual_witness.relation), dual_witness.k, dual_witness.permutation
             )

@@ -60,10 +60,6 @@ def _load_bformula(path: str, basis_path: str):
     return formats.parse_bformula(_read(path)[0], basis), basis
 
 
-def _measure(name: str) -> SizeMeasure:
-    return SizeMeasure.LITERALS if name == "literals" else SizeMeasure.GATES
-
-
 def _is_cnf_file(text: str) -> bool:
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -105,7 +101,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_minimize_post(args) -> int:
     formula, basis = _load_bformula(args.formula, args.basis)
-    result = min_post(basis, formula, _measure(args.measure))
+    result = min_post(basis, formula, SizeMeasure(args.measure))
     if result is None:
         print("no equivalent basis-formula within bound", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -165,48 +161,51 @@ def cmd_dualize(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    if args.oracle_kind == "min-cnf":
-        formula = _load_formula(args.formula)
-        lang = formula.language
-        if args.language:
-            lang = formats.parse_language(*_read(args.language))
-        result = brute_min_cnf(lang, formula, args.max_clauses)
-        if result is None:
-            print("min_clauses=none")
-            return EXIT_NEGATIVE
-        size, witness = result
-        print(f"min_clauses={size}")
-        sys.stdout.write(
-            formats.serialize_cnf_formula(witness, formula.language_path or "language")
-        )
-        return EXIT_OK
-    if args.oracle_kind == "min-bf":
-        formula, basis = _load_bformula(args.formula, args.basis)
-        result = brute_min_bformula(basis, formula, _measure(args.measure), args.max_size)
-        if result is None:
-            print("min_size=none")
-            return EXIT_NEGATIVE
-        size, witness = result
-        print(f"min_size={size}")
-        sys.stdout.write(formats.serialize_bformula(witness))
-        return EXIT_OK
-    if args.oracle_kind == "expressible":
-        rel = formats.parse_relation(_read(args.relation)[0])
-        base = formats.parse_language(*_read(args.base))
-        verdict = expressible(rel, base, args.max_clauses)
-        print(f"expressible={'true' if verdict else 'false'}")
-        return EXIT_OK if verdict else EXIT_NEGATIVE
-    if args.oracle_kind == "min-unsat":
+def cmd_oracle_min_cnf(args) -> int:
+    formula = _load_formula(args.formula)
+    lang = formula.language
+    if args.language:
         lang = formats.parse_language(*_read(args.language))
-        result = min_unsat_formula(lang, args.max_clauses)
-        if result is None:
-            print("min_unsat=none")
-            return EXIT_NEGATIVE
-        print(f"min_unsat_clauses={len(result.clauses)}")
-        sys.stdout.write(formats.serialize_cnf_formula(result, args.language))
-        return EXIT_OK
-    raise FormatError(f"unknown oracle subcommand {args.oracle_kind!r}")
+    result = brute_min_cnf(lang, formula, args.max_clauses)
+    if result is None:
+        print("min_clauses=none")
+        return EXIT_NEGATIVE
+    size, witness = result
+    print(f"min_clauses={size}")
+    # without --language the witness keeps the input's language path
+    sys.stdout.write(formats.serialize_cnf_formula(witness, args.language))
+    return EXIT_OK
+
+
+def cmd_oracle_min_bf(args) -> int:
+    formula, basis = _load_bformula(args.formula, args.basis)
+    result = brute_min_bformula(basis, formula, SizeMeasure(args.measure), args.max_size)
+    if result is None:
+        print("min_size=none")
+        return EXIT_NEGATIVE
+    size, witness = result
+    print(f"min_size={size}")
+    sys.stdout.write(formats.serialize_bformula(witness))
+    return EXIT_OK
+
+
+def cmd_oracle_expressible(args) -> int:
+    rel = formats.parse_relation(_read(args.relation)[0])
+    base = formats.parse_language(*_read(args.base))
+    verdict = expressible(rel, base, args.max_clauses)
+    print(f"expressible={'true' if verdict else 'false'}")
+    return EXIT_OK if verdict else EXIT_NEGATIVE
+
+
+def cmd_oracle_min_unsat(args) -> int:
+    lang = formats.parse_language(*_read(args.language))
+    result = min_unsat_formula(lang, args.max_clauses)
+    if result is None:
+        print("min_unsat=none")
+        return EXIT_NEGATIVE
+    print(f"min_unsat_clauses={len(result.clauses)}")
+    sys.stdout.write(formats.serialize_cnf_formula(result, args.language))
+    return EXIT_OK
 
 
 def _parse_dnf(text: str):
@@ -230,47 +229,57 @@ def _parse_dnf(text: str):
     return terms
 
 
-def cmd_gadget(args) -> int:
-    measure = _measure(args.measure) if getattr(args, "measure", None) else SizeMeasure.GATES
-    if args.gadget_kind == "unsat-post":
-        psi, basis = _load_bformula(args.psi, args.basis)
-        formula = formats.parse_bformula(_read(args.formula)[0], basis)
-        result = reduce_unsat_to_mee_post(basis, psi, formula, measure)
-        sys.stdout.write(
-            formats.serialize_mee_instance(result.instance, result.fixed_negative)
+def cmd_gadget_unsat_post(args) -> int:
+    psi, basis = _load_bformula(args.psi, args.basis)
+    formula = formats.parse_bformula(_read(args.formula)[0], basis)
+    result = reduce_unsat_to_mee_post(basis, psi, formula, SizeMeasure(args.measure))
+    sys.stdout.write(formats.serialize_mee_instance(result.instance, result.fixed_negative))
+    return EXIT_NEGATIVE if result.fixed_negative else EXIT_OK
+
+
+def cmd_gadget_unsat_cnf(args) -> int:
+    formula = _load_formula(args.formula)
+    result = reduce_unsat_to_mee_cnf(formula.language, formula)
+    sys.stdout.write(
+        formats.serialize_mee_instance(
+            result.instance, result.fixed_negative, formula.language_path
         )
-        return EXIT_NEGATIVE if result.fixed_negative else EXIT_OK
-    if args.gadget_kind == "unsat-cnf":
-        formula = _load_formula(args.formula)
-        result = reduce_unsat_to_mee_cnf(formula.language, formula)
-        sys.stdout.write(
-            formats.serialize_mee_instance(
-                result.instance, result.fixed_negative, formula.language_path
-            )
-        )
-        return EXIT_NEGATIVE if result.fixed_negative else EXIT_OK
-    if args.gadget_kind in ("and-or", "maj"):
-        basis = formats.parse_functions(_read(args.basis)[0])
-        h1 = formats.parse_bformula(_read(args.h1)[0], basis)
-        h2 = formats.parse_bformula(_read(args.h2)[0], basis)
-        m = max(f.arity for f in basis)
-        if args.gadget_kind == "and-or":
-            f_and = formats.parse_bformula(_read(args.f_and)[0], basis)
-            f_or = formats.parse_bformula(_read(args.f_or)[0], basis)
-            gadget, bound = build_and_or_gadget(f_and, f_or, h1, h2, m, measure)
-        else:
-            f_maj = formats.parse_bformula(_read(args.f_maj)[0], basis)
-            gadget, bound = build_maj_gadget(f_maj, h1, h2, m, measure)
-        sys.stdout.write(
-            formats.serialize_mee_instance(MeeInstance(gadget, bound, measure))
-        )
-        return EXIT_OK
-    if args.gadget_kind == "horn-dnf":
-        terms = _parse_dnf(_read(args.dnf)[0])
-        out = pure_horn_dnf_to_cnf(terms)
-        _write_with_language(out, args.out, "positive Horn", "positive-horn.lang")
-        return EXIT_OK
-    raise FormatError(f"unknown gadget kind {args.gadget_kind!r}")
+    )
+    return EXIT_NEGATIVE if result.fixed_negative else EXIT_OK
+
+
+def _gadget_frame(args):
+    """The basis, the two formulas h1 and h2, and the largest basis arity."""
+    basis = formats.parse_functions(_read(args.basis)[0])
+    h1 = formats.parse_bformula(_read(args.h1)[0], basis)
+    h2 = formats.parse_bformula(_read(args.h2)[0], basis)
+    return basis, h1, h2, max(f.arity for f in basis)
+
+
+def cmd_gadget_and_or(args) -> int:
+    basis, h1, h2, m = _gadget_frame(args)
+    f_and = formats.parse_bformula(_read(args.f_and)[0], basis)
+    f_or = formats.parse_bformula(_read(args.f_or)[0], basis)
+    measure = SizeMeasure(args.measure)
+    gadget, bound = build_and_or_gadget(f_and, f_or, h1, h2, m, measure)
+    sys.stdout.write(formats.serialize_mee_instance(MeeInstance(gadget, bound, measure)))
+    return EXIT_OK
+
+
+def cmd_gadget_maj(args) -> int:
+    basis, h1, h2, m = _gadget_frame(args)
+    f_maj = formats.parse_bformula(_read(args.f_maj)[0], basis)
+    measure = SizeMeasure(args.measure)
+    gadget, bound = build_maj_gadget(f_maj, h1, h2, m, measure)
+    sys.stdout.write(formats.serialize_mee_instance(MeeInstance(gadget, bound, measure)))
+    return EXIT_OK
+
+
+def cmd_gadget_horn_dnf(args) -> int:
+    terms = _parse_dnf(_read(args.dnf)[0])
+    out = pure_horn_dnf_to_cnf(terms)
+    _write_with_language(out, args.out, "positive Horn", "positive-horn.lang")
+    return EXIT_OK
 
 
 def cmd_gen_random(args) -> int:
@@ -339,22 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--formula", required=True)
     q.add_argument("--language")
     q.add_argument("--max-clauses", type=int, required=True)
-    q.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_oracle_min_cnf)
     q = osub.add_parser("min-bf")
     q.add_argument("--basis", required=True)
     q.add_argument("--formula", required=True)
     q.add_argument("--measure", choices=("literals", "gates"), required=True)
     q.add_argument("--max-size", type=int, required=True)
-    q.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_oracle_min_bf)
     q = osub.add_parser("expressible")
     q.add_argument("--relation", required=True)
     q.add_argument("--base", required=True)
     q.add_argument("--max-clauses", type=int, required=True)
-    q.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_oracle_expressible)
     q = osub.add_parser("min-unsat")
     q.add_argument("--language", required=True)
     q.add_argument("--max-clauses", type=int, required=True)
-    q.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_oracle_min_unsat)
 
     p = sub.add_parser("gadget", help="hardness-reduction instance generators")
     gsub = p.add_subparsers(dest="gadget_kind", required=True)
@@ -363,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--psi", required=True)
     q.add_argument("--formula", required=True)
     q.add_argument("--measure", choices=("literals", "gates"), required=True)
-    q.set_defaults(func=cmd_gadget)
+    q.set_defaults(func=cmd_gadget_unsat_post)
     q = gsub.add_parser("unsat-cnf")
     q.add_argument("--formula", required=True)
-    q.set_defaults(func=cmd_gadget)
+    q.set_defaults(func=cmd_gadget_unsat_cnf)
     q = gsub.add_parser("and-or")
     q.add_argument("--basis", required=True)
     q.add_argument("--f-and", dest="f_and", required=True)
@@ -374,18 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--h1", required=True)
     q.add_argument("--h2", required=True)
     q.add_argument("--measure", choices=("literals", "gates"), default="gates")
-    q.set_defaults(func=cmd_gadget)
+    q.set_defaults(func=cmd_gadget_and_or)
     q = gsub.add_parser("maj")
     q.add_argument("--basis", required=True)
     q.add_argument("--f-maj", dest="f_maj", required=True)
     q.add_argument("--h1", required=True)
     q.add_argument("--h2", required=True)
     q.add_argument("--measure", choices=("literals", "gates"), default="gates")
-    q.set_defaults(func=cmd_gadget)
+    q.set_defaults(func=cmd_gadget_maj)
     q = gsub.add_parser("horn-dnf")
     q.add_argument("--dnf", required=True)
     q.add_argument("--out")
-    q.set_defaults(func=cmd_gadget)
+    q.set_defaults(func=cmd_gadget_horn_dnf)
 
     p = sub.add_parser("gen-random", help="seeded random formula generator")
     p.add_argument("--language", required=True)

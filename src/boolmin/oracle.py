@@ -10,6 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import FormatError, ResourceLimitError
+from .graph import bits
 from .model import (
     BApp,
     BFormula,
@@ -122,9 +123,9 @@ def brute_min_cnf(
     picked = _min_cover(masks, universe, k_max)
     if picked is None:
         return None
-    witness = CnfFormula(
-        lang, formula.var_names, tuple(reps[ci] for ci in picked), formula.language_path
-    )
+    # the input's language path names lang's relations only if lang is its language
+    path = formula.language_path if lang == formula.language else None
+    witness = CnfFormula(lang, formula.var_names, tuple(reps[ci] for ci in picked), path)
     return len(picked), witness
 
 
@@ -135,9 +136,7 @@ def expressible(rel: Relation, base: ConstraintLanguage, clause_bound: int) -> b
     if n > 4:
         raise ResourceLimitError("expressible supports relations of arity at most 4")
     _check_clause_bound(clause_bound)
-    target = 0
-    for code in rel.codes:
-        target |= 1 << code
+    target = bits(rel.codes)
     masks, _ = _candidate_clauses(base, n, target)
     universe = ((1 << (1 << n)) - 1) & ~target
     return _min_cover(masks, universe, clause_bound) is not None

@@ -6,6 +6,7 @@ import boolmin
 from boolmin.affine import min_affine
 from boolmin.bijunctive import min_bijunctive
 from boolmin.classify import (
+    HornWitness,
     classify_basis,
     classify_language,
     closed_under,
@@ -23,6 +24,7 @@ from boolmin.model import (
     Relation,
     all_assignments,
     dualize,
+    tuple_to_code,
 )
 from boolmin.std import (
     fn_and,
@@ -83,7 +85,7 @@ def test_function_shape_examples():
     assert s.or_function and not s.and_function and not s.xor_function
     assert s.relevant == frozenset({0, 1})
     s = function_shape(fn_xor(2))
-    assert s.xor_function and s.constant == 0
+    assert s.xor_function and s.zero_value == 0
     s = function_shape(fn_and(2))
     assert s.and_function and not s.or_function
     s = function_shape(fn_const(1))
@@ -214,3 +216,89 @@ def test_dual_horn_witness_reported():
     assert report.verdict == "NP-complete-dualhorn"
     assert report.horn_witness is not None
     assert report.horn_witness.relation == dual.name
+
+
+# Row-by-row references for the mask tests: relevance by scanning row pairs,
+# shapes by checking every row, irreducibility through projection code sets.
+
+
+def _relevant_reference(f):
+    n = f.arity
+    return frozenset(
+        i
+        for i in range(n)
+        if any(
+            f.table[code] != f.table[code | 1 << (n - 1 - i)]
+            for code in range(1 << n)
+            if not code & 1 << (n - 1 - i)
+        )
+    )
+
+
+def function_shape_reference(f):
+    n, zero, one = f.arity, f.table[0], f.table[-1]
+    relevant = _relevant_reference(f)
+    rows = [(t, f.table[tuple_to_code(t)]) for t in all_assignments(n)]
+    ors = {i for i in range(n) if f.table[1 << (n - 1 - i)] == 1}
+    ands = {i for i in range(n) if f.table[((1 << n) - 1) ^ (1 << (n - 1 - i))] == 0}
+    xors = {i for i in range(n) if f.table[1 << (n - 1 - i)] != zero}
+    is_or = not relevant or (zero == 0 and all(v == any(t[i] for i in ors) for t, v in rows))
+    is_and = not relevant or (one == 1 and all(v == all(t[i] for i in ands) for t, v in rows))
+    is_xor = all(v == (zero + sum(t[i] for i in xors)) % 2 for t, v in rows)
+    return is_or, is_and, is_xor, relevant, zero
+
+
+def _drop(code, bit_pos):
+    return ((code >> (bit_pos + 1)) << bit_pos) | (code & ((1 << bit_pos) - 1))
+
+
+def is_irreducible_reference(rel):
+    n = rel.arity
+    projections = [{_drop(c, n - 1 - i) for c in rel.codes} for i in range(n)]
+    return any(
+        code not in rel.codes
+        and all(_drop(code, n - 1 - i) in projections[i] for i in range(n))
+        for code in range(1 << n)
+    )
+
+
+def horn_witness_reference(rel):
+    """find_positive_horn_witness of the one-relation language {rel}."""
+    n = rel.arity
+    if not (is_irreducible_reference(rel) and closed_under(rel, "min2")):
+        return None
+    if closed_under(rel, "andOrMix") or n < 3 or len(rel.tuples) != (1 << n) - 1:
+        return None
+    missing = next(iter(set(all_assignments(n)) - rel.tuples))
+    if missing.count(0) != 1:
+        return None
+    head = missing.index(0)
+    return HornWitness(rel.name, n - 1, tuple(i for i in range(n) if i != head) + (head,))
+
+
+def test_function_shape_matches_reference_on_every_small_table():
+    for arity in range(4):
+        for code in range(1 << (1 << arity)):
+            table = tuple((code >> row) & 1 for row in range(1 << arity))
+            f = BoolFunction("f", arity, table)
+            s = function_shape(f)
+            got = (s.or_function, s.and_function, s.xor_function, s.relevant, s.zero_value)
+            assert got == function_shape_reference(f), table
+
+
+def test_irreducibility_matches_reference():
+    rels = [Relation("r", a, t) for a in (1, 2, 3) for t in _nonempty_relations(a)]
+    rng = random.Random(12)
+    for _ in range(2000):
+        arity = rng.choice((4, 5))
+        rows = list(all_assignments(arity))
+        rels.append(Relation("r", arity, frozenset(rng.sample(rows, rng.randint(1, len(rows))))))
+    for rel in rels:
+        assert is_irreducible(rel) == is_irreducible_reference(rel), rel.tuples
+
+
+def test_horn_witness_matches_reference_on_every_arity3_relation():
+    for tuples in _nonempty_relations(3):
+        rel = Relation("r", 3, tuples)
+        got = find_positive_horn_witness(ConstraintLanguage((rel,)))
+        assert got == horn_witness_reference(rel), tuples

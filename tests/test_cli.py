@@ -144,6 +144,20 @@ def test_oracle_subcommands(workdir, capsys):
     assert code == 1 and "min_unsat=none" in out
 
 
+def test_oracle_min_cnf_other_language_output_loads(workdir, capsys):
+    # the witness names the --language file, whose relations its clauses use
+    (workdir / "p.lang").write_text("relation p1 arity 1\n1\nrelation p2 arity 2\n01 10 11\n")
+    code, out = run(
+        capsys, "oracle", "min-cnf", "--formula", "f.cnf", "--language", "p.lang",
+        "--max-clauses", "4",
+    )
+    assert code == 0 and out.startswith("min_clauses=1\n")
+    (workdir / "w.cnf").write_text(out.split("\n", 1)[1])
+    witness = formats.load_cnf_formula(str(workdir / "w.cnf"))
+    assert witness.language_path == "p.lang" and witness.clauses[0].relation == "p2"
+    assert main(["equiv", "--a", "w.cnf", "--b", "f.cnf"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["min-cnf", "--formula", "f.cnf"],
     ["expressible", "--relation", "imp.rel", "--base", "base.lang"],
