@@ -3,8 +3,10 @@ the IHSB- case handled by duality.
 
 The algorithm rewrites a formula in the base vocabulary {x, not-x, ->, =,
 OR^m} until no rule fires, then canonicalizes the implication and equality
-components.  Rules only ever remove or shrink clauses, grow the literal sets,
-or merge equality classes, so the loop terminates.
+components.  An equality is the implication pair u -> v, v -> u, so the
+equality classes are the strongly connected components of the implications
+(Aspvall-Plass-Tarjan 1979).  Rules only ever remove or shrink clauses or
+grow the literal sets, so the loop terminates.
 """
 from __future__ import annotations
 
@@ -59,50 +61,15 @@ def language_templates(lang: ConstraintLanguage) -> BaseTemplates:
 
 
 class ImplGraph:
-    """Working state: literals, implications and OR-clauses over equality
-    classes.  All non-equality structure refers to class representatives
-    (the minimal variable of each class)."""
+    """Working state: literals, implications and OR-clauses over the
+    variables.  An equality is held as its two implications."""
 
     def __init__(self, n: int):
         self.n = n
-        self.parent = list(range(n))
         self.pos: set[int] = set()
         self.neg: set[int] = set()
         self.impl: set[tuple[int, int]] = set()
         self.ors: set[frozenset[int]] = set()
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return
-        if ru > rv:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-
-    def normalize(self) -> None:
-        """Rewrite literals, implications and OR-clauses onto class
-        representatives; collapsed OR-clauses become literals."""
-        self.pos = {self.find(v) for v in self.pos}
-        self.neg = {self.find(v) for v in self.neg}
-        self.impl = {
-            (self.find(u), self.find(v))
-            for u, v in self.impl
-            if self.find(u) != self.find(v)
-        }
-        new_ors: set[frozenset[int]] = set()
-        for c in self.ors:
-            reps = frozenset(self.find(x) for x in c)
-            if len(reps) == 1:
-                self.pos.add(next(iter(reps)))
-            else:
-                new_ors.add(reps)
-        self.ors = new_ors
 
     def successors(self) -> list[list[int]]:
         succ: list[list[int]] = [[] for _ in range(self.n)]
@@ -116,26 +83,20 @@ class ImplGraph:
         return graph.reach(self.successors())
 
     def clause_count(self) -> int:
-        classes: dict[int, int] = {}
-        for v in range(self.n):
-            r = self.find(v)
-            classes[r] = classes.get(r, 0) + 1
-        eq_clauses = sum(size - 1 for size in classes.values())
-        return len(self.pos) + len(self.neg) + len(self.impl) + len(self.ors) + eq_clauses
+        return len(self.pos) + len(self.neg) + len(self.impl) + len(self.ors)
 
 
 def leadsto(g: ImplGraph, u: int, v: int) -> bool:
     """u leads to v through implications and equalities (u leads to u)."""
-    ru, rv = g.find(u), g.find(v)
     succ = g.successors()
-    seen = {ru}
-    stack = [ru]
-    while stack and rv not in seen:
+    seen = {u}
+    stack = [u]
+    while stack and v not in seen:
         for y in succ[stack.pop()]:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return rv in seen
+    return v in seen
 
 
 def graph_from_cnf(formula: CnfFormula) -> tuple[ImplGraph, BaseTemplates]:
@@ -150,21 +111,18 @@ def graph_from_cnf(formula: CnfFormula) -> tuple[ImplGraph, BaseTemplates]:
             g.neg.add(clause.vars[0])
         elif kind[0] == "imp":
             a, b = clause.vars
-            if kind[1]:
-                a, b = b, a
             if a != b:
-                g.impl.add((a, b))
+                g.impl.add((b, a) if kind[1] else (a, b))
         elif kind[0] == "eq":
             a, b = clause.vars
             if a != b:
-                g.union(a, b)
+                g.impl.update(((a, b), (b, a)))
         else:
             members = frozenset(clause.vars)
             if len(members) == 1:
                 g.pos.add(clause.vars[0])
             else:
                 g.ors.add(members)
-    g.normalize()
     return g, templates
 
 
@@ -273,19 +231,6 @@ def _rule_shrink_ors(g: ImplGraph, reach) -> bool:
     return fired
 
 
-def _rule_cycle_collapse(g: ImplGraph, reach) -> bool:
-    """Merge each strongly connected component (nodes with equal reach sets)
-    into one equality class."""
-    fired = False
-    for u, rep in graph.components({u for edge in g.impl for u in edge}, reach).items():
-        if rep != u:
-            g.union(u, rep)
-            fired = True
-    if fired:
-        g.normalize()
-    return fired
-
-
 def _rule_tautology_removal(g: ImplGraph, reach) -> bool:
     kept = {(u, w) for u, w in g.impl if w not in g.pos and u not in g.neg}
     fired = len(kept) != len(g.impl)
@@ -299,25 +244,8 @@ _RULES = (
     _rule_positive_propagation,
     _rule_negative_propagation,
     _rule_shrink_ors,
-    _rule_cycle_collapse,
     _rule_tautology_removal,
 )
-
-
-def _canonical_implications(g: ImplGraph, reach: list[int]) -> set[tuple[int, int]]:
-    """Minimum implication set with the original reachability: one cycle per
-    strongly connected component (left only when the language cannot express
-    equality), plus the unique transitive reduction of the condensation."""
-    comp = graph.components({u for e in g.impl for u in e}, reach)
-    edges = graph.reduction(g.impl, comp, reach)
-    groups: dict[int, list[int]] = {}
-    for u, c in comp.items():
-        groups.setdefault(c, []).append(u)
-    for group in groups.values():
-        if len(group) >= 2:
-            edges.update(zip(group, group[1:]))
-            edges.add((group[-1], group[0]))
-    return edges
 
 
 @dataclass(frozen=True)
@@ -354,7 +282,6 @@ def min_ihsb(
     substituting the precomputed minimum unsatisfiable formula.  `reach` is
     `g.reach()` if the caller already has it.
     """
-    rules = [r for r in _RULES if eq_available or r is not _rule_cycle_collapse]
     cap = (g.clause_count() + g.n) ** 2 + 16
     passes = 0
     changed = True
@@ -365,37 +292,44 @@ def min_ihsb(
         if passes > cap:
             raise RuntimeError("ihsb fixpoint did not stabilize; this is a bug")
         changed = False
-        for rule in rules:
+        for rule in _RULES:
             edges = len(g.impl)
             if rule(g, reach):
                 changed = True
                 if len(g.impl) != edges:
                     reach = g.reach()
 
-    impl = _canonical_implications(g, reach)
-
+    # The implications of forced variables are gone (tautology rule), so the
+    # components are the equality classes of the free variables.  Canonical
+    # form: the unique transitive reduction of the condensation, plus each
+    # class as an equality chain, or as one implication cycle when the
+    # language cannot express equality; OR members name their class.
+    comp = graph.components({u for e in g.impl for u in e}, reach)
+    impl = graph.reduction(g.impl, comp, reach)
     classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(g.find(v), []).append(v)
-    pos_out: set[int] = set()
-    neg_out: set[int] = set()
+    for u, c in comp.items():
+        classes.setdefault(c, []).append(u)
     eq_out: list[tuple[int, int]] = []
-    for rep in sorted(classes):
-        members = sorted(classes[rep])
-        if rep in g.pos:
-            pos_out.update(members)
-        elif rep in g.neg:
-            neg_out.update(members)
-        elif len(members) >= 2:
-            eq_out.extend(zip(members, members[1:]))
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        chain = list(zip(members, members[1:]))
+        if eq_available:
+            eq_out.extend(chain)
+        else:
+            impl.update(chain)
+            impl.add((members[-1], members[0]))
+    ors = g.ors
+    if eq_available:
+        ors = {frozenset(comp.get(x, x) for x in c) for c in ors}
 
     result = PartitionedFormula(
         g.n,
-        tuple(sorted(pos_out)),
-        tuple(sorted(neg_out)),
+        tuple(sorted(g.pos)),
+        tuple(sorted(g.neg)),
         tuple(sorted(impl)),
         tuple(sorted(eq_out)),
-        tuple(sorted(tuple(sorted(c)) for c in g.ors)),
+        tuple(sorted(tuple(sorted(c)) for c in ors)),
     )
     return result, passes
 
@@ -454,8 +388,9 @@ def restrict_vocabulary(
 
 
 def min_ihsb_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
-    """Full pipeline for irreducible IHSB+ languages: normalize, check
-    satisfiability, minimize, re-emit in the language's own vocabulary."""
+    """Full pipeline for irreducible IHSB+ languages: rewrite to the base
+    vocabulary, check satisfiability, minimize, re-emit in the language's
+    own vocabulary."""
     g, templates = graph_from_cnf(formula)
     reach = g.reach()
     if unsat_check_ihsb(g, reach):

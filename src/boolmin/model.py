@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 from .errors import FormatError, ResourceLimitError
 
 MAX_RELATION_ARITY = 8
-DEFAULT_VAR_CAP = 24
+VAR_CAP = 24
 
 DUAL_SUFFIX = "~"
 
@@ -53,13 +53,6 @@ def dual_name(name: str) -> str:
 def all_assignments(n: int) -> Iterator[tuple[int, ...]]:
     """All 0/1 tuples of length n in ascending index order."""
     return product((0, 1), repeat=n)
-
-
-def check_var_cap(n: int, cap: int = DEFAULT_VAR_CAP) -> None:
-    if n > cap:
-        raise ResourceLimitError(
-            f"operation would enumerate 2^{n} assignments (cap {cap} variables)"
-        )
 
 
 @dataclass(frozen=True)
@@ -497,11 +490,14 @@ def formula_size(formula: Formula, measure: SizeMeasure) -> int:
     raise FormatError("clause count is only defined for CNF formulas")
 
 
-def truth_table(formula: Formula, names: Sequence[str], var_cap: int = DEFAULT_VAR_CAP) -> int:
+def truth_table(formula: Formula, names: Sequence[str]) -> int:
     """Mask over the 2^len(names) assignments to names (names[0] is the MSB
     of the index); names must cover the formula's variables."""
     n = len(names)
-    check_var_cap(n, var_cap)
+    if n > VAR_CAP:
+        raise ResourceLimitError(
+            f"operation would enumerate 2^{n} assignments (cap {VAR_CAP} variables)"
+        )
     columns = {name: var_mask(i, n) for i, name in enumerate(names)}
     full = (1 << (1 << n)) - 1
     if isinstance(formula, CnfFormula):
@@ -509,15 +505,15 @@ def truth_table(formula: Formula, names: Sequence[str], var_cap: int = DEFAULT_V
     return formula.mask(columns, full)
 
 
-def equivalent(f1: Formula, f2: Formula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
+def equivalent(f1: Formula, f2: Formula) -> bool:
     """True iff the truth tables over the union of variable sets agree."""
     names = sorted(set(f1.var_names) | set(f2.var_names))
-    return truth_table(f1, names, var_cap) == truth_table(f2, names, var_cap)
+    return truth_table(f1, names) == truth_table(f2, names)
 
 
-def satisfiable(formula: Formula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
+def satisfiable(formula: Formula) -> bool:
     """True iff some assignment evaluates to 1."""
-    return truth_table(formula, formula.var_names, var_cap) != 0
+    return truth_table(formula, formula.var_names) != 0
 
 
 def dualize(obj):

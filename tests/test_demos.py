@@ -1,10 +1,13 @@
-"""Every script in demos/ runs to completion without a traceback."""
+"""Every script in demos/ runs to completion without a traceback, and the
+README's example session prints what it shows."""
 import glob
 import os
 import subprocess
 import sys
 
 import pytest
+
+from boolmin import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
@@ -22,3 +25,15 @@ def test_demo_runs(path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_minimize_session(capsys, monkeypatch):
+    command = "$ boolmin minimize --formula demos/data/redundant.cnf --stats\n"
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    assert command in readme
+    shown = readme.split(command, 1)[1].split("$ ", 1)[0]
+    monkeypatch.chdir(ROOT)
+    assert cli.main(command.split()[2:]) == 0
+    assert capsys.readouterr().out == shown
+    assert "# passes=2\n" in shown

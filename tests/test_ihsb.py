@@ -322,3 +322,38 @@ def test_emptied_or_clause_is_an_error():
     g.neg.update({0, 1})
     with pytest.raises(RuntimeError, match="this is a bug"):
         min_ihsb(g)
+
+
+# implication with its arguments swapped: pmi(a, b) is b -> a
+PMI_EQ = ConstraintLanguage(
+    (Relation("pmi", 2, frozenset({(0, 0), (1, 0), (1, 1)})), rel_eq(), rel_neg(), rel_or(3))
+)
+
+
+@pytest.mark.parametrize(
+    "lang, minimize",
+    [(PMI_EQ, min_ihsb_cnf), (PMI_EQ.dual(), min_ihsb_minus_cnf)],
+    ids=["ihsb+", "ihsb-"],
+)
+def test_random_optimality_flipped_implication(lang, minimize):
+    check_optimality_and_idempotence(lang, minimize, 59, 80)
+
+
+@pytest.mark.parametrize(
+    "cycle, member",
+    [([(1, 0), (0, 1)], 1), ([(0, 1), (1, 2), (2, 0)], 2), ([(2, 1), (1, 0), (0, 2)], 1)],
+    ids=["two", "three", "three-reversed"],
+)
+def test_or_member_names_its_class(t9, cycle, member):
+    # an OR-clause on a non-least member of an implication cycle
+    size = 1 + max(max(e) for e in cycle)
+    names = "abcd"[: size + 1]
+    specs = [("imp", e) for e in cycle] + [("or2", (member, size))]
+    out, _ = minimize(F(t9, names, *specs))
+    # with equality: a chain over the class, and the OR on its least member
+    chain = [Clause("eq", (u, u + 1)) for u in range(size - 1)]
+    assert list(out.clauses) == chain + [Clause("or2", (0, size))]
+    # without: the cycle stays, and so does the member the clause names
+    out, _ = minimize(F(NO_EQ, names, *specs))
+    ring = sorted([(u, u + 1) for u in range(size - 1)] + [(size - 1, 0)])
+    assert list(out.clauses) == [Clause("imp", e) for e in ring] + [Clause("or2", (member, size))]
