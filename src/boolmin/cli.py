@@ -162,18 +162,19 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_oracle_min_cnf(args) -> int:
-    formula = _load_formula(args.formula)
-    lang = formula.language
+    text, base = _read(args.formula)
+    formula = formats.parse_cnf_formula(text, base)
+    lang, lang_path = formula.language, os.path.join(base, formula.language_path)
     if args.language:
-        lang = formats.parse_language(*_read(args.language))
+        lang, lang_path = formats.parse_language(*_read(args.language)), args.language
     result = brute_min_cnf(lang, formula, args.max_clauses)
     if result is None:
         print("min_clauses=none")
         return EXIT_NEGATIVE
     size, witness = result
     print(f"min_clauses={size}")
-    # without --language the witness keeps the input's language path
-    sys.stdout.write(formats.serialize_cnf_formula(witness, args.language))
+    # an absolute language path keeps the witness loadable from any directory
+    sys.stdout.write(formats.serialize_cnf_formula(witness, os.path.abspath(lang_path)))
     return EXIT_OK
 
 
@@ -204,7 +205,7 @@ def cmd_oracle_min_unsat(args) -> int:
         print("min_unsat=none")
         return EXIT_NEGATIVE
     print(f"min_unsat_clauses={len(result.clauses)}")
-    sys.stdout.write(formats.serialize_cnf_formula(result, args.language))
+    sys.stdout.write(formats.serialize_cnf_formula(result, os.path.abspath(args.language)))
     return EXIT_OK
 
 

@@ -17,6 +17,10 @@ settled cell grows as a host and as a guest against the cells settled so
 far.  At a relevant leaf it takes every *unit*, a cell with at most
 max-arity leaves; at an irrelevant leaf it takes the cheapest cell of each
 leaf count, since an irrelevant insertion reads nothing else of its guest.
+Cells are plain int triples, and a pair's leaf counts are checked before it
+is composed, so a pair over the leaf bound is never composed.  With a dummy
+argument the cells fill a 2D (l, n) space, and the pass stays about cubic
+in the bound.
 
 Units rather than bare seeds keep the leaf bound exact.  Any tree can be
 built from its root by insertions in which leafless subtrees (constants)
@@ -45,9 +49,12 @@ from .model import (
     BoolFunction,
     BVar,
     SizeMeasure,
-    count_gates,
-    count_literals,
+    _walk,
 )
+
+
+State = tuple[int, int, int]
+Ref = tuple
 
 
 @dataclass(frozen=True)
@@ -60,15 +67,19 @@ class FuncTuple:
     g: int
 
 
-def _star(cls: str, a: int, b: int) -> int:
-    return a | b if cls == "V" else a ^ b
-
-
-def _normalize(cls: str, c: int, l: int, n: int) -> tuple[int, int, int]:
-    # an OR-composition that turns constant-1 makes every variable irrelevant
-    if cls == "V" and c == 1:
+def _compose(host: State, guest: State, relevant: bool, xor: bool) -> State:
+    """The cell of guest substituted for a relevant or an irrelevant leaf of
+    host, over an XOR (xor) or an OR basis."""
+    c, l, n = host
+    n += guest[2] - 1
+    if not relevant:
+        return (c, l, n)
+    if xor:
+        return (c ^ guest[0], l + guest[1] - 1, n)
+    if c | guest[0]:
+        # an OR-composition that turns constant-1 makes every variable irrelevant
         return (1, 0, n)
-    return (c, l, n)
+    return (0, l + guest[1] - 1, n)
 
 
 def tuple_compose(t1: FuncTuple, t2: FuncTuple, mode: str, cls: str = "V") -> FuncTuple:
@@ -77,13 +88,13 @@ def tuple_compose(t1: FuncTuple, t2: FuncTuple, mode: str, cls: str = "V") -> Fu
     if mode == "relevant":
         if t1.l < 1:
             raise ValueError("relevant composition needs a relevant variable")
-        c, l, n = _normalize(cls, _star(cls, t1.c, t2.c), t1.l + t2.l - 1, t1.n + t2.n - 1)
-        return FuncTuple(c, l, n, t1.g + t2.g)
-    if mode == "irrelevant":
+    elif mode == "irrelevant":
         if t1.l >= t1.n:
             raise ValueError("irrelevant composition needs an irrelevant occurrence")
-        return FuncTuple(t1.c, t1.l, t1.n + t2.n - 1, t1.g + t2.g)
-    raise ValueError(f"unknown composition mode {mode!r}")
+    else:
+        raise ValueError(f"unknown composition mode {mode!r}")
+    c, l, n = _compose((t1.c, t1.l, t1.n), (t2.c, t2.l, t2.n), mode == "relevant", cls != "V")
+    return FuncTuple(c, l, n, t1.g + t2.g)
 
 
 def tuple_identify(t: FuncTuple, cls: str) -> FuncTuple:
@@ -117,10 +128,6 @@ def relevant_variables(formula: BFormula, cls: str) -> tuple[frozenset[str], int
     return frozenset(relevant), c
 
 
-State = tuple[int, int, int]
-Ref = tuple
-
-
 @dataclass(frozen=True)
 class ReachTable:
     """Generic-composition reachability: state -> (min gates, back-reference).
@@ -136,42 +143,48 @@ def build_reach_table(
     basis: tuple[BoolFunction, ...], cls: str, n_bound: int
 ) -> ReachTable:
     """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
-    settling cells in nondecreasing gate count (Knuth 1977)."""
+    settling cells in nondecreasing gate count (Knuth 1977).  A pair whose
+    leaves would exceed n_bound is never composed."""
+    xor = cls != "V"
     unit_arity = max((f.arity for f in basis), default=0)
     best: dict[State, int] = {}
     heap: list[tuple[int, State, Ref]] = []
 
     def offer(state: State, g: int, ref: Ref) -> None:
-        if state[2] > n_bound or state[1] > state[2]:
-            return
         known = best.get(state)
         if known is None or g < known:
             best[state] = g
             heapq.heappush(heap, (g, state, ref))
 
-    offer((0, 1, 1), 0, ("var",))
+    if n_bound >= 1:
+        offer((0, 1, 1), 0, ("var",))
     for f in basis:
-        shape = function_shape(f)
-        seed = _normalize(cls, shape.zero_value, len(shape.relevant), f.arity)
-        offer(seed, 1, ("fn", f.name))
+        if f.arity <= n_bound:
+            shape = function_shape(f)
+            c, l = shape.zero_value, len(shape.relevant)
+            # an OR that is constant 1 has no relevant variable
+            offer((1, 0, f.arity) if c and not xor else (c, l, f.arity), 1, ("fn", f.name))
 
     states: dict[State, tuple[int, Ref]] = {}
     units: list[tuple[State, int]] = []
-    cheapest: dict[int, tuple[State, int]] = {}  # leaf count -> first settled
     rel_hosts: list[tuple[State, int]] = []
-    irr_hosts: list[tuple[State, int]] = []
+    # by leaf count: the first settled cell, and the hosts of an irrelevant leaf
+    cheapest: dict[int, tuple[State, int]] = {}
+    irr_hosts: dict[int, list[tuple[State, int]]] = {}
 
-    def grow(host: State, g1: int, guest: State, g2: int, tag: str) -> None:
-        mode = "relevant" if tag == "rel" else "irrelevant"
-        t = tuple_compose(FuncTuple(*host, g1), FuncTuple(*guest, g2), mode, cls)
-        offer((t.c, t.l, t.n), t.g, (tag, host, guest))
-
+    # Partners are met in settle order, and among equal-cost offers of a
+    # cell the first keeps its back-reference.  Each partner is checked
+    # against the leaf bound before anything is composed.  The hosts of an
+    # irrelevant leaf are grouped by leaf count, so that a group too large
+    # for the guest is skipped whole; they give the guest distinct cells, so
+    # the grouping changes no back-reference.
     while heap:
         g, s, ref = heapq.heappop(heap)
         if s in states:
             continue
         states[s] = (g, ref)
         _, l, n = s
+        room = n_bound + 1 - n  # the most leaves a partner of s may have
         first_of_n = n not in cheapest
         if first_of_n:
             cheapest[n] = (s, g)
@@ -180,18 +193,23 @@ def build_reach_table(
         if l >= 1:
             rel_hosts.append((s, g))
             for u, gu in units:
-                grow(s, g, u, gu, "rel")
+                if u[2] <= room:
+                    offer(_compose(s, u, True, xor), g + gu, ("rel", s, u))
         if l < n:
-            irr_hosts.append((s, g))
-            for v, gv in cheapest.values():
-                grow(s, g, v, gv, "irr")
+            irr_hosts.setdefault(n, []).append((s, g))
+            for nv, (v, gv) in cheapest.items():
+                if nv <= room:
+                    offer(_compose(s, v, False, xor), g + gv, ("irr", s, v))
         # as a guest, s meets every host settled so far
         if first_of_n:
-            for h, gh in irr_hosts:
-                grow(h, gh, s, g, "irr")
+            for nh, hosts in irr_hosts.items():
+                if nh <= room:
+                    for h, gh in hosts:
+                        offer(_compose(h, s, False, xor), gh + g, ("irr", h, s))
         if n <= unit_arity:
             for h, gh in rel_hosts:
-                grow(h, gh, s, g, "rel")
+                if h[2] <= room:
+                    offer(_compose(h, s, True, xor), gh + g, ("rel", h, s))
     return ReachTable(cls, states)
 
 
@@ -339,8 +357,9 @@ def min_post(
 
     relevant, c_target = relevant_variables(formula, cls)
     l_target = len(relevant)
-    n_phi = count_literals(formula.root)
-    g_phi = count_gates(formula.root)
+    nodes = list(_walk(formula.root))
+    n_phi = sum(isinstance(node, BVar) for node in nodes)
+    g_phi = len(nodes) - n_phi
     max_arity = max((f.arity for f in basis), default=0)
     n_bound = max(n_phi, max_arity, 1)
     if max_arity >= 2:

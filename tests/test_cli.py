@@ -154,8 +154,32 @@ def test_oracle_min_cnf_other_language_output_loads(workdir, capsys):
     assert code == 0 and out.startswith("min_clauses=1\n")
     (workdir / "w.cnf").write_text(out.split("\n", 1)[1])
     witness = formats.load_cnf_formula(str(workdir / "w.cnf"))
-    assert witness.language_path == "p.lang" and witness.clauses[0].relation == "p2"
+    assert os.path.samefile(witness.language_path, workdir / "p.lang")
+    assert witness.clauses[0].relation == "p2"
     assert main(["equiv", "--a", "w.cnf", "--b", "f.cnf"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["min-cnf", "--formula", "sub/g.cnf"],
+    ["min-cnf", "--formula", "sub/g.cnf", "--language", "sub/l.lang"],
+    ["min-unsat", "--language", "sub/l.lang"],
+])
+def test_oracle_witness_loads_from_another_directory(workdir, capsys, argv):
+    # the witness names its language by absolute path, so it loads wherever
+    # it is saved; without --language the path is the input's own, resolved
+    # against the input's directory
+    (workdir / "sub").mkdir()
+    (workdir / "sub" / "l.lang").write_text(formats.serialize_language(theorem9_language(3)))
+    (workdir / "sub" / "g.cnf").write_text(
+        "language l.lang\nvars x y z\nclause or2 x y\nclause or3 x y z\n"
+    )
+    code, out = run(capsys, "oracle", *argv, "--max-clauses", "3")
+    assert code == 0
+    (workdir / "elsewhere").mkdir()
+    saved = workdir / "elsewhere" / "w.cnf"
+    saved.write_text(out.split("\n", 1)[1])
+    witness = formats.load_cnf_formula(str(saved))
+    assert os.path.samefile(witness.language_path, workdir / "sub" / "l.lang")
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import pytest
 
 from boolmin.classify import function_shape
 from boolmin.errors import ClassificationError
-from boolmin.formats import parse_bformula
+from boolmin.formats import parse_bformula, serialize_bformula
 from boolmin.model import (
     BApp,
     BFormula,
@@ -256,3 +256,49 @@ def test_gate_lower_bound():
         rel, _ = relevant_variables(phi, "V")
         if res is not None and len(rel) >= 2:
             assert res[0] >= gate_lower_bound(len(rel), 3)
+
+
+def test_min_post_dummy_argument_chain():
+    # f(f(x0, x1, x0), x2, x0)... over f(x, y, z) = x or y: the dummy
+    # argument makes the cell space 2D, with about n_bound^2 / 8 cells
+    n = 100
+    f = BoolFunction("f", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
+    node = BVar("x0")
+    for i in range(1, n):
+        node = BApp("f", (node, BVar(f"x{i}"), BVar("x0")))
+    phi = BFormula((f,), node)
+    # g gates of f hold 2g + 1 leaves, so the literal minimum is 2(n - 1) + 1
+    for measure, expected in ((SizeMeasure.GATES, n - 1), (SizeMeasure.LITERALS, 2 * n - 1)):
+        size, witness, stats = min_post((f,), phi, measure)
+        assert size == expected and stats.reach_states == 4951
+        assert formula_size(witness, measure) == size
+        assert relevant_variables(witness, "V") == relevant_variables(phi, "V")
+
+
+OR2D = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
+XOR2D = BoolFunction("xor2d", 3, tuple(b ^ c for _, b, c in all_assignments(3)))
+
+
+@pytest.mark.parametrize("basis, text, measure, expected", [
+    ((fn_or(2), fn_or(3)), "(or2 (or3 x y x) (or2 z (or2 y w)))", "gates",
+     "(or3 (or2 y z) w x)\n"),
+    ((fn_xor(2), fn_const(1)), "(xor2 (xor2 x (const1)) (xor2 y (xor2 z x)))", "literals",
+     "(xor2 (xor2 y z) (const1))\n"),
+    ((fn_and(2), fn_and(3)), "(and3 (and2 x y) (and2 y z) w)", "literals",
+     "(and3 (and2 y z) w x)\n"),
+    ((OR2D,), "(or2d (or2d x y x) z x)", "gates", "(or2d (or2d y z z0) x z1)\n"),
+    ((fn_or(2), fn_const(1)), "(or2 x (or2 y (const1)))", "gates", "(const1)\n"),
+    ((fn_or(2), fn_or(3), OR2D), "(or2d (or3 a b (or2 c d)) (or2 e a) f)", "literals",
+     "(or3 (or3 c d e) a b)\n"),
+    ((fn_xor(3), fn_const(1), XOR2D), "(xor3 (xor3 a b c) (xor2d d e a) (const1))", "gates",
+     "(xor3 (xor2d z0 c e) (const1) b)\n"),
+    ((fn_xor(3), fn_const(1), XOR2D), "(xor3 (xor3 a b c) (xor2d d e a) (const1))", "literals",
+     "(xor3 (const1) (xor2d (const1) c e) b)\n"),
+    ((fn_const(0), XOR2D), "(xor2d a (xor2d b c d) (xor2d e a (const0)))", "literals",
+     "(xor2d (const0) (xor2d (const0) c d) a)\n"),
+])
+def test_min_post_witness_text(basis, text, measure, expected):
+    # equal-cost cells keep the first back-reference offered, so these
+    # witnesses pin the DP's composition order as well as its sizes
+    size, witness, _ = min_post(basis, parse_bformula(text, basis), SizeMeasure(measure))
+    assert serialize_bformula(witness) == expected
