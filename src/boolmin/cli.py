@@ -161,6 +161,17 @@ def cmd_dualize(args) -> int:
     return EXIT_OK
 
 
+def _write_oracle_witness(witness: CnfFormula, lang_path: str, what: str) -> None:
+    """An oracle's witness, naming its language by absolute path, which keeps
+    it loadable from any directory.  A language read from standard input has
+    no path, so its block is written first and the witness names it
+    `<what>.lang`, as `dualize` does."""
+    if lang_path == "-":
+        _write_with_language(witness, None, what, f"{what}.lang")
+    else:
+        sys.stdout.write(formats.serialize_cnf_formula(witness, os.path.abspath(lang_path)))
+
+
 def cmd_oracle_min_cnf(args) -> int:
     text, base = _read(args.formula)
     formula = formats.parse_cnf_formula(text, base)
@@ -173,8 +184,7 @@ def cmd_oracle_min_cnf(args) -> int:
         return EXIT_NEGATIVE
     size, witness = result
     print(f"min_clauses={size}")
-    # an absolute language path keeps the witness loadable from any directory
-    sys.stdout.write(formats.serialize_cnf_formula(witness, os.path.abspath(lang_path)))
+    _write_oracle_witness(witness, lang_path, "min-cnf")
     return EXIT_OK
 
 
@@ -205,7 +215,7 @@ def cmd_oracle_min_unsat(args) -> int:
         print("min_unsat=none")
         return EXIT_NEGATIVE
     print(f"min_unsat_clauses={len(result.clauses)}")
-    sys.stdout.write(formats.serialize_cnf_formula(result, os.path.abspath(args.language)))
+    _write_oracle_witness(result, args.language, "min-unsat")
     return EXIT_OK
 
 

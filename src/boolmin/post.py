@@ -8,7 +8,10 @@ occurrences.  Composition acts arithmetically on tuples, so reachability of
 in two phases: compositions first (every state then has a "generic" tree
 realization whose relevant variables each label exactly one leaf), then
 variable identifications, which commute past compositions and can always be
-deferred to the end.  AND-bases are handled by duality.
+deferred to the end.  An AND-basis runs the OR program over its dual basis:
+a formula's dual has the same tree and relevant variables and the
+complemented constant, so only the gate names of the witness change, and no
+tree is dualized.
 
 The composition phase is one pass in nondecreasing gate count, in the manner
 of Knuth's generalization of Dijkstra's algorithm (Knuth 1977): a gate count
@@ -21,6 +24,13 @@ Cells are plain int triples, and a pair's leaf counts are checked before it
 is composed, so a pair over the leaf bound is never composed.  With a dummy
 argument the cells fill a 2D (l, n) space, and the pass stays about cubic
 in the bound.
+
+min_post stops the pass as soon as its optimum is final, which is exact.
+Under gates, once the first cell that can become the target settles with g
+gates, every cell it could lose to has at most g gates, and all of those
+have settled when the heap holds only cells with more.  Under literals,
+every candidate has n >= l >= l_target, so the cell (c_target, l_target,
+l_target) is the pick the moment it settles.
 
 Units rather than bare seeds keep the leaf bound exact.  Any tree can be
 built from its root by insertions in which leafless subtrees (constants)
@@ -36,7 +46,9 @@ bound.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from itertools import count
 
@@ -140,11 +152,21 @@ class ReachTable:
 
 
 def build_reach_table(
-    basis: tuple[BoolFunction, ...], cls: str, n_bound: int
+    basis: tuple[BoolFunction, ...],
+    cls: str,
+    n_bound: int,
+    gate_cap: Callable[[int, State], float],
 ) -> ReachTable:
     """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
     settling cells in nondecreasing gate count (Knuth 1977).  A pair whose
-    leaves would exceed n_bound is never composed."""
+    leaves would exceed n_bound is never composed.
+
+    `gate_cap(g, s)`, asked as each cell s settles with g gates, bounds the
+    gates of the cells still needed; the pass stops once every cell within
+    the least bound given so far has settled.  A cap of g - 1 stops it at
+    once.  Cells leave the heap in nondecreasing gate count, so the table
+    settled up to the stop is a prefix of the full one, back-references
+    included."""
     xor = cls != "V"
     unit_arity = max((f.arity for f in basis), default=0)
     best: dict[State, int] = {}
@@ -178,11 +200,15 @@ def build_reach_table(
     # irrelevant leaf are grouped by leaf count, so that a group too large
     # for the guest is skipped whole; they give the guest distinct cells, so
     # the grouping changes no back-reference.
-    while heap:
+    cap = math.inf
+    while heap and heap[0][0] <= cap:
         g, s, ref = heapq.heappop(heap)
         if s in states:
             continue
         states[s] = (g, ref)
+        cap = min(cap, gate_cap(g, s))
+        if g > cap:
+            break
         _, l, n = s
         room = n_bound + 1 - n  # the most leaves a partner of s may have
         first_of_n = n not in cheapest
@@ -227,11 +253,13 @@ def _witness(
     state: State,
     table: ReachTable,
     basis: tuple[BoolFunction, ...],
+    gate_names: Mapping[str, str],
     relevant_sorted: list[str],
     avoid: set[str],
 ) -> BNode:
     """The tree that a state's back-references describe, its designated
-    (relevant) leaves named after the target's relevant variables.
+    (relevant) leaves named after the target's relevant variables, and each
+    gate of a basis function f named gate_names[f.name].
 
     One explicit-stack walk over the back-references builds each part once.
     Leaves are integer ids, and `slot` keeps the argument list and index that
@@ -261,7 +289,7 @@ def _witness(
                 slot[leaf] = (args, i)
             des = deque(a for i, a in enumerate(args) if i in relevant)
             free = deque(a for i, a in enumerate(args) if i not in relevant)
-            parts.append(([(ref[1], args)], des, free))
+            parts.append(([(gate_names[ref[1]], args)], des, free))
         elif not expanded:
             stack.append((s, True))
             stack.append((ref[2], False))
@@ -341,22 +369,23 @@ def min_post(
 ) -> tuple[int, BFormula, PostStats] | None:
     """Minimum equivalent basis-formula size with a witness, or None when no
     equivalent basis-formula exists inside the table bound (possible when the
-    formula was not built from this basis)."""
+    formula was not built from this basis).
+
+    The reach table is settled only until the optimum is final (see the
+    module docstring), so `reach_states` counts the cells settled by then.
+    An AND-basis runs the OR table over its dual basis."""
     verdict = classify_basis(basis)
     if verdict == "coNP-hard":
         raise ClassificationError(
             "basis mixes OR/AND/XOR shapes; minimization is not polynomial"
         )
-    if verdict == "P-and":
-        dual = min_post(tuple(f.dual() for f in basis), formula.dual(), measure)
-        if dual is None:
-            return None
-        size, witness, stats = dual
-        return size, witness.dual(), stats
-    cls = "V" if verdict == "P-or" else "L"
-
+    cls = {"P-or": "V", "P-and": "E", "P-xor": "L"}[verdict]
     relevant, c_target = relevant_variables(formula, cls)
     l_target = len(relevant)
+    dp_basis = basis
+    if cls == "E":
+        # the formula's dual has the same relevant variables and constant 1 ^ c
+        dp_basis, cls, c_target = tuple(f.dual() for f in basis), "V", 1 ^ c_target
     nodes = list(_walk(formula.root))
     n_phi = sum(isinstance(node, BVar) for node in nodes)
     g_phi = len(nodes) - n_phi
@@ -364,7 +393,18 @@ def min_post(
     n_bound = max(n_phi, max_arity, 1)
     if max_arity >= 2:
         n_bound = max(n_bound, g_phi * (max_arity - 1) + 1)
-    table = build_reach_table(basis, cls, n_bound)
+    goal = (c_target, l_target, l_target)
+
+    def gate_cap(g: int, s: State) -> float:
+        if measure is SizeMeasure.LITERALS:
+            # every candidate has n >= l >= l_target, so this cell is the pick
+            return g - 1 if s == goal else math.inf
+        # the first candidate to settle has the fewest gates
+        if s[0] == c_target and _identify_compatible(cls, s[1], l_target):
+            return g
+        return math.inf
+
+    table = build_reach_table(dp_basis, cls, n_bound, gate_cap)
 
     best: tuple[int, State] | None = None
     for (c, l, n), (g, _) in table.states.items():
@@ -377,8 +417,9 @@ def min_post(
         return None
     size, state = best
 
+    gate_names = {d.name: f.name for d, f in zip(dp_basis, basis)}
     witness_root = _witness(
-        state, table, basis, sorted(relevant), set(formula.var_names)
+        state, table, dp_basis, gate_names, sorted(relevant), set(formula.var_names)
     )
     witness = BFormula(basis, witness_root)
     return size, witness, PostStats(measure, size, state, len(table.states))

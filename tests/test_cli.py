@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import re
@@ -101,6 +102,27 @@ def test_minimize_post(workdir, capsys):
     assert "(or2 x y)" in out
 
 
+@pytest.mark.parametrize("measure, expected", [
+    ("literals", "# measure=literals\n# min_size=4\n# tuple=(0,4,4)\n(and3 (and2 y z) w x)\n"),
+    ("gates", "# measure=gates\n# min_size=2\n# tuple=(0,4,4)\n(and3 (and2 y z) w x)\n"),
+])
+def test_minimize_post_and_basis_output(workdir, capsys, measure, expected):
+    # every line but the count of settled cells, which depends on where the
+    # pass stops; the tuple is the cell of the dual OR formula
+    (workdir / "and.fns").write_text(
+        "function and2 arity 2 table 0001\nfunction and3 arity 3 table 00000001\n"
+    )
+    (workdir / "and.bf").write_text("(and3 (and2 x y) (and2 y z) (and2 w x))\n")
+    code, out = run(
+        capsys, "minimize-post", "--basis", "and.fns", "--formula", "and.bf",
+        "--measure", measure, "--stats",
+    )
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert sum(line.startswith("# reach_states=") for line in lines) == 1
+    assert "".join(line for line in lines if not line.startswith("# reach_states=")) == expected
+
+
 def test_irreducible_exit_codes(workdir, capsys):
     (workdir / "or3.rel").write_text("relation or3 arity 3\n001 010 011 100 101 110 111\n")
     assert main(["irreducible", "--relation", "or3.rel"]) == 0
@@ -180,6 +202,32 @@ def test_oracle_witness_loads_from_another_directory(workdir, capsys, argv):
     saved.write_text(out.split("\n", 1)[1])
     witness = formats.load_cnf_formula(str(saved))
     assert os.path.samefile(witness.language_path, workdir / "sub" / "l.lang")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["min-cnf", "--formula", "f.cnf"], "min-cnf"),
+    (["min-unsat"], "min-unsat"),
+])
+def test_oracle_language_from_stdin_is_written_first(workdir, capsys, monkeypatch, argv, what):
+    # a language read from standard input has no path to name: its block
+    # comes first, and the witness names the file it is to be saved as
+    monkeypatch.setattr(sys, "stdin", io.StringIO((workdir / "base.lang").read_text()))
+    code, out = run(capsys, "oracle", *argv, "--language", "-", "--max-clauses", "3")
+    assert code == 0 and "/-" not in out
+    head, rest = out.split("\n", 1)
+    assert head.startswith("min_")
+    lang_text, formula_text = rest.split(f"# {what} formula (clauses reference the relations above)\n")
+    assert lang_text.startswith(f"# {what} language\n")
+    assert formula_text.startswith(f"language {what}.lang\n")
+    (workdir / "saved").mkdir()
+    (workdir / "saved" / f"{what}.lang").write_text(lang_text)
+    (workdir / "saved" / "w.cnf").write_text(formula_text)
+    witness = formats.load_cnf_formula(str(workdir / "saved" / "w.cnf"))
+    assert witness.language == theorem9_language(3)
+    if what == "min-cnf":
+        assert main(["equiv", "--a", "saved/w.cnf", "--b", "f.cnf"]) == 0
+    else:
+        assert not satisfiable(witness)
 
 
 @pytest.mark.parametrize("argv", [

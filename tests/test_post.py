@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from boolmin.classify import function_shape
+from boolmin import post
+from boolmin.classify import classify_basis, function_shape
 from boolmin.errors import ClassificationError
 from boolmin.formats import parse_bformula, serialize_bformula
 from boolmin.model import (
@@ -14,11 +16,15 @@ from boolmin.model import (
     all_assignments,
     dualize,
     equivalent,
+    fold,
     formula_size,
 )
 from boolmin.oracle import brute_min_bformula
 from boolmin.post import (
     FuncTuple,
+    PostStats,
+    _identify_compatible,
+    _witness,
     build_reach_table,
     gate_lower_bound,
     min_post,
@@ -28,7 +34,7 @@ from boolmin.post import (
 )
 from boolmin.std import fn_and, fn_const, fn_or, fn_xor
 
-from conftest import random_bformula
+from conftest import random_bformula, random_btree
 
 
 def test_tuple_compose_rules():
@@ -177,8 +183,13 @@ def random_post_function(rng, cls, name):
     return BoolFunction(name, arity, tuple(int(v) for v in table))
 
 
+def never_stop(g, s):
+    """A gate cap that lets build_reach_table settle the whole table."""
+    return math.inf
+
+
 def min_gates(basis, cls, n_bound):
-    return {s: g for s, (g, _) in build_reach_table(basis, cls, n_bound).states.items()}
+    return {s: g for s, (g, _) in build_reach_table(basis, cls, n_bound, never_stop).states.items()}
 
 
 def test_reach_table_matches_pairwise_closure():
@@ -230,17 +241,22 @@ def test_min_post_deep_witness():
 
 
 def test_min_post_duality():
+    # the AND run gives the dual of the OR run's witness, and its tuple; the
+    # last two AND bases hold fn_const(0) and fn_const(1)
     rng = random.Random(67)
     or23 = (fn_or(2), fn_or(3))
-    for _ in range(20):
-        phi = random_bformula(or23, rng, rng.randint(1, 5))
-        dual_basis = tuple(dualize(f) for f in or23)
-        dual_phi = dualize(phi)
-        for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
-            a = min_post(or23, phi, measure)
-            b = min_post(dual_basis, dual_phi, measure)
-            assert a is not None and b is not None
-            assert a[0] == b[0]
+    for or_basis in (or23, or23 + (dualize(fn_const(0)),), or23 + (dualize(fn_const(1)),)):
+        dual_basis = tuple(dualize(f) for f in or_basis)
+        for _ in range(20):
+            phi = random_post_formula(or_basis, rng, rng.randint(1, 5))
+            dual_phi = dualize(phi)
+            for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
+                a = min_post(or_basis, phi, measure)
+                b = min_post(dual_basis, dual_phi, measure)
+                assert a is not None and b is not None
+                assert a[0] == b[0]
+                assert serialize_bformula(b[1]) == serialize_bformula(dualize(a[1]))
+                assert b[2].tuple == a[2].tuple
 
 
 def test_gate_lower_bound():
@@ -273,6 +289,125 @@ def test_min_post_dummy_argument_chain():
         assert size == expected and stats.reach_states == 4951
         assert formula_size(witness, measure) == size
         assert relevant_variables(witness, "V") == relevant_variables(phi, "V")
+
+
+def full_table_reference(basis, formula, measure):
+    """min_post over the whole reach table, with its selection loop, and an
+    AND-basis run as the OR-basis of its dual on the dual formula, the
+    witness dualized back.  Returns the result and the table."""
+    if classify_basis(basis) == "P-and":
+        result, table = full_table_reference(
+            tuple(f.dual() for f in basis), formula.dual(), measure
+        )
+        if result is None:
+            return None, table
+        size, witness, stats = result
+        return (size, witness.dual(), stats), table
+    cls = "V" if classify_basis(basis) == "P-or" else "L"
+    relevant, c_target = relevant_variables(formula, cls)
+    n_phi = formula_size(formula, SizeMeasure.LITERALS)
+    g_phi = formula_size(formula, SizeMeasure.GATES)
+    max_arity = max(f.arity for f in basis)
+    n_bound = max(n_phi, max_arity, 1)
+    if max_arity >= 2:
+        n_bound = max(n_bound, g_phi * (max_arity - 1) + 1)
+    table = build_reach_table(basis, cls, n_bound, never_stop)
+    best = None
+    for (c, l, n), (g, _) in table.states.items():
+        if c != c_target or not _identify_compatible(cls, l, len(relevant)):
+            continue
+        size = n if measure is SizeMeasure.LITERALS else g
+        if best is None or size < best[0] or (size == best[0] and (c, l, n) < best[1]):
+            best = (size, (c, l, n))
+    if best is None:
+        return None, table
+    size, state = best
+    root = _witness(
+        state, table, basis, {f.name: f.name for f in basis}, sorted(relevant),
+        set(formula.var_names),
+    )
+    return (size, BFormula(basis, root), PostStats(measure, size, state, len(table.states))), table
+
+
+def random_and_function(rng, name):
+    """An AND of a random subset of 0..3 arguments, with a random constant:
+    the dual of an OR from random_post_function."""
+    f = random_post_function(rng, "V", name)
+    return BoolFunction(name, f.arity, dualize(f).table)
+
+
+def random_post_formula(basis, rng, leaves):
+    """random_bformula, with about one leaf in five a constant of the basis
+    when it has one."""
+    consts = [f.name for f in basis if f.arity == 0]
+
+    def leaf(v):
+        return BApp(rng.choice(consts), ()) if consts and rng.random() < 0.2 else v
+
+    root = random_btree(basis, rng, leaves)
+    return BFormula(basis, fold(root, leaf, lambda node, args: BApp(node.func, tuple(args))))
+
+
+def test_min_post_matches_full_table_reference(monkeypatch):
+    # the pass that stops once the optimum is final gives the full table's
+    # result, and its cells are the full table's, back-references included
+    stopped = []
+
+    def recording(*args):
+        stopped.append(build_reach_table(*args))
+        return stopped[-1]
+
+    monkeypatch.setattr(post, "build_reach_table", recording)
+    rng = random.Random(79)
+    smaller = 0
+    for _ in range(300):
+        cls = rng.choice("VLE")
+        if cls == "E":
+            basis = tuple(random_and_function(rng, f"f{i}") for i in range(rng.randint(1, 3)))
+        else:
+            basis = tuple(random_post_function(rng, cls, f"f{i}") for i in range(rng.randint(1, 3)))
+        phi = random_post_formula(basis, rng, rng.randint(1, 9))
+        for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
+            stopped.clear()
+            got = min_post(basis, phi, measure)
+            want, full = full_table_reference(basis, phi, measure)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                assert serialize_bformula(got[1]) == serialize_bformula(want[1])
+                assert got[2].tuple == want[2].tuple
+                assert got[2].reach_states == len(stopped[0].states)
+            assert all(full.states[s] == cell for s, cell in stopped[0].states.items())
+            smaller += len(stopped[0].states) < len(full.states)
+    assert smaller >= 100
+
+
+def packed_tree(basis, leaves):
+    """Group each level into gates of the basis's widest arity (a leftover
+    group takes the gate of its size, or moves up alone) until one root
+    remains."""
+    gates = {f.arity: f.name for f in basis}
+    level = list(leaves)
+    while len(level) > 1:
+        width = max(gates)
+        groups = [level[i:i + width] for i in range(0, len(level), width)]
+        level = [g[0] if len(g) == 1 else BApp(gates[len(g)], tuple(g)) for g in groups]
+    return level[0]
+
+
+@pytest.mark.parametrize("measure", [SizeMeasure.LITERALS, SizeMeasure.GATES])
+@pytest.mark.parametrize("basis", [(fn_or(2), fn_or(3)), (fn_xor(2), fn_xor(3)), (fn_and(2),)])
+def test_min_post_stops_before_the_full_table(basis, measure):
+    # 96 leaves over x0..x11, each variable an odd number of times, so that
+    # all twelve stay relevant under XOR too
+    labels = [i % 12 for i in range(84)] + [i // 2 for i in range(12)]
+    phi = BFormula(basis, packed_tree(basis, (BVar(f"x{i}") for i in labels)))
+    size, witness, stats = min_post(basis, phi, measure)
+    want, full = full_table_reference(basis, phi, measure)
+    assert (size, serialize_bformula(witness), stats.tuple) == (
+        want[0], serialize_bformula(want[1]), want[2].tuple
+    )
+    assert stats.reach_states < len(full.states)
 
 
 OR2D = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
