@@ -98,6 +98,13 @@ class FunctionShape:
     relevant: frozenset[int]
     zero_value: int
 
+    def dual(self, one_value: int) -> "FunctionShape":
+        """The shape of the dual function, given this function's value at the
+        all-one assignment: OR and AND swap places, the rest stays."""
+        return FunctionShape(
+            self.and_function, self.or_function, self.xor_function, self.relevant, 1 ^ one_value
+        )
+
 
 def function_shape(f: BoolFunction) -> FunctionShape:
     """Detect OR/AND/XOR shape by comparing the table mask with the OR, the
@@ -122,9 +129,11 @@ def function_shape(f: BoolFunction) -> FunctionShape:
     )
 
 
-def classify_basis(funcs) -> str:
-    """P-or / P-and / P-xor when all members share a shape, else coNP-hard."""
-    shapes = [function_shape(f) for f in funcs]
+def classify_basis(funcs, shapes: list[FunctionShape] | None = None) -> str:
+    """P-or / P-and / P-xor when all members share a shape, else coNP-hard.
+    `shapes` holds the members' shapes if the caller already has them."""
+    if shapes is None:
+        shapes = [function_shape(f) for f in funcs]
     if not shapes:
         raise ValueError("basis must be nonempty")
     if all(s.xor_function for s in shapes):

@@ -1,15 +1,37 @@
-"""Fixpoint minimization for formulas over irreducible IHSB+ languages, with
-the IHSB- case handled by duality.
+"""One-pass minimization for formulas over irreducible IHSB+ languages,
+with the IHSB- case handled by duality.
 
-The algorithm rewrites a formula in the base vocabulary {x, not-x, ->, =,
-OR^m} until no rule fires, then canonicalizes the implication and equality
-components.  An equality is the implication pair u -> v, v -> u, so the
-equality classes are the strongly connected components of the implications
-(Aspvall-Plass-Tarjan 1979).  Rules only ever remove or shrink clauses or
-grow the literal sets, so the loop terminates.
+A formula is rewritten in the base vocabulary {x, not-x, ->, =, OR^m}.  An
+equality is the implication pair u -> v, v -> u, so the equality classes are
+the strongly connected components of the implications (Aspvall-Plass-Tarjan
+1979).  The minimum is the fixpoint of the rewrite rules that add entailed
+literals, shrink OR-clauses, drop entailed OR-clauses and drop tautological
+implications.  One pass over the implications' reach sets computes it:
+
+1. A variable is falsified iff it leads to a negative literal.
+2. A variable is forced iff a positive literal leads to it, or every
+   unfalsified member of some OR-clause does: unit propagation
+   (Dowling-Gallier 1984) in closed form.  A forced variable leads only to
+   forced ones.  Besides falsified members, the later steps drop only
+   members that lead to a kept member and clauses entailed by a kept
+   clause, so they never shrink the set that a clause's unfalsified
+   members all lead to: nothing more becomes forced.
+3. OR-clauses with a forced member go.  The others lose their falsified
+   members and every member that leads to another one (of members leading
+   to each other the least stays), and then only the clauses that no other
+   clause entails stay.
+4. Implications into a forced variable or out of a falsified one go.  The
+   rest join live (unforced, unfalsified) variables, and every path between
+   live variables stays live, so the reach sets among them do not change.
+
+So no rule finds anything to do on the result: the literal sets are closed
+under implication, every common successor of an OR-clause's members is
+forced and no longer reachable from them, and the clauses kept neither
+shrink nor entail each other.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import graph
@@ -82,9 +104,6 @@ class ImplGraph:
         through implications (u leads to u)."""
         return graph.reach(self.successors())
 
-    def clause_count(self) -> int:
-        return len(self.pos) + len(self.neg) + len(self.impl) + len(self.ors)
-
 
 def leadsto(g: ImplGraph, u: int, v: int) -> bool:
     """u leads to v through implications and equalities (u leads to u)."""
@@ -140,112 +159,40 @@ def unsat_check_ihsb(g: ImplGraph, reach: list[int] | None = None) -> bool:
     return bool(graph.bits(g.pos) & falsy) or any(not graph.bits(c) & ~falsy for c in g.ors)
 
 
-def _add_literals(literals: set[int], mask: int) -> bool:
-    new = mask & ~graph.bits(literals)
-    literals.update(graph.members(new))
-    return bool(new)
+def _unsatisfiable(what: str) -> RuntimeError:
+    return RuntimeError(f"{what}: the input was unsatisfiable; this is a bug")
 
 
-# Each rule applies to every match against the reach sets of the pass and
-# returns whether it changed the graph.  Every rewrite keeps the formula
-# equivalent: literals it adds are entailed, and clauses it drops or shrinks
-# are entailed by clauses that the same rule keeps.  Implications made
-# tautological by new literals are left to the tautology rule.
+def _shrink(c: list[int], falsy: int, reach: list[int]) -> list[int]:
+    """The members of an OR-clause that are not falsified and lead to no
+    other such member, in the clause's order; of members leading to each
+    other the least stays."""
+    live = graph.bits(c) & ~falsy
+    rest = []
+    for x in c:
+        others = reach[x] & live & ~(1 << x)
+        if live >> x & 1 and (
+            not others or all(x < y and reach[y] >> x & 1 for y in graph.members(others))
+        ):
+            rest.append(x)
+    return rest
 
 
-def _rule_or_subsumption(g: ImplGraph, reach) -> bool:
-    """Drop every OR-clause entailed by another one or by a positive literal.
-
-    Clause j entails clause k when each x in j leads to some y in k.  Of
-    clauses entailing each other the last in sorted order stays."""
-    ors = sorted(g.ors, key=sorted)
-    occ = [0] * g.n  # occ[y]: indices of the clauses containing y
-    for j, c in enumerate(ors):
-        for y in c:
-            occ[y] |= 1 << j
-    # hit[x]: clauses containing some y that x leads to
-    hit = graph.closure(g.successors(), occ)
+def _strongest(order: Sequence[int], members, hit: list[int]) -> list[int]:
+    """The clauses of `order` entailed by no other one, in order.  Clause j
+    entails clause k when each x in members[j] leads to some member of k,
+    that is, when hit[x] has bit k; of clauses entailing each other the last
+    in `order` stays."""
     dropped = 0
-    for p in g.pos:
-        dropped |= hit[p]
     # Entailment is a preorder, so scanning from the end, a clause not yet
     # dropped is the last of its class and entailed by nothing stronger.
-    for j in range(len(ors) - 1, -1, -1):
+    for j in reversed(order):
         if not dropped >> j & 1:
             entailed = -1
-            for x in ors[j]:
+            for x in members[j]:
                 entailed &= hit[x]
             dropped |= entailed & ~(1 << j)
-    for j in graph.members(dropped):
-        g.ors.discard(ors[j])
-    return bool(dropped)
-
-
-def _rule_literal_intro(g: ImplGraph, reach) -> bool:
-    """A variable every member of an OR-clause leads to is entailed."""
-    common = 0
-    for c in g.ors:
-        both = -1
-        for x in c:
-            both &= reach[x]
-        common |= both
-    return _add_literals(g.pos, common)
-
-
-def _rule_positive_propagation(g: ImplGraph, reach) -> bool:
-    entailed = 0
-    for p in g.pos:
-        entailed |= reach[p]
-    return _add_literals(g.pos, entailed)
-
-
-def _rule_negative_propagation(g: ImplGraph, reach) -> bool:
-    return _add_literals(g.neg, _falsy(g, reach))
-
-
-def _rule_shrink_ors(g: ImplGraph, reach) -> bool:
-    """Drop from each OR-clause the falsified members and every member that
-    leads to another member; of members leading to each other the least
-    stays."""
-    falsy = _falsy(g, reach)
-    fired = False
-    for c in list(g.ors):
-        mask = graph.bits(c)
-        drop = {x for x in c if falsy >> x & 1} | {
-            x for x in c for y in graph.members(reach[x] & mask & ~(1 << x))
-            if y < x or not reach[y] >> x & 1
-        }
-        if drop == c:
-            raise RuntimeError(
-                "OR-clause emptied by falsified members: the input was "
-                "unsatisfiable; this is a bug"
-            )
-        if drop:
-            fired = True
-            g.ors.discard(c)
-            rest = c - drop
-            if len(rest) == 1:
-                g.pos.update(rest)
-            else:
-                g.ors.add(rest)
-    return fired
-
-
-def _rule_tautology_removal(g: ImplGraph, reach) -> bool:
-    kept = {(u, w) for u, w in g.impl if w not in g.pos and u not in g.neg}
-    fired = len(kept) != len(g.impl)
-    g.impl = kept
-    return fired
-
-
-_RULES = (
-    _rule_or_subsumption,
-    _rule_literal_intro,
-    _rule_positive_propagation,
-    _rule_negative_propagation,
-    _rule_shrink_ors,
-    _rule_tautology_removal,
-)
+    return [j for j in order if not dropped >> j & 1]
 
 
 @dataclass(frozen=True)
@@ -272,38 +219,58 @@ class PartitionedFormula:
 def min_ihsb(
     g: ImplGraph, eq_available: bool = True, reach: list[int] | None = None
 ) -> tuple[PartitionedFormula, int]:
-    """Run the fixpoint rules to completion and canonicalize.
-
-    Each pass applies every rule, in order, to all of its matches; reach is
-    recomputed after a rule that removed implications.  Passes repeat until
-    one changes nothing, and the count of passes is returned.
+    """Minimize in one pass (see the module docstring) and canonicalize;
+    `g` is left at the rewrite rules' fixpoint.  The pass count, always 1,
+    is returned with the result.
 
     The input must be satisfiable; callers handle unsatisfiable formulas by
     substituting the precomputed minimum unsatisfiable formula.  `reach` is
     `g.reach()` if the caller already has it.
     """
-    cap = (g.clause_count() + g.n) ** 2 + 16
-    passes = 0
-    changed = True
     if reach is None:
         reach = g.reach()
-    while changed:
-        passes += 1
-        if passes > cap:
-            raise RuntimeError("ihsb fixpoint did not stabilize; this is a bug")
-        changed = False
-        for rule in _RULES:
-            edges = len(g.impl)
-            if rule(g, reach):
-                changed = True
-                if len(g.impl) != edges:
-                    reach = g.reach()
+    falsy = _falsy(g, reach)
+    forced = 0
+    for p in g.pos:
+        forced |= reach[p]
+    for c in g.ors:
+        common = -1
+        for x in c:
+            if not falsy >> x & 1:
+                common &= reach[x]
+        if common == -1:
+            raise _unsatisfiable("OR-clause emptied by falsified members")
+        forced |= common
+    if forced & falsy:
+        raise _unsatisfiable("a forced variable is falsified")
 
-    # The implications of forced variables are gone (tautology rule), so the
-    # components are the equality classes of the free variables.  Canonical
-    # form: the unique transitive reduction of the condensation, plus each
-    # class as an equality chain, or as one implication cycle when the
-    # language cannot express equality; OR members name their class.
+    # Of OR-clauses entailing each other the last in sorted order stays,
+    # compared first as given and then as shrunk, which keeps the clause
+    # that the rewrite rules keep: they drop entailed clauses before they
+    # shrink.  An unfalsified variable leads to a member of a clause iff it
+    # leads to a member of its shrunk form, so one closure serves both scans.
+    ors = sorted(sorted(c) for c in g.ors if not graph.bits(c) & forced)
+    occ = [0] * g.n  # occ[y]: indices of the clauses containing y
+    for j, c in enumerate(ors):
+        for y in c:
+            occ[y] |= 1 << j
+    # hit[x]: clauses containing some y that x leads to
+    hit = graph.closure(g.successors(), occ) if len(ors) > 1 else occ
+    shrunk = {j: _shrink(ors[j], falsy, reach) for j in _strongest(range(len(ors)), ors, hit)}
+    kept = _strongest(sorted(shrunk, key=shrunk.__getitem__), shrunk, hit)
+    g.ors = {frozenset(shrunk[j]) for j in kept}
+    g.pos = set(graph.members(forced))
+    g.neg = set(graph.members(falsy))
+    if forced | falsy:
+        g.impl = {(u, w) for u, w in g.impl if not (forced >> w | falsy >> u) & 1}
+
+    # Every implication left joins two live (unforced, unfalsified)
+    # variables, and every path between live variables stays live, so the
+    # reach sets above still group and reduce them, and the components are
+    # the equality classes of the live variables.  Canonical form: the
+    # unique transitive reduction of the condensation, plus each class as an
+    # equality chain, or as one implication cycle when the language cannot
+    # express equality; OR members name their class.
     comp = graph.components({u for e in g.impl for u in e}, reach)
     impl = graph.reduction(g.impl, comp, reach)
     classes: dict[int, list[int]] = {}
@@ -331,7 +298,7 @@ def min_ihsb(
         tuple(sorted(eq_out)),
         tuple(sorted(tuple(sorted(c)) for c in ors)),
     )
-    return result, passes
+    return result, 1
 
 
 def restrict_vocabulary(

@@ -52,7 +52,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from itertools import count
 
-from .classify import classify_basis, function_shape
+from .classify import FunctionShape, classify_basis, function_shape
 from .errors import ClassificationError
 from .model import (
     BApp,
@@ -117,14 +117,18 @@ def tuple_identify(t: FuncTuple, cls: str) -> FuncTuple:
     return FuncTuple(t.c, t.l - delta, t.n, t.g)
 
 
-def relevant_variables(formula: BFormula, cls: str) -> tuple[frozenset[str], int]:
+def relevant_variables(
+    formula: BFormula, cls: str, shapes: list[FunctionShape] | None = None
+) -> tuple[frozenset[str], int]:
     """Relevant variables by unit-vector probes, plus the constant offset.
 
     V and L probe against the all-zero baseline; E is the dual case and
-    probes against all ones.
+    probes against all ones.  `shapes` holds the shapes of the formula's
+    functions if the caller already has them.
     """
-    for f in formula.functions:
-        shape = function_shape(f)
+    if shapes is None:
+        shapes = [function_shape(f) for f in formula.functions]
+    for f, shape in zip(formula.functions, shapes):
         ok = {"V": shape.or_function, "E": shape.and_function, "L": shape.xor_function}[cls]
         if not ok:
             raise ClassificationError(f"function {f.name} is outside class {cls}")
@@ -156,6 +160,7 @@ def build_reach_table(
     cls: str,
     n_bound: int,
     gate_cap: Callable[[int, State], float],
+    shapes: list[FunctionShape] | None = None,
 ) -> ReachTable:
     """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
     settling cells in nondecreasing gate count (Knuth 1977).  A pair whose
@@ -166,7 +171,10 @@ def build_reach_table(
     the least bound given so far has settled.  A cap of g - 1 stops it at
     once.  Cells leave the heap in nondecreasing gate count, so the table
     settled up to the stop is a prefix of the full one, back-references
-    included."""
+    included.  `shapes` holds the basis functions' shapes if the caller
+    already has them."""
+    if shapes is None:
+        shapes = [function_shape(f) for f in basis]
     xor = cls != "V"
     unit_arity = max((f.arity for f in basis), default=0)
     best: dict[State, int] = {}
@@ -180,9 +188,8 @@ def build_reach_table(
 
     if n_bound >= 1:
         offer((0, 1, 1), 0, ("var",))
-    for f in basis:
+    for f, shape in zip(basis, shapes):
         if f.arity <= n_bound:
-            shape = function_shape(f)
             c, l = shape.zero_value, len(shape.relevant)
             # an OR that is constant 1 has no relevant variable
             offer((1, 0, f.arity) if c and not xor else (c, l, f.arity), 1, ("fn", f.name))
@@ -256,6 +263,7 @@ def _witness(
     gate_names: Mapping[str, str],
     relevant_sorted: list[str],
     avoid: set[str],
+    shapes: list[FunctionShape],
 ) -> BNode:
     """The tree that a state's back-references describe, its designated
     (relevant) leaves named after the target's relevant variables, and each
@@ -264,10 +272,11 @@ def _witness(
     One explicit-stack walk over the back-references builds each part once.
     Leaves are integer ids, and `slot` keeps the argument list and index that
     holds each one, so a guest goes into its host's leaf in constant time and
-    the host's designated and free leaf queues grow in place.
+    the host's designated and free leaf queues grow in place.  `shapes`
+    holds the basis functions' shapes.
     """
     cls = table.cls
-    shapes = {f.name: (f.arity, function_shape(f).relevant) for f in basis}
+    arities = {f.name: (f.arity, shape.relevant) for f, shape in zip(basis, shapes)}
     leaf_ids = count()
     slot: dict[int, tuple[list, int]] = {}
     # (one-element root box, designated leaves, free leaves) per built part
@@ -283,7 +292,7 @@ def _witness(
             slot[leaf] = (box, 0)
             parts.append((box, deque([leaf]), deque()))
         elif tag == "fn":
-            arity, relevant = shapes[ref[1]]
+            arity, relevant = arities[ref[1]]
             args: list = [next(leaf_ids) for _ in range(arity)]
             for i, leaf in enumerate(args):
                 slot[leaf] = (args, i)
@@ -373,19 +382,24 @@ def min_post(
 
     The reach table is settled only until the optimum is final (see the
     module docstring), so `reach_states` counts the cells settled by then.
-    An AND-basis runs the OR table over its dual basis."""
-    verdict = classify_basis(basis)
+    An AND-basis runs the OR table over its dual basis.  Each function's
+    shape is computed once and handed to every step that reads it."""
+    shapes = [function_shape(f) for f in basis]
+    verdict = classify_basis(basis, shapes)
     if verdict == "coNP-hard":
         raise ClassificationError(
             "basis mixes OR/AND/XOR shapes; minimization is not polynomial"
         )
     cls = {"P-or": "V", "P-and": "E", "P-xor": "L"}[verdict]
-    relevant, c_target = relevant_variables(formula, cls)
+    relevant, c_target = relevant_variables(
+        formula, cls, shapes if formula.functions == basis else None
+    )
     l_target = len(relevant)
     dp_basis = basis
     if cls == "E":
         # the formula's dual has the same relevant variables and constant 1 ^ c
         dp_basis, cls, c_target = tuple(f.dual() for f in basis), "V", 1 ^ c_target
+        shapes = [s.dual(f.table[-1]) for f, s in zip(basis, shapes)]
     nodes = list(_walk(formula.root))
     n_phi = sum(isinstance(node, BVar) for node in nodes)
     g_phi = len(nodes) - n_phi
@@ -404,7 +418,7 @@ def min_post(
             return g
         return math.inf
 
-    table = build_reach_table(dp_basis, cls, n_bound, gate_cap)
+    table = build_reach_table(dp_basis, cls, n_bound, gate_cap, shapes)
 
     best: tuple[int, State] | None = None
     for (c, l, n), (g, _) in table.states.items():
@@ -419,7 +433,7 @@ def min_post(
 
     gate_names = {d.name: f.name for d, f in zip(dp_basis, basis)}
     witness_root = _witness(
-        state, table, dp_basis, gate_names, sorted(relevant), set(formula.var_names)
+        state, table, dp_basis, gate_names, sorted(relevant), set(formula.var_names), shapes
     )
     witness = BFormula(basis, witness_root)
     return size, witness, PostStats(measure, size, state, len(table.states))

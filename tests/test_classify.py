@@ -286,6 +286,14 @@ def test_function_shape_matches_reference_on_every_small_table():
             assert got == function_shape_reference(f), table
 
 
+def test_dual_shape_matches_shape_of_dual_on_every_small_table():
+    for arity in range(4):
+        for code in range(1 << (1 << arity)):
+            table = tuple((code >> row) & 1 for row in range(1 << arity))
+            f = BoolFunction("f", arity, table)
+            assert function_shape(f).dual(table[-1]) == function_shape(f.dual()), table
+
+
 def test_irreducibility_matches_reference():
     rels = [Relation("r", a, t) for a in (1, 2, 3) for t in _nonempty_relations(a)]
     rng = random.Random(12)

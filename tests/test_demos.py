@@ -36,4 +36,4 @@ def test_readme_minimize_session(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert cli.main(command.split()[2:]) == 0
     assert capsys.readouterr().out == shown
-    assert "# passes=2\n" in shown
+    assert "# passes=1\n" in shown

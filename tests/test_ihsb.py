@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from boolmin import graph, ihsb
 from boolmin.classify import relation_shape
 from boolmin.errors import ClassificationError
 from boolmin.ihsb import (
     ImplGraph,
+    PartitionedFormula,
+    _falsy,
     graph_from_cnf,
     language_templates,
     leadsto,
@@ -303,7 +306,8 @@ def test_or_subsumption_chain_in_one_pass(t9):
     assert [c for c in out.clauses if c.relation == "or2"] == [Clause("or2", (0, 1))]
     assert len(out.clauses) == 5
     # one pass drops both weaker clauses, one more finds nothing to do
-    assert stats.passes == 2
+    # one pass drops both weaker clauses
+    assert stats.passes == 1
 
 
 def test_positive_literal_drops_several_ors(t9):
@@ -312,7 +316,7 @@ def test_positive_literal_drops_several_ors(t9):
     out, stats = minimize(f)
     assert sorted(out.clauses, key=lambda c: c.vars) == [
         Clause("pos", (0,)), Clause("pos", (1,))]
-    assert stats.passes == 2
+    assert stats.passes == 1
 
 
 def test_emptied_or_clause_is_an_error():
@@ -320,6 +324,16 @@ def test_emptied_or_clause_is_an_error():
     g = ImplGraph(2)
     g.ors.add(frozenset({0, 1}))
     g.neg.update({0, 1})
+    with pytest.raises(RuntimeError, match="this is a bug"):
+        min_ihsb(g)
+
+
+def test_forced_and_falsified_variable_is_an_error():
+    # unsatisfiable: x is a positive literal and leads to a negative one
+    g = ImplGraph(2)
+    g.pos.add(0)
+    g.impl.add((0, 1))
+    g.neg.add(1)
     with pytest.raises(RuntimeError, match="this is a bug"):
         min_ihsb(g)
 
@@ -357,3 +371,236 @@ def test_or_member_names_its_class(t9, cycle, member):
     out, _ = minimize(F(NO_EQ, names, *specs))
     ring = sorted([(u, u + 1) for u in range(size - 1)] + [(size - 1, 0)])
     assert list(out.clauses) == [Clause("imp", e) for e in ring] + [Clause("or2", (member, size))]
+
+
+# The rewrite loop that min_ihsb replaced, kept as its reference: six rules
+# applied in order to all of their matches, pass after pass, until a pass
+# changes nothing.
+
+
+def _add_literals(literals: set[int], mask: int) -> bool:
+    new = mask & ~graph.bits(literals)
+    literals.update(graph.members(new))
+    return bool(new)
+
+
+# Each rule applies to every match against the reach sets of the pass and
+# returns whether it changed the graph.  Every rewrite keeps the formula
+# equivalent: literals it adds are entailed, and clauses it drops or shrinks
+# are entailed by clauses that the same rule keeps.  Implications made
+# tautological by new literals are left to the tautology rule.
+
+
+def _rule_or_subsumption(g: ImplGraph, reach) -> bool:
+    """Drop every OR-clause entailed by another one or by a positive literal.
+
+    Clause j entails clause k when each x in j leads to some y in k.  Of
+    clauses entailing each other the last in sorted order stays."""
+    ors = sorted(g.ors, key=sorted)
+    occ = [0] * g.n  # occ[y]: indices of the clauses containing y
+    for j, c in enumerate(ors):
+        for y in c:
+            occ[y] |= 1 << j
+    # hit[x]: clauses containing some y that x leads to
+    hit = graph.closure(g.successors(), occ)
+    dropped = 0
+    for p in g.pos:
+        dropped |= hit[p]
+    # Entailment is a preorder, so scanning from the end, a clause not yet
+    # dropped is the last of its class and entailed by nothing stronger.
+    for j in range(len(ors) - 1, -1, -1):
+        if not dropped >> j & 1:
+            entailed = -1
+            for x in ors[j]:
+                entailed &= hit[x]
+            dropped |= entailed & ~(1 << j)
+    for j in graph.members(dropped):
+        g.ors.discard(ors[j])
+    return bool(dropped)
+
+
+def _rule_literal_intro(g: ImplGraph, reach) -> bool:
+    """A variable every member of an OR-clause leads to is entailed."""
+    common = 0
+    for c in g.ors:
+        both = -1
+        for x in c:
+            both &= reach[x]
+        common |= both
+    return _add_literals(g.pos, common)
+
+
+def _rule_positive_propagation(g: ImplGraph, reach) -> bool:
+    entailed = 0
+    for p in g.pos:
+        entailed |= reach[p]
+    return _add_literals(g.pos, entailed)
+
+
+def _rule_negative_propagation(g: ImplGraph, reach) -> bool:
+    return _add_literals(g.neg, _falsy(g, reach))
+
+
+def _rule_shrink_ors(g: ImplGraph, reach) -> bool:
+    """Drop from each OR-clause the falsified members and every member that
+    leads to another member; of members leading to each other the least
+    stays."""
+    falsy = _falsy(g, reach)
+    fired = False
+    for c in list(g.ors):
+        mask = graph.bits(c)
+        drop = {x for x in c if falsy >> x & 1} | {
+            x for x in c for y in graph.members(reach[x] & mask & ~(1 << x))
+            if y < x or not reach[y] >> x & 1
+        }
+        if drop == c:
+            raise RuntimeError(
+                "OR-clause emptied by falsified members: the input was "
+                "unsatisfiable; this is a bug"
+            )
+        if drop:
+            fired = True
+            g.ors.discard(c)
+            rest = c - drop
+            if len(rest) == 1:
+                g.pos.update(rest)
+            else:
+                g.ors.add(rest)
+    return fired
+
+
+def _rule_tautology_removal(g: ImplGraph, reach) -> bool:
+    kept = {(u, w) for u, w in g.impl if w not in g.pos and u not in g.neg}
+    fired = len(kept) != len(g.impl)
+    g.impl = kept
+    return fired
+
+
+_RULES = (
+    _rule_or_subsumption,
+    _rule_literal_intro,
+    _rule_positive_propagation,
+    _rule_negative_propagation,
+    _rule_shrink_ors,
+    _rule_tautology_removal,
+)
+
+
+def fixpoint_reference(
+    g: ImplGraph, eq_available: bool = True, reach: list[int] | None = None
+) -> tuple[PartitionedFormula, int]:
+    """Run the fixpoint rules to completion and canonicalize.
+
+    Each pass applies every rule, in order, to all of its matches; reach is
+    recomputed after a rule that removed implications.  Passes repeat until
+    one changes nothing, and the count of passes is returned.
+    """
+    cap = (len(g.pos) + len(g.neg) + len(g.impl) + len(g.ors) + g.n) ** 2 + 16
+    passes = 0
+    changed = True
+    if reach is None:
+        reach = g.reach()
+    while changed:
+        passes += 1
+        if passes > cap:
+            raise RuntimeError("ihsb fixpoint did not stabilize; this is a bug")
+        changed = False
+        for rule in _RULES:
+            edges = len(g.impl)
+            if rule(g, reach):
+                changed = True
+                if len(g.impl) != edges:
+                    reach = g.reach()
+
+    # The implications of forced variables are gone (tautology rule), so the
+    # components are the equality classes of the free variables.  Canonical
+    # form: the unique transitive reduction of the condensation, plus each
+    # class as an equality chain, or as one implication cycle when the
+    # language cannot express equality; OR members name their class.
+    comp = graph.components({u for e in g.impl for u in e}, reach)
+    impl = graph.reduction(g.impl, comp, reach)
+    classes: dict[int, list[int]] = {}
+    for u, c in comp.items():
+        classes.setdefault(c, []).append(u)
+    eq_out: list[tuple[int, int]] = []
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        chain = list(zip(members, members[1:]))
+        if eq_available:
+            eq_out.extend(chain)
+        else:
+            impl.update(chain)
+            impl.add((members[-1], members[0]))
+    ors = g.ors
+    if eq_available:
+        ors = {frozenset(comp.get(x, x) for x in c) for c in ors}
+
+    result = PartitionedFormula(
+        g.n,
+        tuple(sorted(g.pos)),
+        tuple(sorted(g.neg)),
+        tuple(sorted(impl)),
+        tuple(sorted(eq_out)),
+        tuple(sorted(tuple(sorted(c)) for c in ors)),
+    )
+    return result, passes
+
+
+def satisfiable_corpus(lang, seed, count):
+    """Seeded random formulas that pass the IHSB satisfiability check, with
+    implications weighted up so that cycles, and OR-clauses over them, are
+    common."""
+    rng = random.Random(seed)
+    weights = [6 if relation_shape(r)[0] == "imp" else 1 for r in lang.relations]
+    found = 0
+    while found < count:
+        n_vars = rng.randint(2, 9)
+        rels = rng.choices(lang.relations, weights, k=rng.randint(1, 14))
+        f = CnfFormula(lang, tuple(f"v{i}" for i in range(n_vars)), tuple(
+            Clause(r.name, tuple(rng.randrange(n_vars) for _ in range(r.arity))) for r in rels
+        ))
+        g, _ = graph_from_cnf(f)
+        if not unsat_check_ihsb(g):
+            found += 1
+            yield f
+
+
+@pytest.mark.parametrize("lang", ["t9", "no-eq", "pmi-eq"])
+def test_one_pass_matches_fixpoint_reference(t9, lang):
+    lang = {"t9": t9, "no-eq": NO_EQ, "pmi-eq": PMI_EQ}[lang]
+    for f in satisfiable_corpus(lang, 61, 600):
+        g, templates = graph_from_cnf(f)
+        want, _ = fixpoint_reference(g, templates.eq is not None)
+        g, _ = graph_from_cnf(f)
+        got, passes = min_ihsb(g, templates.eq is not None)
+        assert got == want and passes == 1
+
+
+@pytest.mark.parametrize("lang", [NO_EQ.dual(), PMI_EQ.dual()], ids=["no-eq", "pmi-eq"])
+def test_ihsb_minus_matches_fixpoint_reference(lang, monkeypatch):
+    formulas = [f.dual() for f in satisfiable_corpus(lang.dual(), 67, 300)]
+    got = [min_ihsb_minus_cnf(f)[0] for f in formulas]
+    monkeypatch.setattr(ihsb, "min_ihsb", fixpoint_reference)
+    assert got == [min_ihsb_minus_cnf(f)[0] for f in formulas]
+
+
+def test_mutual_ors_keep_the_last_as_given_then_as_shrunk():
+    # {a, d, e} and {c, e} entail each other through a -> d and c <-> d;
+    # as given {c, e} sorts last, shrunk to {d, e} the other one would
+    specs = [("or3", (0, 3, 4)), ("or2", (2, 4))]
+    specs += [("imp", e) for e in ((0, 3), (2, 3), (3, 2))]
+    g, _ = graph_from_cnf(F(NO_EQ, "abcde", *specs))
+    got, _ = min_ihsb(g, False)
+    assert got.or_clauses == ((2, 4),)
+
+
+@pytest.mark.parametrize("lang", ["t9", "no-eq", "pmi-eq"])
+def test_no_rule_fires_on_the_output(t9, lang):
+    lang = {"t9": t9, "no-eq": NO_EQ, "pmi-eq": PMI_EQ}[lang]
+    for f in satisfiable_corpus(lang, 71, 300):
+        g, templates = graph_from_cnf(f)
+        min_ihsb(g, templates.eq is not None)
+        reach = g.reach()
+        for rule in _RULES:
+            assert not rule(g, reach), rule.__name__

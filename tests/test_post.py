@@ -324,7 +324,7 @@ def full_table_reference(basis, formula, measure):
     size, state = best
     root = _witness(
         state, table, basis, {f.name: f.name for f in basis}, sorted(relevant),
-        set(formula.var_names),
+        set(formula.var_names), [function_shape(f) for f in basis],
     )
     return (size, BFormula(basis, root), PostStats(measure, size, state, len(table.states))), table
 
