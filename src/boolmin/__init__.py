@@ -64,15 +64,7 @@ from .model import (
     satisfiable,
 )
 from .oracle import brute_min_bformula, brute_min_cnf, expressible, min_unsat_formula
-from .post import (
-    FuncTuple,
-    ReachTable,
-    gate_lower_bound,
-    min_post,
-    relevant_variables,
-    tuple_compose,
-    tuple_identify,
-)
+from .post import ReachTable, gate_lower_bound, min_post, relevant_variables
 
 __version__ = "0.1.0"
 

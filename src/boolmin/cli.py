@@ -103,8 +103,8 @@ def cmd_minimize_post(args) -> int:
     formula, basis = _load_bformula(args.formula, args.basis)
     result = min_post(basis, formula, SizeMeasure(args.measure))
     if result is None:
-        print("no equivalent basis-formula within bound", file=sys.stderr)
-        return EXIT_NEGATIVE
+        # the formula is parsed over the basis, so it is its own witness
+        raise RuntimeError("no equivalent basis-formula within bound; this is a bug")
     size, witness, stats = result
     text = ""
     if args.stats:

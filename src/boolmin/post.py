@@ -18,12 +18,16 @@ of Knuth's generalization of Dijkstra's algorithm (Knuth 1977): a gate count
 only adds under composition, so a cell is final when it leaves the heap.  A
 settled cell grows as a host and as a guest against the cells settled so
 far.  At a relevant leaf it takes every *unit*, a cell with at most
-max-arity leaves; at an irrelevant leaf it takes the cheapest cell of each
-leaf count, since an irrelevant insertion reads nothing else of its guest.
-Cells are plain int triples, and a pair's leaf counts are checked before it
-is composed, so a pair over the leaf bound is never composed.  With a dummy
-argument the cells fill a 2D (l, n) space, and the pass stays about cubic
-in the bound.
+max-arity leaves.  At an irrelevant leaf it takes only the first settled
+leafless cell (a constant).  A guest with leaves at an irrelevant leaf can
+be swapped for a bare variable, which keeps (c, l), does not raise n and
+removes at least one gate.  So a cell whose cheapest formula needs such a
+guest has a cell with the same (c, l), fewer leaves and fewer gates, which
+wins under either measure, and only a leafless guest ever needs to go
+there.  The table is therefore the minimum gate count over compositions
+whose irrelevant guests are leafless, not over all of them.  Cells are
+plain int triples, and a pair's leaf counts are checked before it is
+composed, so a pair over the leaf bound is never composed.
 
 min_post stops the pass as soon as its optimum is final, which is exact.
 Under gates, once the first cell that can become the target settles with g
@@ -36,8 +40,8 @@ Units rather than bare seeds keep the leaf bound exact.  Any tree can be
 built from its root by insertions in which leafless subtrees (constants)
 travel with their parent gate: a relevant leaf takes a gate with its
 leafless arguments filled in, which is a unit, and an irrelevant leaf takes
-a whole subtree.  Every open leaf then ends as a subtree with at least one
-leaf, so no intermediate cell has more leaves than the tree, and a cell
+a leafless subtree.  Every open leaf then ends as a subtree with at least
+one leaf, so no intermediate cell has more leaves than the tree, and a cell
 within n_bound is reached through cells within it.  (min_post's bound is at
 least the largest arity, so the units are built within it too.)  Inserting
 bare gates and constants one at a time would pass through cells above the
@@ -69,16 +73,6 @@ State = tuple[int, int, int]
 Ref = tuple
 
 
-@dataclass(frozen=True)
-class FuncTuple:
-    """(constant, relevant variable count, leaf occurrences, gate count)."""
-
-    c: int
-    l: int
-    n: int
-    g: int
-
-
 def _compose(host: State, guest: State, relevant: bool, xor: bool) -> State:
     """The cell of guest substituted for a relevant or an irrelevant leaf of
     host, over an XOR (xor) or an OR basis."""
@@ -92,29 +86,6 @@ def _compose(host: State, guest: State, relevant: bool, xor: bool) -> State:
         # an OR-composition that turns constant-1 makes every variable irrelevant
         return (1, 0, n)
     return (0, l + guest[1] - 1, n)
-
-
-def tuple_compose(t1: FuncTuple, t2: FuncTuple, mode: str, cls: str = "V") -> FuncTuple:
-    """Substitute t2 for a relevant (mode="relevant") or irrelevant
-    (mode="irrelevant") leaf of t1."""
-    if mode == "relevant":
-        if t1.l < 1:
-            raise ValueError("relevant composition needs a relevant variable")
-    elif mode == "irrelevant":
-        if t1.l >= t1.n:
-            raise ValueError("irrelevant composition needs an irrelevant occurrence")
-    else:
-        raise ValueError(f"unknown composition mode {mode!r}")
-    c, l, n = _compose((t1.c, t1.l, t1.n), (t2.c, t2.l, t2.n), mode == "relevant", cls != "V")
-    return FuncTuple(c, l, n, t1.g + t2.g)
-
-
-def tuple_identify(t: FuncTuple, cls: str) -> FuncTuple:
-    """Identify two relevant variables; XOR identification cancels both."""
-    if t.l < 2:
-        raise ValueError("identification needs two relevant variables")
-    delta = 2 if cls == "L" else 1
-    return FuncTuple(t.c, t.l - delta, t.n, t.g)
 
 
 def relevant_variables(
@@ -146,7 +117,8 @@ def relevant_variables(
 
 @dataclass(frozen=True)
 class ReachTable:
-    """Generic-composition reachability: state -> (min gates, back-reference).
+    """Generic-composition reachability: state -> (min gates, back-reference),
+    the minimum over compositions whose irrelevant guests are leafless.
 
     A back-reference is ("var",), ("fn", name), or ("rel" | "irr", host,
     guest): guest inserted at a relevant or an irrelevant leaf of host."""
@@ -163,8 +135,11 @@ def build_reach_table(
     shapes: list[FunctionShape] | None = None,
 ) -> ReachTable:
     """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
-    settling cells in nondecreasing gate count (Knuth 1977).  A pair whose
-    leaves would exceed n_bound is never composed.
+    over compositions whose irrelevant guests are leafless, settling cells
+    in nondecreasing gate count (Knuth 1977).  A cell that is cheaper only
+    through a guest with leaves at an irrelevant leaf shows more gates or is
+    absent; the module docstring shows that it is never min_post's pick.  A
+    pair whose leaves would exceed n_bound is never composed.
 
     `gate_cap(g, s)`, asked as each cell s settles with g gates, bounds the
     gates of the cells still needed; the pass stops once every cell within
@@ -197,16 +172,12 @@ def build_reach_table(
     states: dict[State, tuple[int, Ref]] = {}
     units: list[tuple[State, int]] = []
     rel_hosts: list[tuple[State, int]] = []
-    # by leaf count: the first settled cell, and the hosts of an irrelevant leaf
-    cheapest: dict[int, tuple[State, int]] = {}
-    irr_hosts: dict[int, list[tuple[State, int]]] = {}
+    irr_hosts: list[tuple[State, int]] = []
+    leafless: tuple[State, int] | None = None  # the one guest of an irrelevant leaf
 
     # Partners are met in settle order, and among equal-cost offers of a
-    # cell the first keeps its back-reference.  Each partner is checked
-    # against the leaf bound before anything is composed.  The hosts of an
-    # irrelevant leaf are grouped by leaf count, so that a group too large
-    # for the guest is skipped whole; they give the guest distinct cells, so
-    # the grouping changes no back-reference.
+    # cell the first keeps its back-reference.  A unit is checked against
+    # the leaf bound before anything is composed; a leafless guest always fits.
     cap = math.inf
     while heap and heap[0][0] <= cap:
         g, s, ref = heapq.heappop(heap)
@@ -217,10 +188,7 @@ def build_reach_table(
         if g > cap:
             break
         _, l, n = s
-        room = n_bound + 1 - n  # the most leaves a partner of s may have
-        first_of_n = n not in cheapest
-        if first_of_n:
-            cheapest[n] = (s, g)
+        room = n_bound + 1 - n  # the most leaves a unit partner of s may have
         if n <= unit_arity:
             units.append((s, g))
         if l >= 1:
@@ -229,16 +197,14 @@ def build_reach_table(
                 if u[2] <= room:
                     offer(_compose(s, u, True, xor), g + gu, ("rel", s, u))
         if l < n:
-            irr_hosts.setdefault(n, []).append((s, g))
-            for nv, (v, gv) in cheapest.items():
-                if nv <= room:
-                    offer(_compose(s, v, False, xor), g + gv, ("irr", s, v))
-        # as a guest, s meets every host settled so far
-        if first_of_n:
-            for nh, hosts in irr_hosts.items():
-                if nh <= room:
-                    for h, gh in hosts:
-                        offer(_compose(h, s, False, xor), gh + g, ("irr", h, s))
+            irr_hosts.append((s, g))
+            if leafless is not None:
+                v, gv = leafless
+                offer(_compose(s, v, False, xor), g + gv, ("irr", s, v))
+        elif n == 0 and leafless is None:
+            leafless = (s, g)
+            for h, gh in irr_hosts:
+                offer(_compose(h, s, False, xor), gh + g, ("irr", h, s))
         if n <= unit_arity:
             for h, gh in rel_hosts:
                 if h[2] <= room:

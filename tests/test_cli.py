@@ -102,6 +102,18 @@ def test_minimize_post(workdir, capsys):
     assert "(or2 x y)" in out
 
 
+def test_minimize_post_without_result_is_an_internal_error(workdir, capsys, monkeypatch):
+    # the formula is parsed over the basis, so min_post must find a witness
+    monkeypatch.setattr(cli, "min_post", lambda *args: None)
+    code = main(
+        ["minimize-post", "--basis", "basis.fns", "--formula", "phi.bf", "--measure", "gates"]
+    )
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: RuntimeError: ")
+
+
 @pytest.mark.parametrize("measure, expected", [
     ("literals", "# measure=literals\n# min_size=4\n# tuple=(0,4,4)\n(and3 (and2 y z) w x)\n"),
     ("gates", "# measure=gates\n# min_size=2\n# tuple=(0,4,4)\n(and3 (and2 y z) w x)\n"),

@@ -1,10 +1,13 @@
+import heapq
 import math
 import random
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import pytest
 
 from boolmin import post
-from boolmin.classify import classify_basis, function_shape
+from boolmin.classify import FunctionShape, classify_basis, function_shape
 from boolmin.errors import ClassificationError
 from boolmin.formats import parse_bformula, serialize_bformula
 from boolmin.model import (
@@ -21,20 +24,50 @@ from boolmin.model import (
 )
 from boolmin.oracle import brute_min_bformula
 from boolmin.post import (
-    FuncTuple,
     PostStats,
+    ReachTable,
+    Ref,
+    State,
+    _compose,
     _identify_compatible,
     _witness,
     build_reach_table,
     gate_lower_bound,
     min_post,
     relevant_variables,
-    tuple_compose,
-    tuple_identify,
 )
 from boolmin.std import fn_and, fn_const, fn_or, fn_xor
 
 from conftest import random_bformula, random_btree
+
+
+OR2D = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
+XOR2D = BoolFunction("xor2d", 3, tuple(b ^ c for _, b, c in all_assignments(3)))
+
+
+@dataclass(frozen=True)
+class FuncTuple:
+    """(constant, relevant variable count, leaf occurrences, gate count)."""
+
+    c: int
+    l: int
+    n: int
+    g: int
+
+
+def tuple_compose(t1: FuncTuple, t2: FuncTuple, mode: str, cls: str = "V") -> FuncTuple:
+    """Substitute t2 for a relevant (mode="relevant") or irrelevant
+    (mode="irrelevant") leaf of t1."""
+    if mode == "relevant":
+        if t1.l < 1:
+            raise ValueError("relevant composition needs a relevant variable")
+    elif mode == "irrelevant":
+        if t1.l >= t1.n:
+            raise ValueError("irrelevant composition needs an irrelevant occurrence")
+    else:
+        raise ValueError(f"unknown composition mode {mode!r}")
+    c, l, n = _compose((t1.c, t1.l, t1.n), (t2.c, t2.l, t2.n), mode == "relevant", cls != "V")
+    return FuncTuple(c, l, n, t1.g + t2.g)
 
 
 def test_tuple_compose_rules():
@@ -54,14 +87,6 @@ def test_tuple_compose_rules():
         tuple_compose(FuncTuple(0, 0, 1, 1), FuncTuple(0, 1, 1, 0), "relevant", "V")
     with pytest.raises(ValueError):
         tuple_compose(FuncTuple(0, 2, 2, 1), FuncTuple(0, 1, 1, 0), "irrelevant", "V")
-
-
-def test_tuple_identify_rules():
-    assert tuple_identify(FuncTuple(0, 2, 2, 1), "V").l == 1
-    assert tuple_identify(FuncTuple(0, 2, 2, 1), "L").l == 0
-    assert tuple_identify(FuncTuple(1, 3, 3, 1), "L").l == 1
-    with pytest.raises(ValueError):
-        tuple_identify(FuncTuple(0, 1, 2, 1), "V")
 
 
 def test_relevant_variables():
@@ -144,9 +169,10 @@ def test_min_post_matches_oracle_small():
                 assert oracle is not None and oracle[0] == size
 
 
-def closure_reference(basis, cls, n_bound):
+def closure_reference(basis, cls, n_bound, any_irrelevant_guest=False):
     """Min gates per (c, l, n): every pairwise composition, in rounds until
-    no cell improves."""
+    no cell improves.  An irrelevant leaf takes only a leafless guest, as in
+    build_reach_table, unless any_irrelevant_guest is set."""
     states = {(0, 1, 1): 0}
     for f in basis:
         shape = function_shape(f)
@@ -162,6 +188,8 @@ def closure_reference(basis, cls, n_bound):
             modes = [m for m, ok in (("relevant", t1.l >= 1), ("irrelevant", t1.l < t1.n)) if ok]
             for t2 in items:
                 for mode in modes:
+                    if mode == "irrelevant" and t2.n and not any_irrelevant_guest:
+                        continue
                     t = tuple_compose(t1, t2, mode, cls)
                     s = (t.c, t.l, t.n)
                     if t.n <= n_bound and t.l <= t.n and t.g < states.get(s, t.g + 1):
@@ -192,22 +220,42 @@ def min_gates(basis, cls, n_bound):
     return {s: g for s, (g, _) in build_reach_table(basis, cls, n_bound, never_stop).states.items()}
 
 
-def test_reach_table_matches_pairwise_closure():
+def closure_cases():
+    """(basis, cls, n_bound): 40 seeded random bases, then a 2D state space
+    (the dummy argument makes l < n reachable) and a constant inside a gate
+    (some cells are reached only by inserting a unit, a gate with its
+    constant argument, at a relevant leaf)."""
     rng = random.Random(73)
     for _ in range(40):
         cls = rng.choice("VL")
         basis = tuple(random_post_function(rng, cls, f"f{i}") for i in range(rng.randint(1, 3)))
-        n_bound = rng.randint(1, 24)
+        yield basis, cls, rng.randint(1, 24)
+    yield (fn_or(2), OR2D), "V", 32
+    yield (fn_const(0), XOR2D), "L", 7
+
+
+def test_reach_table_matches_pairwise_closure():
+    for basis, cls, n_bound in closure_cases():
         assert min_gates(basis, cls, n_bound) == closure_reference(basis, cls, n_bound)
-    # a 2D state space: the dummy argument makes l < n reachable
-    or2_dummy = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
-    basis = (fn_or(2), or2_dummy)
-    assert min_gates(basis, "V", 32) == closure_reference(basis, "V", 32)
-    # a constant inside a gate: some cells are reached only by inserting a
-    # unit (a gate with its constant argument) at a relevant leaf
-    xor2_dummy = BoolFunction("xor2d", 3, tuple(b ^ c for _, b, c in all_assignments(3)))
-    basis = (fn_const(0), xor2_dummy)
-    assert min_gates(basis, "L", 7) == closure_reference(basis, "L", 7)
+
+
+def test_reach_table_dominates_unrestricted_closure():
+    # a cell that is cheaper only through a guest with leaves at an
+    # irrelevant leaf loses, under either measure, to a kept cell with the
+    # same (c, l), fewer leaves and fewer gates
+    dominated = 0
+    for basis, cls, n_bound in closure_cases():
+        table = min_gates(basis, cls, n_bound)
+        full = closure_reference(basis, cls, n_bound, any_irrelevant_guest=True)
+        assert table.keys() <= full.keys()
+        for (c, l, n), g in full.items():
+            if table.get((c, l, n)) != g:
+                dominated += 1
+                assert any(
+                    (c2, l2) == (c, l) and n2 < n and g2 < g
+                    for (c2, l2, n2), g2 in table.items()
+                )
+    assert dominated >= 100
 
 
 def balanced_or_tree(leaves):
@@ -276,19 +324,22 @@ def test_gate_lower_bound():
 
 def test_min_post_dummy_argument_chain():
     # f(f(x0, x1, x0), x2, x0)... over f(x, y, z) = x or y: the dummy
-    # argument makes the cell space 2D, with about n_bound^2 / 8 cells
-    n = 100
+    # argument makes l < n reachable, but an irrelevant leaf takes only a
+    # leafless guest and the basis has none, so one cell settles per gate
+    # count; 2000 variables would take minutes if the pass met every cell
+    # of the 2D (l, n) space
     f = BoolFunction("f", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
-    node = BVar("x0")
-    for i in range(1, n):
-        node = BApp("f", (node, BVar(f"x{i}"), BVar("x0")))
-    phi = BFormula((f,), node)
-    # g gates of f hold 2g + 1 leaves, so the literal minimum is 2(n - 1) + 1
-    for measure, expected in ((SizeMeasure.GATES, n - 1), (SizeMeasure.LITERALS, 2 * n - 1)):
-        size, witness, stats = min_post((f,), phi, measure)
-        assert size == expected and stats.reach_states == 4951
-        assert formula_size(witness, measure) == size
-        assert relevant_variables(witness, "V") == relevant_variables(phi, "V")
+    for n in (100, 2000):
+        node = BVar("x0")
+        for i in range(1, n):
+            node = BApp("f", (node, BVar(f"x{i}"), BVar("x0")))
+        phi = BFormula((f,), node)
+        # g gates of f hold 2g + 1 leaves, so the literal minimum is 2(n - 1) + 1
+        for measure, expected in ((SizeMeasure.GATES, n - 1), (SizeMeasure.LITERALS, 2 * n - 1)):
+            size, witness, stats = min_post((f,), phi, measure)
+            assert size == expected and stats.reach_states == n
+            assert formula_size(witness, measure) == size
+            assert relevant_variables(witness, "V") == relevant_variables(phi, "V")
 
 
 def full_table_reference(basis, formula, measure):
@@ -336,6 +387,15 @@ def random_and_function(rng, name):
     return BoolFunction(name, f.arity, dualize(f).table)
 
 
+def random_basis(rng):
+    """One to three functions from random_post_function (OR or XOR) or
+    random_and_function, all of one class."""
+    cls = rng.choice("VLE")
+    if cls == "E":
+        return tuple(random_and_function(rng, f"f{i}") for i in range(rng.randint(1, 3)))
+    return tuple(random_post_function(rng, cls, f"f{i}") for i in range(rng.randint(1, 3)))
+
+
 def random_post_formula(basis, rng, leaves):
     """random_bformula, with about one leaf in five a constant of the basis
     when it has one."""
@@ -361,11 +421,7 @@ def test_min_post_matches_full_table_reference(monkeypatch):
     rng = random.Random(79)
     smaller = 0
     for _ in range(300):
-        cls = rng.choice("VLE")
-        if cls == "E":
-            basis = tuple(random_and_function(rng, f"f{i}") for i in range(rng.randint(1, 3)))
-        else:
-            basis = tuple(random_post_function(rng, cls, f"f{i}") for i in range(rng.randint(1, 3)))
+        basis = random_basis(rng)
         phi = random_post_formula(basis, rng, rng.randint(1, 9))
         for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
             stopped.clear()
@@ -380,6 +436,123 @@ def test_min_post_matches_full_table_reference(monkeypatch):
             assert all(full.states[s] == cell for s, cell in stopped[0].states.items())
             smaller += len(stopped[0].states) < len(full.states)
     assert smaller >= 100
+
+
+# build_reach_table as it was before an irrelevant leaf took only a leafless
+# guest: each irrelevant host met the cheapest cell of every leaf count
+def grouped_table_reference(
+    basis: tuple[BoolFunction, ...],
+    cls: str,
+    n_bound: int,
+    gate_cap: Callable[[int, State], float],
+    shapes: list[FunctionShape] | None = None,
+) -> ReachTable:
+    """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
+    settling cells in nondecreasing gate count (Knuth 1977).  A pair whose
+    leaves would exceed n_bound is never composed.
+
+    `gate_cap(g, s)`, asked as each cell s settles with g gates, bounds the
+    gates of the cells still needed; the pass stops once every cell within
+    the least bound given so far has settled.  A cap of g - 1 stops it at
+    once.  Cells leave the heap in nondecreasing gate count, so the table
+    settled up to the stop is a prefix of the full one, back-references
+    included.  `shapes` holds the basis functions' shapes if the caller
+    already has them."""
+    if shapes is None:
+        shapes = [function_shape(f) for f in basis]
+    xor = cls != "V"
+    unit_arity = max((f.arity for f in basis), default=0)
+    best: dict[State, int] = {}
+    heap: list[tuple[int, State, Ref]] = []
+
+    def offer(state: State, g: int, ref: Ref) -> None:
+        known = best.get(state)
+        if known is None or g < known:
+            best[state] = g
+            heapq.heappush(heap, (g, state, ref))
+
+    if n_bound >= 1:
+        offer((0, 1, 1), 0, ("var",))
+    for f, shape in zip(basis, shapes):
+        if f.arity <= n_bound:
+            c, l = shape.zero_value, len(shape.relevant)
+            # an OR that is constant 1 has no relevant variable
+            offer((1, 0, f.arity) if c and not xor else (c, l, f.arity), 1, ("fn", f.name))
+
+    states: dict[State, tuple[int, Ref]] = {}
+    units: list[tuple[State, int]] = []
+    rel_hosts: list[tuple[State, int]] = []
+    # by leaf count: the first settled cell, and the hosts of an irrelevant leaf
+    cheapest: dict[int, tuple[State, int]] = {}
+    irr_hosts: dict[int, list[tuple[State, int]]] = {}
+
+    # Partners are met in settle order, and among equal-cost offers of a
+    # cell the first keeps its back-reference.  Each partner is checked
+    # against the leaf bound before anything is composed.  The hosts of an
+    # irrelevant leaf are grouped by leaf count, so that a group too large
+    # for the guest is skipped whole; they give the guest distinct cells, so
+    # the grouping changes no back-reference.
+    cap = math.inf
+    while heap and heap[0][0] <= cap:
+        g, s, ref = heapq.heappop(heap)
+        if s in states:
+            continue
+        states[s] = (g, ref)
+        cap = min(cap, gate_cap(g, s))
+        if g > cap:
+            break
+        _, l, n = s
+        room = n_bound + 1 - n  # the most leaves a partner of s may have
+        first_of_n = n not in cheapest
+        if first_of_n:
+            cheapest[n] = (s, g)
+        if n <= unit_arity:
+            units.append((s, g))
+        if l >= 1:
+            rel_hosts.append((s, g))
+            for u, gu in units:
+                if u[2] <= room:
+                    offer(_compose(s, u, True, xor), g + gu, ("rel", s, u))
+        if l < n:
+            irr_hosts.setdefault(n, []).append((s, g))
+            for nv, (v, gv) in cheapest.items():
+                if nv <= room:
+                    offer(_compose(s, v, False, xor), g + gv, ("irr", s, v))
+        # as a guest, s meets every host settled so far
+        if first_of_n:
+            for nh, hosts in irr_hosts.items():
+                if nh <= room:
+                    for h, gh in hosts:
+                        offer(_compose(h, s, False, xor), gh + g, ("irr", h, s))
+        if n <= unit_arity:
+            for h, gh in rel_hosts:
+                if h[2] <= room:
+                    offer(_compose(h, s, True, xor), gh + g, ("rel", h, s))
+    return ReachTable(cls, states)
+
+
+def test_min_post_matches_grouped_table_reference(monkeypatch):
+    # the grouped table holds every composition's min gate count, yet
+    # min_post picks the same cell and witness from either table
+    rng = random.Random(83)
+    bases = [
+        (fn_or(2),), (fn_xor(2),), (fn_and(2),), (fn_or(2), fn_const(0)),
+        (fn_xor(2), fn_const(1)), (fn_and(2), fn_const(0)), (OR2D,), (fn_const(0), XOR2D),
+    ] + [random_basis(rng) for _ in range(400)]
+    cases = [(basis, random_post_formula(basis, rng, rng.randint(1, 12))) for basis in bases]
+
+    def results():
+        out = []
+        for basis, phi in cases:
+            for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
+                res = min_post(basis, phi, measure)
+                out.append(res and (res[0], serialize_bformula(res[1]), res[2].tuple))
+        return out
+
+    got = results()
+    monkeypatch.setattr(post, "build_reach_table", grouped_table_reference)
+    assert results() == got
+    assert sum(res is not None for res in got) >= 600
 
 
 def packed_tree(basis, leaves):
@@ -408,10 +581,6 @@ def test_min_post_stops_before_the_full_table(basis, measure):
         want[0], serialize_bformula(want[1]), want[2].tuple
     )
     assert stats.reach_states < len(full.states)
-
-
-OR2D = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
-XOR2D = BoolFunction("xor2d", 3, tuple(b ^ c for _, b, c in all_assignments(3)))
 
 
 @pytest.mark.parametrize("basis, text, measure, expected", [
