@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import graph
 from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats, Relation
+from .model import LANGUAGE_CACHE_SIZE, Clause, CnfFormula, ConstraintLanguage, MinimizeStats, Relation
 from .oracle import unsat_minimum
 
 
@@ -112,15 +113,17 @@ def to_literal_graph(formula: CnfFormula) -> LiteralGraph:
 class _Emitter:
     """Finds language clauses realizing units, equivalences and edge pairs.
     Every lookup keeps the first match in language order, and within one
-    relation the application (u, v) before (v, u)."""
+    relation the application (u, v) before (v, u).  One emitter serves every
+    formula over its language (`_emitter`), so nothing writes its tables
+    after __init__."""
 
     def __init__(self, lang: ConstraintLanguage):
         # (name, swapped, pairs allowed on (u, v)); symmetric relations twice
-        self.oriented = [
+        self.oriented = tuple(
             (rel.name, swap, pairs)
             for rel in lang.relations if rel.arity == 2
             for swap, pairs in ((False, rel.tuples), (True, frozenset(t[::-1] for t in rel.tuples)))
-        ]
+        )
         self.first: dict[frozenset, tuple[str, bool]] = {}
         for name, swap, pairs in self.oriented:
             self.first.setdefault(pairs, (name, swap))
@@ -177,6 +180,12 @@ class _Emitter:
 
     def anti_pair(self, u: int, v: int) -> list[Clause] | None:
         return self._one_or_two(_XOR, u, v, (pos_lit(u), neg_lit(v)), (neg_lit(u), pos_lit(v)))
+
+
+@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
+def _emitter(lang: ConstraintLanguage) -> _Emitter:
+    """The language's emitter, built once per language value."""
+    return _Emitter(lang)
 
 
 def _first_edge(emitter: _Emitter, sources: list[int], targets: list[int]) -> Clause | None:
@@ -274,7 +283,7 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     """Minimize a formula over an irreducible bijunctive language."""
     lang = formula.language
     g = to_literal_graph(formula)
-    emitter = _Emitter(lang)
+    emitter = _emitter(lang)
     if g.contradictory:
         return unsat_minimum(formula)
     reach = g.reach()

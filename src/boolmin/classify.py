@@ -3,10 +3,13 @@ closure properties, irreducibility, function shapes and the dichotomy
 verdicts that drive minimizer dispatch."""
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .graph import bits
-from .model import BoolFunction, ConstraintLanguage, Relation, dual_name, var_mask
+from .model import LANGUAGE_CACHE_SIZE, BoolFunction, ConstraintLanguage, Relation, dual_name, var_mask
 
 CLOSURE_OPS = ("min2", "max2", "maj3", "xor3", "orAndMix", "andOrMix")
 
@@ -180,7 +183,10 @@ class HornWitness:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    flags: dict[str, RelationFlags]
+    """A language's verdict and per-relation flags.  One report is shared by
+    every caller (see `classify_language`), so `flags` is read-only."""
+
+    flags: Mapping[str, RelationFlags]
     verdict: str
     schaefer: bool
     irreducibility_caveat: bool
@@ -219,12 +225,15 @@ def find_positive_horn_witness(lang: ConstraintLanguage) -> HornWitness | None:
     return None
 
 
+@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
 def classify_language(lang: ConstraintLanguage) -> ClassificationReport:
     """Dichotomy verdict with per-relation flags.
 
     Verdict precedence among the polynomial classes: affine > bijunctive >
     ihsb+ > ihsb-; the caveat flag is set when some relation is reducible,
     in which case the verdict is only guaranteed for irreducible languages.
+
+    Memoized by language value: equal languages share one report.
     """
     flags = {r.name: relation_flags(r) for r in lang.relations}
     fs = list(flags.values())
@@ -258,7 +267,7 @@ def classify_language(lang: ConstraintLanguage) -> ClassificationReport:
             )
     else:
         verdict = "coNP-hard-nonschaefer"
-    return ClassificationReport(flags, verdict, schaefer, caveat, witness)
+    return ClassificationReport(MappingProxyType(flags), verdict, schaefer, caveat, witness)
 
 
 def report_lines(report: ClassificationReport) -> list[str]:

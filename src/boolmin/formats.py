@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache
 
 from .errors import FormatError
 from .model import (
+    LANGUAGE_CACHE_SIZE,
     BApp,
     BFormula,
     BNode,
@@ -84,13 +86,32 @@ def parse_relation(text: str) -> Relation:
 
 
 def load_language(path: str, _including: tuple[str, ...] = ()) -> ConstraintLanguage:
+    """The language a file defines.  The file is read on every call, so an
+    edited file is always seen.  An include-free text is parsed once: its
+    language is memoized by the text itself, and equal texts give the very
+    same `ConstraintLanguage`, whose per-language results (see `model`) are
+    then computed once.  A text with an include line is parsed on every
+    call, since the files it includes may have changed."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lang = _include_free_language(text)
+    if lang is not None:
+        return lang
+    # only a file with an include line can lie on an include cycle
     real = os.path.realpath(path)
     if real in _including:
         cycle = _including[_including.index(real):] + (real,)
         raise FormatError("include cycle: " + " -> ".join(cycle))
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     return parse_language(text, os.path.dirname(path) or ".", _including + (real,))
+
+
+@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
+def _include_free_language(text: str) -> ConstraintLanguage | None:
+    """The language of a text without include lines, or None for a text
+    with one.  A malformed text raises on every call: no failure is cached."""
+    if any(tokens[0] == "include" for tokens in _content_lines(text)):
+        return None
+    return parse_language(text)
 
 
 def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:

@@ -1,6 +1,13 @@
 """One-pass minimization for formulas over irreducible IHSB+ languages,
 with the IHSB- case handled by duality.
 
+An IHSB- formula is not dualized: its clauses are read through the
+templates of the dual relations (`dual_templates`), which carry the
+formula's own relation names, so the same pass runs on it and the result is
+emitted in those names.  Only an unsatisfiable one takes the dual route, to
+answer with the dual language's minimum unsatisfiable formula, renamed back.
+Templates are computed once per language.
+
 A formula is rewritten in the base vocabulary {x, not-x, ->, =, OR^m}.  An
 equality is the implication pair u -> v, v -> u, so the equality classes are
 the strongly connected components of the implications (Aspvall-Plass-Tarjan
@@ -31,55 +38,83 @@ shrink nor entail each other.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import graph
 from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats
+from .model import LANGUAGE_CACHE_SIZE, Clause, CnfFormula, ConstraintLanguage, MinimizeStats
 from .oracle import unsat_minimum
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaseTemplates:
     """Which base shapes the language offers, and through which relation;
-    `shapes` holds the shape of every relation name."""
+    `shapes` holds the shape of every relation name.  `dual` marks the
+    templates of an IHSB- language, whose shapes are those of the dual
+    relations.  Templates are shared by every formula over the language, so
+    they are read-only."""
 
-    pos: str | None = None
-    neg: str | None = None
-    imp: tuple[str, bool] | None = None
-    eq: str | None = None
-    or_arities: dict[int, str] = field(default_factory=dict)
-    shapes: dict[str, tuple] = field(default_factory=dict)
+    pos: str | None
+    neg: str | None
+    imp: tuple[str, bool] | None
+    eq: str | None
+    or_arities: Mapping[int, str]
+    shapes: Mapping[str, tuple]
+    dual: bool
 
 
-def language_templates(lang: ConstraintLanguage) -> BaseTemplates:
-    """Match every relation of the language against the base shapes.
-
-    A mismatch means the language is not irreducible IHSB+ and was
-    misclassified by the caller.
-    """
-    t = BaseTemplates()
-    for rel in lang.relations:
+def _match_templates(lang: ConstraintLanguage, read: ConstraintLanguage) -> BaseTemplates:
+    """Match each relation of `read` against the base shapes, under the name
+    of the relation at its place in `lang` (the language itself, or the
+    dual of `read`).  The first relation of a shape serves it."""
+    pos = neg = imp = eq = None
+    or_arities: dict[int, str] = {}
+    shapes: dict[str, tuple] = {}
+    for name, rel in zip((r.name for r in lang.relations), read.relations):
         kind = relation_shape(rel)
         if kind is None or kind[0] in ("nand", "xor"):
             raise ClassificationError(
                 f"relation {rel.name} is not an IHSB+ base shape; "
                 "language misclassified as irreducible IHSB+"
             )
-        t.shapes[rel.name] = kind
-        if kind[0] == "pos" and t.pos is None:
-            t.pos = rel.name
-        elif kind[0] == "neg" and t.neg is None:
-            t.neg = rel.name
-        elif kind[0] == "imp" and t.imp is None:
-            t.imp = (rel.name, kind[1])
-        elif kind[0] == "eq" and t.eq is None:
-            t.eq = rel.name
-        elif kind[0] == "or" and kind[1] not in t.or_arities:
-            t.or_arities[kind[1]] = rel.name
-    return t
+        shapes[name] = kind
+        if kind[0] == "pos" and pos is None:
+            pos = name
+        elif kind[0] == "neg" and neg is None:
+            neg = name
+        elif kind[0] == "imp" and imp is None:
+            imp = (name, kind[1])
+        elif kind[0] == "eq" and eq is None:
+            eq = name
+        elif kind[0] == "or" and kind[1] not in or_arities:
+            or_arities[kind[1]] = name
+    return BaseTemplates(
+        pos, neg, imp, eq, MappingProxyType(or_arities), MappingProxyType(shapes), read is not lang
+    )
+
+
+@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
+def language_templates(lang: ConstraintLanguage) -> BaseTemplates:
+    """Match every relation of the language against the base shapes;
+    memoized by language value.
+
+    A mismatch means the language is not irreducible IHSB+ and was
+    misclassified by the caller.
+    """
+    return _match_templates(lang, lang)
+
+
+@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
+def dual_templates(lang: ConstraintLanguage) -> BaseTemplates:
+    """The templates of an IHSB- language: the shapes of its dual relations,
+    which are IHSB+, under its own relation names; memoized by language
+    value.  Read through them, its formulas minimize as IHSB+ ones and are
+    emitted in its own vocabulary."""
+    return _match_templates(lang, lang.dual())
 
 
 class ImplGraph:
@@ -118,9 +153,13 @@ def leadsto(g: ImplGraph, u: int, v: int) -> bool:
     return v in seen
 
 
-def graph_from_cnf(formula: CnfFormula) -> tuple[ImplGraph, BaseTemplates]:
-    """normalize_to_base: rewrite every clause as a base clause."""
-    templates = language_templates(formula.language)
+def graph_from_cnf(
+    formula: CnfFormula, templates: BaseTemplates | None = None
+) -> tuple[ImplGraph, BaseTemplates]:
+    """normalize_to_base: rewrite every clause as a base clause, reading its
+    relation through `templates` (by default the language's own)."""
+    if templates is None:
+        templates = language_templates(formula.language)
     g = ImplGraph(formula.n_vars)
     for clause in formula.clauses:
         kind = templates.shapes[clause.relation]
@@ -354,14 +393,21 @@ def restrict_vocabulary(
     return CnfFormula._trusted(lang, var_names, tuple(clauses), language_path)
 
 
-def min_ihsb_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
+def min_ihsb_cnf(
+    formula: CnfFormula, templates: BaseTemplates | None = None
+) -> tuple[CnfFormula, MinimizeStats]:
     """Full pipeline for irreducible IHSB+ languages: rewrite to the base
     vocabulary, check satisfiability, minimize, re-emit in the language's
-    own vocabulary."""
-    g, templates = graph_from_cnf(formula)
+    own vocabulary.  `templates` reads the formula's relations: by default
+    the language's own, and for IHSB- its `dual_templates`."""
+    g, templates = graph_from_cnf(formula, templates)
     reach = g.reach()
     if unsat_check_ihsb(g, reach):
-        return unsat_minimum(formula)
+        if not templates.dual:
+            return unsat_minimum(formula)
+        # the dual language's minimum unsatisfiable formula, renamed back
+        dual_out, stats = unsat_minimum(formula.dual())
+        return dual_out.dual(), stats
     base, passes = min_ihsb(g, templates.eq is not None, reach)
     out = restrict_vocabulary(
         base, templates, formula.language, formula.var_names, formula.language_path
@@ -370,7 +416,7 @@ def min_ihsb_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
 
 
 def min_ihsb_minus_cnf(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
-    """IHSB- languages minimize through duality: dualize, minimize, dualize
-    back over the input's own language."""
-    dual_out, stats = min_ihsb_cnf(formula.dual())
-    return dual_out.dual(formula.language), stats
+    """IHSB- languages minimize through duality, with no dual formula built:
+    the input's clauses are read through the templates of the dual
+    relations, and the result is emitted in the input's relation names."""
+    return min_ihsb_cnf(formula, dual_templates(formula.language))

@@ -20,6 +20,16 @@ one bit operation per argument, other tables are a sum of products over
 their true rows.  `CnfFormula.mask` and `BFormula.mask` evaluate over any
 columns: all 2^n assignments (`truth_table`), one assignment (`eval`, with
 `full = 1`), or the n + 1 probes of `post.relevant_variables`.
+
+What depends on a constraint language alone is computed once per language
+value, not once per formula: its classification
+(`classify.classify_language`), its IHSB base templates
+(`ihsb.language_templates`, `ihsb.dual_templates`), its bijunctive clause
+table and its minimum unsatisfiable formula (`oracle.min_unsat_formula`)
+are memoized by the language, and `formats.load_language` gives equal
+include-free texts one language object.  The dual language is kept on the
+language object itself, so that the dual of the dual is that object.  These
+results are shared by every caller, so none of them can be changed.
 """
 from __future__ import annotations
 
@@ -34,6 +44,9 @@ from .errors import FormatError, ResourceLimitError
 
 MAX_RELATION_ARITY = 8
 VAR_CAP = 24
+# how many languages each memoized per-language result keeps (see the
+# module docstring); the bound keeps a process that meets many languages small
+LANGUAGE_CACHE_SIZE = 256
 
 DUAL_SUFFIX = "~"
 
@@ -124,7 +137,15 @@ class ConstraintLanguage:
             raise FormatError(f"unknown relation {name!r}") from None
 
     def dual(self) -> "ConstraintLanguage":
-        return ConstraintLanguage(tuple(r.dual() for r in self.relations))
+        """The language of the dual relations, built once per language
+        object; its dual is this very object."""
+        dual = self.__dict__.get("_dual")
+        if dual is None:
+            dual = ConstraintLanguage(tuple(r.dual() for r in self.relations))
+            # frozen instances: store as `cached_property` does, past __setattr__
+            dual.__dict__["_dual"] = self
+            self.__dict__["_dual"] = dual
+        return dual
 
 
 @dataclass(frozen=True)
@@ -202,12 +223,10 @@ class CnfFormula:
         """Bitmask over 2^n assignment indices; variable 0 is the MSB."""
         return truth_table(self, self.var_names)
 
-    def dual(self, language: ConstraintLanguage | None = None) -> "CnfFormula":
-        """The formula over the dual relations.  `language`, when given, is
-        `self.language.dual()` already at hand (the dual of a dual language
-        is the language itself), so it is not rebuilt."""
+    def dual(self) -> "CnfFormula":
+        """The formula over the dual relations."""
         return CnfFormula._trusted(
-            self.language.dual() if language is None else language,
+            self.language.dual(),
             self.var_names,
             tuple(Clause(dual_name(c.relation), c.vars) for c in self.clauses),
             self.language_path,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -142,6 +143,25 @@ def test_classify_language_verdicts():
     report = classify_language(ConstraintLanguage((not_schaefer,)))
     assert report.verdict == "coNP-hard-nonschaefer"
     assert not report.schaefer
+
+
+def test_classify_language_is_memoized_and_read_only():
+    def build():
+        return ConstraintLanguage((rel_or(3), rel_impl()))
+
+    first, second = build(), build()
+    assert first is not second
+    report = classify_language(first)
+    assert classify_language(second) is report
+    with pytest.raises(TypeError):
+        report.flags["or3"] = report.flags["imp"]
+    with pytest.raises(TypeError):
+        del report.flags["imp"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.verdict = "P-affine"
+    assert classify_language(build()).verdict == "P-ihsb+"
+    assert list(report.flags) == ["or3", "imp"] and report.flags["or3"].ihsb_plus
+    assert "or3.ihsb+=true" in report_lines(report)
 
 
 def test_classify_language_caveat():

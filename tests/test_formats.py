@@ -51,6 +51,46 @@ def test_include_cycles(tmp_path):
         formats.load_language(str(tmp_path / "top.lang"))
 
 
+def names(lang):
+    return [r.name for r in lang.relations]
+
+
+def test_load_language_sees_a_rewritten_file(tmp_path):
+    path = str(tmp_path / "l.lang")
+    (tmp_path / "l.lang").write_text("relation pos arity 1\n1\n")
+    assert names(formats.load_language(path)) == ["pos"]
+    (tmp_path / "l.lang").write_text("relation neg arity 1\n0\n")
+    assert names(formats.load_language(path)) == ["neg"]
+
+
+def test_load_language_sees_a_changed_include(tmp_path):
+    (tmp_path / "a.lang").write_text("relation pos arity 1\n1\n")
+    (tmp_path / "b.lang").write_text("include a.lang\nrelation imp arity 2\n00 01 11\n")
+    assert names(formats.load_language(str(tmp_path / "b.lang"))) == ["pos", "imp"]
+    (tmp_path / "a.lang").write_text("relation neg arity 1\n0\n")
+    assert names(formats.load_language(str(tmp_path / "b.lang"))) == ["neg", "imp"]
+
+
+def test_load_language_caches_no_failure(tmp_path):
+    (tmp_path / "bad.lang").write_text("relation pos arity 1\n2\n")
+    for _ in range(2):
+        with pytest.raises(FormatError, match="bad tuple token"):
+            formats.load_language(str(tmp_path / "bad.lang"))
+    (tmp_path / "bad.lang").write_text("relation pos arity 1\n1\n")
+    assert names(formats.load_language(str(tmp_path / "bad.lang"))) == ["pos"]
+
+
+def test_equal_language_texts_give_one_language(tmp_path):
+    text = formats.serialize_language(theorem9_language(3))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.lang").write_text(text)
+    (tmp_path / "sub" / "b.lang").write_text(text)
+    lang = formats.load_language(str(tmp_path / "a.lang"))
+    assert lang == theorem9_language(3)
+    assert formats.load_language(str(tmp_path / "a.lang")) is lang
+    assert formats.load_language(str(tmp_path / "sub" / "b.lang")) is lang
+
+
 def test_cnf_roundtrip(tmp_path):
     lang = theorem9_language(3)
     (tmp_path / "base.lang").write_text(formats.serialize_language(lang))

@@ -1,3 +1,5 @@
+import dataclasses
+import os
 import random
 
 import pytest
@@ -5,10 +7,12 @@ import pytest
 from boolmin import graph, ihsb
 from boolmin.classify import relation_shape
 from boolmin.errors import ClassificationError
+from boolmin.formats import load_language, serialize_cnf_formula
 from boolmin.ihsb import (
     ImplGraph,
     PartitionedFormula,
     _falsy,
+    dual_templates,
     graph_from_cnf,
     language_templates,
     leadsto,
@@ -22,11 +26,21 @@ from boolmin.model import (
     CnfFormula,
     ConstraintLanguage,
     Relation,
+    dual_name,
     equivalent,
     satisfiable,
 )
 from boolmin.oracle import brute_min_cnf
-from boolmin.std import rel_eq, rel_impl, rel_nand, rel_neg, rel_or, rel_pos, rel_xor
+from boolmin.std import (
+    rel_eq,
+    rel_impl,
+    rel_nand,
+    rel_neg,
+    rel_or,
+    rel_pos,
+    rel_xor,
+    theorem9_language,
+)
 
 from conftest import random_cnf
 
@@ -70,6 +84,28 @@ def test_misclassified_language_rejected():
     for rel in (rel_nand(2), rel_xor(), rel_nand(3)):
         with pytest.raises(ClassificationError):
             language_templates(ConstraintLanguage((rel,)))
+
+
+def test_templates_are_memoized_and_read_only(t9):
+    plain = language_templates(t9)
+    assert language_templates(theorem9_language(3)) is plain
+    assert not plain.dual and plain.or_arities == {2: "or2", 3: "or3"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plain.pos = "neg"
+    with pytest.raises(TypeError):
+        plain.or_arities[4] = "or3"
+    with pytest.raises(TypeError):
+        plain.shapes["pos"] = ("neg",)
+    # an IHSB- language reads the dual relations' shapes under its own names
+    minus = dual_templates(t9.dual())
+    assert dual_templates(theorem9_language(3).dual()) is minus
+    assert minus.dual
+    assert dict(minus.shapes) == {dual_name(k): v for k, v in plain.shapes.items()}
+    assert (minus.pos, minus.neg, minus.eq) == tuple(map(dual_name, (plain.pos, plain.neg, plain.eq)))
+    assert minus.imp == (dual_name(plain.imp[0]), plain.imp[1])
+    assert dict(minus.or_arities) == {m: dual_name(r) for m, r in plain.or_arities.items()}
+    with pytest.raises(TypeError):
+        minus.shapes["pos~"] = ("neg",)
 
 
 def test_leadsto(t9):
@@ -604,3 +640,39 @@ def test_no_rule_fires_on_the_output(t9, lang):
         reach = g.reach()
         for rule in _RULES:
             assert not rule(g, reach), rule.__name__
+
+
+def dual_route_reference(formula):
+    """The IHSB- route before `dual_templates`: minimize the dual formula as
+    IHSB+ and dualize the result back, over the dual of the dual language,
+    which is the input's own language."""
+    dual_out, stats = min_ihsb_cnf(formula.dual())
+    return dual_out.dual(), stats
+
+
+BENCH_MINUS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "data", "ihsb_minus.lang"
+)
+
+
+@pytest.mark.parametrize("lang", ["no-eq", "pmi-eq", "t9", "bench"])
+def test_ihsb_minus_matches_dual_route_reference(t9, lang):
+    if lang == "bench":
+        lang = load_language(BENCH_MINUS)
+    else:
+        lang = {"no-eq": NO_EQ, "pmi-eq": PMI_EQ, "t9": t9}[lang].dual()
+    rng = random.Random(89)
+    # satisfiable formulas rich in cycles, and plain random ones, many of
+    # them unsatisfiable
+    formulas = [f.dual() for f in satisfiable_corpus(lang.dual(), 73, 150)]
+    formulas += [random_cnf(lang, rng, rng.randint(1, 7), rng.randint(1, 10)) for _ in range(150)]
+    unsatisfiable = 0
+    for f in formulas:
+        f = CnfFormula(lang, f.var_names, f.clauses, "in.lang")
+        got, got_stats = min_ihsb_minus_cnf(f)
+        want, want_stats = dual_route_reference(f)
+        assert serialize_cnf_formula(got) == serialize_cnf_formula(want)
+        assert got_stats == want_stats
+        assert got.language is f.language and want.language is f.language
+        unsatisfiable += not satisfiable(f)
+    assert unsatisfiable >= 20

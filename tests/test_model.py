@@ -87,10 +87,10 @@ def test_derived_formulas_pass_the_public_checks(t9, bijunctive_full, affine_lan
             f = random_cnf(lang, rng, rng.randrange(1, 6), rng.randrange(8))
             f = CnfFormula(f.language, f.var_names, f.clauses, "in.lang")
             out, _ = boolmin.minimize(f)
-            for g in (out, f.dual(), out.dual(), f.dual().dual(lang)):
+            for g in (out, f.dual(), out.dual(), f.dual().dual()):
                 assert CnfFormula(g.language, g.var_names, g.clauses, g.language_path) == g
             assert out.language == lang and out.language_path == "in.lang"
-            assert f.dual().dual(lang) == f
+            assert f.dual().dual() == f
             assert equivalent(out, f)
 
 
@@ -150,6 +150,16 @@ def test_dualize_and_involution():
     r = rel_impl()
     assert dualize(dualize(r)) == r
     assert dualize(r).tuples == frozenset({(1, 1), (1, 0), (0, 0)})
+
+
+def test_language_dual_is_built_once(t9):
+    lang = ConstraintLanguage(t9.relations)
+    dual = lang.dual()
+    assert dual is lang.dual()
+    assert dual.dual() is lang
+    assert dual == ConstraintLanguage(tuple(r.dual() for r in lang.relations))
+    f = CnfFormula(lang, ("x", "y"), (Clause("imp", (0, 1)),))
+    assert f.dual().language is dual and f.dual().dual().language is lang
 
 
 def test_dual_eval_identity_cnf(t9):
