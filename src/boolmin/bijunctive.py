@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import graph
 from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import LANGUAGE_CACHE_SIZE, Clause, CnfFormula, ConstraintLanguage, MinimizeStats, Relation
+from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats, Relation
 from .oracle import unsat_minimum
 
 
@@ -119,11 +119,11 @@ class _Emitter:
 
     def __init__(self, lang: ConstraintLanguage):
         # (name, swapped, pairs allowed on (u, v)); symmetric relations twice
-        self.oriented = tuple(
+        self.oriented = [
             (rel.name, swap, pairs)
             for rel in lang.relations if rel.arity == 2
             for swap, pairs in ((False, rel.tuples), (True, frozenset(t[::-1] for t in rel.tuples)))
-        )
+        ]
         self.first: dict[frozenset, tuple[str, bool]] = {}
         for name, swap, pairs in self.oriented:
             self.first.setdefault(pairs, (name, swap))
@@ -182,7 +182,7 @@ class _Emitter:
         return self._one_or_two(_XOR, u, v, (pos_lit(u), neg_lit(v)), (neg_lit(u), pos_lit(v)))
 
 
-@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _emitter(lang: ConstraintLanguage) -> _Emitter:
     """The language's emitter, built once per language value."""
     return _Emitter(lang)

@@ -9,7 +9,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .graph import bits
-from .model import LANGUAGE_CACHE_SIZE, BoolFunction, ConstraintLanguage, Relation, dual_name, var_mask
+from .model import BoolFunction, ConstraintLanguage, Relation, dual_name, var_mask
 
 CLOSURE_OPS = ("min2", "max2", "maj3", "xor3", "orAndMix", "andOrMix")
 
@@ -225,7 +225,7 @@ def find_positive_horn_witness(lang: ConstraintLanguage) -> HornWitness | None:
     return None
 
 
-@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def classify_language(lang: ConstraintLanguage) -> ClassificationReport:
     """Dichotomy verdict with per-relation flags.
 

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import os
 import re
-from functools import lru_cache
 
 from .errors import FormatError
 from .model import (
-    LANGUAGE_CACHE_SIZE,
     BApp,
     BFormula,
     BNode,
@@ -41,13 +39,17 @@ def _parse_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in token)
 
 
-def parse_language(
-    text: str, base_dir: str = ".", _including: tuple[str, ...] = ()
+def parse_language(text: str, base_dir: str = ".") -> ConstraintLanguage:
+    """Parse a sequence of relation blocks and include lines."""
+    return _parse_language_lines(_content_lines(text), base_dir, ())
+
+
+def _parse_language_lines(
+    lines: list[list[str]], base_dir: str, _including: tuple[str, ...]
 ) -> ConstraintLanguage:
-    """Parse a sequence of relation blocks and include lines.  `_including`
-    holds the real paths of the files on the current include chain."""
+    """The language of a text's content lines.  `_including` holds the real
+    paths of the files on the current include chain."""
     relations: list[Relation] = []
-    lines = _content_lines(text)
     i = 0
     while i < len(lines):
         tokens = lines[i]
@@ -87,31 +89,30 @@ def parse_relation(text: str) -> Relation:
 
 def load_language(path: str, _including: tuple[str, ...] = ()) -> ConstraintLanguage:
     """The language a file defines.  The file is read on every call, so an
-    edited file is always seen.  An include-free text is parsed once: its
-    language is memoized by the text itself, and equal texts give the very
-    same `ConstraintLanguage`, whose per-language results (see `model`) are
-    then computed once.  A text with an include line is parsed on every
-    call, since the files it includes may have changed."""
+    edited file is always seen.  An include-free text is parsed once and
+    memoized by the text itself, so equal texts give the very same language
+    (see `model` for what else is computed once per language).  A text with
+    an include line is parsed on every call, since the files it includes may
+    have changed.  A malformed text raises on every call."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    lang = _include_free_language(text)
+    lang = _include_free_languages.get(text)
     if lang is not None:
+        return lang
+    lines = _content_lines(text)
+    if not any(tokens[0] == "include" for tokens in lines):
+        lang = _include_free_languages[text] = _parse_language_lines(lines, ".", ())
         return lang
     # only a file with an include line can lie on an include cycle
     real = os.path.realpath(path)
     if real in _including:
         cycle = _including[_including.index(real):] + (real,)
         raise FormatError("include cycle: " + " -> ".join(cycle))
-    return parse_language(text, os.path.dirname(path) or ".", _including + (real,))
+    return _parse_language_lines(lines, os.path.dirname(path) or ".", _including + (real,))
 
 
-@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
-def _include_free_language(text: str) -> ConstraintLanguage | None:
-    """The language of a text without include lines, or None for a text
-    with one.  A malformed text raises on every call: no failure is cached."""
-    if any(tokens[0] == "include" for tokens in _content_lines(text)):
-        return None
-    return parse_language(text)
+# the language of each include-free language text met so far
+_include_free_languages: dict[str, ConstraintLanguage] = {}
 
 
 def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:

@@ -6,7 +6,7 @@ templates of the dual relations (`dual_templates`), which carry the
 formula's own relation names, so the same pass runs on it and the result is
 emitted in those names.  Only an unsatisfiable one takes the dual route, to
 answer with the dual language's minimum unsatisfiable formula, renamed back.
-Templates are computed once per language.
+Templates are computed once per language (see `model`).
 
 A formula is rewritten in the base vocabulary {x, not-x, ->, =, OR^m}.  An
 equality is the implication pair u -> v, v -> u, so the equality classes are
@@ -46,7 +46,7 @@ from types import MappingProxyType
 from . import graph
 from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import LANGUAGE_CACHE_SIZE, Clause, CnfFormula, ConstraintLanguage, MinimizeStats
+from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats
 from .oracle import unsat_minimum
 
 
@@ -97,7 +97,7 @@ def _match_templates(lang: ConstraintLanguage, read: ConstraintLanguage) -> Base
     )
 
 
-@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def language_templates(lang: ConstraintLanguage) -> BaseTemplates:
     """Match every relation of the language against the base shapes;
     memoized by language value.
@@ -108,7 +108,7 @@ def language_templates(lang: ConstraintLanguage) -> BaseTemplates:
     return _match_templates(lang, lang)
 
 
-@lru_cache(maxsize=LANGUAGE_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def dual_templates(lang: ConstraintLanguage) -> BaseTemplates:
     """The templates of an IHSB- language: the shapes of its dual relations,
     which are IHSB+, under its own relation names; memoized by language

@@ -29,7 +29,8 @@ table and its minimum unsatisfiable formula (`oracle.min_unsat_formula`)
 are memoized by the language, and `formats.load_language` gives equal
 include-free texts one language object.  The dual language is kept on the
 language object itself, so that the dual of the dual is that object.  These
-results are shared by every caller, so none of them can be changed.
+results are shared by every caller: the report and the templates are
+read-only, and nothing writes an emitter after it is built.
 """
 from __future__ import annotations
 
@@ -44,9 +45,6 @@ from .errors import FormatError, ResourceLimitError
 
 MAX_RELATION_ARITY = 8
 VAR_CAP = 24
-# how many languages each memoized per-language result keeps (see the
-# module docstring); the bound keeps a process that meets many languages small
-LANGUAGE_CACHE_SIZE = 256
 
 DUAL_SUFFIX = "~"
 
