@@ -10,7 +10,6 @@ import tempfile
 from boolmin import (
     BFormula,
     BoolFunction,
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     SizeMeasure,
@@ -46,7 +45,7 @@ print()
 
 # the constraint-side version pivots on the minimum unsatisfiable formula
 lang = ConstraintLanguage((rel_parity(2, 1, "odd2"),))
-unsat = CnfFormula(lang, ("x",), (Clause("odd2", (0, 0)),))
+unsat = CnfFormula(lang, ("x",), (("odd2", (0, 0)),))
 print(serialize_mee_instance(reduce_unsat_to_mee_cnf(lang, unsat).instance, language_path="parity.lang"))
 
 # --- the equivalence gadget and its gap -----------------------------------------

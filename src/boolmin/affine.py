@@ -2,6 +2,9 @@
 equations and a maximal linearly independent subset of them is minimum."""
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+
 from .errors import ClassificationError
 from .model import Clause, CnfFormula, MinimizeStats, Relation
 from .oracle import unsat_minimum
@@ -31,66 +34,64 @@ def _xor_constant(rel: Relation) -> int:
     return c
 
 
-def _coefficients(clause: Clause) -> int:
-    coeffs = 0
-    for v in clause.vars:
-        coeffs ^= 1 << v
-    return coeffs
-
-
 def clause_to_equation(clause: Clause, rel: Relation) -> tuple[int, int]:
     """GF(2) row (coefficient bitmask keyed by variable id, constant bit).
 
     Repeated variables in a clause cancel pairwise.
     """
-    return _coefficients(clause), _xor_constant(rel)
+    coeffs = 0
+    for v in clause[1]:
+        coeffs ^= 1 << v
+    return coeffs, _xor_constant(rel)
 
 
 def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     """Keep a maximal independent subset of clause rows, greedily in input
     order; inconsistent systems yield the cached minimum unsatisfiable
-    formula for the language."""
-    lang = formula.language
-    constants: dict[str, int] = {}
-    rows = []
-    for idx, clause in enumerate(formula.clauses):
-        if clause.relation not in constants:
-            constants[clause.relation] = _xor_constant(lang.get(clause.relation))
-        rows.append(((_coefficients(clause), constants[clause.relation]), idx))
+    formula for the language.
 
-    # incremental elimination; each basis row is keyed by its top bit, and a
-    # new row is reduced only while its own top bit is one of those pivots
-    basis: dict[int, tuple[int, int]] = {}
+    A row is one int: the constant in bit 0 and variable v at bit
+    `col[v]`.  Columns go by occurrence, the most used variable lowest, so
+    a row's top bit, its pivot, is its least used variable (a static
+    Markowitz order, which slows the fill-in of the basis rows).  Which rows are
+    independent does not depend on the column order, so neither does the
+    result.  `reductions` counts the row XORs under this column order, which
+    for the same input are usually fewer than under variable-id order."""
+    lang = formula.language
+    clauses = formula.clauses
+    occurrences = Counter(chain.from_iterable(vs for _, vs in clauses))
+    col = {v: bit for bit, (v, _) in enumerate(occurrences.most_common(), 1)}
+    constants: dict[str, int] = {}
+    # basis[k]: the basis row whose bit_length is k, else 0
+    basis = [0] * (len(col) + 2)
     kept: list[int] = []
     reductions = 0
-    inconsistent = False
-    for (coeffs, const), idx in rows:
-        while coeffs:
-            pivot = coeffs.bit_length() - 1
-            row = basis.get(pivot)
-            if row is None:
+    for idx, (name, vs) in enumerate(clauses):
+        row = constants.get(name)
+        if row is None:
+            row = constants[name] = _xor_constant(lang.get(name))
+        for v in vs:
+            row ^= 1 << col[v]
+        while row > 1:
+            top = row.bit_length()
+            pivot_row = basis[top]
+            if not pivot_row:
+                basis[top] = row
+                kept.append(idx)
                 break
-            coeffs ^= row[0]
-            const ^= row[1]
+            row ^= pivot_row
             reductions += 1
-        if coeffs == 0:
-            if const == 1:
-                inconsistent = True
-                break
-            continue
-        basis[pivot] = (coeffs, const)
-        kept.append(idx)
-
-    if inconsistent:
-        return unsat_minimum(formula)
+        else:
+            if row:  # 0 = 1
+                return unsat_minimum(formula)
 
     out = CnfFormula._trusted(
         lang,
         formula.var_names,
-        tuple(formula.clauses[i] for i in kept),
+        tuple(clauses[i] for i in kept),
         formula.language_path,
     )
     stats = MinimizeStats(
-        len(formula.clauses), len(kept), rank=len(kept), reductions=reductions
+        len(clauses), len(kept), rank=len(kept), reductions=reductions
     )
     return out, stats

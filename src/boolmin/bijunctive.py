@@ -87,18 +87,18 @@ def to_literal_graph(formula: CnfFormula) -> LiteralGraph:
     contradiction and a single value is forced."""
     g = LiteralGraph(formula.n_vars)
     rules: dict[str, tuple[frozenset[int], frozenset[tuple[int, int]]]] = {}
-    for clause in formula.clauses:
-        rule = rules.get(clause.relation)
+    for name, vs in formula.clauses:
+        rule = rules.get(name)
         if rule is None:
-            rel = formula.language.get(clause.relation)
+            rel = formula.language.get(name)
             if relation_shape(rel) is None or rel.arity > 2:
                 raise ClassificationError(
-                    f"relation {clause.relation} is not an irreducible binary shape; "
+                    f"relation {name} is not an irreducible binary shape; "
                     "language misclassified as irreducible bijunctive"
                 )
-            rule = rules[clause.relation] = (_diagonal(rel), _PAIRS - rel.tuples)
+            rule = rules[name] = (_diagonal(rel), _PAIRS - rel.tuples)
         diagonal, excluded = rule
-        u, v = clause.vars[0], clause.vars[-1]
+        u, v = vs[0], vs[-1]
         if u == v:
             if not diagonal:
                 g.contradictory = True
@@ -143,11 +143,11 @@ class _Emitter:
 
     @staticmethod
     def _clause(hit: tuple[str, bool] | None, u: int, v: int) -> Clause | None:
-        return None if hit is None else Clause(hit[0], (v, u) if hit[1] else (u, v))
+        return None if hit is None else (hit[0], (v, u) if hit[1] else (u, v))
 
     def unit(self, v: int, want: int) -> Clause | None:
         rel = self.units.get(want)
-        return None if rel is None else Clause(rel.name, (v,) * rel.arity)
+        return None if rel is None else (rel.name, (v,) * rel.arity)
 
     def pin_link(self, u: int, a: int, v: int, b: int) -> Clause | None:
         """A clause over pinned u (value a) that forces v to b."""

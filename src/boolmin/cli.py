@@ -22,7 +22,7 @@ from .gadgets import (
     reduce_unsat_to_mee_cnf,
     reduce_unsat_to_mee_post,
 )
-from .model import Clause, CnfFormula, MeeInstance, SizeMeasure, dualize, equivalent
+from .model import CnfFormula, MeeInstance, SizeMeasure, dualize, equivalent
 from .oracle import brute_min_bformula, brute_min_cnf, expressible, min_unsat_formula
 from .post import min_post
 
@@ -305,7 +305,7 @@ def cmd_gen_random(args) -> int:
     for _ in range(args.clauses):
         rel = rng.choice(lang.relations)
         ids = tuple(rng.randrange(args.vars) for _ in range(rel.arity))
-        clauses.append(Clause(rel.name, ids))
+        clauses.append((rel.name, ids))
     formula = CnfFormula(lang, names, tuple(clauses))
     sys.stdout.write(formats.serialize_cnf_formula(formula, args.language))
     return EXIT_OK

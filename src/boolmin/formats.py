@@ -12,7 +12,6 @@ from .model import (
     BNode,
     BoolFunction,
     BVar,
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     MeeInstance,
@@ -174,19 +173,17 @@ def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
             ids = tuple(map(var_id, tokens[2:]))
         except KeyError as exc:
             raise FormatError(f"clause {rel}: unknown variable {exc.args[0]!r}") from None
-        clause = Clause(rel, ids)
         if bad is None and arity(rel) != len(ids):
-            bad = clause
-        clauses.append(clause)
+            bad = rel, ids
+        clauses.append((rel, ids))
     if len(index) != len(var_names):
         raise FormatError("duplicate variable names")
     if bad is not None:
-        expected = arity(bad.relation)
+        rel, ids = bad
+        expected = arity(rel)
         if expected is None:
-            raise FormatError(f"unknown relation {bad.relation!r}")
-        raise FormatError(
-            f"clause {bad.relation}: got {len(bad.vars)} arguments, arity is {expected}"
-        )
+            raise FormatError(f"unknown relation {rel!r}")
+        raise FormatError(f"clause {rel}: got {len(ids)} arguments, arity is {expected}")
     return CnfFormula._trusted(language, tuple(var_names), tuple(clauses), language_path)
 
 
@@ -279,8 +276,8 @@ def serialize_cnf_formula(formula: CnfFormula, language_path: str | None = None)
     if formula.var_names:
         lines.append("vars " + " ".join(formula.var_names))
     name = formula.var_names.__getitem__
-    for c in formula.clauses:
-        lines.append("clause " + c.relation + " " + " ".join(map(name, c.vars)))
+    for rel, vs in formula.clauses:
+        lines.append("clause " + rel + " " + " ".join(map(name, vs)))
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,6 @@ from .model import (
     BNode,
     BoolFunction,
     BVar,
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     MeeInstance,
@@ -230,7 +229,7 @@ def reduce_unsat_to_mee_cnf(lang: ConstraintLanguage, formula: CnfFormula) -> Re
     candidates = []
     for rel in lang.relations:
         for ids in product(range(n), repeat=rel.arity):
-            candidates.append(Clause(rel.name, ids))
+            candidates.append((rel.name, ids))
     count_formulas = 1
     for j in range(1, k_min + 1):
         count_formulas += len(candidates) ** j
@@ -243,7 +242,7 @@ def reduce_unsat_to_mee_cnf(lang: ConstraintLanguage, formula: CnfFormula) -> Re
 
     for clause_tuple in small_formulas:
         # the assignments to the variables the trial uses, all others 0
-        used = sorted({v for c in clause_tuple for v in c.vars})
+        used = sorted({v for _, vs in clause_tuple for v in vs})
         trial = CnfFormula(lang, formula.var_names, tuple(clause_tuple))
         columns = [0] * n
         for k, var in enumerate(used):
@@ -289,7 +288,7 @@ def pure_horn_dnf_to_cnf(terms: list[DnfTerm]) -> CnfFormula:
         head = var_id(negatives[0])
         if len(premise) == 1:
             premise = premise * 2
-        clauses.append(Clause("horn2", (premise[0], premise[1], head)))
+        clauses.append(("horn2", (premise[0], premise[1], head)))
     return CnfFormula(PURE_HORN_LANGUAGE, tuple(var_order), tuple(clauses))
 
 

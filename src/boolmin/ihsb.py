@@ -161,24 +161,24 @@ def graph_from_cnf(
     if templates is None:
         templates = language_templates(formula.language)
     g = ImplGraph(formula.n_vars)
-    for clause in formula.clauses:
-        kind = templates.shapes[clause.relation]
+    for name, vs in formula.clauses:
+        kind = templates.shapes[name]
         if kind[0] == "pos":
-            g.pos.add(clause.vars[0])
+            g.pos.add(vs[0])
         elif kind[0] == "neg":
-            g.neg.add(clause.vars[0])
+            g.neg.add(vs[0])
         elif kind[0] == "imp":
-            a, b = clause.vars
+            a, b = vs
             if a != b:
                 g.impl.add((b, a) if kind[1] else (a, b))
         elif kind[0] == "eq":
-            a, b = clause.vars
+            a, b = vs
             if a != b:
                 g.impl.update(((a, b), (b, a)))
         else:
-            members = frozenset(clause.vars)
+            members = frozenset(vs)
             if len(members) == 1:
-                g.pos.add(clause.vars[0])
+                g.pos.add(vs[0])
             else:
                 g.ors.add(members)
     return g, templates
@@ -354,11 +354,11 @@ def restrict_vocabulary(
 
     def emit_pos(v: int) -> None:
         if templates.pos is not None:
-            clauses.append(Clause(templates.pos, (v,)))
+            clauses.append((templates.pos, (v,)))
             return
         if or_arities:
             m = or_arities[0]
-            clauses.append(Clause(templates.or_arities[m], (v,) * m))
+            clauses.append((templates.or_arities[m], (v,) * m))
             return
         raise VocabularyError("language cannot express a positive literal")
 
@@ -366,19 +366,19 @@ def restrict_vocabulary(
         if templates.imp is None:
             raise VocabularyError("language cannot express an implication")
         name, flipped = templates.imp
-        clauses.append(Clause(name, (v, u) if flipped else (u, v)))
+        clauses.append((name, (v, u) if flipped else (u, v)))
 
     for v in base.pos_literals:
         emit_pos(v)
     for v in base.neg_literals:
         if templates.neg is None:
             raise VocabularyError("language cannot express a negative literal")
-        clauses.append(Clause(templates.neg, (v,)))
+        clauses.append((templates.neg, (v,)))
     for u, v in base.impl_clauses:
         emit_imp(u, v)
     for u, v in base.eq_clauses:
         if templates.eq is not None:
-            clauses.append(Clause(templates.eq, (u, v)))
+            clauses.append((templates.eq, (u, v)))
         else:
             emit_imp(u, v)
             emit_imp(v, u)
@@ -388,7 +388,7 @@ def restrict_vocabulary(
             raise VocabularyError(f"no OR relation of arity >= {len(c)} available")
         m = fitting[0]
         padded = c + (c[-1],) * (m - len(c))
-        clauses.append(Clause(templates.or_arities[m], padded))
+        clauses.append((templates.or_arities[m], padded))
 
     return CnfFormula._trusted(lang, var_names, tuple(clauses), language_path)
 

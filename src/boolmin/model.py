@@ -11,6 +11,15 @@ Bit conventions used throughout the package:
 * An assignment over variables 0..n-1 is indexed the same way: variable 0
   is the most significant bit of the assignment index.
 
+A CNF clause is a plain `(relation, vars)` tuple, such as `("or2", (0, 1))`,
+and every consumer reads it by unpacking (`for name, vs in f.clauses`).
+`Clause` is only the alias for annotations.  The cyclic garbage collector
+untracks a tuple whose items it does not track: the vars tuple of ints at the
+first collection that sees it, and the clause at that collection or the
+next.  So the clauses of a large formula drop out of its walks, where a
+record class (a dataclass, or even a `NamedTuple`, whose instances are never
+untracked) would be walked again by every collection of its generation.
+
 All truth-table work runs on one bit-parallel kernel.  A *mask* is an int
 with one bit per assignment column (bit idx of a full table is the value at
 assignment idx); `full` sets every column and `var_mask(i, n)` is variable
@@ -146,12 +155,9 @@ class ConstraintLanguage:
         return dual
 
 
-@dataclass(frozen=True)
-class Clause:
-    """Application of a named relation to variable ids (repeats allowed)."""
-
-    relation: str
-    vars: tuple[int, ...]
+# a named relation applied to variable ids (repeats allowed); a plain tuple,
+# for the reason in the module docstring
+Clause = tuple[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -172,13 +178,22 @@ class CnfFormula:
             raise FormatError("duplicate variable names")
         n = len(self.var_names)
         for c in self.clauses:
-            rel = self.language.get(c.relation)
-            if len(c.vars) != rel.arity:
+            if not (
+                isinstance(c, tuple)
+                and len(c) == 2
+                and isinstance(c[0], str)
+                and isinstance(c[1], tuple)
+                and all(isinstance(v, int) for v in c[1])
+            ):
+                raise FormatError(f"malformed clause {c!r}: expected a (relation, vars) pair")
+            name, vs = c
+            rel = self.language.get(name)
+            if len(vs) != rel.arity:
                 raise FormatError(
-                    f"clause {c.relation}: got {len(c.vars)} arguments, arity is {rel.arity}"
+                    f"clause {name}: got {len(vs)} arguments, arity is {rel.arity}"
                 )
-            if any(not 0 <= v < n for v in c.vars):
-                raise FormatError(f"clause {c.relation}: variable id out of range")
+            if any(not 0 <= v < n for v in vs):
+                raise FormatError(f"clause {name}: variable id out of range")
 
     @classmethod
     def _trusted(
@@ -213,8 +228,8 @@ class CnfFormula:
     def mask(self, columns: Sequence[int], full: int) -> int:
         """Conjunction of the clause masks, given each variable id's mask."""
         out = full
-        for c in self.clauses:
-            out &= self.language.get(c.relation).mask_op([columns[v] for v in c.vars], full)
+        for name, vs in self.clauses:
+            out &= self.language.get(name).mask_op([columns[v] for v in vs], full)
         return out
 
     def solution_mask(self) -> int:
@@ -226,7 +241,7 @@ class CnfFormula:
         return CnfFormula._trusted(
             self.language.dual(),
             self.var_names,
-            tuple(Clause(dual_name(c.relation), c.vars) for c in self.clauses),
+            tuple((dual_name(name), vs) for name, vs in self.clauses),
             self.language_path,
         )
 

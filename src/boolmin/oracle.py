@@ -51,7 +51,7 @@ def _candidate_clauses(
             seen.add(mask)
             if mask & superset_of == superset_of:
                 masks.append(mask)
-                reps.append(Clause(rel.name, ids))
+                reps.append((rel.name, ids))
     return masks, reps
 
 

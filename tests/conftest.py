@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boolmin.model import BApp, BFormula, BVar, Clause, CnfFormula, ConstraintLanguage
+from boolmin.model import BApp, BFormula, BVar, CnfFormula, ConstraintLanguage
 from boolmin.std import (
     rel_eq,
     rel_impl,
@@ -44,7 +44,7 @@ def random_cnf(lang: ConstraintLanguage, rng: random.Random, n_vars: int, n_clau
     for _ in range(n_clauses):
         rel = rng.choice(lang.relations)
         ids = tuple(rng.randrange(n_vars) for _ in range(rel.arity))
-        clauses.append(Clause(rel.name, ids))
+        clauses.append((rel.name, ids))
     return CnfFormula(lang, tuple(f"v{i}" for i in range(n_vars)), tuple(clauses))
 
 

@@ -29,7 +29,6 @@ from boolmin.model import (
     BFormula,
     BoolFunction,
     BVar,
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     Relation,
@@ -86,15 +85,11 @@ def test_criterion_1_ihsb_optimality(t9):
 
 
 def _components(formula: CnfFormula):
-    pos = {c.vars for c in formula.clauses if c.relation == "pos"}
-    neg = {c.vars for c in formula.clauses if c.relation == "neg"}
-    imp = {c.vars for c in formula.clauses if c.relation == "imp"}
-    eq = {c.vars for c in formula.clauses if c.relation == "eq"}
-    ors = {
-        tuple(sorted(c.vars))
-        for c in formula.clauses
-        if c.relation in ("or2", "or3")
-    }
+    pos = {vs for rel, vs in formula.clauses if rel == "pos"}
+    neg = {vs for rel, vs in formula.clauses if rel == "neg"}
+    imp = {vs for rel, vs in formula.clauses if rel == "imp"}
+    eq = {vs for rel, vs in formula.clauses if rel == "eq"}
+    ors = {tuple(sorted(vs)) for rel, vs in formula.clauses if rel in ("or2", "or3")}
     return pos, neg, imp, eq, ors
 
 
@@ -116,7 +111,7 @@ def test_criterion_2_canonical_components(t9):
             ids = tuple(rng.randrange(f.n_vars) for _ in range(rel.arity))
             cmask = clause_mask(rel, ids, f.n_vars)
             if cmask & mask == mask:
-                extra.append(Clause(rel.name, ids))
+                extra.append((rel.name, ids))
         if not extra:
             continue
         pairs += 1
@@ -162,7 +157,7 @@ def test_criterion_3_affine(affine_lang):
         rows = [
             [(co >> i) & 1 for i in range(n)] + [c]
             for co, c in (
-                clause_to_equation(cl, affine_lang.get(cl.relation)) for cl in out.clauses
+                clause_to_equation(cl, affine_lang.get(cl[0])) for cl in out.clauses
             )
         ]
         if stats.rank != _independent_rank(rows) or len(out.clauses) != stats.rank:

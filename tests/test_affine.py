@@ -6,7 +6,6 @@ from boolmin.affine import clause_to_equation, min_affine, parity_constant
 from boolmin.errors import ClassificationError
 from boolmin.formats import serialize_cnf_formula
 from boolmin.model import (
-    Clause,
     CnfFormula,
     all_assignments,
     equivalent,
@@ -19,7 +18,7 @@ from conftest import random_cnf
 
 
 def F(lang, names, *specs):
-    return CnfFormula(lang, tuple(names), tuple(Clause(r, tuple(v)) for r, v in specs))
+    return CnfFormula(lang, tuple(names), tuple((r, tuple(v)) for r, v in specs))
 
 
 def test_parity_template():
@@ -31,19 +30,19 @@ def test_parity_template():
 
 def test_clause_to_equation(affine_lang):
     odd2 = affine_lang.get("odd2")
-    coeffs, c = clause_to_equation(Clause("odd2", (0, 1)), odd2)
+    coeffs, c = clause_to_equation(("odd2", (0, 1)), odd2)
     assert (coeffs, c) == (0b11, 1)
     # repeated variable cancels itself
-    coeffs, c = clause_to_equation(Clause("odd2", (0, 0)), odd2)
+    coeffs, c = clause_to_equation(("odd2", (0, 0)), odd2)
     assert (coeffs, c) == (0, 1)
     even3 = affine_lang.get("even3")
-    coeffs, c = clause_to_equation(Clause("even3", (0, 1, 1)), even3)
+    coeffs, c = clause_to_equation(("even3", (0, 1, 1)), even3)
     assert (coeffs, c) == (0b001 << 0, 0)
 
 
 def test_clause_to_equation_rejects_non_xor(t9):
     with pytest.raises(ClassificationError):
-        clause_to_equation(Clause("or2", (0, 1)), t9.get("or2"))
+        clause_to_equation(("or2", (0, 1)), t9.get("or2"))
 
 
 def test_min_affine_dependent_clause(affine_lang):
@@ -106,7 +105,7 @@ def test_output_count_equals_rank_and_solution_law(affine_lang):
         n = out.n_vars
         rows = []
         for c in out.clauses:
-            coeffs, const = clause_to_equation(c, affine_lang.get(c.relation))
+            coeffs, const = clause_to_equation(c, affine_lang.get(c[0]))
             rows.append([(coeffs >> i) & 1 for i in range(n)] + [const])
         assert stats.rank == _independent_rank(rows)
         solutions = sum(out.eval(bits) for bits in all_assignments(n))
@@ -183,7 +182,7 @@ def _elimination_corpus(lang):
 
                 def clause(ids):
                     const = sum(hidden[v] for v in ids) % 2 if planted else rng.randrange(2)
-                    return Clause(names[len(ids), const], ids)
+                    return (names[len(ids), const], ids)
 
                 clauses = [
                     clause(tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))))
@@ -198,7 +197,7 @@ def _elimination_corpus(lang):
                     clauses.insert(rng.randrange(len(clauses) + 1), rng.choice(clauses))
                 if rng.random() < 0.1:
                     # x+x = 1 cancels to 0 = 1
-                    clauses.insert(rng.randrange(len(clauses) + 1), Clause("odd2", (0, 0)))
+                    clauses.insert(rng.randrange(len(clauses) + 1), ("odd2", (0, 0)))
                 yield CnfFormula(lang, tuple(f"v{i}" for i in range(n)), tuple(clauses))
 
 
@@ -207,7 +206,7 @@ def test_min_affine_matches_all_rows_reference(affine_lang):
     consistent = inconsistent = 0
     largest_kept = 0
     for f in _elimination_corpus(affine_lang):
-        rows = [clause_to_equation(c, affine_lang.get(c.relation)) for c in f.clauses]
+        rows = [clause_to_equation(c, affine_lang.get(c[0])) for c in f.clauses]
         kept = _reference_kept(rows)
         out, stats = min_affine(f)
         text = serialize_cnf_formula(out, "affine.lang")

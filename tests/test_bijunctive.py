@@ -6,7 +6,6 @@ import pytest
 from boolmin.bijunctive import min_bijunctive, neg_lit, pos_lit, to_literal_graph
 from boolmin.errors import ClassificationError
 from boolmin.model import (
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     Relation,
@@ -37,7 +36,7 @@ def lang_of(*names):
 
 
 def F(lang, names, *specs):
-    return CnfFormula(lang, tuple(names), tuple(Clause(r, tuple(v)) for r, v in specs))
+    return CnfFormula(lang, tuple(names), tuple((r, tuple(v)) for r, v in specs))
 
 
 def test_literal_graph_encoding(bijunctive_full):
@@ -99,7 +98,7 @@ def test_scc_to_equality(bijunctive_full):
     f = F(bijunctive_full, "xy", ("imp", (0, 1)), ("imp", (1, 0)))
     out, _ = min_bijunctive(f)
     assert len(out.clauses) == 1
-    assert out.clauses[0] == Clause("eq", (0, 1))
+    assert out.clauses[0] == ("eq", (0, 1))
 
 
 def test_transitive_reduction(bijunctive_full):
@@ -183,7 +182,7 @@ def test_long_chain_with_skip_edges():
     specs += [("imp", (i, i + 2)) for i in range(n - 2)]
     f = F(lang, [f"x{i}" for i in range(n)], *specs)
     out, stats = min_bijunctive(f)
-    assert set(out.clauses) == {Clause("imp", (i, i + 1)) for i in range(n - 1)}
+    assert set(out.clauses) == {("imp", (i, i + 1)) for i in range(n - 1)}
     assert len(out.clauses) == stats.output_clauses == n - 1
 
 

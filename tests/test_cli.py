@@ -189,7 +189,7 @@ def test_oracle_min_cnf_other_language_output_loads(workdir, capsys):
     (workdir / "w.cnf").write_text(out.split("\n", 1)[1])
     witness = formats.load_cnf_formula(str(workdir / "w.cnf"))
     assert os.path.samefile(witness.language_path, workdir / "p.lang")
-    assert witness.clauses[0].relation == "p2"
+    assert witness.clauses[0][0] == "p2"
     assert main(["equiv", "--a", "w.cnf", "--b", "f.cnf"]) == 0
 
 

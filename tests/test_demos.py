@@ -1,5 +1,6 @@
 """Every script in demos/ runs to completion without a traceback, and the
-README's example session prints what it shows."""
+README's example session and library quick tour show what they print."""
+import ast
 import glob
 import os
 import subprocess
@@ -37,3 +38,24 @@ def test_readme_minimize_session(capsys, monkeypatch):
     assert cli.main(command.split()[2:]) == 0
     assert capsys.readouterr().out == shown
     assert "# passes=1\n" in shown
+
+
+def test_readme_quick_tour():
+    """Runs the quick tour statement by statement.  An expression line's
+    comment, up to its first colon, is the value the line shows."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = 0
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2]
+        assert value == ast.literal_eval(comment.split(":", 1)[0].strip())
+        shown += 1
+    assert shown == 5

@@ -1,11 +1,16 @@
+import gc
 import os
 import random
 
 import pytest
 
 from boolmin import formats
+from boolmin.affine import min_affine
+from boolmin.bijunctive import min_bijunctive
 from boolmin.errors import FormatError
-from boolmin.model import BApp, BFormula, BVar, Clause, CnfFormula, MeeInstance, SizeMeasure
+from boolmin.ihsb import min_ihsb_cnf, min_ihsb_minus_cnf
+from boolmin.model import BApp, BFormula, BVar, CnfFormula, MeeInstance, SizeMeasure
+from boolmin.oracle import unsat_minimum
 from boolmin.std import fn_or, fn_xor, theorem9_language
 
 
@@ -100,6 +105,43 @@ def test_cnf_roundtrip(tmp_path):
     assert formats.parse_cnf_formula(formats.serialize_cnf_formula(f), str(tmp_path)) == f
 
 
+def test_clauses_are_plain_tuples_the_collector_untracks(
+    tmp_path, t9, bijunctive_full, affine_lang
+):
+    """Every clause the parser, `dual()`, the four minimizers and
+    `unsat_minimum` build is an exact tuple of atoms, so the collector
+    untracks it and a large formula adds nothing to its walks.  One
+    collection need not untrack all of them: it may see a clause before
+    the vars tuple inside it."""
+    rng = random.Random(5)
+    formulas = []
+    for lang, minimize in (
+        (t9, min_ihsb_cnf),
+        (t9.dual(), min_ihsb_minus_cnf),
+        (bijunctive_full, min_bijunctive),
+        (affine_lang, min_affine),
+    ):
+        # clauses satisfied by one planted assignment, so the minimizer runs
+        n, model, lines = 12, [rng.randrange(2) for _ in range(12)], []
+        while len(lines) < 30:
+            rel = rng.choice(lang.relations)
+            ids = [rng.randrange(n) for _ in range(rel.arity)]
+            if tuple(model[v] for v in ids) in rel.tuples:
+                lines.append(f"clause {rel.name} " + " ".join(f"v{v}" for v in ids))
+        name = f"lang{len(formulas)}.lang"
+        (tmp_path / name).write_text(formats.serialize_language(lang))
+        text = f"language {name}\nvars " + " ".join(f"v{i}" for i in range(n)) + "\n"
+        parsed = formats.parse_cnf_formula(text + "\n".join(lines) + "\n", str(tmp_path))
+        out, _ = minimize(parsed)
+        assert len(out.clauses) < len(parsed.clauses)
+        formulas += [parsed, parsed.dual(), out, unsat_minimum(parsed)[0]]
+    clauses = [c for f in formulas for c in f.clauses]
+    assert all(type(c) is tuple and type(c[1]) is tuple for c in clauses)
+    gc.collect()
+    gc.collect()
+    assert not [c for c in clauses if gc.is_tracked(c)]
+
+
 def test_cnf_errors(tmp_path):
     lang = theorem9_language(3)
     (tmp_path / "base.lang").write_text(formats.serialize_language(lang))
@@ -154,7 +196,7 @@ def reference_parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
             ids = tuple(index[a] for a in args)
         except KeyError as exc:
             raise FormatError(f"clause {rel}: unknown variable {exc.args[0]!r}") from None
-        clauses.append(Clause(rel, ids))
+        clauses.append((rel, ids))
     return CnfFormula(language, tuple(var_names), tuple(clauses), language_path)
 
 

@@ -21,7 +21,6 @@ from boolmin.model import (
     BFormula,
     BoolFunction,
     BVar,
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     SizeMeasure,
@@ -134,8 +133,8 @@ def test_post_reduction_verdict_matches_per_assignment_probe():
 
 def test_cnf_reduction_examples():
     lang = ConstraintLanguage((rel_parity(2, 1, "odd2"),))
-    unsat = CnfFormula(lang, ("x",), (Clause("odd2", (0, 0)),))
-    sat = CnfFormula(lang, ("x", "y"), (Clause("odd2", (0, 1)),))
+    unsat = CnfFormula(lang, ("x",), (("odd2", (0, 0)),))
+    sat = CnfFormula(lang, ("x", "y"), (("odd2", (0, 1)),))
     r1 = reduce_unsat_to_mee_cnf(lang, unsat)
     assert not r1.fixed_negative and r1.instance.bound == 1
     r2 = reduce_unsat_to_mee_cnf(lang, sat)
@@ -161,10 +160,10 @@ def test_cnf_reduction_soundness():
 def test_horn_dnf_translation():
     terms = [(("x", True), ("y", False))]
     out = pure_horn_dnf_to_cnf(terms)
-    assert out.clauses == (Clause("horn2", (0, 0, 1)),)
+    assert out.clauses == (("horn2", (0, 0, 1)),)
     terms = [(("u", True), ("v", True), ("w", False))]
     out = pure_horn_dnf_to_cnf(terms)
-    assert out.clauses == (Clause("horn2", (0, 1, 2)),)
+    assert out.clauses == (("horn2", (0, 1, 2)),)
     terms = [(("x", True), ("y", False)), (("x", True), ("z", True), ("w", False))]
     out = pure_horn_dnf_to_cnf(terms)
     names = out.var_names

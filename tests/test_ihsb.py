@@ -22,7 +22,6 @@ from boolmin.ihsb import (
     unsat_check_ihsb,
 )
 from boolmin.model import (
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     Relation,
@@ -49,7 +48,7 @@ NO_EQ = ConstraintLanguage((rel_pos(), rel_neg(), rel_impl(), rel_or(2), rel_or(
 
 
 def F(lang, names, *specs):
-    return CnfFormula(lang, tuple(names), tuple(Clause(r, tuple(v)) for r, v in specs))
+    return CnfFormula(lang, tuple(names), tuple((r, tuple(v)) for r, v in specs))
 
 
 def minimize(f):
@@ -160,7 +159,7 @@ def test_or_subsumption(t9):
     f = F(t9, "xyz", ("or2", (0, 1)), ("or3", (0, 1, 2)))
     out, _ = minimize(f)
     assert len(out.clauses) == 1
-    assert out.clauses[0].relation == "or2"
+    assert out.clauses[0][0] == "or2"
 
 
 def test_transitive_reduction(t9):
@@ -173,14 +172,14 @@ def test_cycle_collapse(t9):
     f = F(t9, "xy", ("imp", (0, 1)), ("imp", (1, 0)))
     out, _ = minimize(f)
     assert len(out.clauses) == 1
-    assert out.clauses[0].relation == "eq"
+    assert out.clauses[0][0] == "eq"
 
 
 def test_positive_propagation(t9):
     f = F(t9, "xy", ("pos", (0,)), ("imp", (0, 1)))
     out, _ = minimize(f)
     assert len(out.clauses) == 2
-    assert {c.relation for c in out.clauses} == {"pos"}
+    assert {rel for rel, _ in out.clauses} == {"pos"}
 
 
 def test_unsat_input_replaced(t9):
@@ -196,7 +195,7 @@ def test_restricted_vocabulary_eq_as_implications():
     f = F(lang, "xy", ("imp", (0, 1)), ("imp", (1, 0)))
     out, _ = minimize(f)
     assert len(out.clauses) == 2
-    assert {c.relation for c in out.clauses} == {"imp"}
+    assert {rel for rel, _ in out.clauses} == {"imp"}
 
 
 def test_restricted_vocabulary_literal_as_or():
@@ -205,7 +204,7 @@ def test_restricted_vocabulary_literal_as_or():
     out, _ = minimize(f)
     # x forces the whole thing; emitted as or2(x, x)
     assert len(out.clauses) == 1
-    assert out.clauses[0] == Clause("or2", (0, 0))
+    assert out.clauses[0] == ("or2", (0, 0))
 
 
 def test_restricted_vocabulary_or_padding():
@@ -213,7 +212,7 @@ def test_restricted_vocabulary_or_padding():
     f = F(lang, "xyz", ("or3", (0, 1, 2)), ("neg", (2,)))
     out, _ = minimize(f)
     # z is false, so the or shrinks to {x, y} and pads back to arity 3
-    assert Clause("or3", (0, 1, 1)) in out.clauses
+    assert ("or3", (0, 1, 1)) in out.clauses
     assert len(out.clauses) == 2
 
 
@@ -225,7 +224,7 @@ def test_ihsb_minus_examples():
     g = F(lang, "xy", ("neg", (0,)), ("imp", (1, 0)))
     out, _ = min_ihsb_minus_cnf(g)
     assert len(out.clauses) == 2 and equivalent(out, g)
-    assert {c.relation for c in out.clauses} == {"neg"}
+    assert {rel for rel, _ in out.clauses} == {"neg"}
     h = F(lang, "xy", ("nand2", (0, 1)))
     out, _ = min_ihsb_minus_cnf(h)
     assert out.clauses == h.clauses
@@ -241,14 +240,14 @@ def test_entailed_literal_appears(t9):
             continue
         checked += 1
         out, _ = min_ihsb_cnf(f)
-        pos_lits = {c.vars[0] for c in out.clauses if c.relation == "pos"}
-        neg_lits = {c.vars[0] for c in out.clauses if c.relation == "neg"}
+        pos_lits = {vs[0] for rel, vs in out.clauses if rel == "pos"}
+        neg_lits = {vs[0] for rel, vs in out.clauses if rel == "neg"}
         for v in range(out.n_vars):
             forced_true = not satisfiable(
-                CnfFormula(t9, f.var_names, f.clauses + (Clause("neg", (v,)),))
+                CnfFormula(t9, f.var_names, f.clauses + (("neg", (v,)),))
             )
             forced_false = not satisfiable(
-                CnfFormula(t9, f.var_names, f.clauses + (Clause("pos", (v,)),))
+                CnfFormula(t9, f.var_names, f.clauses + (("pos", (v,)),))
             )
             if forced_true:
                 assert v in pos_lits
@@ -270,13 +269,13 @@ def test_entailed_implications_from_components(t9):
         skeleton = CnfFormula(
             t9,
             out.var_names,
-            tuple(c for c in out.clauses if c.relation in ("imp", "eq", "pos", "neg")),
+            tuple(c for c in out.clauses if c[0] in ("imp", "eq", "pos", "neg")),
         )
         for u in range(out.n_vars):
             for v in range(out.n_vars):
                 if u == v:
                     continue
-                test_clauses = (Clause("pos", (u,)), Clause("neg", (v,)))
+                test_clauses = (("pos", (u,)), ("neg", (v,)))
                 whole = not satisfiable(
                     CnfFormula(t9, out.var_names, out.clauses + test_clauses)
                 )
@@ -322,7 +321,7 @@ def test_mutually_entailing_ors_keep_one():
     specs += [("imp", e) for e in ((0, 2), (2, 0), (1, 3), (3, 1))]
     out, _ = minimize(F(NO_EQ, "abcd", *specs))
     # the later clause in sorted order stays
-    assert [c for c in out.clauses if c.relation == "or2"] == [Clause("or2", (2, 3))]
+    assert [c for c in out.clauses if c[0] == "or2"] == [("or2", (2, 3))]
     assert len(out.clauses) == 5
 
 
@@ -330,7 +329,7 @@ def test_mutual_members_keep_least():
     # a <-> b inside one OR-clause: the clause needs only the least of them
     f = F(NO_EQ, "abc", ("or3", (0, 1, 2)), ("imp", (0, 1)), ("imp", (1, 0)))
     out, _ = minimize(f)
-    assert Clause("or2", (0, 2)) in out.clauses
+    assert ("or2", (0, 2)) in out.clauses
     assert len(out.clauses) == 3
 
 
@@ -339,7 +338,7 @@ def test_or_subsumption_chain_in_one_pass(t9):
     specs = [("or2", (0, 1)), ("or2", (2, 3)), ("or2", (4, 5))]
     specs += [("imp", e) for e in ((0, 2), (1, 3), (2, 4), (3, 5))]
     out, stats = minimize(F(t9, "abcdef", *specs))
-    assert [c for c in out.clauses if c.relation == "or2"] == [Clause("or2", (0, 1))]
+    assert [c for c in out.clauses if c[0] == "or2"] == [("or2", (0, 1))]
     assert len(out.clauses) == 5
     # one pass drops both weaker clauses, one more finds nothing to do
     # one pass drops both weaker clauses
@@ -350,8 +349,8 @@ def test_positive_literal_drops_several_ors(t9):
     f = F(t9, "abcdef", ("pos", (0,)), ("imp", (0, 1)),
           ("or2", (1, 2)), ("or2", (3, 1)), ("or3", (0, 4, 5)))
     out, stats = minimize(f)
-    assert sorted(out.clauses, key=lambda c: c.vars) == [
-        Clause("pos", (0,)), Clause("pos", (1,))]
+    assert sorted(out.clauses, key=lambda c: c[1]) == [
+        ("pos", (0,)), ("pos", (1,))]
     assert stats.passes == 1
 
 
@@ -401,12 +400,12 @@ def test_or_member_names_its_class(t9, cycle, member):
     specs = [("imp", e) for e in cycle] + [("or2", (member, size))]
     out, _ = minimize(F(t9, names, *specs))
     # with equality: a chain over the class, and the OR on its least member
-    chain = [Clause("eq", (u, u + 1)) for u in range(size - 1)]
-    assert list(out.clauses) == chain + [Clause("or2", (0, size))]
+    chain = [("eq", (u, u + 1)) for u in range(size - 1)]
+    assert list(out.clauses) == chain + [("or2", (0, size))]
     # without: the cycle stays, and so does the member the clause names
     out, _ = minimize(F(NO_EQ, names, *specs))
     ring = sorted([(u, u + 1) for u in range(size - 1)] + [(size - 1, 0)])
-    assert list(out.clauses) == [Clause("imp", e) for e in ring] + [Clause("or2", (member, size))]
+    assert list(out.clauses) == [("imp", e) for e in ring] + [("or2", (member, size))]
 
 
 # The rewrite loop that min_ihsb replaced, kept as its reference: six rules
@@ -594,7 +593,7 @@ def satisfiable_corpus(lang, seed, count):
         n_vars = rng.randint(2, 9)
         rels = rng.choices(lang.relations, weights, k=rng.randint(1, 14))
         f = CnfFormula(lang, tuple(f"v{i}" for i in range(n_vars)), tuple(
-            Clause(r.name, tuple(rng.randrange(n_vars) for _ in range(r.arity))) for r in rels
+            (r.name, tuple(rng.randrange(n_vars) for _ in range(r.arity))) for r in rels
         ))
         g, _ = graph_from_cnf(f)
         if not unsat_check_ihsb(g):

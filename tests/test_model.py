@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,6 @@ from boolmin.model import (
     BFormula,
     BoolFunction,
     BVar,
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     Relation,
@@ -50,17 +50,17 @@ def test_eval_horn_clause_forced_zero(t9):
     # x and y -> z is violated by (1, 1, 0); encode via the or3-free base
     horn = Relation("horn2", 3, frozenset(t for t in all_assignments(3) if t != (1, 1, 0)))
     lang = ConstraintLanguage((horn,))
-    f = CnfFormula(lang, ("x", "y", "z"), (Clause("horn2", (0, 1, 2)),))
+    f = CnfFormula(lang, ("x", "y", "z"), (("horn2", (0, 1, 2)),))
     assert f.eval((1, 1, 0)) == 0
     assert f.eval((1, 1, 1)) == 1
 
 
 def test_eval_errors(t9):
     with pytest.raises(FormatError):
-        CnfFormula(t9, ("x",), (Clause("nope", (0,)),))
+        CnfFormula(t9, ("x",), (("nope", (0,)),))
     with pytest.raises(FormatError):
-        CnfFormula(t9, ("x",), (Clause("or2", (0,)),))
-    f = CnfFormula(t9, ("x", "y"), (Clause("or2", (0, 1)),))
+        CnfFormula(t9, ("x",), (("or2", (0,)),))
+    f = CnfFormula(t9, ("x", "y"), (("or2", (0, 1)),))
     with pytest.raises(FormatError):
         f.eval((1,))
 
@@ -69,12 +69,29 @@ def test_public_constructor_rejects_each_fault(t9):
     with pytest.raises(FormatError, match="^duplicate variable names$"):
         CnfFormula(t9, ("x", "y", "x"), ())
     with pytest.raises(FormatError, match="^unknown relation 'nope'$"):
-        CnfFormula(t9, ("x",), (Clause("pos", (0,)), Clause("nope", (0,))))
+        CnfFormula(t9, ("x",), (("pos", (0,)), ("nope", (0,))))
     with pytest.raises(FormatError, match="^clause or2: got 1 arguments, arity is 2$"):
-        CnfFormula(t9, ("x",), (Clause("or2", (0,)),))
+        CnfFormula(t9, ("x",), (("or2", (0,)),))
     for bad in (1, -1):
         with pytest.raises(FormatError, match="^clause imp: variable id out of range$"):
-            CnfFormula(t9, ("x",), (Clause("imp", (0, bad)),))
+            CnfFormula(t9, ("x",), (("imp", (0, bad)),))
+
+
+@pytest.mark.parametrize("bad", [
+    "pos",                 # a bare name
+    ("pos", (0,), "x"),    # a 3-tuple
+    ("pos",),              # a 1-tuple
+    ("pos", [0]),          # vars as a list
+    ["pos", (0,)],         # the pair as a list
+    (0, (0,)),             # an id for a name
+    ("pos", ("x",)),       # a name for an id
+])
+def test_public_constructor_names_a_malformed_clause(t9, bad):
+    """A clause is a (relation, tuple of ids) pair; anything else is named
+    in a FormatError here, not left to fail deep inside a minimizer."""
+    message = f"malformed clause {bad!r}: expected a (relation, vars) pair"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        CnfFormula(t9, ("x",), (("pos", (0,)), bad))
 
 
 def test_derived_formulas_pass_the_public_checks(t9, bijunctive_full, affine_lang):
@@ -96,17 +113,17 @@ def test_derived_formulas_pass_the_public_checks(t9, bijunctive_full, affine_lan
 
 def test_equivalence_example6_rewriting(t9):
     # (x or y1) and (x or y2) agrees with x or (y1 and y2)
-    f1 = CnfFormula(t9, ("x", "y1", "y2"), (Clause("or2", (0, 1)), Clause("or2", (0, 2))))
+    f1 = CnfFormula(t9, ("x", "y1", "y2"), (("or2", (0, 1)), ("or2", (0, 2))))
     mix = Relation(
         "mix", 3, frozenset({(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 1)})
     )
     f2 = CnfFormula(
-        ConstraintLanguage((mix,)), ("x", "y1", "y2"), (Clause("mix", (0, 1, 2)),)
+        ConstraintLanguage((mix,)), ("x", "y1", "y2"), (("mix", (0, 1, 2)),)
     )
     assert equivalent(f1, f2)
     assert equivalent(f1, f1)
-    f3 = CnfFormula(t9, ("x", "y1"), (Clause("or2", (0, 1)),))
-    f4 = CnfFormula(t9, ("x", "y1"), (Clause("pos", (0,)), Clause("pos", (1,))))
+    f3 = CnfFormula(t9, ("x", "y1"), (("or2", (0, 1)),))
+    f4 = CnfFormula(t9, ("x", "y1"), (("pos", (0,)), ("pos", (1,))))
     assert not equivalent(f3, f4)
 
 
@@ -136,10 +153,10 @@ def test_equivalence_cap():
 
 def test_satisfiable(t9):
     unsat = CnfFormula(
-        t9, ("x", "y"), (Clause("pos", (0,)), Clause("imp", (0, 1)), Clause("neg", (1,)))
+        t9, ("x", "y"), (("pos", (0,)), ("imp", (0, 1)), ("neg", (1,)))
     )
     assert not satisfiable(unsat)
-    assert satisfiable(CnfFormula(t9, ("x", "y"), (Clause("or2", (0, 1)),)))
+    assert satisfiable(CnfFormula(t9, ("x", "y"), (("or2", (0, 1)),)))
     xor2 = fn_xor(2)
     assert not satisfiable(BFormula(bf(xor2), BApp("xor2", (BVar("x"), BVar("x")))))
 
@@ -158,7 +175,7 @@ def test_language_dual_is_built_once(t9):
     assert dual is lang.dual()
     assert dual.dual() is lang
     assert dual == ConstraintLanguage(tuple(r.dual() for r in lang.relations))
-    f = CnfFormula(lang, ("x", "y"), (Clause("imp", (0, 1)),))
+    f = CnfFormula(lang, ("x", "y"), (("imp", (0, 1)),))
     assert f.dual().language is dual and f.dual().dual().language is lang
 
 
@@ -234,14 +251,14 @@ sys.exit(first() is not None)
 
 def test_pinned_mask_conventions(t9):
     # variable 0 is the most significant bit of the assignment index
-    f = CnfFormula(t9, ("x0", "x1", "x2"), (Clause("pos", (0,)),))
+    f = CnfFormula(t9, ("x0", "x1", "x2"), (("pos", (0,)),))
     assert f.solution_mask() == 0b11110000
-    g = CnfFormula(t9, ("x0", "x1", "x2"), (Clause("neg", (2,)),))
+    g = CnfFormula(t9, ("x0", "x1", "x2"), (("neg", (2,)),))
     assert g.solution_mask() == 0b01010101
     assert CnfFormula(t9, ("x0", "x1", "x2"), ()).solution_mask() == 0xFF
     assert clause_mask(rel_impl(), (1, 1), 3) == 0xFF
     assert clause_mask(rel_impl(), (0, 1), 2) == 0b1011
-    wide = CnfFormula(t9, tuple(f"v{i}" for i in range(25)), (Clause("pos", (0,)),))
+    wide = CnfFormula(t9, tuple(f"v{i}" for i in range(25)), (("pos", (0,)),))
     with pytest.raises(ResourceLimitError):
         wide.solution_mask()
 
@@ -278,7 +295,7 @@ def test_deep_chain_without_recursion():
 
 def _ref_cnf(f: CnfFormula, bits) -> int:
     return int(all(
-        tuple(bits[v] for v in c.vars) in f.language.get(c.relation).tuples for c in f.clauses
+        tuple(bits[v] for v in vs) in f.language.get(rel).tuples for rel, vs in f.clauses
     ))
 
 
@@ -301,17 +318,17 @@ def test_cnf_kernel_matches_pointwise(t9, bijunctive_full, affine_lang):
                 f = random_cnf(lang, rng, n, rng.choice((0, 1, 2, 3, n, 2 * n)))
                 rel = rng.choice([r for r in lang.relations if r.arity > 1])
                 v = rng.randrange(n)
-                repeated = Clause(rel.name, (v,) * rel.arity)
+                repeated = (rel.name, (v,) * rel.arity)
                 for g in (f, CnfFormula(lang, f.var_names, f.clauses + (repeated,))):
                     rows = [_ref_cnf(g, bits) for bits in all_assignments(n)]
                     assert g.solution_mask() == _ref_table(rows)
                     assert [g.eval(bits) for bits in all_assignments(n)] == rows
                     assert satisfiable(g) == any(rows)
                     assert equivalent(g, g)
-                for c in f.clauses:
-                    r = lang.get(c.relation)
-                    rows = [int(tuple(b[x] for x in c.vars) in r.tuples) for b in all_assignments(n)]
-                    assert clause_mask(r, c.vars, n) == _ref_table(rows)
+                for name, vs in f.clauses:
+                    r = lang.get(name)
+                    rows = [int(tuple(b[x] for x in vs) in r.tuples) for b in all_assignments(n)]
+                    assert clause_mask(r, vs, n) == _ref_table(rows)
 
 
 def _random_tree(basis, rng, depth):
@@ -357,13 +374,13 @@ def test_equivalence_at_twenty_variables(t9):
     clauses = []
     while len(clauses) < 40:
         rel = rng.choice(t9.relations)
-        c = Clause(rel.name, tuple(rng.randrange(n) for _ in range(rel.arity)))
-        if tuple(model[v] for v in c.vars) in rel.tuples:
+        c = (rel.name, tuple(rng.randrange(n) for _ in range(rel.arity)))
+        if tuple(model[v] for v in c[1]) in rel.tuples:
             clauses.append(c)
     names = tuple(f"v{i}" for i in range(n))
     f = CnfFormula(t9, names, tuple(clauses))
     assert f.eval(model) == 1
     assert equivalent(f, CnfFormula(t9, names, tuple(reversed(clauses))))
     v = rng.randrange(n)
-    excluding = Clause("neg" if model[v] else "pos", (v,))
+    excluding = ("neg" if model[v] else "pos", (v,))
     assert not equivalent(f, CnfFormula(t9, names, tuple(reversed(clauses)) + (excluding,)))

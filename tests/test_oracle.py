@@ -9,7 +9,6 @@ from boolmin.model import (
     BFormula,
     BoolFunction,
     BVar,
-    Clause,
     CnfFormula,
     ConstraintLanguage,
     Relation,
@@ -45,7 +44,7 @@ from conftest import random_cnf
 
 
 def test_brute_min_cnf_duplicate_clause(t9):
-    f = CnfFormula(t9, ("x", "y"), (Clause("or2", (0, 1)), Clause("or2", (0, 1))))
+    f = CnfFormula(t9, ("x", "y"), (("or2", (0, 1)), ("or2", (0, 1))))
     count, witness = brute_min_cnf(t9, f, 4)
     assert count == 1
     assert equivalent(witness, f)
@@ -55,15 +54,15 @@ def test_brute_min_cnf_example6_language():
     # x or (y and z) alongside plain or2: the combined clause wins
     mix = Relation("mix", 3, frozenset({(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 1)}))
     lang = ConstraintLanguage((rel_or(2), mix))
-    f = CnfFormula(lang, ("x", "y1", "y2"), (Clause("or2", (0, 1)), Clause("or2", (0, 2))))
+    f = CnfFormula(lang, ("x", "y1", "y2"), (("or2", (0, 1)), ("or2", (0, 2))))
     count, witness = brute_min_cnf(lang, f, 4)
     assert count == 1
-    assert witness.clauses[0].relation == "mix"
+    assert witness.clauses[0][0] == "mix"
     assert equivalent(witness, f)
 
 
 def test_brute_min_cnf_two_clause_chain(t9):
-    f = CnfFormula(t9, ("x1", "x2", "x3"), (Clause("or2", (0, 1)), Clause("or2", (1, 2))))
+    f = CnfFormula(t9, ("x1", "x2", "x3"), (("or2", (0, 1)), ("or2", (1, 2))))
     lang = ConstraintLanguage((rel_or(2),))
     count, _ = brute_min_cnf(lang, f, 4)
     assert count == 2
@@ -145,7 +144,7 @@ def test_min_unsat_examples():
     xor_lang = ConstraintLanguage((rel_parity(2, 1, "odd2"),))
     result = min_unsat_formula(xor_lang)
     assert result is not None and len(result.clauses) == 1
-    assert result.clauses[0].vars == (0, 0)
+    assert result.clauses[0][1] == (0, 0)
     or_lang = ConstraintLanguage((rel_or(2), rel_or(3)))
     assert min_unsat_formula(or_lang) is None
     lits = ConstraintLanguage((rel_pos(), rel_neg()))
