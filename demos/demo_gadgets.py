@@ -28,7 +28,7 @@ from boolmin.formats import (
     serialize_mee_instance,
 )
 from boolmin.gadgets import eval_dnf
-from boolmin.model import BApp, BVar, all_assignments, count_gates
+from boolmin.model import BApp, BVar, all_assignments, formula_size
 from boolmin.std import fn_and, rel_parity
 
 # --- non-satisfiability reduces to minimization --------------------------------
@@ -64,7 +64,7 @@ for name, h2 in (("equivalent pair", h_same), ("inequivalent pair", h_other)):
     gadget, bound = build_and_or_gadget(f_and, f_or, h_equal, h2, 3)
     found = brute_min_bformula((and2, orT), gadget, SizeMeasure.GATES, bound)
     verdict = f"minimum <= {bound}" if found else f"no equivalent within {bound} gates"
-    print(f"{name}: gadget has {count_gates(gadget.root)} gates; {verdict}")
+    print(f"{name}: gadget has {formula_size(gadget, SizeMeasure.GATES)} gates; {verdict}")
 print()
 
 # --- pure-Horn DNF negation ------------------------------------------------------

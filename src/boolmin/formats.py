@@ -221,12 +221,23 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 
 def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
-    """Parse a single parenthesized expression, e.g. `(or2 x (or2 x y))`."""
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = _TOKEN_RE.findall(stripped)
+    """Parse a single parenthesized expression, e.g. `(or2 x (or2 x y))`.
+
+    Nodes are made in post-order, so they are collected as they close, and
+    each application's name and arity are checked then.  If every check
+    passes, the formula is built from that post-order without `BFormula`'s
+    own walk.  Syntax errors come first.  After them, duplicate basis names
+    or a tree fault are reported by `BFormula` itself, so the message and
+    the fault reported first are those of any other tree."""
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise FormatError("empty B-formula")
     tokens_left = iter(tokens)
+    arities = {f.name: f.arity for f in functions}
+    checked = len(arities) == len(functions)
+    postorder: list[BNode] = []
     # one explicit stack of open applications: (function name, arguments so far)
     open_apps: list[tuple[str, list[BNode]]] = []
     for tok in tokens_left:
@@ -241,8 +252,11 @@ def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
         elif open_apps:
             func, args = open_apps.pop()
             node = BApp(func, tuple(args))
+            if arities.get(func) != len(args):
+                checked = False
         else:
             raise FormatError("unexpected ')'")
+        postorder.append(node)
         if not open_apps:
             break
         open_apps[-1][1].append(node)
@@ -250,7 +264,9 @@ def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
         raise FormatError("unbalanced parentheses")
     if next(tokens_left, None) is not None:
         raise FormatError("trailing tokens after B-formula expression")
-    return BFormula(functions, node)
+    if not checked:
+        return BFormula(functions, node)  # raises the fault that comes first
+    return BFormula._trusted(functions, node, tuple(postorder))
 
 
 def load_bformula(path: str, functions: tuple[BoolFunction, ...]) -> BFormula:

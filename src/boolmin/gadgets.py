@@ -16,7 +16,6 @@ from .model import (
     ConstraintLanguage,
     MeeInstance,
     SizeMeasure,
-    _walk,
     formula_size,
     satisfiable,
     substitute,
@@ -102,7 +101,7 @@ def _merged_functions(*formulas: BFormula) -> tuple[BoolFunction, ...]:
 def _arg_order(formula: BFormula) -> tuple[str, ...]:
     """Connective argument roles follow first occurrence in the tree, left
     to right (the order of the leaves in post-order)."""
-    leaves = (n.name for n in reversed(list(_walk(formula.root))) if isinstance(n, BVar))
+    leaves = (n.name for n in formula.postorder if isinstance(n, BVar))
     return tuple(dict.fromkeys(leaves))
 
 

@@ -30,6 +30,15 @@ their true rows.  `CnfFormula.mask` and `BFormula.mask` evaluate over any
 columns: all 2^n assignments (`truth_table`), one assignment (`eval`, with
 `full = 1`), or the n + 1 probes of `post.relevant_variables`.
 
+A `BFormula` keeps its tree's post-order node list, `postorder`, and every
+reader walks that list instead of the tree: `mask`, `var_names`, the size
+counts of `formula_size` and `post.min_post`, and the validation itself.
+Whoever builds a tree in post-order hands the list over through
+`BFormula._trusted`, which skips validation: the parser, which checks each
+application as it closes, and the `post.min_post` witness builder.  `_walk`
+and `fold` are left for bare nodes (`substitute`, `_key`, `dual`) and for
+the first read of `postorder` on a formula built directly.
+
 What depends on a constraint language alone is computed once per language
 value, not once per formula: its classification
 (`classify.classify_language`), its IHSB base templates
@@ -400,7 +409,8 @@ class BFormula:
         if len(set(names)) != len(names):
             raise FormatError("duplicate function names in basis")
         funcs = self.by_name
-        for node in _walk(self.root):
+        # `_walk`'s order: pre-order, arguments right to left
+        for node in reversed(self.postorder):
             if isinstance(node, BVar):
                 continue
             f = funcs.get(node.func)
@@ -411,6 +421,26 @@ class BFormula:
                     f"function {node.func}: got {len(node.args)} arguments, arity is {f.arity}"
                 )
 
+    @classmethod
+    def _trusted(
+        cls, functions: tuple[BoolFunction, ...], root: BNode, postorder: tuple[BNode, ...]
+    ) -> "BFormula":
+        """A formula from parts already checked, without `__post_init__`: a
+        basis with unique names, a tree whose every application names a basis
+        function at its arity, and that tree's `postorder`."""
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "functions", functions)
+        object.__setattr__(formula, "root", root)
+        # the slot `cached_property` fills on first read
+        formula.__dict__["postorder"] = postorder
+        return formula
+
+    @cached_property
+    def postorder(self) -> tuple[BNode, ...]:
+        """Every node occurrence of the tree, each application after its
+        arguments, arguments left to right; the last node is the root."""
+        return _postorder(self.root)
+
     @cached_property
     def by_name(self) -> dict[str, BoolFunction]:
         return {f.name: f for f in self.functions}
@@ -418,7 +448,7 @@ class BFormula:
     @cached_property
     def var_names(self) -> tuple[str, ...]:
         """Variables of the tree in canonical (sorted) order."""
-        return tuple(sorted({node.name for node in _walk(self.root) if isinstance(node, BVar)}))
+        return tuple(sorted({node.name for node in self.postorder if isinstance(node, BVar)}))
 
     def eval(self, values: Mapping[str, int]) -> int:
         return self.mask(values, 1)
@@ -426,13 +456,18 @@ class BFormula:
     def mask(self, columns: Mapping[str, int], full: int) -> int:
         """The root's mask, given each variable's mask."""
         funcs = self.by_name
-
-        def leaf(node: BVar) -> int:
-            if node.name not in columns:
-                raise FormatError(f"assignment does not cover variable {node.name!r}")
-            return columns[node.name]
-
-        return fold(self.root, leaf, lambda node, args: funcs[node.func].mask_op(args, full))
+        out: list[int] = []
+        for node in self.postorder:
+            if isinstance(node, BVar):
+                if node.name not in columns:
+                    raise FormatError(f"assignment does not cover variable {node.name!r}")
+                out.append(columns[node.name])
+            else:
+                split = len(out) - len(node.args)
+                value = funcs[node.func].mask_op(out[split:], full)
+                del out[split:]
+                out.append(value)
+        return out[0]
 
     def dual(self) -> "BFormula":
         return BFormula(
@@ -452,16 +487,22 @@ def _walk(root: BNode) -> Iterator[BNode]:
             stack.extend(node.args)
 
 
+def _postorder(root: BNode) -> tuple[BNode, ...]:
+    """`_walk` reversed: arguments before their application, left to right."""
+    nodes = list(_walk(root))
+    nodes.reverse()
+    return tuple(nodes)
+
+
 def _key(root: BNode) -> tuple:
     return tuple((n.func, len(n.args)) if isinstance(n, BApp) else n.name for n in _walk(root))
 
 
 def fold(root: BNode, leaf: Callable[[BVar], T], app: Callable[[BApp, list[T]], T]) -> T:
     """Post-order evaluation without recursion: `leaf(v)` at each variable,
-    `app(node, values)` at each application, values left to right.  (`_walk`
-    yields arguments right to left, so its reverse is that post-order.)"""
+    `app(node, values)` at each application, values left to right."""
     out: list[T] = []
-    for node in reversed(list(_walk(root))):
+    for node in _postorder(root):
         if isinstance(node, BVar):
             out.append(leaf(node))
         else:
@@ -470,16 +511,6 @@ def fold(root: BNode, leaf: Callable[[BVar], T], app: Callable[[BApp, list[T]], 
             del out[split:]
             out.append(value)
     return out[0]
-
-
-def count_literals(node: BNode) -> int:
-    """Number of variable-leaf occurrences (constant applications count 0)."""
-    return sum(isinstance(n, BVar) for n in _walk(node))
-
-
-def count_gates(node: BNode) -> int:
-    """Number of function symbols in the tree."""
-    return sum(isinstance(n, BApp) for n in _walk(node))
 
 
 def substitute(node: BNode, mapping: Mapping[str, BNode]) -> BNode:
@@ -515,11 +546,11 @@ def formula_size(formula: Formula, measure: SizeMeasure) -> int:
         if measure is not SizeMeasure.CLAUSES:
             raise FormatError("CNF formulas are sized by clause count")
         return len(formula.clauses)
-    if measure is SizeMeasure.LITERALS:
-        return count_literals(formula.root)
-    if measure is SizeMeasure.GATES:
-        return count_gates(formula.root)
-    raise FormatError("clause count is only defined for CNF formulas")
+    if measure is SizeMeasure.CLAUSES:
+        raise FormatError("clause count is only defined for CNF formulas")
+    nodes = formula.postorder
+    leaves = sum(isinstance(node, BVar) for node in nodes)
+    return leaves if measure is SizeMeasure.LITERALS else len(nodes) - leaves
 
 
 def truth_table(formula: Formula, names: Sequence[str]) -> int:

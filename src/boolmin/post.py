@@ -65,7 +65,6 @@ from .model import (
     BoolFunction,
     BVar,
     SizeMeasure,
-    _walk,
 )
 
 
@@ -230,10 +229,11 @@ def _witness(
     relevant_sorted: list[str],
     avoid: set[str],
     shapes: list[FunctionShape],
-) -> BNode:
+) -> tuple[BNode, tuple[BNode, ...]]:
     """The tree that a state's back-references describe, its designated
     (relevant) leaves named after the target's relevant variables, and each
-    gate of a basis function f named gate_names[f.name].
+    gate of a basis function f named gate_names[f.name]; with the tree's
+    post-order (see `BFormula.postorder`), which the output walk yields.
 
     One explicit-stack walk over the back-references builds each part once.
     Leaves are integer ids, and `slot` keeps the argument list and index that
@@ -304,22 +304,25 @@ def _witness(
             names[leaf] = relevant_sorted[-1]
 
     out: list[BNode] = []
+    postorder: list[BNode] = []
     walk: list[tuple[object, bool]] = [(box[0], False)]
     while walk:
         node, expanded = walk.pop()
         if isinstance(node, int):
             if node not in names:
                 names[node] = next(fresh)
-            out.append(BVar(names[node]))
+            built: BNode = BVar(names[node])
         elif expanded:
             split = len(out) - len(node[1])
-            app = BApp(node[0], tuple(out[split:]))
+            built = BApp(node[0], tuple(out[split:]))
             del out[split:]
-            out.append(app)
         else:
             walk.append((node, True))
             walk.extend((a, False) for a in reversed(node[1]))
-    return out[0]
+            continue
+        out.append(built)
+        postorder.append(built)
+    return out[0], tuple(postorder)
 
 
 @dataclass(frozen=True)
@@ -366,7 +369,7 @@ def min_post(
         # the formula's dual has the same relevant variables and constant 1 ^ c
         dp_basis, cls, c_target = tuple(f.dual() for f in basis), "V", 1 ^ c_target
         shapes = [s.dual(f.table[-1]) for f, s in zip(basis, shapes)]
-    nodes = list(_walk(formula.root))
+    nodes = formula.postorder
     n_phi = sum(isinstance(node, BVar) for node in nodes)
     g_phi = len(nodes) - n_phi
     max_arity = max((f.arity for f in basis), default=0)
@@ -398,10 +401,14 @@ def min_post(
     size, state = best
 
     gate_names = {d.name: f.name for d, f in zip(dp_basis, basis)}
-    witness_root = _witness(
+    root, postorder = _witness(
         state, table, dp_basis, gate_names, sorted(relevant), set(formula.var_names), shapes
     )
-    witness = BFormula(basis, witness_root)
+    if len(gate_names) == len(basis):
+        # every gate is a basis function at its arity, and the names are unique
+        witness = BFormula._trusted(basis, root, postorder)
+    else:
+        witness = BFormula(basis, root)  # raises: duplicate function names
     return size, witness, PostStats(measure, size, state, len(table.states))
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boolmin.model import BApp, BFormula, BVar, CnfFormula, ConstraintLanguage
+from boolmin.model import BApp, BFormula, BVar, CnfFormula, ConstraintLanguage, _walk
 from boolmin.std import (
     rel_eq,
     rel_impl,
@@ -63,3 +63,14 @@ def random_btree(basis, rng: random.Random, leaf_budget: int, var_pool="xyuv"):
 
 def random_bformula(basis, rng: random.Random, leaf_budget: int) -> BFormula:
     return BFormula(tuple(basis), random_btree(basis, rng, leaf_budget))
+
+
+def assert_postorder(formula: BFormula) -> None:
+    """`formula.postorder` is the reverse of `_walk`'s pre-order over the
+    tree's own nodes.  Nodes are compared by identity: `BApp.__eq__` walks
+    both subtrees, which is quadratic over a deep chain."""
+    expected = list(_walk(formula.root))
+    expected.reverse()
+    got = formula.postorder
+    assert isinstance(got, tuple) and len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))

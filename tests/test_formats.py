@@ -13,6 +13,8 @@ from boolmin.model import BApp, BFormula, BVar, CnfFormula, MeeInstance, SizeMea
 from boolmin.oracle import unsat_minimum
 from boolmin.std import fn_or, fn_xor, theorem9_language
 
+from conftest import assert_postorder
+
 
 def test_language_roundtrip():
     lang = theorem9_language(3)
@@ -352,7 +354,10 @@ def test_deep_bformula_roundtrip():
     f = BFormula(funcs, root)
     text = formats.serialize_bformula(f)
     assert text.startswith("(or2 ") and text.endswith(")\n")
-    assert formats.parse_bformula(text, funcs) == f
+    parsed = formats.parse_bformula(text, funcs)
+    assert parsed == f
+    assert_postorder(parsed)
+    assert_postorder(f)
 
 
 def test_bformula_errors():
@@ -360,6 +365,79 @@ def test_bformula_errors():
     for bad in ("", "(or2 x", "(or2 x y) z", "()", "(or2 x y z)"):
         with pytest.raises(FormatError):
             formats.parse_bformula(bad, funcs)
+
+
+def _message(build) -> str:
+    with pytest.raises(FormatError) as exc:
+        build()
+    return str(exc.value)
+
+
+def _app(func, *args):
+    return BApp(func, tuple(BVar(a) if isinstance(a, str) else a for a in args))
+
+
+@pytest.mark.parametrize("text, root, message", [
+    ("(nope x y)", _app("nope", "x", "y"), "unknown function 'nope'"),
+    ("(or2 x y z)", _app("or2", "x", "y", "z"), "function or2: got 3 arguments, arity is 2"),
+    ("(xor3 x (or2 y))", _app("xor3", "x", _app("or2", "y")),
+     "function xor3: got 2 arguments, arity is 3"),
+    # the root is checked before its arguments, though it closes after them
+    ("(nope (or2 x) y)", _app("nope", _app("or2", "x"), "y"), "unknown function 'nope'"),
+    ("(or2 (nope x) y z)", _app("or2", _app("nope", "x"), "y", "z"),
+     "function or2: got 3 arguments, arity is 2"),
+    # siblings are checked right to left, whatever their depth
+    ("(xor3 (nope x) (or2 x) y)", _app("xor3", _app("nope", "x"), _app("or2", "x"), "y"),
+     "function or2: got 1 arguments, arity is 2"),
+    ("(xor3 (or2 x) (nope x) y)", _app("xor3", _app("or2", "x"), _app("nope", "x"), "y"),
+     "unknown function 'nope'"),
+    ("(or2 (or2 (or2 x)) (nope y))", _app("or2", _app("or2", _app("or2", "x")), _app("nope", "y")),
+     "unknown function 'nope'"),
+    ("(or2 (nope x) (or2 (or2 y)))", _app("or2", _app("nope", "x"), _app("or2", _app("or2", "y"))),
+     "function or2: got 1 arguments, arity is 2"),
+])
+def test_bformula_tree_faults_match_validation(text, root, message):
+    # the parser reports the fault, and the message, that BFormula's own
+    # validation reports on the same tree
+    funcs = (fn_or(2), fn_xor(3))
+    assert _message(lambda: BFormula(funcs, root)) == message
+    assert _message(lambda: formats.parse_bformula(text, funcs)) == message
+
+
+def test_bformula_duplicate_basis_names_come_first():
+    funcs = (fn_or(2), fn_xor(3), fn_or(2))
+    message = "duplicate function names in basis"
+    for text, root in (
+        ("(or2 x y)", _app("or2", "x", "y")),
+        ("x", BVar("x")),
+        ("(nope (or2 x))", _app("nope", _app("or2", "x"))),
+    ):
+        assert _message(lambda: BFormula(funcs, root)) == message
+        assert _message(lambda: formats.parse_bformula(text, funcs)) == message
+
+
+def test_bformula_syntax_errors_come_before_tree_faults():
+    funcs = (fn_or(2),)
+    assert _message(lambda: formats.parse_bformula("(nope x", funcs)) == "unbalanced parentheses"
+    assert _message(lambda: formats.parse_bformula("(or2 x) y", funcs)) == (
+        "trailing tokens after B-formula expression"
+    )
+
+
+def test_bformula_comments():
+    funcs = (fn_or(2),)
+    text = """# leading comment
+    (or2 x # after the first argument
+      # a line of its own between the arguments
+      (or2 y z))  # trailing comment
+    """
+    want = BFormula(funcs, _app("or2", "x", _app("or2", "y", "z")))
+    parsed = formats.parse_bformula(text, funcs)
+    assert parsed == want
+    assert_postorder(parsed)
+    assert _message(lambda: formats.parse_bformula("# only a comment\n", funcs)) == (
+        "empty B-formula"
+    )
 
 
 def test_mee_header_roundtrip():

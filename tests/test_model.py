@@ -18,10 +18,9 @@ from boolmin.model import (
     ConstraintLanguage,
     Relation,
     SizeMeasure,
+    _walk,
     all_assignments,
     clause_mask,
-    count_gates,
-    count_literals,
     dualize,
     equivalent,
     formula_size,
@@ -29,9 +28,9 @@ from boolmin.model import (
     substitute,
     truth_table,
 )
-from boolmin.std import fn_and, fn_or, fn_xor, rel_impl
+from boolmin.std import fn_and, fn_const, fn_not, fn_or, fn_xor, rel_impl
 
-from conftest import random_cnf
+from conftest import assert_postorder, random_bformula, random_cnf
 
 
 def bf(*funcs):
@@ -205,8 +204,6 @@ def test_dual_bformula():
 def test_size_measures():
     or2 = fn_or(2)
     f = BFormula(bf(or2), BApp("or2", (BVar("x"), BApp("or2", (BVar("x"), BVar("y"))))))
-    assert count_literals(f.root) == 3
-    assert count_gates(f.root) == 2
     assert formula_size(f, SizeMeasure.LITERALS) == 3
     assert formula_size(f, SizeMeasure.GATES) == 2
     with pytest.raises(FormatError):
@@ -284,10 +281,45 @@ def test_deep_chain_without_recursion():
     assert formula_size(f, SizeMeasure.GATES) == 5001
     swapped = substitute(f.root, {"z": BVar("w"), "x": BApp("or2", (BVar("u"), BVar("v")))})
     assert BFormula(bf(or2), swapped).var_names == ("u", "v", "w", "y")
-    assert count_literals(swapped) == 5004
+    assert formula_size(BFormula(bf(or2), swapped), SizeMeasure.LITERALS) == 5004
     twin = chain("x")
     assert twin is not f.root and twin == f.root and hash(twin) == hash(f.root)
     assert chain("y") != f.root
+    assert_postorder(f)
+    assert_postorder(parse_bformula(serialize_bformula(f), bf(or2)))
+
+
+def test_postorder_and_trusted_formulas():
+    # direct and parsed formulas keep the reversed pre-order of their own
+    # tree; a formula built through _trusted from those parts is the
+    # validated one for ==, hash, repr and every reader of the post-order
+    rng = random.Random(61)
+    bases = [
+        bf(fn_or(2), fn_and(3)),
+        bf(fn_xor(2), fn_xor(3, 1)),
+        bf(fn_or(2), fn_not(), fn_const(1, "one")),
+    ]
+    leaves = [BFormula(bases[2], BVar("x")), BFormula(bases[2], BApp("one", ()))]
+    formulas = leaves + [
+        random_bformula(rng.choice(bases), rng, rng.randint(1, 20)) for _ in range(200)
+    ]
+    for f in formulas:
+        parsed = parse_bformula(serialize_bformula(f), f.functions)
+        assert parsed == f
+        for g in (f, parsed):
+            assert_postorder(g)
+            trusted = BFormula._trusted(g.functions, g.root, g.postorder)
+            assert trusted == g and hash(trusted) == hash(g) and repr(trusted) == repr(g)
+            assert trusted.postorder is g.postorder
+            assert trusted.var_names == g.var_names
+            for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
+                assert formula_size(trusted, measure) == formula_size(g, measure)
+            names = f.var_names
+            assert truth_table(trusted, names) == truth_table(g, names)
+        nodes = list(_walk(f.root))
+        leaves = sum(isinstance(node, BVar) for node in nodes)
+        assert formula_size(f, SizeMeasure.LITERALS) == leaves
+        assert formula_size(f, SizeMeasure.GATES) == len(nodes) - leaves
 
 
 # --- the mask kernel against pointwise evaluation by definition --------------

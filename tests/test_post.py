@@ -8,7 +8,7 @@ import pytest
 
 from boolmin import post
 from boolmin.classify import FunctionShape, classify_basis, function_shape
-from boolmin.errors import ClassificationError
+from boolmin.errors import ClassificationError, FormatError
 from boolmin.formats import parse_bformula, serialize_bformula
 from boolmin.model import (
     BApp,
@@ -38,7 +38,7 @@ from boolmin.post import (
 )
 from boolmin.std import fn_and, fn_const, fn_or, fn_xor
 
-from conftest import random_bformula, random_btree
+from conftest import assert_postorder, random_bformula, random_btree
 
 
 OR2D = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
@@ -373,11 +373,13 @@ def full_table_reference(basis, formula, measure):
     if best is None:
         return None, table
     size, state = best
-    root = _witness(
+    root, postorder = _witness(
         state, table, basis, {f.name: f.name for f in basis}, sorted(relevant),
         set(formula.var_names), [function_shape(f) for f in basis],
     )
-    return (size, BFormula(basis, root), PostStats(measure, size, state, len(table.states))), table
+    witness = BFormula(basis, root)
+    assert witness.postorder == postorder
+    return (size, witness, PostStats(measure, size, state, len(table.states))), table
 
 
 def random_and_function(rng, name):
@@ -436,6 +438,35 @@ def test_min_post_matches_full_table_reference(monkeypatch):
             assert all(full.states[s] == cell for s, cell in stopped[0].states.items())
             smaller += len(stopped[0].states) < len(full.states)
     assert smaller >= 100
+
+
+def test_min_post_witness_postorder():
+    # the witness comes with the post-order its output walk built, and is
+    # the formula that validating its tree gives
+    rng = random.Random(83)
+    witnesses = 0
+    for _ in range(300):
+        basis = random_basis(rng)
+        phi = random_post_formula(basis, rng, rng.randint(1, 12))
+        for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
+            got = min_post(basis, phi, measure)
+            if got is None:
+                continue
+            witness = got[1]
+            assert_postorder(witness)
+            validated = BFormula(basis, witness.root)
+            assert witness == validated and hash(witness) == hash(validated)
+            assert witness.var_names == validated.var_names
+            assert formula_size(witness, measure) == got[0]
+            witnesses += 1
+    assert witnesses >= 500
+
+
+def test_min_post_duplicate_basis_names():
+    basis = (fn_or(2), fn_or(2))
+    phi = BFormula(basis[:1], BApp("or2", (BVar("x"), BVar("y"))))
+    with pytest.raises(FormatError, match="duplicate function names in basis"):
+        min_post(basis, phi, SizeMeasure.LITERALS)
 
 
 # build_reach_table as it was before an irrelevant leaf took only a leafless
