@@ -82,7 +82,7 @@ with tempfile.TemporaryDirectory() as tmp:
 print(serialize_language(loaded.language).rstrip())
 print(serialize_cnf_formula(loaded).rstrip())
 agrees = all(
-    loaded.eval(bits) == 1 - eval_dnf(terms, dict(zip(loaded.var_names, bits)))
+    loaded.mask(bits, 1) == 1 - eval_dnf(terms, dict(zip(loaded.var_names, bits)))
     for bits in all_assignments(len(loaded.var_names))
 )
 print("negation-equivalent to the DNF:", agrees)

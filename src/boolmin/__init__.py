@@ -4,69 +4,42 @@ Classifies constraint languages and Boolean-function bases by the
 polynomial/hard dichotomy, runs the polynomial-time minimizers (IHSB+/-,
 bijunctive, affine, and the OR/AND/XOR tuple DP), and validates results
 against brute-force oracles at desk scale.
+
+The package exports `minimize` and the names the README and the demos
+import from it; everything else is imported from its module.
 """
 
-from .affine import clause_to_equation, min_affine, parity_constant
-from .bijunctive import LiteralGraph, min_bijunctive, to_literal_graph
+from .affine import min_affine
+from .bijunctive import min_bijunctive
 from .classify import (
-    ClassificationReport,
-    FunctionShape,
-    HornWitness,
     classify_basis,
     classify_language,
     closed_under,
     find_positive_horn_witness,
     function_shape,
     is_irreducible,
-    relation_flags,
 )
-from .errors import (
-    BoolminError,
-    ClassificationError,
-    FormatError,
-    ResourceLimitError,
-    VocabularyError,
-)
+from .errors import ClassificationError
 from .gadgets import (
-    ReductionResult,
     build_and_or_gadget,
-    build_maj_gadget,
     pure_horn_dnf_to_cnf,
     reduce_unsat_to_mee_cnf,
     reduce_unsat_to_mee_post,
 )
-from .ihsb import (
-    ImplGraph,
-    PartitionedFormula,
-    graph_from_cnf,
-    leadsto,
-    min_ihsb,
-    min_ihsb_cnf,
-    min_ihsb_minus_cnf,
-    restrict_vocabulary,
-    unsat_check_ihsb,
-)
+from .ihsb import min_ihsb_cnf, min_ihsb_minus_cnf
 from .model import (
-    Assignment,
-    BApp,
     BFormula,
     BoolFunction,
-    BVar,
-    Clause,
     CnfFormula,
     ConstraintLanguage,
-    MeeInstance,
     MinimizeStats,
     Relation,
     SizeMeasure,
-    dualize,
     equivalent,
     satisfiable,
 )
-from .oracle import brute_min_bformula, brute_min_cnf, expressible, min_unsat_formula
-from .post import ReachTable, gate_lower_bound, min_post, relevant_variables
-
-__version__ = "0.1.0"
+from .oracle import brute_min_bformula, brute_min_cnf
+from .post import min_post
 
 
 def minimize(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import chain
 
 from .errors import ClassificationError
-from .model import Clause, CnfFormula, MinimizeStats, Relation
+from .model import CnfFormula, MinimizeStats, Relation
 from .oracle import unsat_minimum
 
 
@@ -32,17 +32,6 @@ def _xor_constant(rel: Relation) -> int:
             f"relation {rel.name} is not an XOR clause; language misclassified as irreducible affine"
         )
     return c
-
-
-def clause_to_equation(clause: Clause, rel: Relation) -> tuple[int, int]:
-    """GF(2) row (coefficient bitmask keyed by variable id, constant bit).
-
-    Repeated variables in a clause cancel pairwise.
-    """
-    coeffs = 0
-    for v in clause[1]:
-        coeffs ^= 1 << v
-    return coeffs, _xor_constant(rel)
 
 
 def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:

@@ -283,6 +283,9 @@ def report_lines(report: ClassificationReport) -> list[str]:
         w = report.horn_witness
         perm = ",".join(str(p) for p in w.permutation)
         lines.append(f"witness={w.relation} witness_k={w.k} witness_perm={perm}")
+    elif report.verdict.startswith("NP-complete"):
+        # the hardness claim rests on a witness that was not found
+        lines.append("witness=none")
     for name, f in report.flags.items():
         for key, value in (
             ("affine", f.affine),

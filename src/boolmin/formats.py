@@ -16,7 +16,6 @@ from .model import (
     ConstraintLanguage,
     MeeInstance,
     Relation,
-    SizeMeasure,
 )
 
 _BIT_RE = re.compile(r"^[01]+$")
@@ -328,43 +327,17 @@ def serialize_bformula(formula: BFormula) -> str:
     return "".join(parts)
 
 
-def mee_header(instance: MeeInstance, fixed_negative: bool = False) -> str:
-    head = f"mee bound={instance.bound} measure={instance.measure.value}"
-    if fixed_negative:
-        head += " fixed-negative=1"
-    return head
-
-
 def serialize_mee_instance(
     instance: MeeInstance,
     fixed_negative: bool = False,
     language_path: str | None = None,
 ) -> str:
-    head = mee_header(instance, fixed_negative)
+    head = f"mee bound={instance.bound} measure={instance.measure.value}"
+    if fixed_negative:
+        head += " fixed-negative=1"
     if isinstance(instance.formula, CnfFormula):
         body = serialize_cnf_formula(instance.formula, language_path)
     else:
         body = serialize_bformula(instance.formula)
     return head + "\n" + body
 
-
-def parse_mee_header(line: str) -> tuple[int, SizeMeasure, bool]:
-    tokens = line.split()
-    if not tokens or tokens[0] != "mee":
-        raise FormatError("expected a `mee` header line")
-    bound = None
-    measure = None
-    negative = False
-    for tok in tokens[1:]:
-        key, _, value = tok.partition("=")
-        if key == "bound":
-            bound = int(value)
-        elif key == "measure":
-            measure = SizeMeasure(value)
-        elif key == "fixed-negative":
-            negative = value == "1"
-        else:
-            raise FormatError(f"unknown mee header key {key!r}")
-    if bound is None or measure is None:
-        raise FormatError("mee header needs bound= and measure=")
-    return bound, measure, negative

@@ -140,19 +140,6 @@ class ImplGraph:
         return graph.reach(self.successors())
 
 
-def leadsto(g: ImplGraph, u: int, v: int) -> bool:
-    """u leads to v through implications and equalities (u leads to u)."""
-    succ = g.successors()
-    seen = {u}
-    stack = [u]
-    while stack and v not in seen:
-        for y in succ[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return v in seen
-
-
 def graph_from_cnf(
     formula: CnfFormula, templates: BaseTemplates | None = None
 ) -> tuple[ImplGraph, BaseTemplates]:
@@ -190,11 +177,11 @@ def _falsy(g: ImplGraph, reach: list[int]) -> int:
     return graph.bits(u for u in range(g.n) if reach[u] & neg)
 
 
-def unsat_check_ihsb(g: ImplGraph, reach: list[int] | None = None) -> bool:
+def unsat_check_ihsb(g: ImplGraph, reach: list[int]) -> bool:
     """True iff some OR-clause (literals count as 1-ary OR-clauses) has every
-    disjunct leading to a variable occurring as a negative literal.  `reach`
-    is `g.reach()` if the caller already has it."""
-    falsy = _falsy(g, g.reach() if reach is None else reach)
+    disjunct leading to a variable occurring as a negative literal; `reach`
+    is `g.reach()`."""
+    falsy = _falsy(g, reach)
     return bool(graph.bits(g.pos) & falsy) or any(not graph.bits(c) & ~falsy for c in g.ors)
 
 
@@ -245,18 +232,9 @@ class PartitionedFormula:
     eq_clauses: tuple[tuple[int, int], ...]
     or_clauses: tuple[tuple[int, ...], ...]
 
-    def clause_count(self) -> int:
-        return (
-            len(self.pos_literals)
-            + len(self.neg_literals)
-            + len(self.impl_clauses)
-            + len(self.eq_clauses)
-            + len(self.or_clauses)
-        )
-
 
 def min_ihsb(
-    g: ImplGraph, eq_available: bool = True, reach: list[int] | None = None
+    g: ImplGraph, eq_available: bool, reach: list[int]
 ) -> tuple[PartitionedFormula, int]:
     """Minimize in one pass (see the module docstring) and canonicalize;
     `g` is left at the rewrite rules' fixpoint.  The pass count, always 1,
@@ -264,10 +242,8 @@ def min_ihsb(
 
     The input must be satisfiable; callers handle unsatisfiable formulas by
     substituting the precomputed minimum unsatisfiable formula.  `reach` is
-    `g.reach()` if the caller already has it.
+    `g.reach()`.
     """
-    if reach is None:
-        reach = g.reach()
     falsy = _falsy(g, reach)
     forced = 0
     for p in g.pos:

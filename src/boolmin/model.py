@@ -27,17 +27,18 @@ i's column.  Relations and functions compile once (`mask_op`, cached) to
 `op(masks, full)`, applied pointwise: OR, AND and XOR/XNOR tables fold with
 one bit operation per argument, other tables are a sum of products over
 their true rows.  `CnfFormula.mask` and `BFormula.mask` evaluate over any
-columns: all 2^n assignments (`truth_table`), one assignment (`eval`, with
-`full = 1`), or the n + 1 probes of `post.relevant_variables`.
+columns: all 2^n assignments (`truth_table`), one assignment (`full = 1`),
+or the n + 1 probes of `post.relevant_variables`.
 
 A `BFormula` keeps its tree's post-order node list, `postorder`, and every
-reader walks that list instead of the tree: `mask`, `var_names`, the size
-counts of `formula_size` and `post.min_post`, and the validation itself.
-Whoever builds a tree in post-order hands the list over through
+reader walks that list instead of the tree: `mask`, `var_names`, `dual`, the
+size counts of `formula_size` and `post.min_post`, and the validation
+itself.  Whoever builds a tree in post-order hands the list over through
 `BFormula._trusted`, which skips validation: the parser, which checks each
-application as it closes, and the `post.min_post` witness builder.  `_walk`
-and `fold` are left for bare nodes (`substitute`, `_key`, `dual`) and for
-the first read of `postorder` on a formula built directly.
+application as it closes, `dual`, and the `post.min_post` witness builder.
+The last two, and `substitute`, build their trees with one loop,
+`_from_postorder`.  `_walk` is the one walk of a bare tree: `_key`,
+`substitute`, and the first read of `postorder` on a formula built directly.
 
 What depends on a constraint language alone is computed once per language
 value, not once per formula: its classification
@@ -57,7 +58,7 @@ from enum import Enum
 from functools import cached_property, partial, reduce
 from itertools import product
 from operator import and_, or_, xor
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ResourceLimitError
 
@@ -65,11 +66,6 @@ MAX_RELATION_ARITY = 8
 VAR_CAP = 24
 
 DUAL_SUFFIX = "~"
-
-# bit vector indexed by variable id; length equals the formula's variable count
-Assignment = tuple[int, ...]
-
-T = TypeVar("T")
 
 
 def dual_name(name: str) -> str:
@@ -227,12 +223,6 @@ class CnfFormula:
     @property
     def n_vars(self) -> int:
         return len(self.var_names)
-
-    def eval(self, values: Sequence[int]) -> int:
-        """1 iff the assignment (indexed by variable id) satisfies every clause."""
-        if len(values) != self.n_vars:
-            raise FormatError("assignment length does not match variable count")
-        return self.mask(values, 1)
 
     def mask(self, columns: Sequence[int], full: int) -> int:
         """Conjunction of the clause masks, given each variable id's mask."""
@@ -450,9 +440,6 @@ class BFormula:
         """Variables of the tree in canonical (sorted) order."""
         return tuple(sorted({node.name for node in self.postorder if isinstance(node, BVar)}))
 
-    def eval(self, values: Mapping[str, int]) -> int:
-        return self.mask(values, 1)
-
     def mask(self, columns: Mapping[str, int], full: int) -> int:
         """The root's mask, given each variable's mask."""
         funcs = self.by_name
@@ -470,9 +457,14 @@ class BFormula:
         return out[0]
 
     def dual(self) -> "BFormula":
-        return BFormula(
-            tuple(f.dual() for f in self.functions),
-            fold(self.root, lambda v: v, lambda n, args: BApp(dual_name(n.func), tuple(args))),
+        """The formula over the dual basis, with the same tree shape; names
+        stay unique and arities unchanged, since `dual_name` is a bijection."""
+        postorder = _from_postorder(
+            node if isinstance(node, BVar) else (dual_name(node.func), len(node.args))
+            for node in self.postorder
+        )
+        return BFormula._trusted(
+            tuple(f.dual() for f in self.functions), postorder[-1], postorder
         )
 
 
@@ -498,24 +490,30 @@ def _key(root: BNode) -> tuple:
     return tuple((n.func, len(n.args)) if isinstance(n, BApp) else n.name for n in _walk(root))
 
 
-def fold(root: BNode, leaf: Callable[[BVar], T], app: Callable[[BApp, list[T]], T]) -> T:
-    """Post-order evaluation without recursion: `leaf(v)` at each variable,
-    `app(node, values)` at each application, values left to right."""
-    out: list[T] = []
-    for node in _postorder(root):
-        if isinstance(node, BVar):
-            out.append(leaf(node))
-        else:
-            split = len(out) - len(node.args)
-            value = app(node, out[split:])
+def _from_postorder(steps: Iterable[BNode | tuple[str, int]]) -> tuple[BNode, ...]:
+    """Build a tree from its post-order steps: a node is put in whole, and
+    `(func, arity)` applies func to the last `arity` nodes built.  Returns
+    the nodes in step order, the root last; this is the tree's post-order
+    when every node put in whole is a variable."""
+    out: list[BNode] = []
+    built: list[BNode] = []
+    for step in steps:
+        if isinstance(step, tuple):
+            func, arity = step
+            split = len(out) - arity
+            step = BApp(func, tuple(out[split:]))
             del out[split:]
-            out.append(value)
-    return out[0]
+        out.append(step)
+        built.append(step)
+    return tuple(built)
 
 
 def substitute(node: BNode, mapping: Mapping[str, BNode]) -> BNode:
     """Replace variable leaves according to mapping (missing names stay)."""
-    return fold(node, lambda v: mapping.get(v.name, v), lambda n, args: BApp(n.func, tuple(args)))
+    return _from_postorder(
+        mapping.get(n.name, n) if isinstance(n, BVar) else (n.func, len(n.args))
+        for n in _postorder(node)
+    )[-1]
 
 
 class SizeMeasure(Enum):

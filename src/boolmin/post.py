@@ -58,14 +58,7 @@ from itertools import count
 
 from .classify import FunctionShape, classify_basis, function_shape
 from .errors import ClassificationError
-from .model import (
-    BApp,
-    BFormula,
-    BNode,
-    BoolFunction,
-    BVar,
-    SizeMeasure,
-)
+from .model import BFormula, BNode, BoolFunction, BVar, SizeMeasure, _from_postorder
 
 
 State = tuple[int, int, int]
@@ -131,7 +124,7 @@ def build_reach_table(
     cls: str,
     n_bound: int,
     gate_cap: Callable[[int, State], float],
-    shapes: list[FunctionShape] | None = None,
+    shapes: list[FunctionShape],
 ) -> ReachTable:
     """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
     over compositions whose irrelevant guests are leafless, settling cells
@@ -145,10 +138,7 @@ def build_reach_table(
     the least bound given so far has settled.  A cap of g - 1 stops it at
     once.  Cells leave the heap in nondecreasing gate count, so the table
     settled up to the stop is a prefix of the full one, back-references
-    included.  `shapes` holds the basis functions' shapes if the caller
-    already has them."""
-    if shapes is None:
-        shapes = [function_shape(f) for f in basis]
+    included.  `shapes` holds the basis functions' shapes."""
     xor = cls != "V"
     unit_arity = max((f.arity for f in basis), default=0)
     best: dict[State, int] = {}
@@ -229,17 +219,19 @@ def _witness(
     relevant_sorted: list[str],
     avoid: set[str],
     shapes: list[FunctionShape],
-) -> tuple[BNode, tuple[BNode, ...]]:
-    """The tree that a state's back-references describe, its designated
-    (relevant) leaves named after the target's relevant variables, and each
-    gate of a basis function f named gate_names[f.name]; with the tree's
-    post-order (see `BFormula.postorder`), which the output walk yields.
+) -> tuple[BNode, ...]:
+    """The post-order (see `BFormula.postorder`) of the tree that a state's
+    back-references describe, its designated (relevant) leaves named after
+    the target's relevant variables, and each gate of a basis function f
+    named gate_names[f.name]; the root is the last node.
 
     One explicit-stack walk over the back-references builds each part once.
     Leaves are integer ids, and `slot` keeps the argument list and index that
     holds each one, so a guest goes into its host's leaf in constant time and
-    the host's designated and free leaf queues grow in place.  `shapes`
-    holds the basis functions' shapes.
+    the host's designated and free leaf queues grow in place.  The finished
+    tree is read off in post-order and built by `model._from_postorder`, as
+    `BFormula.dual` and `substitute` build theirs.  `shapes` holds the basis
+    functions' shapes.
     """
     cls = table.cls
     arities = {f.name: (f.arity, shape.relevant) for f, shape in zip(basis, shapes)}
@@ -303,26 +295,21 @@ def _witness(
         for leaf in extras:
             names[leaf] = relevant_sorted[-1]
 
-    out: list[BNode] = []
-    postorder: list[BNode] = []
-    walk: list[tuple[object, bool]] = [(box[0], False)]
-    while walk:
-        node, expanded = walk.pop()
-        if isinstance(node, int):
-            if node not in names:
-                names[node] = next(fresh)
-            built: BNode = BVar(names[node])
-        elif expanded:
-            split = len(out) - len(node[1])
-            built = BApp(node[0], tuple(out[split:]))
-            del out[split:]
-        else:
-            walk.append((node, True))
-            walk.extend((a, False) for a in reversed(node[1]))
-            continue
-        out.append(built)
-        postorder.append(built)
-    return out[0], tuple(postorder)
+    # pre-order with arguments right to left, reversed: the post-order
+    todo: list = [box[0]]
+    order: list = []
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if not isinstance(node, int):
+            todo.extend(node[1])
+    order.reverse()
+    for node in order:
+        if isinstance(node, int) and node not in names:
+            names[node] = next(fresh)
+    return _from_postorder(
+        BVar(names[node]) if isinstance(node, int) else (node[0], len(node[1])) for node in order
+    )
 
 
 @dataclass(frozen=True)
@@ -401,22 +388,12 @@ def min_post(
     size, state = best
 
     gate_names = {d.name: f.name for d, f in zip(dp_basis, basis)}
-    root, postorder = _witness(
+    postorder = _witness(
         state, table, dp_basis, gate_names, sorted(relevant), set(formula.var_names), shapes
     )
     if len(gate_names) == len(basis):
         # every gate is a basis function at its arity, and the names are unique
-        witness = BFormula._trusted(basis, root, postorder)
+        witness = BFormula._trusted(basis, postorder[-1], postorder)
     else:
-        witness = BFormula(basis, root)  # raises: duplicate function names
+        witness = BFormula(basis, postorder[-1])  # raises: duplicate function names
     return size, witness, PostStats(measure, size, state, len(table.states))
-
-
-def gate_lower_bound(relevant_count: int, max_arity: int) -> int:
-    """Connected-tree counting bound: g gates of arity at most m reach at
-    most g*(m-1)+1 distinct inputs."""
-    if relevant_count <= 1:
-        return 0
-    if max_arity <= 1:
-        raise ValueError("no multi-input connective available")
-    return -(-(relevant_count - 1) // (max_arity - 1))

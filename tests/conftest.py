@@ -1,11 +1,13 @@
-"""Shared helpers: standard languages and seeded random generators."""
+"""Shared helpers: standard languages, seeded random generators, and the
+reference helpers several test modules use."""
 from __future__ import annotations
 
 import random
 
 import pytest
 
-from boolmin.model import BApp, BFormula, BVar, CnfFormula, ConstraintLanguage, _walk
+from boolmin.affine import _xor_constant
+from boolmin.model import BApp, BFormula, BVar, CnfFormula, ConstraintLanguage, Relation, _walk
 from boolmin.std import (
     rel_eq,
     rel_impl,
@@ -74,3 +76,24 @@ def assert_postorder(formula: BFormula) -> None:
     got = formula.postorder
     assert isinstance(got, tuple) and len(got) == len(expected)
     assert all(a is b for a, b in zip(got, expected))
+
+
+def clause_to_equation(clause, rel: Relation) -> tuple[int, int]:
+    """GF(2) row (coefficient bitmask keyed by variable id, constant bit).
+
+    Repeated variables in a clause cancel pairwise.
+    """
+    coeffs = 0
+    for v in clause[1]:
+        coeffs ^= 1 << v
+    return coeffs, _xor_constant(rel)
+
+
+def gate_lower_bound(relevant_count: int, max_arity: int) -> int:
+    """Connected-tree counting bound: g gates of arity at most m reach at
+    most g*(m-1)+1 distinct inputs."""
+    if relevant_count <= 1:
+        return 0
+    if max_arity <= 1:
+        raise ValueError("no multi-input connective available")
+    return -(-(relevant_count - 1) // (max_arity - 1))

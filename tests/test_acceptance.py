@@ -6,7 +6,7 @@ brute-force oracles or by independent re-derivation, never assumed.
 import itertools
 import random
 
-from boolmin.affine import clause_to_equation, min_affine
+from boolmin.affine import min_affine
 from boolmin.bijunctive import min_bijunctive
 from boolmin.classify import (
     closed_under,
@@ -40,7 +40,7 @@ from boolmin.model import (
     satisfiable,
 )
 from boolmin.oracle import brute_min_bformula, brute_min_cnf, expressible
-from boolmin.post import gate_lower_bound, min_post, relevant_variables
+from boolmin.post import min_post, relevant_variables
 from boolmin.std import (
     fn_and,
     fn_or,
@@ -56,7 +56,7 @@ from boolmin.std import (
     rel_xor,
 )
 
-from conftest import random_bformula, random_cnf
+from conftest import clause_to_equation, gate_lower_bound, random_bformula, random_cnf
 
 
 def _report(num: int, description: str, problems: list) -> None:
@@ -162,7 +162,7 @@ def test_criterion_3_affine(affine_lang):
         ]
         if stats.rank != _independent_rank(rows) or len(out.clauses) != stats.rank:
             problems.append(("rank mismatch", f.clauses))
-        solutions = sum(out.eval(bits) for bits in all_assignments(n))
+        solutions = sum(out.mask(bits, 1) for bits in all_assignments(n))
         if solutions != 1 << (n - stats.rank):
             problems.append(("solution count", f.clauses))
         if n <= 6:
@@ -173,7 +173,7 @@ def test_criterion_3_affine(affine_lang):
     big = random_cnf(affine_lang, random.Random(109), 16, 10)
     out, stats = min_affine(big)
     if satisfiable(big):
-        solutions = sum(out.eval(bits) for bits in all_assignments(16))
+        solutions = sum(out.mask(bits, 1) for bits in all_assignments(16))
         if solutions != 1 << (16 - stats.rank):
             problems.append(("16-var solution count",))
     _report(3, f"affine rank/solution law on {checked} satisfiable instances", problems)
@@ -407,7 +407,7 @@ def test_criterion_7_reduction_soundness():
         names = out.var_names
         for bits in all_assignments(len(names)):
             values = dict(zip(names, bits))
-            if out.eval(bits) != 1 - eval_dnf(terms, values):
+            if out.mask(bits, 1) != 1 - eval_dnf(terms, values):
                 problems.append(("dnf", terms))
                 break
     _report(7, "reduction soundness on 200 inputs per generator", problems)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from boolmin.affine import clause_to_equation, min_affine, parity_constant
+from boolmin.affine import min_affine, parity_constant
 from boolmin.errors import ClassificationError
 from boolmin.formats import serialize_cnf_formula
 from boolmin.model import (
@@ -14,7 +14,7 @@ from boolmin.model import (
 from boolmin.oracle import brute_min_cnf, min_unsat_formula
 from boolmin.std import rel_or, rel_parity, rel_pos
 
-from conftest import random_cnf
+from conftest import clause_to_equation, random_cnf
 
 
 def F(lang, names, *specs):
@@ -108,7 +108,7 @@ def test_output_count_equals_rank_and_solution_law(affine_lang):
             coeffs, const = clause_to_equation(c, affine_lang.get(c[0]))
             rows.append([(coeffs >> i) & 1 for i in range(n)] + [const])
         assert stats.rank == _independent_rank(rows)
-        solutions = sum(out.eval(bits) for bits in all_assignments(n))
+        solutions = sum(out.mask(bits, 1) for bits in all_assignments(n))
         assert solutions == 1 << (n - stats.rank)
 
 

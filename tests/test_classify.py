@@ -236,6 +236,21 @@ def test_dual_horn_witness_reported():
     assert report.verdict == "NP-complete-dualhorn"
     assert report.horn_witness is not None
     assert report.horn_witness.relation == dual.name
+    assert "witness=none" not in report_lines(report)
+
+
+def test_hardness_verdict_without_witness_prints_witness_none():
+    # x <-> (y and z) is irreducible Horn, not IHSB-, and matches no template
+    andeq = Relation("andeq", 3, frozenset(t for t in all_assignments(3) if t[0] == t[1] & t[2]))
+    for lang, verdict in (
+        (ConstraintLanguage((andeq,)), "NP-complete-horn"),
+        (ConstraintLanguage((dualize(andeq),)), "NP-complete-dualhorn"),
+    ):
+        report = classify_language(lang)
+        assert report.verdict == verdict and report.horn_witness is None
+        assert report_lines(report)[:4] == [
+            f"verdict={verdict}", "schaefer=true", "irreducible=true", "witness=none"
+        ]
 
 
 # Row-by-row references for the mask tests: relevance by scanning row pairs,

@@ -358,6 +358,9 @@ def test_deep_bformula_roundtrip():
     assert parsed == f
     assert_postorder(parsed)
     assert_postorder(f)
+    dual = parsed.dual()
+    assert_postorder(dual)
+    assert dual.dual() == parsed
 
 
 def test_bformula_errors():
@@ -445,6 +448,6 @@ def test_mee_header_roundtrip():
     f = formats.parse_bformula("(or2 x y)", funcs)
     inst = MeeInstance(f, 3, SizeMeasure.LITERALS)
     text = formats.serialize_mee_instance(inst, fixed_negative=True)
-    head = text.splitlines()[0]
-    bound, measure, negative = formats.parse_mee_header(head)
-    assert (bound, measure, negative) == (3, SizeMeasure.LITERALS, True)
+    assert text == "mee bound=3 measure=literals fixed-negative=1\n(or2 x y)\n"
+    plain = MeeInstance(f, 2, SizeMeasure.GATES)
+    assert formats.serialize_mee_instance(plain).splitlines()[0] == "mee bound=2 measure=gates"

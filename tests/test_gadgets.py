@@ -87,7 +87,7 @@ def _reference_fixed_negative(basis, psi, formula, measure):
     names = formula.var_names
     for size in range(min(cap, len(names)) + 1):
         for true_vars in combinations(names, size):
-            if formula.eval({name: int(name in true_vars) for name in names}):
+            if formula.mask({name: int(name in true_vars) for name in names}, 1):
                 return True
     return False
 
@@ -169,7 +169,7 @@ def test_horn_dnf_translation():
     names = out.var_names
     for bits in all_assignments(len(names)):
         values = dict(zip(names, bits))
-        assert out.eval(bits) == 1 - eval_dnf(terms, values)
+        assert out.mask(bits, 1) == 1 - eval_dnf(terms, values)
 
 
 def test_horn_dnf_validation():
@@ -223,7 +223,7 @@ def test_and_or_gadget_unequal_case():
             values = dict(zip(names, bits))
             flipped = dict(values)
             flipped[z] = 1 - flipped[z]
-            if gadget.eval(values) != gadget.eval(flipped):
+            if gadget.mask(values, 1) != gadget.mask(flipped, 1):
                 flips = True
                 break
         assert flips, f"{z} should be relevant"
@@ -288,8 +288,8 @@ def test_maj_gadget_case_table():
             base = {"a": a, "b": b}
             base.update({z: 1 for z in zs})
             # t=1, f=0: gadget value is (H1 and H2) or ((H1 or H2) and Z)
-            v = gadget.eval({**base, tname: 1, fname: 0})
+            v = gadget.mask({**base, tname: 1, fname: 0}, 1)
             assert v == (a & b) | ((a | b) & 1)
             # t=f=0 forces 0; t=f=1 forces 1
-            assert gadget.eval({**base, tname: 0, fname: 0}) == 0
-            assert gadget.eval({**base, tname: 1, fname: 1}) == 1
+            assert gadget.mask({**base, tname: 0, fname: 0}, 1) == 0
+            assert gadget.mask({**base, tname: 1, fname: 1}, 1) == 1

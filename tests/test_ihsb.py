@@ -15,7 +15,6 @@ from boolmin.ihsb import (
     dual_templates,
     graph_from_cnf,
     language_templates,
-    leadsto,
     min_ihsb,
     min_ihsb_cnf,
     min_ihsb_minus_cnf,
@@ -109,23 +108,23 @@ def test_templates_are_memoized_and_read_only(t9):
 
 def test_leadsto(t9):
     f = F(t9, "xyz", ("imp", (0, 1)), ("imp", (1, 2)))
-    g, _ = graph_from_cnf(f)
-    assert leadsto(g, 0, 0)
-    assert leadsto(g, 0, 2)
-    assert not leadsto(g, 2, 0)
+    reach = graph_from_cnf(f)[0].reach()
+    assert reach[0] >> 0 & 1
+    assert reach[0] >> 2 & 1
+    assert not reach[2] >> 0 & 1
     h = F(t9, "xy", ("eq", (0, 1)),)
-    g2, _ = graph_from_cnf(h)
-    assert leadsto(g2, 1, 0) and leadsto(g2, 0, 1)
+    reach = graph_from_cnf(h)[0].reach()
+    assert reach[1] >> 0 & 1 and reach[0] >> 1 & 1
 
 
 def test_unsat_check(t9):
     f = F(t9, "xy", ("pos", (0,)), ("imp", (0, 1)), ("neg", (1,)))
     g, _ = graph_from_cnf(f)
-    assert unsat_check_ihsb(g)
+    assert unsat_check_ihsb(g, g.reach())
     g2, _ = graph_from_cnf(F(t9, "xy", ("or2", (0, 1))))
-    assert not unsat_check_ihsb(g2)
+    assert not unsat_check_ihsb(g2, g2.reach())
     g3, _ = graph_from_cnf(F(t9, "x", ("pos", (0,)), ("neg", (0,))))
-    assert unsat_check_ihsb(g3)
+    assert unsat_check_ihsb(g3, g3.reach())
 
 
 def test_unsat_check_matches_truth_table(t9):
@@ -133,7 +132,7 @@ def test_unsat_check_matches_truth_table(t9):
     for _ in range(120):
         f = random_cnf(t9, rng, rng.randint(2, 5), rng.randint(1, 6))
         g, _ = graph_from_cnf(f)
-        assert unsat_check_ihsb(g) == (not satisfiable(f))
+        assert unsat_check_ihsb(g, g.reach()) == (not satisfiable(f))
 
 
 def test_reach_passed_on_matches_fresh_reach(t9):
@@ -144,9 +143,10 @@ def test_reach_passed_on_matches_fresh_reach(t9):
         g, _ = graph_from_cnf(f)
         fresh, _ = graph_from_cnf(f)
         reach = g.reach()
-        assert unsat_check_ihsb(g, reach) == unsat_check_ihsb(fresh)
-        if not unsat_check_ihsb(fresh):
-            assert min_ihsb(g, True, reach) == min_ihsb(fresh)
+        unsat = unsat_check_ihsb(g, reach)
+        assert unsat == unsat_check_ihsb(fresh, fresh.reach())
+        if not unsat:
+            assert min_ihsb(g, True, reach) == min_ihsb(fresh, True, fresh.reach())
 
 
 def test_empty_formula(t9):
@@ -360,7 +360,7 @@ def test_emptied_or_clause_is_an_error():
     g.ors.add(frozenset({0, 1}))
     g.neg.update({0, 1})
     with pytest.raises(RuntimeError, match="this is a bug"):
-        min_ihsb(g)
+        min_ihsb(g, True, g.reach())
 
 
 def test_forced_and_falsified_variable_is_an_error():
@@ -370,7 +370,7 @@ def test_forced_and_falsified_variable_is_an_error():
     g.impl.add((0, 1))
     g.neg.add(1)
     with pytest.raises(RuntimeError, match="this is a bug"):
-        min_ihsb(g)
+        min_ihsb(g, True, g.reach())
 
 
 # implication with its arguments swapped: pmi(a, b) is b -> a
@@ -596,7 +596,7 @@ def satisfiable_corpus(lang, seed, count):
             (r.name, tuple(rng.randrange(n_vars) for _ in range(r.arity))) for r in rels
         ))
         g, _ = graph_from_cnf(f)
-        if not unsat_check_ihsb(g):
+        if not unsat_check_ihsb(g, g.reach()):
             found += 1
             yield f
 
@@ -608,7 +608,7 @@ def test_one_pass_matches_fixpoint_reference(t9, lang):
         g, templates = graph_from_cnf(f)
         want, _ = fixpoint_reference(g, templates.eq is not None)
         g, _ = graph_from_cnf(f)
-        got, passes = min_ihsb(g, templates.eq is not None)
+        got, passes = min_ihsb(g, templates.eq is not None, g.reach())
         assert got == want and passes == 1
 
 
@@ -626,7 +626,7 @@ def test_mutual_ors_keep_the_last_as_given_then_as_shrunk():
     specs = [("or3", (0, 3, 4)), ("or2", (2, 4))]
     specs += [("imp", e) for e in ((0, 3), (2, 3), (3, 2))]
     g, _ = graph_from_cnf(F(NO_EQ, "abcde", *specs))
-    got, _ = min_ihsb(g, False)
+    got, _ = min_ihsb(g, False, g.reach())
     assert got.or_clauses == ((2, 4),)
 
 
@@ -635,7 +635,7 @@ def test_no_rule_fires_on_the_output(t9, lang):
     lang = {"t9": t9, "no-eq": NO_EQ, "pmi-eq": PMI_EQ}[lang]
     for f in satisfiable_corpus(lang, 71, 300):
         g, templates = graph_from_cnf(f)
-        min_ihsb(g, templates.eq is not None)
+        min_ihsb(g, templates.eq is not None, g.reach())
         reach = g.reach()
         for rule in _RULES:
             assert not rule(g, reach), rule.__name__

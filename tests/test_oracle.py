@@ -155,7 +155,7 @@ def test_min_unsat_examples():
 def test_min_unsat_is_unsatisfiable(t9):
     result = min_unsat_formula(t9)
     assert result is not None
-    assert all(result.eval(bits) == 0 for bits in all_assignments(result.n_vars))
+    assert all(result.mask(bits, 1) == 0 for bits in all_assignments(result.n_vars))
 
 
 # --- the least-size search against the level builders it replaced -----------

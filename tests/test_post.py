@@ -19,8 +19,8 @@ from boolmin.model import (
     all_assignments,
     dualize,
     equivalent,
-    fold,
     formula_size,
+    substitute,
 )
 from boolmin.oracle import brute_min_bformula
 from boolmin.post import (
@@ -32,13 +32,12 @@ from boolmin.post import (
     _identify_compatible,
     _witness,
     build_reach_table,
-    gate_lower_bound,
     min_post,
     relevant_variables,
 )
 from boolmin.std import fn_and, fn_const, fn_or, fn_xor
 
-from conftest import assert_postorder, random_bformula, random_btree
+from conftest import assert_postorder, gate_lower_bound, random_bformula, random_btree
 
 
 OR2D = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
@@ -217,7 +216,9 @@ def never_stop(g, s):
 
 
 def min_gates(basis, cls, n_bound):
-    return {s: g for s, (g, _) in build_reach_table(basis, cls, n_bound, never_stop).states.items()}
+    shapes = [function_shape(f) for f in basis]
+    table = build_reach_table(basis, cls, n_bound, never_stop, shapes)
+    return {s: g for s, (g, _) in table.states.items()}
 
 
 def closure_cases():
@@ -362,7 +363,8 @@ def full_table_reference(basis, formula, measure):
     n_bound = max(n_phi, max_arity, 1)
     if max_arity >= 2:
         n_bound = max(n_bound, g_phi * (max_arity - 1) + 1)
-    table = build_reach_table(basis, cls, n_bound, never_stop)
+    shapes = [function_shape(f) for f in basis]
+    table = build_reach_table(basis, cls, n_bound, never_stop, shapes)
     best = None
     for (c, l, n), (g, _) in table.states.items():
         if c != c_target or not _identify_compatible(cls, l, len(relevant)):
@@ -373,11 +375,11 @@ def full_table_reference(basis, formula, measure):
     if best is None:
         return None, table
     size, state = best
-    root, postorder = _witness(
+    postorder = _witness(
         state, table, basis, {f.name: f.name for f in basis}, sorted(relevant),
-        set(formula.var_names), [function_shape(f) for f in basis],
+        set(formula.var_names), shapes,
     )
-    witness = BFormula(basis, root)
+    witness = BFormula(basis, postorder[-1])
     assert witness.postorder == postorder
     return (size, witness, PostStats(measure, size, state, len(table.states))), table
 
@@ -400,14 +402,11 @@ def random_basis(rng):
 
 def random_post_formula(basis, rng, leaves):
     """random_bformula, with about one leaf in five a constant of the basis
-    when it has one."""
+    when it has one: the leaf name "#f" stands for the constant f."""
     consts = [f.name for f in basis if f.arity == 0]
-
-    def leaf(v):
-        return BApp(rng.choice(consts), ()) if consts and rng.random() < 0.2 else v
-
-    root = random_btree(basis, rng, leaves)
-    return BFormula(basis, fold(root, leaf, lambda node, args: BApp(node.func, tuple(args))))
+    pool = ["x", "y", "u", "v"] * len(consts) + [f"#{c}" for c in consts] or "xyuv"
+    root = random_btree(basis, rng, leaves, pool)
+    return BFormula(basis, substitute(root, {f"#{c}": BApp(c, ()) for c in consts}))
 
 
 def test_min_post_matches_full_table_reference(monkeypatch):
