@@ -7,15 +7,14 @@ import re
 
 from .errors import FormatError
 from .model import (
-    BApp,
     BFormula,
-    BNode,
     BoolFunction,
-    BVar,
     CnfFormula,
     ConstraintLanguage,
     MeeInstance,
     Relation,
+    Step,
+    _validate,
 )
 
 _BIT_RE = re.compile(r"^[01]+$")
@@ -125,7 +124,8 @@ def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
     language_path = None
     var_names: list[str] = []
     saw_vars = False
-    clause_lines: list[list[str]] = []
+    # tuples, which the collector untracks, not token lists it walks
+    clause_lines: list[tuple[str, ...]] = []
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
@@ -137,7 +137,7 @@ def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
         if key == "clause":
             if len(tokens) < 2:
                 raise FormatError("clause line needs a relation name")
-            clause_lines.append(tokens)
+            clause_lines.append(tuple(tokens))
         elif key == "vars":
             if saw_vars:
                 raise FormatError("duplicate vars line")
@@ -222,12 +222,13 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
     """Parse a single parenthesized expression, e.g. `(or2 x (or2 x y))`.
 
-    Nodes are made in post-order, so they are collected as they close, and
-    each application's name and arity are checked then.  If every check
-    passes, the formula is built from that post-order without `BFormula`'s
-    own walk.  Syntax errors come first.  After them, duplicate basis names
-    or a tree fault are reported by `BFormula` itself, so the message and
-    the fault reported first are those of any other tree."""
+    The token loop writes the formula's post-order steps (see `model`)
+    directly: a variable as it is read, an application as it closes, when
+    its name and arity are checked.  No tree node is built.  If every check
+    passes, the formula is made from the steps without `BFormula`'s own
+    validation.  Syntax errors come first.  After them, duplicate basis
+    names or a tree fault are reported by validating the steps, so the
+    message and the fault reported first are those of any other tree."""
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     tokens = _TOKEN_RE.findall(text)
@@ -236,36 +237,38 @@ def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
     tokens_left = iter(tokens)
     arities = {f.name: f.arity for f in functions}
     checked = len(arities) == len(functions)
-    postorder: list[BNode] = []
-    # one explicit stack of open applications: (function name, arguments so far)
-    open_apps: list[tuple[str, list[BNode]]] = []
+    steps: list[Step] = []
+    # the innermost open application (None outside every application) and
+    # its arguments so far; the enclosing ones wait on the stack
+    func, n_args = None, 0
+    enclosing: list[tuple[str | None, int]] = []
     for tok in tokens_left:
         if tok == "(":
-            func = next(tokens_left, "(")
-            if func in ("(", ")"):
+            name = next(tokens_left, "(")
+            if name in ("(", ")"):
                 raise FormatError("expected a function name after '('")
-            open_apps.append((func, []))
+            enclosing.append((func, n_args))
+            func, n_args = name, 0
             continue
         if tok != ")":
-            node: BNode = BVar(tok)
-        elif open_apps:
-            func, args = open_apps.pop()
-            node = BApp(func, tuple(args))
-            if arities.get(func) != len(args):
+            steps.append(tok)
+        elif func is not None:
+            steps.append((func, n_args))
+            if arities.get(func) != n_args:
                 checked = False
+            func, n_args = enclosing.pop()
         else:
             raise FormatError("unexpected ')'")
-        postorder.append(node)
-        if not open_apps:
+        if func is None:
             break
-        open_apps[-1][1].append(node)
+        n_args += 1
     else:
         raise FormatError("unbalanced parentheses")
     if next(tokens_left, None) is not None:
         raise FormatError("trailing tokens after B-formula expression")
     if not checked:
-        return BFormula(functions, node)  # raises the fault that comes first
-    return BFormula._trusted(functions, node, tuple(postorder))
+        _validate(functions, steps)  # raises the fault that comes first
+    return BFormula._trusted(functions, tuple(steps))
 
 
 def load_bformula(path: str, functions: tuple[BoolFunction, ...]) -> BFormula:
@@ -306,25 +309,35 @@ def serialize_functions(funcs: tuple[BoolFunction, ...]) -> str:
 
 
 def serialize_bformula(formula: BFormula) -> str:
-    """`(func arg ...)` text in one walk: the stack holds nodes still to
-    emit and literal text (separators, closing parentheses) to copy, so each
-    token is written once and joined at the end."""
-    parts: list[str] = []
-    stack: list[BNode | str] = [formula.root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, BVar):
-            parts.append(item.name)
+    """`(func arg ...)` text, written from the post-order steps in one pass
+    without a tree.  The steps reversed are the pre-order with arguments
+    right to left, which is the text's token order reversed, except that an
+    application's `(func` comes after its arguments: it waits on a stack
+    with the count of arguments still to write."""
+    out: list[str] = []
+    waiting: list[tuple[str, int]] = []
+    for step in reversed(formula.steps):
+        if isinstance(step, str):
+            out.append(step)
         else:
-            parts.append("(" + item.func)
-            stack.append(")")
-            for arg in reversed(item.args):
-                stack.append(arg)
-                stack.append(" ")
-    parts.append("\n")
-    return "".join(parts)
+            func, arity = step
+            out.append(")")
+            if arity:
+                waiting.append(("(" + func, arity))
+                continue
+            out.append("(" + func)
+        # a subtree is written: it is an argument of the innermost waiting
+        # application, which it may complete, and so on up
+        while waiting:
+            out.append(" ")
+            head, left = waiting.pop()
+            if left > 1:
+                waiting.append((head, left - 1))
+                break
+            out.append(head)
+    out.reverse()
+    out.append("\n")
+    return "".join(out)
 
 
 def serialize_mee_instance(

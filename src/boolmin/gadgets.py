@@ -101,7 +101,7 @@ def _merged_functions(*formulas: BFormula) -> tuple[BoolFunction, ...]:
 def _arg_order(formula: BFormula) -> tuple[str, ...]:
     """Connective argument roles follow first occurrence in the tree, left
     to right (the order of the leaves in post-order)."""
-    leaves = (n.name for n in formula.postorder if isinstance(n, BVar))
+    leaves = (step for step in formula.steps if isinstance(step, str))
     return tuple(dict.fromkeys(leaves))
 
 

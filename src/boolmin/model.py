@@ -30,15 +30,20 @@ their true rows.  `CnfFormula.mask` and `BFormula.mask` evaluate over any
 columns: all 2^n assignments (`truth_table`), one assignment (`full = 1`),
 or the n + 1 probes of `post.relevant_variables`.
 
-A `BFormula` keeps its tree's post-order node list, `postorder`, and every
-reader walks that list instead of the tree: `mask`, `var_names`, `dual`, the
-size counts of `formula_size` and `post.min_post`, and the validation
-itself.  Whoever builds a tree in post-order hands the list over through
-`BFormula._trusted`, which skips validation: the parser, which checks each
-application as it closes, `dual`, and the `post.min_post` witness builder.
-The last two, and `substitute`, build their trees with one loop,
-`_from_postorder`.  `_walk` is the one walk of a bare tree: `_key`,
-`substitute`, and the first read of `postorder` on a formula built directly.
+A `BFormula` stores its tree as one flat tuple of post-order *steps*, in
+the manner of a Boolean chain (Knuth, TAOCP 4A §7.1.2): a variable's name
+(`str`), or a `(function name, argument count)` pair applied to the last
+that many values.  Every reader runs that straight-line program instead of
+a tree: `mask`, `var_names`, `dual` (a map over the steps), the size counts
+of `formula_size` and `post.min_post`, the validation, `==`, `hash`, `repr`
+and pickling.  The `BVar`/`BApp` nodes of `root` are built from the steps
+only when it is read, by `_from_postorder`.  `BFormula(functions, root)`
+walks the tree once into steps (`_steps`, the one walk of a bare tree,
+which also keys `BApp` equality).  Whoever writes the steps directly hands
+them over through `BFormula._trusted`, which skips validation: the parser,
+which checks each application as it closes, `dual`, and the `post.min_post`
+witness builder.  The steps' tuples hold only strings and ints, so the
+cyclic garbage collector untracks them, as it does clauses.
 
 What depends on a constraint language alone is computed once per language
 value, not once per formula: its classification
@@ -371,65 +376,58 @@ class BVar:
 
 @dataclass(frozen=True, eq=False)
 class BApp:
-    """Equality and hashing compare the pre-order node keys, which with the
-    arities determine the tree, so neither recurses."""
+    """Equality and hashing compare the post-order steps, which determine
+    the tree, so neither recurses."""
 
     func: str
     args: tuple["BNode", ...]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BApp) and _key(self) == _key(other)
+        return isinstance(other, BApp) and _steps(self) == _steps(other)
 
     def __hash__(self) -> int:
-        return hash(_key(self))
+        return hash(_steps(self))
 
 
 BNode = BVar | BApp
 
+# a post-order step: a variable's name, or (function name, argument count)
+# applied to the last that many values
+Step = str | tuple[str, int]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class BFormula:
-    """Formula tree whose connectors come from a finite basis of functions."""
+    """Formula over a finite basis of functions, stored as its tree's
+    post-order steps; `==`, `hash`, `repr` and pickling read the basis and
+    the steps."""
 
     functions: tuple[BoolFunction, ...]
-    root: BNode
+    steps: tuple[Step, ...]
 
-    def __post_init__(self):
-        names = [f.name for f in self.functions]
-        if len(set(names)) != len(names):
-            raise FormatError("duplicate function names in basis")
-        funcs = self.by_name
-        # `_walk`'s order: pre-order, arguments right to left
-        for node in reversed(self.postorder):
-            if isinstance(node, BVar):
-                continue
-            f = funcs.get(node.func)
-            if f is None:
-                raise FormatError(f"unknown function {node.func!r}")
-            if len(node.args) != f.arity:
-                raise FormatError(
-                    f"function {node.func}: got {len(node.args)} arguments, arity is {f.arity}"
-                )
+    def __init__(self, functions: tuple[BoolFunction, ...], root: BNode):
+        steps = _steps(root)
+        _validate(functions, steps)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
-    def _trusted(
-        cls, functions: tuple[BoolFunction, ...], root: BNode, postorder: tuple[BNode, ...]
-    ) -> "BFormula":
-        """A formula from parts already checked, without `__post_init__`: a
-        basis with unique names, a tree whose every application names a basis
-        function at its arity, and that tree's `postorder`."""
+    def _trusted(cls, functions: tuple[BoolFunction, ...], steps: tuple[Step, ...]) -> "BFormula":
+        """A formula from parts already checked, without validation: a basis
+        with unique names and the post-order steps of a tree whose every
+        application names a basis function at its arity."""
         formula = object.__new__(cls)
         object.__setattr__(formula, "functions", functions)
-        object.__setattr__(formula, "root", root)
-        # the slot `cached_property` fills on first read
-        formula.__dict__["postorder"] = postorder
+        object.__setattr__(formula, "steps", steps)
         return formula
 
+    def __reduce__(self):
+        return BFormula._trusted, (self.functions, self.steps)
+
     @cached_property
-    def postorder(self) -> tuple[BNode, ...]:
-        """Every node occurrence of the tree, each application after its
-        arguments, arguments left to right; the last node is the root."""
-        return _postorder(self.root)
+    def root(self) -> BNode:
+        """The tree, built from the steps on first read."""
+        return _from_postorder(self.steps)
 
     @cached_property
     def by_name(self) -> dict[str, BoolFunction]:
@@ -438,20 +436,21 @@ class BFormula:
     @cached_property
     def var_names(self) -> tuple[str, ...]:
         """Variables of the tree in canonical (sorted) order."""
-        return tuple(sorted({node.name for node in self.postorder if isinstance(node, BVar)}))
+        return tuple(sorted({step for step in self.steps if isinstance(step, str)}))
 
     def mask(self, columns: Mapping[str, int], full: int) -> int:
         """The root's mask, given each variable's mask."""
         funcs = self.by_name
         out: list[int] = []
-        for node in self.postorder:
-            if isinstance(node, BVar):
-                if node.name not in columns:
-                    raise FormatError(f"assignment does not cover variable {node.name!r}")
-                out.append(columns[node.name])
+        for step in self.steps:
+            if isinstance(step, str):
+                if step not in columns:
+                    raise FormatError(f"assignment does not cover variable {step!r}")
+                out.append(columns[step])
             else:
-                split = len(out) - len(node.args)
-                value = funcs[node.func].mask_op(out[split:], full)
+                func, arity = step
+                split = len(out) - arity
+                value = funcs[func].mask_op(out[split:], full)
                 del out[split:]
                 out.append(value)
         return out[0]
@@ -459,61 +458,72 @@ class BFormula:
     def dual(self) -> "BFormula":
         """The formula over the dual basis, with the same tree shape; names
         stay unique and arities unchanged, since `dual_name` is a bijection."""
-        postorder = _from_postorder(
-            node if isinstance(node, BVar) else (dual_name(node.func), len(node.args))
-            for node in self.postorder
-        )
         return BFormula._trusted(
-            tuple(f.dual() for f in self.functions), postorder[-1], postorder
+            tuple(f.dual() for f in self.functions),
+            tuple(
+                step if isinstance(step, str) else (dual_name(step[0]), step[1])
+                for step in self.steps
+            ),
         )
 
 
-def _walk(root: BNode) -> Iterator[BNode]:
-    """Every node occurrence of the tree in pre-order, arguments right to
-    left, without recursion."""
+def _validate(functions: tuple[BoolFunction, ...], steps: Sequence[Step]) -> None:
+    """Raise the first fault: duplicate basis names, then the first
+    application, in pre-order with arguments right to left (the steps
+    reversed), that names no basis function or has the wrong arity."""
+    names = [f.name for f in functions]
+    if len(set(names)) != len(names):
+        raise FormatError("duplicate function names in basis")
+    arities = {f.name: f.arity for f in functions}
+    for step in reversed(steps):
+        if isinstance(step, str):
+            continue
+        func, n_args = step
+        arity = arities.get(func)
+        if arity is None:
+            raise FormatError(f"unknown function {func!r}")
+        if n_args != arity:
+            raise FormatError(f"function {func}: got {n_args} arguments, arity is {arity}")
+
+
+def _steps(root: BNode) -> tuple[Step, ...]:
+    """The post-order steps of a tree, without recursion: its pre-order with
+    arguments right to left, reversed."""
+    steps: list[Step] = []
     stack = [root]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, BApp):
+        if isinstance(node, BVar):
+            steps.append(node.name)
+        else:
+            steps.append((node.func, len(node.args)))
             stack.extend(node.args)
+    steps.reverse()
+    return tuple(steps)
 
 
-def _postorder(root: BNode) -> tuple[BNode, ...]:
-    """`_walk` reversed: arguments before their application, left to right."""
-    nodes = list(_walk(root))
-    nodes.reverse()
-    return tuple(nodes)
-
-
-def _key(root: BNode) -> tuple:
-    return tuple((n.func, len(n.args)) if isinstance(n, BApp) else n.name for n in _walk(root))
-
-
-def _from_postorder(steps: Iterable[BNode | tuple[str, int]]) -> tuple[BNode, ...]:
-    """Build a tree from its post-order steps: a node is put in whole, and
-    `(func, arity)` applies func to the last `arity` nodes built.  Returns
-    the nodes in step order, the root last; this is the tree's post-order
-    when every node put in whole is a variable."""
+def _from_postorder(steps: Iterable[Step | BNode]) -> BNode:
+    """Build a tree from post-order steps, without recursion, and return its
+    root: a name is a variable, `(func, arity)` applies func to the last
+    `arity` nodes built, and a node is put in whole."""
     out: list[BNode] = []
-    built: list[BNode] = []
     for step in steps:
-        if isinstance(step, tuple):
+        if isinstance(step, str):
+            step = BVar(step)
+        elif isinstance(step, tuple):
             func, arity = step
             split = len(out) - arity
             step = BApp(func, tuple(out[split:]))
             del out[split:]
         out.append(step)
-        built.append(step)
-    return tuple(built)
+    return out[0]
 
 
 def substitute(node: BNode, mapping: Mapping[str, BNode]) -> BNode:
     """Replace variable leaves according to mapping (missing names stay)."""
     return _from_postorder(
-        mapping.get(n.name, n) if isinstance(n, BVar) else (n.func, len(n.args))
-        for n in _postorder(node)
-    )[-1]
+        mapping.get(step, step) if isinstance(step, str) else step for step in _steps(node)
+    )
 
 
 class SizeMeasure(Enum):
@@ -546,9 +556,9 @@ def formula_size(formula: Formula, measure: SizeMeasure) -> int:
         return len(formula.clauses)
     if measure is SizeMeasure.CLAUSES:
         raise FormatError("clause count is only defined for CNF formulas")
-    nodes = formula.postorder
-    leaves = sum(isinstance(node, BVar) for node in nodes)
-    return leaves if measure is SizeMeasure.LITERALS else len(nodes) - leaves
+    steps = formula.steps
+    leaves = sum(isinstance(step, str) for step in steps)
+    return leaves if measure is SizeMeasure.LITERALS else len(steps) - leaves
 
 
 def truth_table(formula: Formula, names: Sequence[str]) -> int:

@@ -58,7 +58,7 @@ from itertools import count
 
 from .classify import FunctionShape, classify_basis, function_shape
 from .errors import ClassificationError
-from .model import BFormula, BNode, BoolFunction, BVar, SizeMeasure, _from_postorder
+from .model import BFormula, BoolFunction, SizeMeasure, Step, _validate
 
 
 State = tuple[int, int, int]
@@ -219,19 +219,18 @@ def _witness(
     relevant_sorted: list[str],
     avoid: set[str],
     shapes: list[FunctionShape],
-) -> tuple[BNode, ...]:
-    """The post-order (see `BFormula.postorder`) of the tree that a state's
+) -> tuple[Step, ...]:
+    """The post-order steps (see `model`) of the tree that a state's
     back-references describe, its designated (relevant) leaves named after
     the target's relevant variables, and each gate of a basis function f
-    named gate_names[f.name]; the root is the last node.
+    named gate_names[f.name].
 
     One explicit-stack walk over the back-references builds each part once.
     Leaves are integer ids, and `slot` keeps the argument list and index that
     holds each one, so a guest goes into its host's leaf in constant time and
     the host's designated and free leaf queues grow in place.  The finished
-    tree is read off in post-order and built by `model._from_postorder`, as
-    `BFormula.dual` and `substitute` build theirs.  `shapes` holds the basis
-    functions' shapes.
+    tree is read off in post-order straight into steps, so no tree node is
+    built.  `shapes` holds the basis functions' shapes.
     """
     cls = table.cls
     arities = {f.name: (f.arity, shape.relevant) for f, shape in zip(basis, shapes)}
@@ -304,11 +303,11 @@ def _witness(
         if not isinstance(node, int):
             todo.extend(node[1])
     order.reverse()
-    for node in order:
-        if isinstance(node, int) and node not in names:
-            names[node] = next(fresh)
-    return _from_postorder(
-        BVar(names[node]) if isinstance(node, int) else (node[0], len(node[1])) for node in order
+    return tuple(
+        (names[node] if node in names else next(fresh))
+        if isinstance(node, int)
+        else (node[0], len(node[1]))
+        for node in order
     )
 
 
@@ -356,9 +355,9 @@ def min_post(
         # the formula's dual has the same relevant variables and constant 1 ^ c
         dp_basis, cls, c_target = tuple(f.dual() for f in basis), "V", 1 ^ c_target
         shapes = [s.dual(f.table[-1]) for f, s in zip(basis, shapes)]
-    nodes = formula.postorder
-    n_phi = sum(isinstance(node, BVar) for node in nodes)
-    g_phi = len(nodes) - n_phi
+    steps = formula.steps
+    n_phi = sum(isinstance(step, str) for step in steps)
+    g_phi = len(steps) - n_phi
     max_arity = max((f.arity for f in basis), default=0)
     n_bound = max(n_phi, max_arity, 1)
     if max_arity >= 2:
@@ -388,12 +387,11 @@ def min_post(
     size, state = best
 
     gate_names = {d.name: f.name for d, f in zip(dp_basis, basis)}
-    postorder = _witness(
+    steps = _witness(
         state, table, dp_basis, gate_names, sorted(relevant), set(formula.var_names), shapes
     )
-    if len(gate_names) == len(basis):
-        # every gate is a basis function at its arity, and the names are unique
-        witness = BFormula._trusted(basis, postorder[-1], postorder)
-    else:
-        witness = BFormula(basis, postorder[-1])  # raises: duplicate function names
+    if len(gate_names) != len(basis):
+        _validate(basis, steps)  # raises: duplicate function names
+    # every gate is a basis function at its arity, and the names are unique
+    witness = BFormula._trusted(basis, steps)
     return size, witness, PostStats(measure, size, state, len(table.states))

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from boolmin.affine import _xor_constant
-from boolmin.model import BApp, BFormula, BVar, CnfFormula, ConstraintLanguage, Relation, _walk
+from boolmin.model import BApp, BFormula, BVar, CnfFormula, ConstraintLanguage, Relation
 from boolmin.std import (
     rel_eq,
     rel_impl,
@@ -67,15 +67,36 @@ def random_bformula(basis, rng: random.Random, leaf_budget: int) -> BFormula:
     return BFormula(tuple(basis), random_btree(basis, rng, leaf_budget))
 
 
-def assert_postorder(formula: BFormula) -> None:
-    """`formula.postorder` is the reverse of `_walk`'s pre-order over the
-    tree's own nodes.  Nodes are compared by identity: `BApp.__eq__` walks
-    both subtrees, which is quadratic over a deep chain."""
-    expected = list(_walk(formula.root))
-    expected.reverse()
-    got = formula.postorder
-    assert isinstance(got, tuple) and len(got) == len(expected)
-    assert all(a is b for a, b in zip(got, expected))
+def tree_steps(root) -> list:
+    """Reference post-order steps of a tree: a variable's name, or
+    `(func, argument count)` after the application's arguments, left to
+    right.  A post-order walk with an explicit stack, so a deep chain does
+    not recurse."""
+    steps = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, BVar):
+            steps.append(node.name)
+        elif expanded:
+            steps.append((node.func, len(node.args)))
+        else:
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in reversed(node.args))
+    return steps
+
+
+def assert_steps(formula: BFormula) -> None:
+    """`formula.steps` is a tuple of well-formed steps, and is the
+    post-order of the tree that `root` builds from it."""
+    steps = formula.steps
+    assert type(steps) is tuple
+    for step in steps:
+        assert type(step) is str or (
+            type(step) is tuple and len(step) == 2
+            and type(step[0]) is str and type(step[1]) is int
+        )
+    assert tree_steps(formula.root) == list(steps)
 
 
 def clause_to_equation(clause, rel: Relation) -> tuple[int, int]:

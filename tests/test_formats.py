@@ -1,5 +1,6 @@
 import gc
 import os
+import pickle
 import random
 
 import pytest
@@ -11,9 +12,10 @@ from boolmin.errors import FormatError
 from boolmin.ihsb import min_ihsb_cnf, min_ihsb_minus_cnf
 from boolmin.model import BApp, BFormula, BVar, CnfFormula, MeeInstance, SizeMeasure
 from boolmin.oracle import unsat_minimum
+from boolmin.post import min_post
 from boolmin.std import fn_or, fn_xor, theorem9_language
 
-from conftest import assert_postorder
+from conftest import assert_steps, tree_steps
 
 
 def test_language_roundtrip():
@@ -112,9 +114,10 @@ def test_clauses_are_plain_tuples_the_collector_untracks(
 ):
     """Every clause the parser, `dual()`, the four minimizers and
     `unsat_minimum` build is an exact tuple of atoms, so the collector
-    untracks it and a large formula adds nothing to its walks.  One
-    collection need not untrack all of them: it may see a clause before
-    the vars tuple inside it."""
+    untracks it and a large formula adds nothing to its walks; so is every
+    step of a parsed B-formula and of a `min_post` witness.  One collection
+    need not untrack all of them: it may see a clause before the vars tuple
+    inside it."""
     rng = random.Random(5)
     formulas = []
     for lang, minimize in (
@@ -139,9 +142,19 @@ def test_clauses_are_plain_tuples_the_collector_untracks(
         formulas += [parsed, parsed.dual(), out, unsat_minimum(parsed)[0]]
     clauses = [c for f in formulas for c in f.clauses]
     assert all(type(c) is tuple and type(c[1]) is tuple for c in clauses)
+    # the Post side: the steps of parsed formulas and of min_post witnesses
+    parsed = [
+        formats.parse_bformula("(or2 x (or2 (or2 y x) (or2 z (or2 y u))))", (fn_or(2),)),
+        formats.parse_bformula("(xor3 x (xor3 y x z) (xor3 u v v))", (fn_xor(3),)),
+    ]
+    witnesses = [min_post(f.functions, f, SizeMeasure.GATES)[1] for f in parsed]
+    step_tuples = [f.steps for f in parsed + witnesses]
+    steps = [step for t in step_tuples for step in t]
     gc.collect()
     gc.collect()
     assert not [c for c in clauses if gc.is_tracked(c)]
+    assert not [step for step in steps if gc.is_tracked(step)]
+    assert not [t for t in step_tuples if gc.is_tracked(t)]
 
 
 def test_cnf_errors(tmp_path):
@@ -352,15 +365,20 @@ def test_deep_bformula_roundtrip():
         else:
             root = BApp("or2", (leaf, root) if i % 2 else (root, leaf))
     f = BFormula(funcs, root)
+    assert list(f.steps) == tree_steps(root)
     text = formats.serialize_bformula(f)
     assert text.startswith("(or2 ") and text.endswith(")\n")
     parsed = formats.parse_bformula(text, funcs)
-    assert parsed == f
-    assert_postorder(parsed)
-    assert_postorder(f)
+    assert parsed == f and hash(parsed) == hash(f)
+    assert_steps(parsed)
+    assert_steps(f)
     dual = parsed.dual()
-    assert_postorder(dual)
+    assert_steps(dual)
     assert dual.dual() == parsed
+    assert parsed.mask({f"v{i}": 0 for i in range(7)} | {"x": 1}, 1) == 1
+    # repr and pickle read the flat steps, not the tree
+    assert repr(parsed) == repr(f)
+    assert pickle.loads(pickle.dumps(parsed)) == f
 
 
 def test_bformula_errors():
@@ -437,7 +455,7 @@ def test_bformula_comments():
     want = BFormula(funcs, _app("or2", "x", _app("or2", "y", "z")))
     parsed = formats.parse_bformula(text, funcs)
     assert parsed == want
-    assert_postorder(parsed)
+    assert_steps(parsed)
     assert _message(lambda: formats.parse_bformula("# only a comment\n", funcs)) == (
         "empty B-formula"
     )

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -18,7 +19,6 @@ from boolmin.model import (
     ConstraintLanguage,
     Relation,
     SizeMeasure,
-    _walk,
     all_assignments,
     clause_mask,
     dualize,
@@ -30,7 +30,7 @@ from boolmin.model import (
 )
 from boolmin.std import fn_and, fn_const, fn_not, fn_or, fn_xor, rel_impl
 
-from conftest import assert_postorder, random_bformula, random_cnf
+from conftest import assert_steps, random_bformula, random_cnf, tree_steps
 
 
 def bf(*funcs):
@@ -267,6 +267,7 @@ def test_deep_chain_without_recursion():
         return BApp("or2", (root, BVar(last)))
 
     f = BFormula(bf(or2), chain("x"))
+    assert list(f.steps) == tree_steps(chain("x"))
     assert f.var_names == ("x", "y", "z")
     assert f.mask({"x": 0, "y": 0, "z": 1}, 1) == 1
     assert f.mask({"x": 0, "y": 0, "z": 0}, 1) == 0
@@ -282,15 +283,18 @@ def test_deep_chain_without_recursion():
     twin = chain("x")
     assert twin is not f.root and twin == f.root and hash(twin) == hash(f.root)
     assert chain("y") != f.root
-    assert_postorder(f)
-    assert_postorder(parse_bformula(serialize_bformula(f), bf(or2)))
-    assert_postorder(f.dual())
+    assert_steps(f)
+    assert_steps(parse_bformula(serialize_bformula(f), bf(or2)))
+    assert_steps(f.dual())
+    # repr and pickle read the flat steps, not the tree
+    assert repr(f).startswith("BFormula(functions=") and repr(f) == repr(f.dual().dual())
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_postorder_and_trusted_formulas():
-    # direct and parsed formulas keep the reversed pre-order of their own
-    # tree; a formula built through _trusted from those parts is the
-    # validated one for ==, hash, repr and every reader of the post-order
+    # direct and parsed formulas keep the post-order steps of their own
+    # tree; a formula built through _trusted from those steps is the
+    # validated one for ==, hash, repr and every reader of the steps
     rng = random.Random(61)
     bases = [
         bf(fn_or(2), fn_and(3)),
@@ -305,26 +309,73 @@ def test_postorder_and_trusted_formulas():
         parsed = parse_bformula(serialize_bformula(f), f.functions)
         assert parsed == f
         for g in (f, parsed):
-            assert_postorder(g)
-            trusted = BFormula._trusted(g.functions, g.root, g.postorder)
+            assert_steps(g)
+            trusted = BFormula._trusted(g.functions, g.steps)
             assert trusted == g and hash(trusted) == hash(g) and repr(trusted) == repr(g)
-            assert trusted.postorder is g.postorder
+            assert trusted.steps is g.steps
             assert trusted.var_names == g.var_names
             for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
                 assert formula_size(trusted, measure) == formula_size(g, measure)
             names = f.var_names
             assert truth_table(trusted, names) == truth_table(g, names)
-        nodes = list(_walk(f.root))
-        leaves = sum(isinstance(node, BVar) for node in nodes)
+        steps = tree_steps(f.root)
+        leaves = sum(isinstance(step, str) for step in steps)
         assert formula_size(f, SizeMeasure.LITERALS) == leaves
-        assert formula_size(f, SizeMeasure.GATES) == len(nodes) - leaves
-        # dual and substitute build their trees from the post-order
+        assert formula_size(f, SizeMeasure.GATES) == len(steps) - leaves
+        # dual maps the steps; substitute builds its tree from them
         d = f.dual()
-        assert_postorder(d)
-        assert_postorder(d.dual())
+        assert_steps(d)
+        assert_steps(d.dual())
         assert d.dual() == f
         mapping = {"x": f.root, "y": BVar("w")}
         assert substitute(f.root, mapping) == _substitute_reference(f.root, mapping)
+
+
+def _random_tree(basis, rng, depth):
+    """A random tree over basis whose leaves are variables or constants."""
+    if depth == 0 or rng.random() < 0.3:
+        consts = [f for f in basis if f.arity == 0]
+        if consts and rng.random() < 0.3:
+            return BApp(rng.choice(consts).name, ())
+        return BVar(rng.choice("xyzuv"))
+    f = rng.choice([f for f in basis if f.arity > 0])
+    return BApp(f.name, tuple(_random_tree(basis, rng, depth - 1) for _ in range(f.arity)))
+
+
+def _reference_text(node) -> str:
+    if isinstance(node, BVar):
+        return node.name
+    return "(" + " ".join([node.func] + [_reference_text(a) for a in node.args]) + ")"
+
+
+def test_step_form_agrees_across_builders():
+    # the parser, the validating constructor, _trusted, a double dual and a
+    # serialize/parse round trip give the same steps and the same formula,
+    # and the root built from the steps is the original tree
+    rng = random.Random(97)
+    bases = [
+        bf(fn_or(2), fn_xor(3), fn_not(), fn_const(0, "zero"), fn_const(1, "one")),
+        bf(fn_and(2), fn_or(3), fn_not(), fn_const(1, "one")),
+        bf(fn_xor(3), fn_xor(2, 1), fn_not()),
+    ]
+    for _ in range(500):
+        basis = rng.choice(bases)
+        tree = _random_tree(basis, rng, rng.randint(0, 5))
+        built = BFormula(basis, tree)
+        variants = [
+            parse_bformula(_reference_text(tree), basis),
+            built,
+            BFormula._trusted(basis, built.steps),
+            built.dual().dual(),
+            parse_bformula(serialize_bformula(built), basis),
+        ]
+        assert list(built.steps) == tree_steps(tree)
+        for g in variants:
+            assert g.steps == built.steps
+            assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
+            assert g.root == tree and hash(g.root) == hash(tree)
+            assert_steps(g)
+        assert pickle.loads(pickle.dumps(built)) == built
 
 
 def _substitute_reference(node, mapping):

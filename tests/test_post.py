@@ -37,7 +37,7 @@ from boolmin.post import (
 )
 from boolmin.std import fn_and, fn_const, fn_or, fn_xor
 
-from conftest import assert_postorder, gate_lower_bound, random_bformula, random_btree
+from conftest import assert_steps, gate_lower_bound, random_bformula, random_btree
 
 
 OR2D = BoolFunction("or2d", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
@@ -375,12 +375,12 @@ def full_table_reference(basis, formula, measure):
     if best is None:
         return None, table
     size, state = best
-    postorder = _witness(
+    steps = _witness(
         state, table, basis, {f.name: f.name for f in basis}, sorted(relevant),
         set(formula.var_names), shapes,
     )
-    witness = BFormula(basis, postorder[-1])
-    assert witness.postorder == postorder
+    witness = BFormula._trusted(basis, steps)
+    assert BFormula(basis, witness.root).steps == steps
     return (size, witness, PostStats(measure, size, state, len(table.states))), table
 
 
@@ -440,8 +440,8 @@ def test_min_post_matches_full_table_reference(monkeypatch):
 
 
 def test_min_post_witness_postorder():
-    # the witness comes with the post-order its output walk built, and is
-    # the formula that validating its tree gives
+    # the witness comes with the steps its output walk wrote, and is the
+    # formula that validating its tree gives
     rng = random.Random(83)
     witnesses = 0
     for _ in range(300):
@@ -452,7 +452,7 @@ def test_min_post_witness_postorder():
             if got is None:
                 continue
             witness = got[1]
-            assert_postorder(witness)
+            assert_steps(witness)
             validated = BFormula(basis, witness.root)
             assert witness == validated and hash(witness) == hash(validated)
             assert witness.var_names == validated.var_names
