@@ -2,9 +2,6 @@
 equations and a maximal linearly independent subset of them is minimum."""
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-
 from .errors import ClassificationError
 from .model import CnfFormula, MinimizeStats, Relation
 from .oracle import unsat_minimum
@@ -39,48 +36,55 @@ def min_affine(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     order; inconsistent systems yield the cached minimum unsatisfiable
     formula for the language.
 
-    A row is one int: the constant in bit 0 and variable v at bit
-    `col[v]`.  Columns go by occurrence, the most used variable lowest, so
-    a row's top bit, its pivot, is its least used variable (a static
-    Markowitz order, which slows the fill-in of the basis rows).  Which rows are
-    independent does not depend on the column order, so neither does the
-    result.  `reductions` counts the row XORs under this column order, which
-    for the same input are usually fewer than under variable-id order."""
+    Clause i is kept iff its row is not in the span of the rows before it,
+    that is iff clause i is a pivot column of the transposed system.  So the
+    elimination runs on one int per variable over the clause bits, clause i
+    at bit m - 1 - i, whose top bit is its earliest clause; pivot columns do
+    not depend on the row order, so the sparsest rows go in first, and each
+    leaves the list of rows as it enters the basis.  The system is
+    consistent iff the row of clause constants reduces to 0 through the
+    basis.  `reductions` counts the row XORs: variable rows against the
+    basis, then the constants row."""
     lang = formula.language
     clauses = formula.clauses
-    occurrences = Counter(chain.from_iterable(vs for _, vs in clauses))
-    col = {v: bit for bit, (v, _) in enumerate(occurrences.most_common(), 1)}
+    m = len(clauses)
     constants: dict[str, int] = {}
-    # basis[k]: the basis row whose bit_length is k, else 0
-    basis = [0] * (len(col) + 2)
-    kept: list[int] = []
-    reductions = 0
+    rows = [0] * formula.n_vars
+    rhs = 0
     for idx, (name, vs) in enumerate(clauses):
-        row = constants.get(name)
-        if row is None:
-            row = constants[name] = _xor_constant(lang.get(name))
+        c = constants.get(name)
+        if c is None:
+            c = constants[name] = _xor_constant(lang.get(name))
+        bit = 1 << (m - 1 - idx)
+        if c:
+            rhs |= bit
         for v in vs:
-            row ^= 1 << col[v]
-        while row > 1:
+            rows[v] ^= bit
+    # basis[k]: the basis row whose top bit is clause m - k, else 0
+    basis = [0] * (m + 1)
+    reductions = 0
+    # popped from the end: sparsest first, ties in variable order
+    pending = sorted(filter(None, rows), key=int.bit_count)
+    pending.reverse()
+    del rows
+    while pending:
+        row = pending.pop()
+        while row:
             top = row.bit_length()
             pivot_row = basis[top]
             if not pivot_row:
                 basis[top] = row
-                kept.append(idx)
                 break
             row ^= pivot_row
             reductions += 1
-        else:
-            if row:  # 0 = 1
-                return unsat_minimum(formula)
+    while rhs:
+        pivot_row = basis[rhs.bit_length()]
+        if not pivot_row:  # 0 = 1
+            return unsat_minimum(formula)
+        rhs ^= pivot_row
+        reductions += 1
 
-    out = CnfFormula._trusted(
-        lang,
-        formula.var_names,
-        tuple(clauses[i] for i in kept),
-        formula.language_path,
-    )
-    stats = MinimizeStats(
-        len(clauses), len(kept), rank=len(kept), reductions=reductions
-    )
+    kept = [clauses[i] for i in range(m) if basis[m - i]]
+    out = CnfFormula._trusted(lang, formula.var_names, tuple(kept), formula.language_path)
+    stats = MinimizeStats(m, len(kept), rank=len(kept), reductions=reductions)
     return out, stats

@@ -2,9 +2,13 @@
 
 Every irreducible binary or unary relation encodes as implications between
 literals, so a formula becomes a directed graph on the 2n literals (closed
-under contraposition).  Minimization collapses strongly connected literal
-classes, pins forced variables, transitive-reduces the condensation counting
-a skew-paired edge as one clause, and re-emits using the language's own
+under contraposition).  Minimization finds the forced literals units first:
+one pass propagates the explicit units, and only the literals of the
+variables left unforced get reach sets, over the residual graph between
+them, where a literal that reaches its negation forces the other side.  It
+then collapses strongly connected classes of the free literals, pins the
+forced variables, transitive-reduces the condensation counting a
+skew-paired edge as one clause, and re-emits using the language's own
 relations.  The construction is validated against the brute-force oracle.
 
 Both directions read one table per relation of arity <= 2: its diagonal
@@ -66,17 +70,6 @@ class LiteralGraph:
     forced: set[int] = field(default_factory=set)
     contradictory: bool = False
 
-    def add_pair(self, a: int, b: int) -> None:
-        self.edges.add((a, b))
-        self.edges.add((negate(b), negate(a)))
-
-    def reach(self) -> list[int]:
-        """Reachability bitsets over the 2n literals (see graph.reach)."""
-        succ: list[list[int]] = [[] for _ in range(2 * self.n)]
-        for a, b in self.edges:
-            succ[a].append(b)
-        return graph.reach(succ)
-
 
 def to_literal_graph(formula: CnfFormula) -> LiteralGraph:
     """Encode every clause as literal implications or forced marks.
@@ -106,7 +99,9 @@ def to_literal_graph(formula: CnfFormula) -> LiteralGraph:
                 g.forced.add(_lit(u, *diagonal))
             continue
         for x, y in excluded:
-            g.add_pair(_lit(u, x), _lit(v, 1 - y))
+            a, b = _lit(u, x), _lit(v, 1 - y)
+            g.edges.add((a, b))
+            g.edges.add((negate(b), negate(a)))
     return g
 
 
@@ -280,31 +275,68 @@ def _pin_clauses(forced: set[int], emitter: _Emitter, wedge) -> list[Clause]:
 
 
 def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
-    """Minimize a formula over an irreducible bijunctive language."""
-    lang = formula.language
+    """Minimize a formula over an irreducible bijunctive language.
+
+    Units first: the explicit units propagate through the literal graph in
+    one linear pass, and every literal they reach is forced.  Then the
+    residual: the literals of the variables left unforced, numbered densely
+    in literal order, get reach sets over the edges between them alone.  A
+    residual literal that reaches its negation is untenable, so its
+    negation's residual reach is forced as well.  The literals still free
+    form the classes, and the reduction runs on the residual reach sets."""
     g = to_literal_graph(formula)
-    emitter = _emitter(lang)
     if g.contradictory:
         return unsat_minimum(formula)
-    reach = g.reach()
-
-    # forced closure: explicit units plus literals whose negation is untenable
-    seeds = g.forced | {negate(lit) for lit in range(2 * g.n) if reach[lit] >> negate(lit) & 1}
-    forced_mask = 0
-    for s in seeds:
-        forced_mask |= reach[s]
-    forced = set(graph.members(forced_mask))
-    if any(negate(lit) in forced for lit in forced):
-        return unsat_minimum(formula)
+    succ: list[list[int]] = [[] for _ in range(2 * g.n)]
+    for a, b in g.edges:
+        succ[a].append(b)
+    forced = graph.descendants(succ, g.forced)
     forced_vars = {lit_var(lit) for lit in forced}
 
-    free_lits = [lit for lit in range(2 * g.n) if lit_var(lit) not in forced_vars]
-    # strongly connected literal classes among free literals: a free literal
-    # reaches only free or forced-true literals (reaching a forced-false one
-    # would force it), so no class crosses into the forced ones
-    class_of = graph.components(free_lits, reach)
+    # a residual literal leads only to residual or forced-true literals (one
+    # leading to a forced-false literal would be forced false), so paths
+    # between residual literals stay in the residual graph; the dense pair
+    # (2k, 2k + 1) is both literals of one variable, so negation is still ^ 1
+    lits = [lit for lit in range(2 * g.n) if lit_var(lit) not in forced_vars]
+    dense = {lit: u for u, lit in enumerate(lits)}
+    edges = [(dense[a], dense[b]) for a, b in g.edges if a in dense and b in dense]
+    succ = [[] for _ in lits]
+    for u, w in edges:
+        succ[u].append(w)
+    reach = graph.reach(succ)
+    failed = 0
+    for u, mask in enumerate(reach):
+        if mask >> negate(u) & 1:
+            failed |= reach[negate(u)]
+    forced.update(lits[u] for u in graph.members(failed))
+    if any(negate(lit) in forced for lit in forced):
+        return unsat_minimum(formula)
+
+    # a free literal reaches only free or forced-true literals, so no class
+    # crosses into the forced ones
+    free = [u for u in range(len(lits)) if not failed >> (u & ~1) & 3]
+    comp = graph.components(free, reach)
+    class_of = {lits[u]: lits[c] for u, c in comp.items()}
+    reduced = [(lits[c], lits[d]) for c, d in graph.reduction(edges, comp, reach)]
+    return _emit(formula, forced, class_of, reduced)
+
+
+def _emit(
+    formula: CnfFormula,
+    forced: set[int],
+    class_of: dict[int, int],
+    reduced: list[tuple[int, int]],
+) -> tuple[CnfFormula, MinimizeStats]:
+    """Re-emit in the language: pin the forced literals, tie each class of
+    free literals together, then one clause per skew pair of reduced edges.
+
+    class_of maps every free literal to the least literal of its class, and
+    reduced holds the transitive reduction of the condensation as edges
+    between those least literals."""
+    lang = formula.language
+    emitter = _emitter(lang)
     class_members: dict[int, list[int]] = {}
-    for lit in free_lits:
+    for lit in sorted(class_of):
         class_members.setdefault(class_of[lit], []).append(lit)
     class_roots = sorted(class_members)
 
@@ -337,7 +369,7 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
             clauses.extend(_class_tree_clauses(polarity, emitter))
 
     emitted_pairs = set()
-    for r, s in sorted(graph.reduction(g.edges, class_of, reach)):
+    for r, s in sorted(reduced):
         if (class_of[negate(s)], class_of[negate(r)]) in emitted_pairs:
             continue
         emitted_pairs.add((r, s))

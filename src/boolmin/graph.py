@@ -1,6 +1,6 @@
-"""Implication-graph kernel shared by the CNF minimizers: reachability as
-int bitsets, strongly connected components, and the unique transitive
-reduction of the condensation.
+"""Implication-graph kernel shared by the CNF minimizers: the nodes a set of
+sources leads to, reachability as int bitsets, strongly connected
+components, and the unique transitive reduction of the condensation.
 
 Nodes are 0..n-1 and `succ[u]` lists the successors of u.  A reach set is an
 int whose bit v is set iff the node leads to v (every node leads to itself).
@@ -65,6 +65,19 @@ def closure(succ: list[list[int]], labels: list[int]) -> list[int]:
                 for w in group:
                     out[w] = value
     return out
+
+
+def descendants(succ: list[list[int]], sources: Iterable[int]) -> set[int]:
+    """Every node some source leads to, the sources included, in one pass
+    over the edges."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for v in succ[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def reach(succ: list[list[int]]) -> list[int]:

@@ -1,10 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from boolmin.bijunctive import min_bijunctive, neg_lit, pos_lit, to_literal_graph
-from boolmin.errors import ClassificationError
+from boolmin import graph
+from boolmin.bijunctive import _emit, min_bijunctive, neg_lit, pos_lit, to_literal_graph
+from boolmin.errors import ClassificationError, VocabularyError
+from boolmin.formats import serialize_cnf_formula
 from boolmin.model import (
     CnfFormula,
     ConstraintLanguage,
@@ -14,7 +17,7 @@ from boolmin.model import (
     satisfiable,
     var_mask,
 )
-from boolmin.oracle import brute_min_cnf
+from boolmin.oracle import brute_min_cnf, unsat_minimum
 from boolmin.std import rel_eq, rel_impl, rel_nand, rel_neg, rel_or, rel_pos, rel_xor
 
 from conftest import random_cnf
@@ -37,6 +40,14 @@ def lang_of(*names):
 
 def F(lang, names, *specs):
     return CnfFormula(lang, tuple(names), tuple((r, tuple(v)) for r, v in specs))
+
+
+def literal_reach(g):
+    """Reach sets over all 2n literals of a literal graph."""
+    succ = [[] for _ in range(2 * g.n)]
+    for a, b in g.edges:
+        succ[a].append(b)
+    return graph.reach(succ)
 
 
 def test_literal_graph_encoding(bijunctive_full):
@@ -159,7 +170,7 @@ def test_contraposition_closure_preserved(bijunctive_full):
         # compare semantic content through reachability plus forced closure,
         # restricted to unforced variables, which determines equivalence here
         assert equivalent(out, f)
-        reach_in, reach_out = g_in.reach(), g_out.reach()
+        reach_in, reach_out = literal_reach(g_in), literal_reach(g_out)
         forced = 0
         seeds = set(g_in.forced) | {
             lit ^ 1 for lit in range(2 * g_in.n) if reach_in[lit] >> (lit ^ 1) & 1
@@ -202,3 +213,121 @@ def test_enumerated_languages_against_oracle():
                 assert len(out.clauses) == oracle[0]
             again, _ = min_bijunctive(out)
             assert again.clauses == out.clauses
+
+
+# --- units first against the former all-pairs reach ----------------------
+
+
+def all_pairs_min_bijunctive(formula):
+    """The former min_bijunctive: reach sets over all 2n literals, the
+    forced closure of the units and of every literal that reaches its
+    negation read off them, and classes and reduction on the same sets.
+    It re-emits through the same `_emit`, so the two differ only in how
+    they find the forced literals, the classes and the reduced edges."""
+    g = to_literal_graph(formula)
+    if g.contradictory:
+        return unsat_minimum(formula)
+    reach = literal_reach(g)
+    seeds = g.forced | {lit ^ 1 for lit in range(2 * g.n) if reach[lit] >> (lit ^ 1) & 1}
+    forced_mask = 0
+    for s in seeds:
+        forced_mask |= reach[s]
+    forced = set(graph.members(forced_mask))
+    if any(lit ^ 1 in forced for lit in forced):
+        return unsat_minimum(formula)
+    forced_vars = {lit // 2 for lit in forced}
+    free_lits = [lit for lit in range(2 * g.n) if lit // 2 not in forced_vars]
+    class_of = graph.components(free_lits, reach)
+    return _emit(formula, forced, class_of, list(graph.reduction(g.edges, class_of, reach)))
+
+
+def outcome(minimizer, f):
+    """The output text and stats lines, or the error a minimizer raises."""
+    try:
+        out, stats = minimizer(f)
+    except VocabularyError as err:
+        return "VocabularyError", str(err)
+    return serialize_cnf_formula(out, "b.lang"), stats.lines()
+
+
+def reference_corpus():
+    """Hand-made cases, then seeded random formulas with units, repeated
+    arguments and a planted solution for half of them, over languages with
+    and without unary relations."""
+    full = ConstraintLanguage(tuple(BASE.values()))
+    no_unary = [lang_of("imp", "xor"), lang_of("imp", "nand2"), lang_of("or2", "nand2", "eq"),
+                lang_of("imp", "xor", "or2")]
+    names = [f"v{i}" for i in range(12)]
+    chain = [("imp", (i, i + 1)) for i in range(7)]
+    cases = [
+        # x -> y and x -> ~y: x is false, which unit propagation misses
+        (full, ("imp", (0, 1)), ("nand2", (0, 1))),
+        (lang_of("imp", "nand2"), ("imp", (0, 1)), ("nand2", (0, 1)), ("imp", (2, 3))),
+        (lang_of("pos", "imp", "xor"), ("imp", (0, 1)), ("imp", (0, 2)), ("xor", (2, 1))),
+        # contradictory units, directly and along a chain, and unit chains
+        (full, ("pos", (0,)), ("neg", (0,))),
+        (full, ("pos", (0,)), *chain, ("neg", (7,))),
+        (full, ("pos", (0,)), *chain, ("or2", (8, 9))),
+        (full, ("neg", (7,)), *chain, ("eq", (8, 9))),
+        # classes of both polarities, with an edge between two classes
+        (full, ("eq", (0, 1)), ("xor", (1, 2)), ("imp", (2, 3)), ("imp", (3, 2)), ("or2", (3, 4))),
+        (lang_of("imp", "xor"), ("xor", (0, 1)), ("imp", (0, 2)), ("imp", (2, 0)), ("imp", (4, 5))),
+        # diagonal clauses: forced, contradictory and empty
+        (full, ("or2", (0, 0)), ("imp", (0, 1)), ("nand2", (2, 2)), ("eq", (3, 3)), ("imp", (4, 4))),
+        (full, ("xor", (0, 0)), ("imp", (0, 1))),
+        (lang_of("imp", "nand2"), ("nand2", (0, 0)), ("nand2", (1, 1)), ("imp", (2, 3))),
+        (lang_of("or2", "nand2"), ("or2", (0, 0)), ("nand2", (1, 1)), ("or2", (2, 3))),
+        # a failed literal whose negation then forces a chain
+        (full, ("imp", (0, 1)), ("imp", (1, 2)), ("nand2", (0, 2)), ("or2", (0, 3)), ("imp", (3, 4))),
+    ]
+    for lang, *specs in cases:
+        yield F(lang, names, *specs)
+    rng = random.Random(61)
+    languages = [full, *no_unary, lang_of("pos", "imp", "xor"), lang_of("neg", "or2", "eq")]
+    for _ in range(1000):
+        lang = rng.choice(languages)
+        n = rng.randint(1, 12)
+        plant = [rng.randrange(2) for _ in range(n)]
+        planted = rng.random() < 0.5
+        m = rng.randint(1, 3 * n)
+        clauses = []
+        while len(clauses) < m:
+            rel = rng.choice(lang.relations)
+            ids = tuple(rng.randrange(n) for _ in range(rel.arity))
+            if not planted or tuple(plant[v] for v in ids) in rel.tuples:
+                clauses.append((rel.name, ids))
+        yield F(lang, names[:n], *clauses)
+
+
+def test_units_first_matches_all_pairs_reference():
+    kinds = dict.fromkeys(("unsat", "units", "failed", "classes"), 0)
+    for f in reference_corpus():
+        got = outcome(min_bijunctive, f)
+        assert got == outcome(all_pairs_min_bijunctive, f), f.clauses
+        g = to_literal_graph(f)
+        reach = literal_reach(g)
+        propagated = graph.bits(b for u in g.forced for b in graph.members(reach[u]))
+        kinds["unsat"] += not satisfiable(f)
+        kinds["units"] += bool(g.forced)
+        # a literal that reaches its negation, on a variable the units miss
+        kinds["failed"] += any(reach[lit] >> (lit ^ 1) & 1 and not propagated >> (lit & ~1) & 3
+                               for lit in range(2 * g.n))
+        kinds["classes"] += any(reach[a] >> b & 1 and reach[b] >> a & 1
+                                for a in range(2 * g.n) for b in range(a + 1, 2 * g.n))
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_forced_chain_keeps_memory_linear():
+    # one unit forces a 10^4-variable implication chain; reach sets over all
+    # its 2 * 10^4 literals (the all-pairs reference) peak at about 73 MB
+    n = 10_000
+    f = F(lang_of("pos", "imp"), [f"x{i}" for i in range(n)],
+          ("pos", (0,)), *[("imp", (i, i + 1)) for i in range(n - 1)])
+    tracemalloc.start()
+    try:
+        out, _ = min_bijunctive(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.clauses == tuple(("pos", (i,)) for i in range(n))
+    assert peak < 20 * 2**20, peak

@@ -63,9 +63,11 @@ def test_minimize_affine_stats_end_with_reductions(capsys):
     code, out = run(capsys, "minimize", "--formula", demo, "--stats")
     assert code == 0
     stats = [line for line in out.splitlines() if line.startswith("# ")]
-    # x+z is y+z plus x+y: two row XORs reduce it to 0 = 0
+    # variable rows over the clauses (x+y, y+z, x+z): x = 101, y = 110 and
+    # z = 011.  y's row reduces once, to 011, and z's once, to 0; the
+    # constants row 110 reduces twice to 0: four row XORs, and consistent
     assert stats == [
-        "# input_clauses=3", "# output_clauses=2", "# passes=0", "# rank=2", "# reductions=2",
+        "# input_clauses=3", "# output_clauses=2", "# passes=0", "# rank=2", "# reductions=4",
     ]
 
 

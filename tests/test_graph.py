@@ -43,6 +43,13 @@ def test_reach_matches_dfs():
         assert reach == [graph.bits(dfs(succ, u)) for u in range(n)]
 
 
+def test_descendants_match_dfs():
+    for rng, n, _, succ in cases(5):
+        sources = rng.sample(range(n), rng.randint(0, n))
+        expected = set().union(*(dfs(succ, u) for u in sources))
+        assert graph.descendants(succ, sources) == expected
+
+
 def test_closure_ors_labels_over_reachable_nodes():
     for rng, n, _, succ in cases(2):
         labels = [rng.getrandbits(8) for _ in range(n)]
