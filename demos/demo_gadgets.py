@@ -28,7 +28,7 @@ from boolmin.formats import (
     serialize_mee_instance,
 )
 from boolmin.gadgets import eval_dnf
-from boolmin.model import BApp, BVar, all_assignments, formula_size
+from boolmin.model import all_assignments, formula_size
 from boolmin.std import fn_and, rel_parity
 
 # --- non-satisfiability reduces to minimization --------------------------------
@@ -53,12 +53,13 @@ print(serialize_mee_instance(reduce_unsat_to_mee_cnf(lang, unsat).instance, lang
 # conjoined variables blows up the cost otherwise
 and2 = fn_and(2)
 orT = BoolFunction("orT", 3, tuple((a | b) & t for a in (0, 1) for b in (0, 1) for t in (0, 1)))
-f_and = BFormula((and2,), BApp("and2", (BVar("x"), BVar("y"))))
-f_or = BFormula((orT,), BApp("orT", (BVar("x"), BVar("y"), BVar("t"))))
+# a formula is its post-order steps: ("x", "y", ("and2", 2)) is (and2 x y)
+f_and = BFormula((and2,), ("x", "y", ("and2", 2)))
+f_or = BFormula((orT,), ("x", "y", "t", ("orT", 3)))
 
-h_equal = BFormula((and2, orT), BVar("x"))
-h_same = BFormula((and2, orT), BApp("and2", (BVar("x"), BVar("x"))))
-h_other = BFormula((and2, orT), BVar("y"))
+h_equal = BFormula((and2, orT), ("x",))
+h_same = BFormula((and2, orT), ("x", "x", ("and2", 2)))
+h_other = BFormula((and2, orT), ("y",))
 
 for name, h2 in (("equivalent pair", h_same), ("inequivalent pair", h_other)):
     gadget, bound = build_and_or_gadget(f_and, f_or, h_equal, h2, 3)

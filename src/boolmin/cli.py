@@ -61,11 +61,8 @@ def _load_bformula(path: str, basis_path: str):
 
 
 def _is_cnf_file(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0] in ("language", "vars", "clause")
-    return False
+    lines = formats._content_lines(text)
+    return bool(lines) and lines[0][0] in ("language", "vars", "clause")
 
 
 def cmd_classify(args) -> int:
@@ -221,11 +218,7 @@ def cmd_oracle_min_unsat(args) -> int:
 
 def _parse_dnf(text: str):
     terms = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for tokens in formats._content_lines(text):
         if tokens[0] != "term":
             raise FormatError("DNF files contain `term LIT...` lines (~x negates)")
         term = []

@@ -222,13 +222,14 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
     """Parse a single parenthesized expression, e.g. `(or2 x (or2 x y))`.
 
-    The token loop writes the formula's post-order steps (see `model`)
-    directly: a variable as it is read, an application as it closes, when
-    its name and arity are checked.  No tree node is built.  If every check
-    passes, the formula is made from the steps without `BFormula`'s own
+    The token loop writes the formula's post-order steps (see `model`), the
+    formula's one form: a variable as it is read, an application as it
+    closes, when its name and arity are checked.  If every check passes,
+    the formula is made from the steps without `BFormula`'s own
     validation.  Syntax errors come first.  After them, duplicate basis
-    names or a tree fault are reported by validating the steps, so the
-    message and the fault reported first are those of any other tree."""
+    names or a wrong name or arity are reported by validating the steps,
+    so the message and the fault reported first are those that
+    `BFormula(functions, steps)` gives for the same steps."""
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     tokens = _TOKEN_RE.findall(text)

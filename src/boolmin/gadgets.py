@@ -9,13 +9,12 @@ from itertools import combinations, combinations_with_replacement, count, islice
 from .errors import ClassificationError, FormatError, ResourceLimitError
 from .model import (
     BFormula,
-    BNode,
     BoolFunction,
-    BVar,
     CnfFormula,
     ConstraintLanguage,
     MeeInstance,
     SizeMeasure,
+    Step,
     formula_size,
     satisfiable,
     substitute,
@@ -123,7 +122,11 @@ def _fresh_names(avoid: set[str], n: int, prefix: str) -> list[str]:
     return out
 
 
-def _conj_tree(pair, leaves: list[BNode]) -> BNode:
+# a formula's post-order steps (see `model`), composed by `substitute`
+Steps = tuple[Step, ...]
+
+
+def _conj_tree(pair, leaves: list[Steps]) -> Steps:
     """Balanced conjunction of leaves using the supplied binary combiner."""
     if len(leaves) == 1:
         return leaves[0]
@@ -157,24 +160,24 @@ def build_and_or_gadget(
 
     functions = _merged_functions(f_and, f_or, h1, h2)
 
-    def fand(a: BNode, b: BNode) -> BNode:
-        return substitute(f_and.root, {and_vars[0]: a, and_vars[1]: b})
+    def fand(a: Steps, b: Steps) -> Steps:
+        return substitute(f_and.steps, {and_vars[0]: a, and_vars[1]: b})
 
-    def for3(a: BNode, b: BNode, t: BNode) -> BNode:
-        return substitute(f_or.root, {ox: a, oy: b, ot: t})
+    def for3(a: Steps, b: Steps, t: Steps) -> Steps:
+        return substitute(f_or.steps, {ox: a, oy: b, ot: t})
 
     used = set(h1.var_names) | set(h2.var_names)
     t_name = _fresh_names(used, 1, "t")[0]
-    t_var = BVar(t_name)
-    probe = BFormula(functions, fand(h1.root, t_var))
+    t_var, s1, s2 = (t_name,), h1.steps, h2.steps
+    probe = BFormula(functions, fand(s1, t_var))
     l = formula_size(probe, measure)
     width = m * l if measure is SizeMeasure.GATES else l
     z_names = _fresh_names(used | {t_name}, width, "z")
-    z_block = _conj_tree(fand, [BVar(z) for z in z_names])
+    z_block = _conj_tree(fand, [(z,) for z in z_names])
 
-    inner = fand(for3(h1.root, h2.root, t_var), z_block)
-    g_root = fand(for3(fand(h1.root, h2.root), inner, t_var), t_var)
-    return BFormula(functions, g_root), l
+    inner = fand(for3(s1, s2, t_var), z_block)
+    g_steps = fand(for3(fand(s1, s2), inner, t_var), t_var)
+    return BFormula(functions, g_steps), l
 
 
 def build_maj_gadget(
@@ -193,22 +196,22 @@ def build_maj_gadget(
 
     functions = _merged_functions(f_maj, h1, h2)
 
-    def maj(a: BNode, b: BNode, c: BNode) -> BNode:
-        return substitute(f_maj.root, {mx: a, my: b, mz: c})
+    def maj(a: Steps, b: Steps, c: Steps) -> Steps:
+        return substitute(f_maj.steps, {mx: a, my: b, mz: c})
 
     used = set(h1.var_names) | set(h2.var_names)
     f_name, t_name = _fresh_names(used, 2, "f")[0], _fresh_names(used, 1, "t")[0]
-    fv, tv = BVar(f_name), BVar(t_name)
+    fv, tv, s1, s2 = (f_name,), (t_name,), h1.steps, h2.steps
 
-    core = maj(fv, maj(h1.root, h2.root, fv), tv)
+    core = maj(fv, maj(s1, s2, fv), tv)
     l = formula_size(BFormula(functions, core), measure)
     width = m * l if measure is SizeMeasure.GATES else l + 1
     z_names = _fresh_names(used | {f_name, t_name}, width, "z")
-    e_star = _conj_tree(lambda a, b: maj(a, b, fv), [BVar(z) for z in z_names])
+    e_star = _conj_tree(lambda a, b: maj(a, b, fv), [(z,) for z in z_names])
 
-    part2 = maj(maj(tv, maj(h1.root, h2.root, tv), fv), e_star, fv)
-    h_root = maj(core, part2, tv)
-    return BFormula(functions, h_root), l
+    part2 = maj(maj(tv, maj(s1, s2, tv), fv), e_star, fv)
+    h_steps = maj(core, part2, tv)
+    return BFormula(functions, h_steps), l
 
 
 MAX_CNF_REDUCTION_FORMULAS = 200_000

@@ -30,18 +30,17 @@ their true rows.  `CnfFormula.mask` and `BFormula.mask` evaluate over any
 columns: all 2^n assignments (`truth_table`), one assignment (`full = 1`),
 or the n + 1 probes of `post.relevant_variables`.
 
-A `BFormula` stores its tree as one flat tuple of post-order *steps*, in
-the manner of a Boolean chain (Knuth, TAOCP 4A §7.1.2): a variable's name
-(`str`), or a `(function name, argument count)` pair applied to the last
-that many values.  Every reader runs that straight-line program instead of
-a tree: `mask`, `var_names`, `dual` (a map over the steps), the size counts
-of `formula_size` and `post.min_post`, the validation, `==`, `hash`, `repr`
-and pickling.  The `BVar`/`BApp` nodes of `root` are built from the steps
-only when it is read, by `_from_postorder`.  `BFormula(functions, root)`
-walks the tree once into steps (`_steps`, the one walk of a bare tree,
-which also keys `BApp` equality).  Whoever writes the steps directly hands
-them over through `BFormula._trusted`, which skips validation: the parser,
-which checks each application as it closes, `dual`, and the `post.min_post`
+A `BFormula` is one flat tuple of post-order *steps*, in the manner of a
+Boolean chain (Knuth, TAOCP 4A §7.1.2): a variable's name (`str`), or a
+`(function name, argument count)` pair applied to the last that many
+values.  This straight-line program is the formula's one form; there are no
+tree nodes.  Every reader runs it: `mask`, `var_names`, `dual` (a map over
+the steps), the size counts of `formula_size` and `post.min_post`, `==`,
+`hash`, `repr` and pickling.  `BFormula(functions, steps)` validates the
+steps (`_validate`); `substitute` splices step tuples, which is how the
+gadgets compose formulas.  Whoever writes steps already checked hands them
+over through `BFormula._trusted`, which skips validation: the parser, which
+checks each application as it closes, `dual`, and the `post.min_post`
 witness builder.  The steps' tuples hold only strings and ints, so the
 cyclic garbage collector untracks them, as it does clauses.
 
@@ -63,7 +62,7 @@ from enum import Enum
 from functools import cached_property, partial, reduce
 from itertools import product
 from operator import and_, or_, xor
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ResourceLimitError
 
@@ -369,28 +368,6 @@ class BoolFunction:
         return BoolFunction(dual_name(self.name), self.arity, flipped)
 
 
-@dataclass(frozen=True)
-class BVar:
-    name: str
-
-
-@dataclass(frozen=True, eq=False)
-class BApp:
-    """Equality and hashing compare the post-order steps, which determine
-    the tree, so neither recurses."""
-
-    func: str
-    args: tuple["BNode", ...]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BApp) and _steps(self) == _steps(other)
-
-    def __hash__(self) -> int:
-        return hash(_steps(self))
-
-
-BNode = BVar | BApp
-
 # a post-order step: a variable's name, or (function name, argument count)
 # applied to the last that many values
 Step = str | tuple[str, int]
@@ -398,15 +375,17 @@ Step = str | tuple[str, int]
 
 @dataclass(frozen=True, init=False)
 class BFormula:
-    """Formula over a finite basis of functions, stored as its tree's
-    post-order steps; `==`, `hash`, `repr` and pickling read the basis and
-    the steps."""
+    """Formula over a finite basis of functions, given by its post-order
+    steps, such as `("x", "y", ("or2", 2))` for `(or2 x y)`; `==`, `hash`,
+    `repr` and pickling read the basis and the steps."""
 
     functions: tuple[BoolFunction, ...]
     steps: tuple[Step, ...]
 
-    def __init__(self, functions: tuple[BoolFunction, ...], root: BNode):
-        steps = _steps(root)
+    def __init__(self, functions: tuple[BoolFunction, ...], steps: Sequence[Step]):
+        if isinstance(steps, str):
+            raise FormatError(f"steps {steps!r}: expected a sequence of steps, not a string")
+        steps = tuple(steps)
         _validate(functions, steps)
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "steps", steps)
@@ -414,7 +393,7 @@ class BFormula:
     @classmethod
     def _trusted(cls, functions: tuple[BoolFunction, ...], steps: tuple[Step, ...]) -> "BFormula":
         """A formula from parts already checked, without validation: a basis
-        with unique names and the post-order steps of a tree whose every
+        with unique names and a tuple of well-formed steps whose every
         application names a basis function at its arity."""
         formula = object.__new__(cls)
         object.__setattr__(formula, "functions", functions)
@@ -425,21 +404,16 @@ class BFormula:
         return BFormula._trusted, (self.functions, self.steps)
 
     @cached_property
-    def root(self) -> BNode:
-        """The tree, built from the steps on first read."""
-        return _from_postorder(self.steps)
-
-    @cached_property
     def by_name(self) -> dict[str, BoolFunction]:
         return {f.name: f for f in self.functions}
 
     @cached_property
     def var_names(self) -> tuple[str, ...]:
-        """Variables of the tree in canonical (sorted) order."""
+        """Variables of the formula in canonical (sorted) order."""
         return tuple(sorted({step for step in self.steps if isinstance(step, str)}))
 
     def mask(self, columns: Mapping[str, int], full: int) -> int:
-        """The root's mask, given each variable's mask."""
+        """The formula's mask, given each variable's mask."""
         funcs = self.by_name
         out: list[int] = []
         for step in self.steps:
@@ -468,12 +442,37 @@ class BFormula:
 
 
 def _validate(functions: tuple[BoolFunction, ...], steps: Sequence[Step]) -> None:
-    """Raise the first fault: duplicate basis names, then the first
-    application, in pre-order with arguments right to left (the steps
-    reversed), that names no basis function or has the wrong arity."""
+    """Raise the first fault: duplicate basis names; then, in post-order, a
+    step that is neither a name nor a `(name, count)` tuple, a negative
+    count or a count above the values computed so far; then steps that
+    leave no value or several; then the first application, in pre-order
+    with arguments right to left (the steps reversed), that names no basis
+    function or has the wrong arity."""
     names = [f.name for f in functions]
     if len(set(names)) != len(names):
         raise FormatError("duplicate function names in basis")
+    depth = 0  # values computed and not yet consumed
+    for step in steps:
+        if isinstance(step, str):
+            depth += 1
+            continue
+        if not (
+            isinstance(step, tuple)
+            and len(step) == 2
+            and isinstance(step[0], str)
+            and isinstance(step[1], int)
+        ):
+            raise FormatError(
+                f"malformed step {step!r}: expected a variable name or a (function, count) tuple"
+            )
+        func, n_args = step
+        if n_args < 0:
+            raise FormatError(f"function {func}: negative argument count {n_args}")
+        if n_args > depth:
+            raise FormatError(f"function {func}: {n_args} arguments, but {depth} values computed")
+        depth += 1 - n_args
+    if depth != 1:
+        raise FormatError("empty B-formula" if not depth else f"steps leave {depth} values, not one")
     arities = {f.name: f.arity for f in functions}
     for step in reversed(steps):
         if isinstance(step, str):
@@ -486,44 +485,16 @@ def _validate(functions: tuple[BoolFunction, ...], steps: Sequence[Step]) -> Non
             raise FormatError(f"function {func}: got {n_args} arguments, arity is {arity}")
 
 
-def _steps(root: BNode) -> tuple[Step, ...]:
-    """The post-order steps of a tree, without recursion: its pre-order with
-    arguments right to left, reversed."""
-    steps: list[Step] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BVar):
-            steps.append(node.name)
-        else:
-            steps.append((node.func, len(node.args)))
-            stack.extend(node.args)
-    steps.reverse()
-    return tuple(steps)
-
-
-def _from_postorder(steps: Iterable[Step | BNode]) -> BNode:
-    """Build a tree from post-order steps, without recursion, and return its
-    root: a name is a variable, `(func, arity)` applies func to the last
-    `arity` nodes built, and a node is put in whole."""
-    out: list[BNode] = []
+def substitute(steps: Sequence[Step], mapping: Mapping[str, Sequence[Step]]) -> tuple[Step, ...]:
+    """Replace each variable in mapping by its steps (missing names stay).
+    In post-order that is a flat splice: an argument's steps are contiguous."""
+    out: list[Step] = []
     for step in steps:
-        if isinstance(step, str):
-            step = BVar(step)
-        elif isinstance(step, tuple):
-            func, arity = step
-            split = len(out) - arity
-            step = BApp(func, tuple(out[split:]))
-            del out[split:]
-        out.append(step)
-    return out[0]
-
-
-def substitute(node: BNode, mapping: Mapping[str, BNode]) -> BNode:
-    """Replace variable leaves according to mapping (missing names stay)."""
-    return _from_postorder(
-        mapping.get(step, step) if isinstance(step, str) else step for step in _steps(node)
-    )
+        if isinstance(step, str) and step in mapping:
+            out.extend(mapping[step])
+        else:
+            out.append(step)
+    return tuple(out)
 
 
 class SizeMeasure(Enum):

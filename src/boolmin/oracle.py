@@ -12,17 +12,15 @@ from itertools import product
 from .errors import FormatError, ResourceLimitError
 from .graph import bits
 from .model import (
-    BApp,
     BFormula,
-    BNode,
     BoolFunction,
-    BVar,
     Clause,
     CnfFormula,
     ConstraintLanguage,
     MinimizeStats,
     Relation,
     SizeMeasure,
+    Step,
     truth_table,
     var_mask,
 )
@@ -207,7 +205,9 @@ def brute_min_bformula(
 
     Sizes are built in increasing order, each truth table is kept only at
     the least size it has, and the search stops at the first tree found for
-    the target.  The pruning loses no minimum: every subtree of a least-size
+    the target.  A table keeps its first tree as post-order steps (see
+    `model`): those of its argument tables, concatenated, then the
+    application.  The pruning loses no minimum: every subtree of a least-size
     tree is least-size for its own table, since swapping in a cheaper
     subtree would keep the function and lower the size.
     """
@@ -226,17 +226,18 @@ def brute_min_bformula(
     var_masks = {name: var_mask(i, len(pool)) for i, name in enumerate(pool)}
     # a gate costs 1 and a variable 0, or the reverse
     gate_cost = 1 if measure is SizeMeasure.GATES else 0
-    trees: dict[int, BNode] = {}  # each truth table's first tree of least size
+    # each truth table's first formula of least size, as post-order steps
+    steps_of: dict[int, tuple[Step, ...]] = {}
     levels: list[list[int]] = []  # levels[s]: the tables of least size s
     for size in range(bound + 1):
         level: list[int] = []
         levels.append(level)
         if size == 1 - gate_cost:
             for name, mask in var_masks.items():
-                trees[mask] = BVar(name)
+                steps_of[mask] = (name,)
                 level.append(mask)
-            if target in trees:
-                return size, BFormula(basis, trees[target])
+            if target in steps_of:
+                return size, BFormula(basis, steps_of[target])
         # a gates level reads smaller levels only, so one sweep settles it; a
         # literals level reads itself through size-0 subtrees (constants) and
         # unary functions, so it is swept to a fixpoint
@@ -244,14 +245,14 @@ def brute_min_bformula(
         while changed:
             changed = False
             for f in basis:
-                op = f.mask_op
+                op, app = f.mask_op, ((f.name, f.arity),)
                 for split in _compositions(size - gate_cost, f.arity):
                     for combo in product(*(levels[s] for s in split)):
                         out = op(combo, full)
-                        if out not in trees:
-                            trees[out] = BApp(f.name, tuple(trees[m] for m in combo))
+                        if out not in steps_of:
+                            steps_of[out] = sum(map(steps_of.__getitem__, combo), ()) + app
                             level.append(out)
                             if out == target:
-                                return size, BFormula(basis, trees[out])
+                                return size, BFormula(basis, steps_of[out])
                             changed = not gate_cost
     return None

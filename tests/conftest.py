@@ -7,7 +7,7 @@ import random
 import pytest
 
 from boolmin.affine import _xor_constant
-from boolmin.model import BApp, BFormula, BVar, CnfFormula, ConstraintLanguage, Relation
+from boolmin.model import BFormula, CnfFormula, ConstraintLanguage, Relation
 from boolmin.std import (
     rel_eq,
     rel_impl,
@@ -50,17 +50,20 @@ def random_cnf(lang: ConstraintLanguage, rng: random.Random, n_vars: int, n_clau
     return CnfFormula(lang, tuple(f"v{i}" for i in range(n_vars)), tuple(clauses))
 
 
-def random_btree(basis, rng: random.Random, leaf_budget: int, var_pool="xyuv"):
+def random_btree(basis, rng: random.Random, leaf_budget: int, var_pool="xyuv") -> tuple:
+    """The post-order steps of a random tree with `leaf_budget` leaves at
+    most.  Each call draws from rng before its arguments', left to right."""
     if leaf_budget <= 1:
-        return BVar(rng.choice(var_pool))
+        return (rng.choice(var_pool),)
     usable = [f for f in basis if 1 <= f.arity <= leaf_budget]
     if not usable or rng.random() < 0.15:
-        return BVar(rng.choice(var_pool))
+        return (rng.choice(var_pool),)
     f = rng.choice(usable)
     parts = [1] * f.arity
     for _ in range(leaf_budget - f.arity):
         parts[rng.randrange(f.arity)] += 1
-    return BApp(f.name, tuple(random_btree(basis, rng, p, var_pool) for p in parts))
+    args = [random_btree(basis, rng, p, var_pool) for p in parts]
+    return sum(args, ()) + ((f.name, f.arity),)
 
 
 def random_bformula(basis, rng: random.Random, leaf_budget: int) -> BFormula:
@@ -68,35 +71,41 @@ def random_bformula(basis, rng: random.Random, leaf_budget: int) -> BFormula:
 
 
 def tree_steps(root) -> list:
-    """Reference post-order steps of a tree: a variable's name, or
-    `(func, argument count)` after the application's arguments, left to
-    right.  A post-order walk with an explicit stack, so a deep chain does
-    not recurse."""
+    """Reference post-order steps of a nested-tuple tree, whose node is a
+    variable's name or a `(func, args)` pair with a tuple of argument
+    nodes: a name, or `(func, argument count)` after the application's
+    arguments, left to right.  A post-order walk with an explicit stack, so
+    a deep chain does not recurse."""
     steps = []
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if isinstance(node, BVar):
-            steps.append(node.name)
+        if isinstance(node, str):
+            steps.append(node)
         elif expanded:
-            steps.append((node.func, len(node.args)))
+            steps.append((node[0], len(node[1])))
         else:
             stack.append((node, True))
-            stack.extend((arg, False) for arg in reversed(node.args))
+            stack.extend((arg, False) for arg in reversed(node[1]))
     return steps
 
 
 def assert_steps(formula: BFormula) -> None:
-    """`formula.steps` is a tuple of well-formed steps, and is the
-    post-order of the tree that `root` builds from it."""
+    """`formula.steps` is a tuple of well-formed steps that leaves exactly
+    one value: no application takes more values than are computed before
+    it."""
     steps = formula.steps
     assert type(steps) is tuple
+    depth = 0
     for step in steps:
-        assert type(step) is str or (
-            type(step) is tuple and len(step) == 2
-            and type(step[0]) is str and type(step[1]) is int
-        )
-    assert tree_steps(formula.root) == list(steps)
+        if type(step) is str:
+            depth += 1
+            continue
+        assert type(step) is tuple and len(step) == 2
+        assert type(step[0]) is str and type(step[1]) is int
+        assert 0 <= step[1] <= depth
+        depth += 1 - step[1]
+    assert depth == 1
 
 
 def clause_to_equation(clause, rel: Relation) -> tuple[int, int]:

@@ -25,10 +25,8 @@ from boolmin.gadgets import (
 )
 from boolmin.ihsb import min_ihsb_cnf, min_ihsb_minus_cnf
 from boolmin.model import (
-    BApp,
     BFormula,
     BoolFunction,
-    BVar,
     CnfFormula,
     ConstraintLanguage,
     Relation,
@@ -368,11 +366,11 @@ def test_criterion_7_reduction_soundness():
     psi = parse_bformula("(andnot x x)", (andnot,))
     checked = 0
     for _ in range(200):
-        node = BVar(rng.choice("xy"))
+        steps = (rng.choice("xy"),)
         for _ in range(rng.randint(1, 3)):
-            other = BVar(rng.choice("xy"))
-            node = BApp("andnot", (node, other) if rng.random() < 0.5 else (other, node))
-        phi = BFormula((andnot,), node)
+            other = (rng.choice("xy"),)
+            steps = (steps + other if rng.random() < 0.5 else other + steps) + (("andnot", 2),)
+        phi = BFormula((andnot,), steps)
         measure = rng.choice((SizeMeasure.LITERALS, SizeMeasure.GATES))
         result = reduce_unsat_to_mee_post((andnot,), psi, phi, measure)
         if result.fixed_negative:
@@ -381,7 +379,7 @@ def test_criterion_7_reduction_soundness():
             found = brute_min_bformula((andnot,), phi, measure, result.instance.bound)
             positive = found is not None and found[0] <= result.instance.bound
         if positive != (not satisfiable(phi)):
-            problems.append(("post", measure.value, phi.root))
+            problems.append(("post", measure.value, phi.steps))
         checked += 1
 
     lang = ConstraintLanguage((rel_parity(2, 1, "odd2"), rel_parity(3, 0, "even3")))
@@ -420,8 +418,8 @@ def test_criterion_8_gadget_gap():
         "orT", 3, tuple((a | b) & t for a in (0, 1) for b in (0, 1) for t in (0, 1))
     )
     basis = (and2, orT)
-    f_and = BFormula(basis, BApp("and2", (BVar("x"), BVar("y"))))
-    f_or = BFormula(basis, BApp("orT", (BVar("x"), BVar("y"), BVar("t"))))
+    f_and = BFormula(basis, ("x", "y", ("and2", 2)))
+    f_or = BFormula(basis, ("x", "y", "t", ("orT", 3)))
 
     def bform(expr):
         return parse_bformula(expr, basis)
@@ -457,7 +455,7 @@ def test_criterion_8_gadget_gap():
         "maj", 3,
         tuple(1 if a + b + c >= 2 else 0 for a in (0, 1) for b in (0, 1) for c in (0, 1)),
     )
-    f_maj = BFormula((maj,), BApp("maj", (BVar("x"), BVar("y"), BVar("z"))))
+    f_maj = BFormula((maj,), ("x", "y", "z", ("maj", 3)))
 
     def mform(expr):
         return parse_bformula(expr, (maj,))
@@ -529,5 +527,5 @@ def test_criterion_9_duality_and_idempotence(t9, affine_lang, bijunctive_full):
                 a = min_post(basis, phi, measure)
                 b = min_post(dual_basis, dualize(phi), measure)
                 if a is None or b is None or a[0] != b[0]:
-                    problems.append(("post duality", phi.root))
+                    problems.append(("post duality", phi.steps))
     _report(9, "duality invariance and idempotence across all minimizers", problems)

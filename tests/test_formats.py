@@ -10,7 +10,7 @@ from boolmin.affine import min_affine
 from boolmin.bijunctive import min_bijunctive
 from boolmin.errors import FormatError
 from boolmin.ihsb import min_ihsb_cnf, min_ihsb_minus_cnf
-from boolmin.model import BApp, BFormula, BVar, CnfFormula, MeeInstance, SizeMeasure
+from boolmin.model import BFormula, CnfFormula, MeeInstance, SizeMeasure
 from boolmin.oracle import unsat_minimum
 from boolmin.post import min_post
 from boolmin.std import fn_or, fn_xor, theorem9_language
@@ -348,24 +348,23 @@ def test_function_table_length_checked():
 def test_bformula_roundtrip():
     funcs = (fn_or(2),)
     f = formats.parse_bformula("(or2 x (or2 x y))", funcs)
-    assert f.root == BApp("or2", (BVar("x"), BApp("or2", (BVar("x"), BVar("y")))))
+    assert f.steps == ("x", "x", "y", ("or2", 2), ("or2", 2))
     assert formats.parse_bformula(formats.serialize_bformula(f), funcs) == f
     bare = formats.parse_bformula("x", funcs)
-    assert bare.root == BVar("x")
+    assert bare.steps == ("x",)
 
 
 def test_deep_bformula_roundtrip():
     # a right-nested chain 20000 deep, alternating which side nests
     funcs = (fn_or(2), fn_xor(3))
-    root = BVar("x")
+    root = "x"
     for i in range(20000):
-        leaf = BVar(f"v{i % 7}")
+        leaf = f"v{i % 7}"
         if i % 3 == 0:
-            root = BApp("xor3", (leaf, root, leaf))
+            root = ("xor3", (leaf, root, leaf))
         else:
-            root = BApp("or2", (leaf, root) if i % 2 else (root, leaf))
-    f = BFormula(funcs, root)
-    assert list(f.steps) == tree_steps(root)
+            root = ("or2", (leaf, root) if i % 2 else (root, leaf))
+    f = BFormula(funcs, tree_steps(root))
     text = formats.serialize_bformula(f)
     assert text.startswith("(or2 ") and text.endswith(")\n")
     parsed = formats.parse_bformula(text, funcs)
@@ -395,7 +394,8 @@ def _message(build) -> str:
 
 
 def _app(func, *args):
-    return BApp(func, tuple(BVar(a) if isinstance(a, str) else a for a in args))
+    """A nested-tuple tree node: a name is a variable."""
+    return (func, args)
 
 
 @pytest.mark.parametrize("text, root, message", [
@@ -419,9 +419,9 @@ def _app(func, *args):
 ])
 def test_bformula_tree_faults_match_validation(text, root, message):
     # the parser reports the fault, and the message, that BFormula's own
-    # validation reports on the same tree
+    # validation reports on the same tree's steps
     funcs = (fn_or(2), fn_xor(3))
-    assert _message(lambda: BFormula(funcs, root)) == message
+    assert _message(lambda: BFormula(funcs, tree_steps(root))) == message
     assert _message(lambda: formats.parse_bformula(text, funcs)) == message
 
 
@@ -430,10 +430,10 @@ def test_bformula_duplicate_basis_names_come_first():
     message = "duplicate function names in basis"
     for text, root in (
         ("(or2 x y)", _app("or2", "x", "y")),
-        ("x", BVar("x")),
+        ("x", "x"),
         ("(nope (or2 x))", _app("nope", _app("or2", "x"))),
     ):
-        assert _message(lambda: BFormula(funcs, root)) == message
+        assert _message(lambda: BFormula(funcs, tree_steps(root))) == message
         assert _message(lambda: formats.parse_bformula(text, funcs)) == message
 
 
@@ -452,7 +452,7 @@ def test_bformula_comments():
       # a line of its own between the arguments
       (or2 y z))  # trailing comment
     """
-    want = BFormula(funcs, _app("or2", "x", _app("or2", "y", "z")))
+    want = BFormula(funcs, tree_steps(_app("or2", "x", _app("or2", "y", "z"))))
     parsed = formats.parse_bformula(text, funcs)
     assert parsed == want
     assert_steps(parsed)

@@ -17,10 +17,8 @@ from boolmin.gadgets import (
     reduce_unsat_to_mee_post,
 )
 from boolmin.model import (
-    BApp,
     BFormula,
     BoolFunction,
-    BVar,
     CnfFormula,
     ConstraintLanguage,
     SizeMeasure,
@@ -66,11 +64,11 @@ def test_post_reduction_soundness_both_measures():
         for _ in range(40):
             # random small trees over the andnot basis
             depth = rng.randint(1, 3)
-            node = BVar(rng.choice("xy"))
+            steps = (rng.choice("xy"),)
             for _ in range(depth):
-                other = BVar(rng.choice("xy"))
-                node = BApp("andnot", (node, other) if rng.random() < 0.5 else (other, node))
-            phi = BFormula((ANDNOT,), node)
+                other = (rng.choice("xy"),)
+                steps = (steps + other if rng.random() < 0.5 else other + steps) + (("andnot", 2),)
+            phi = BFormula((ANDNOT,), steps)
             result = reduce_unsat_to_mee_post((ANDNOT,), psi, phi, measure)
             if result.fixed_negative:
                 positive = False
@@ -93,10 +91,11 @@ def _reference_fixed_negative(basis, psi, formula, measure):
 
 
 def _chain(fn, names):
-    node = BVar(names[0])
+    """The steps of fn applied along names, leftmost innermost."""
+    steps = [names[0]]
     for name in names[1:]:
-        node = BApp(fn.name, (node, BVar(name)))
-    return node
+        steps += [name, (fn.name, 2)]
+    return tuple(steps)
 
 
 def test_post_reduction_verdict_matches_per_assignment_probe():
@@ -125,7 +124,7 @@ def test_post_reduction_verdict_matches_per_assignment_probe():
     psi = psis[-1]
     for needed, expected in (("lmnop", True), ("klmnop", False)):
         others = [c for c in "abcdefghijklmnop" if c not in needed]
-        phi = BFormula(functions, BApp("andnot", (_chain(and2, needed), _chain(or2, others))))
+        phi = BFormula(functions, _chain(and2, needed) + _chain(or2, others) + (("andnot", 2),))
         assert _reference_fixed_negative((ANDNOT,), psi, phi, SizeMeasure.LITERALS) == expected
         result = reduce_unsat_to_mee_post((ANDNOT,), psi, phi, SizeMeasure.LITERALS)
         assert result.fixed_negative == expected
@@ -191,18 +190,18 @@ MAJ = BoolFunction(
 
 
 def _and_or_parts():
-    f_and = BFormula((AND2,), BApp("and2", (BVar("x"), BVar("y"))))
-    f_or = BFormula((ORT,), BApp("orT", (BVar("x"), BVar("y"), BVar("t"))))
+    f_and = BFormula((AND2,), ("x", "y", ("and2", 2)))
+    f_or = BFormula((ORT,), ("x", "y", "t", ("orT", 3)))
     return f_and, f_or
 
 
 def test_and_or_gadget_equal_case():
     f_and, f_or = _and_or_parts()
-    h = BFormula((AND2, ORT), BVar("x"))
+    h = BFormula((AND2, ORT), ("x",))
     gadget, l = build_and_or_gadget(f_and, f_or, h, h, 3)
     # with H1 == H2 the gadget collapses to t and H1
     t_name = next(n for n in gadget.var_names if n.startswith("t"))
-    t_and_h = BFormula((AND2,), BApp("and2", (BVar("x"), BVar(t_name))))
+    t_and_h = BFormula((AND2,), ("x", t_name, ("and2", 2)))
     assert equivalent(gadget, t_and_h)
     found = brute_min_bformula((AND2, ORT), gadget, SizeMeasure.GATES, min(7, l))
     assert found is not None and found[0] <= l
@@ -210,8 +209,8 @@ def test_and_or_gadget_equal_case():
 
 def test_and_or_gadget_unequal_case():
     f_and, f_or = _and_or_parts()
-    h1 = BFormula((AND2, ORT), BVar("x"))
-    h2 = BFormula((AND2, ORT), BVar("y"))
+    h1 = BFormula((AND2, ORT), ("x",))
+    h2 = BFormula((AND2, ORT), ("y",))
     gadget, l = build_and_or_gadget(f_and, f_or, h1, h2, 3)
     # all z variables are relevant, so nothing within l gates is equivalent
     zs = [n for n in gadget.var_names if n.startswith("z")]
@@ -233,11 +232,9 @@ def test_and_or_gadget_unequal_case():
 
 def test_and_or_gadget_contract_check():
     f_and, f_or = _and_or_parts()
-    h = BFormula((AND2, ORT), BVar("x"))
+    h = BFormula((AND2, ORT), ("x",))
     # an f_or that computes a conjunction fails the f_or(x, y, 1) = x|y check
-    broken_or = BFormula(
-        (AND2,), BApp("and2", (BVar("x"), BApp("and2", (BVar("y"), BVar("t")))))
-    )
+    broken_or = BFormula((AND2,), ("x", "y", "t", ("and2", 2), ("and2", 2)))
     with pytest.raises(ValueError):
         build_and_or_gadget(f_and, broken_or, h, h, 3)
     # a three-variable f_and is rejected outright
@@ -248,21 +245,18 @@ def test_and_or_gadget_contract_check():
 
 
 def test_maj_gadget_cases():
-    f_maj = BFormula((MAJ,), BApp("maj", (BVar("x"), BVar("y"), BVar("z"))))
-    h1 = BFormula((MAJ,), BVar("a"))
+    f_maj = BFormula((MAJ,), ("x", "y", "z", ("maj", 3)))
+    h1 = BFormula((MAJ,), ("a",))
     gadget, l = build_maj_gadget(f_maj, h1, h1, 3)
     # H1 == H2: equivalent to the core V(f, E(H1,H2,f), t)
     fname = next(n for n in gadget.var_names if n.startswith("f"))
     tname = next(n for n in gadget.var_names if n.startswith("t"))
-    core = BFormula(
-        (MAJ,),
-        BApp("maj", (BVar(fname), BApp("maj", (BVar("a"), BVar("a"), BVar(fname))), BVar(tname))),
-    )
+    core = BFormula((MAJ,), (fname, "a", "a", fname, ("maj", 3), tname, ("maj", 3)))
     assert equivalent(gadget, core)
     found = brute_min_bformula((MAJ,), gadget, SizeMeasure.GATES, min(7, l))
     assert found is not None and found[0] <= l
 
-    h2 = BFormula((MAJ,), BVar("b"))
+    h2 = BFormula((MAJ,), ("b",))
     gadget, l = build_maj_gadget(f_maj, h1, h2, 3)
     found = brute_min_bformula((MAJ,), gadget, SizeMeasure.GATES, min(7, l))
     assert found is None
@@ -276,9 +270,9 @@ def test_arg_order_is_left_to_right():
 
 def test_maj_gadget_case_table():
     # the four (t, f) cases from the construction
-    f_maj = BFormula((MAJ,), BApp("maj", (BVar("x"), BVar("y"), BVar("z"))))
-    h1 = BFormula((MAJ,), BVar("a"))
-    h2 = BFormula((MAJ,), BVar("b"))
+    f_maj = BFormula((MAJ,), ("x", "y", "z", ("maj", 3)))
+    h1 = BFormula((MAJ,), ("a",))
+    h2 = BFormula((MAJ,), ("b",))
     gadget, _ = build_maj_gadget(f_maj, h1, h2, 3)
     fname = next(n for n in gadget.var_names if n.startswith("f"))
     tname = next(n for n in gadget.var_names if n.startswith("t"))

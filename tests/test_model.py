@@ -11,10 +11,8 @@ import boolmin
 from boolmin.errors import FormatError, ResourceLimitError
 from boolmin.formats import parse_bformula, serialize_bformula
 from boolmin.model import (
-    BApp,
     BFormula,
     BoolFunction,
-    BVar,
     CnfFormula,
     ConstraintLanguage,
     Relation,
@@ -39,9 +37,9 @@ def bf(*funcs):
 
 def test_eval_or_empty_and_idempotent_cases():
     or2 = fn_or(2)
-    f = BFormula(bf(or2), BApp("or2", (BVar("x"), BVar("y"))))
+    f = BFormula(bf(or2), ("x", "y", ("or2", 2)))
     assert f.mask({"x": 0, "y": 0}, 1) == 0
-    g = BFormula(bf(or2), BApp("or2", (BVar("x"), BVar("x"))))
+    g = BFormula(bf(or2), ("x", "x", ("or2", 2)))
     assert g.mask({"x": 1}, 1) == 1
 
 
@@ -137,9 +135,9 @@ def test_equivalence_is_equivalence_relation(t9):
 
 def test_equivalence_cap():
     or2 = fn_or(2)
-    wide = BApp("or2", (BVar("a0"), BVar("a1")))
+    wide = ["a0", "a1", ("or2", 2)]
     for i in range(2, 30):
-        wide = BApp("or2", (wide, BVar(f"a{i}")))
+        wide += [f"a{i}", ("or2", 2)]
     f = BFormula(bf(or2), wide)
     with pytest.raises(ResourceLimitError):
         equivalent(f, f)
@@ -154,7 +152,7 @@ def test_satisfiable(t9):
     assert not satisfiable(unsat)
     assert satisfiable(CnfFormula(t9, ("x", "y"), (("or2", (0, 1)),)))
     xor2 = fn_xor(2)
-    assert not satisfiable(BFormula(bf(xor2), BApp("xor2", (BVar("x"), BVar("x")))))
+    assert not satisfiable(BFormula(bf(xor2), ("x", "x", ("xor2", 2))))
 
 
 def test_dualize_and_involution():
@@ -189,7 +187,7 @@ def test_dual_eval_identity_cnf(t9):
 
 def test_dual_bformula():
     or2, and2 = fn_or(2), fn_and(2)
-    f = BFormula(bf(or2, and2), BApp("or2", (BVar("x"), BApp("and2", (BVar("y"), BVar("z"))))))
+    f = BFormula(bf(or2, and2), ("x", "y", "z", ("and2", 2), ("or2", 2)))
     d = f.dual()
     for bits in all_assignments(3):
         values = dict(zip(f.var_names, bits))
@@ -200,11 +198,43 @@ def test_dual_bformula():
 
 def test_size_measures():
     or2 = fn_or(2)
-    f = BFormula(bf(or2), BApp("or2", (BVar("x"), BApp("or2", (BVar("x"), BVar("y"))))))
+    f = BFormula(bf(or2), ("x", "x", "y", ("or2", 2), ("or2", 2)))
     assert formula_size(f, SizeMeasure.LITERALS) == 3
     assert formula_size(f, SizeMeasure.GATES) == 2
     with pytest.raises(FormatError):
         formula_size(f, SizeMeasure.CLAUSES)
+
+
+def test_steps_constructor_takes_a_sequence_of_steps():
+    or2 = fn_or(2)
+    f = BFormula(bf(or2), ["x", "y", ("or2", 2)])
+    assert f.steps == ("x", "y", ("or2", 2)) and type(f.steps) is tuple
+    assert f == parse_bformula("(or2 x y)", bf(or2))
+
+
+def _malformed(step):
+    return f"malformed step {step!r}: expected a variable name or a (function, count) tuple"
+
+
+@pytest.mark.parametrize("steps, message", [
+    ((), "empty B-formula"),
+    ("x", "steps 'x': expected a sequence of steps, not a string"),
+    (("x", "y", ["or2", 2]), _malformed(["or2", 2])),  # a list is not hashable
+    (("x", "y", ("or2",)), _malformed(("or2",))),
+    (("x", "y", ("or2", 2, 0)), _malformed(("or2", 2, 0))),
+    (("x", "y", (2, 2)), _malformed((2, 2))),
+    (("x", "y", ("or2", "2")), _malformed(("or2", "2"))),
+    (("x", None), _malformed(None)),
+    (("x", ("or2", -1)), "function or2: negative argument count -1"),
+    (("x", ("or2", 2)), "function or2: 2 arguments, but 1 values computed"),
+    ((("or2", 1), "x"), "function or2: 1 arguments, but 0 values computed"),
+    (("x", "y"), "steps leave 2 values, not one"),
+    (("x", "y", ("or2", 2), "z", "u"), "steps leave 3 values, not one"),
+])
+def test_steps_constructor_rejects_each_fault(steps, message):
+    # steps from a caller can be malformed in ways a parsed text cannot
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        BFormula(bf(fn_or(2)), steps)
 
 
 def test_relation_validation():
@@ -232,7 +262,7 @@ def fresh():
     for name in [m for m in sys.modules if m.split(".")[0] == "boolmin"]:
         del sys.modules[name]
     return importlib.import_module("boolmin.model")
-first = weakref.ref(fresh().BVar)
+first = weakref.ref(fresh().BFormula)
 fresh()
 fresh()
 gc.collect()
@@ -260,14 +290,14 @@ def test_pinned_mask_conventions(t9):
 def test_deep_chain_without_recursion():
     or2 = fn_or(2)
 
-    def chain(last: str) -> BApp:
-        root = BVar("x")
+    def chain(last: str) -> tuple:
+        root = "x"
         for i in range(5000):
-            root = BApp("or2", (root, BVar("y" if i % 2 else "z")))
-        return BApp("or2", (root, BVar(last)))
+            root = ("or2", (root, "y" if i % 2 else "z"))
+        return ("or2", (root, last))
 
-    f = BFormula(bf(or2), chain("x"))
-    assert list(f.steps) == tree_steps(chain("x"))
+    f = BFormula(bf(or2), tree_steps(chain("x")))
+    assert f.steps[:4] == ("x", "z", ("or2", 2), "y") and f.steps[-2:] == ("x", ("or2", 2))
     assert f.var_names == ("x", "y", "z")
     assert f.mask({"x": 0, "y": 0, "z": 1}, 1) == 1
     assert f.mask({"x": 0, "y": 0, "z": 0}, 1) == 0
@@ -277,12 +307,12 @@ def test_deep_chain_without_recursion():
     assert f.dual().dual() == f
     assert formula_size(f, SizeMeasure.LITERALS) == 5002
     assert formula_size(f, SizeMeasure.GATES) == 5001
-    swapped = substitute(f.root, {"z": BVar("w"), "x": BApp("or2", (BVar("u"), BVar("v")))})
+    swapped = substitute(f.steps, {"z": ("w",), "x": ("u", "v", ("or2", 2))})
     assert BFormula(bf(or2), swapped).var_names == ("u", "v", "w", "y")
     assert formula_size(BFormula(bf(or2), swapped), SizeMeasure.LITERALS) == 5004
-    twin = chain("x")
-    assert twin is not f.root and twin == f.root and hash(twin) == hash(f.root)
-    assert chain("y") != f.root
+    twin = BFormula(bf(or2), tree_steps(chain("x")))
+    assert twin is not f and twin == f and hash(twin) == hash(f)
+    assert BFormula(bf(or2), tree_steps(chain("y"))) != f
     assert_steps(f)
     assert_steps(parse_bformula(serialize_bformula(f), bf(or2)))
     assert_steps(f.dual())
@@ -301,7 +331,7 @@ def test_postorder_and_trusted_formulas():
         bf(fn_xor(2), fn_xor(3, 1)),
         bf(fn_or(2), fn_not(), fn_const(1, "one")),
     ]
-    leaves = [BFormula(bases[2], BVar("x")), BFormula(bases[2], BApp("one", ()))]
+    leaves = [BFormula(bases[2], ("x",)), BFormula(bases[2], (("one", 0),))]
     formulas = leaves + [
         random_bformula(rng.choice(bases), rng, rng.randint(1, 20)) for _ in range(200)
     ]
@@ -318,40 +348,48 @@ def test_postorder_and_trusted_formulas():
                 assert formula_size(trusted, measure) == formula_size(g, measure)
             names = f.var_names
             assert truth_table(trusted, names) == truth_table(g, names)
-        steps = tree_steps(f.root)
+        tree = _tree_of(f.steps)
+        steps = tree_steps(tree)
         leaves = sum(isinstance(step, str) for step in steps)
         assert formula_size(f, SizeMeasure.LITERALS) == leaves
         assert formula_size(f, SizeMeasure.GATES) == len(steps) - leaves
-        # dual maps the steps; substitute builds its tree from them
+        # dual maps the steps; substitute splices them
         d = f.dual()
         assert_steps(d)
         assert_steps(d.dual())
         assert d.dual() == f
-        mapping = {"x": f.root, "y": BVar("w")}
-        assert substitute(f.root, mapping) == _substitute_reference(f.root, mapping)
+        spliced = substitute(f.steps, {"x": f.steps, "y": ("w",)})
+        expected = _substitute_reference(tree, {"x": tree, "y": "w"})
+        assert list(spliced) == tree_steps(expected)
+        assert_steps(BFormula(f.functions, spliced))
 
 
-def _random_tree(basis, rng, depth):
-    """A random tree over basis whose leaves are variables or constants."""
-    if depth == 0 or rng.random() < 0.3:
-        consts = [f for f in basis if f.arity == 0]
-        if consts and rng.random() < 0.3:
-            return BApp(rng.choice(consts).name, ())
-        return BVar(rng.choice("xyzuv"))
-    f = rng.choice([f for f in basis if f.arity > 0])
-    return BApp(f.name, tuple(_random_tree(basis, rng, depth - 1) for _ in range(f.arity)))
+def _tree_of(steps):
+    """The nested-tuple tree of post-order steps: a variable's name, or a
+    `(func, args)` pair."""
+    out = []
+    for step in steps:
+        if isinstance(step, str):
+            out.append(step)
+        else:
+            func, arity = step
+            args = tuple(out[len(out) - arity:])
+            del out[len(out) - arity:]
+            out.append((func, args))
+    return out[0]
 
 
 def _reference_text(node) -> str:
-    if isinstance(node, BVar):
-        return node.name
-    return "(" + " ".join([node.func] + [_reference_text(a) for a in node.args]) + ")"
+    if isinstance(node, str):
+        return node
+    func, args = node
+    return "(" + " ".join([func] + [_reference_text(a) for a in args]) + ")"
 
 
 def test_step_form_agrees_across_builders():
     # the parser, the validating constructor, _trusted, a double dual and a
-    # serialize/parse round trip give the same steps and the same formula,
-    # and the root built from the steps is the original tree
+    # serialize/parse round trip give the same steps and the same formula:
+    # the reference post-order of the tree
     rng = random.Random(97)
     bases = [
         bf(fn_or(2), fn_xor(3), fn_not(), fn_const(0, "zero"), fn_const(1, "one")),
@@ -361,7 +399,7 @@ def test_step_form_agrees_across_builders():
     for _ in range(500):
         basis = rng.choice(bases)
         tree = _random_tree(basis, rng, rng.randint(0, 5))
-        built = BFormula(basis, tree)
+        built = BFormula(basis, tree_steps(tree))
         variants = [
             parse_bformula(_reference_text(tree), basis),
             built,
@@ -373,15 +411,15 @@ def test_step_form_agrees_across_builders():
         for g in variants:
             assert g.steps == built.steps
             assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
-            assert g.root == tree and hash(g.root) == hash(tree)
             assert_steps(g)
         assert pickle.loads(pickle.dumps(built)) == built
 
 
 def _substitute_reference(node, mapping):
-    if isinstance(node, BVar):
-        return mapping.get(node.name, node)
-    return BApp(node.func, tuple(_substitute_reference(a, mapping) for a in node.args))
+    if isinstance(node, str):
+        return mapping.get(node, node)
+    func, args = node
+    return (func, tuple(_substitute_reference(a, mapping) for a in args))
 
 
 # --- the mask kernel against pointwise evaluation by definition --------------
@@ -394,9 +432,10 @@ def _ref_cnf(f: CnfFormula, bits) -> int:
 
 
 def _ref_node(node, funcs, values) -> int:
-    if isinstance(node, BVar):
-        return values[node.name]
-    return funcs[node.func].value([_ref_node(a, funcs, values) for a in node.args])
+    if isinstance(node, str):
+        return values[node]
+    func, args = node
+    return funcs[func].value([_ref_node(a, funcs, values) for a in args])
 
 
 def _ref_table(rows) -> int:
@@ -428,9 +467,9 @@ def test_cnf_kernel_matches_pointwise(t9, bijunctive_full, affine_lang):
 def _random_tree(basis, rng, depth):
     usable = [f for f in basis if depth > 0 or f.arity == 0]
     if not usable or rng.random() < 0.25:
-        return BVar(rng.choice("abcde"))
+        return rng.choice("abcde")
     f = rng.choice(usable)
-    return BApp(f.name, tuple(_random_tree(basis, rng, depth - 1) for _ in range(f.arity)))
+    return (f.name, tuple(_random_tree(basis, rng, depth - 1) for _ in range(f.arity)))
 
 
 def test_bformula_kernel_matches_pointwise():
@@ -449,16 +488,17 @@ def test_bformula_kernel_matches_pointwise():
         fn_xor(3),
     )
     for _ in range(150):
-        f = BFormula(basis, _random_tree(basis, rng, rng.randint(0, 5)))
+        tree = _random_tree(basis, rng, rng.randint(0, 5))
+        f = BFormula(basis, tree_steps(tree))
         names = tuple(sorted(set(f.var_names) | {"e"}))
-        rows = [_ref_node(f.root, f.by_name, dict(zip(names, bits)))
+        rows = [_ref_node(tree, f.by_name, dict(zip(names, bits)))
                 for bits in all_assignments(len(names))]
         assert truth_table(f, names) == _ref_table(rows)
         assert [f.mask(dict(zip(names, bits)), 1) for bits in all_assignments(len(names))] == rows
         assert satisfiable(f) == any(rows)
-        g = BFormula(basis, BApp("not", (BApp("not", (f.root,)),)))
+        g = BFormula(basis, f.steps + (("not", 1), ("not", 1)))
         assert equivalent(f, g)
-        assert not equivalent(f, BFormula(basis, BApp("not", (f.root,))))
+        assert not equivalent(f, BFormula(basis, f.steps + (("not", 1),)))
 
 
 def test_equivalence_at_twenty_variables(t9):

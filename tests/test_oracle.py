@@ -5,10 +5,8 @@ import pytest
 
 from boolmin.errors import FormatError, ResourceLimitError
 from boolmin.model import (
-    BApp,
     BFormula,
     BoolFunction,
-    BVar,
     CnfFormula,
     ConstraintLanguage,
     Relation,
@@ -40,7 +38,7 @@ from boolmin.std import (
 )
 from boolmin.formats import parse_bformula, serialize_bformula
 
-from conftest import random_cnf
+from conftest import random_cnf, tree_steps
 
 
 def test_brute_min_cnf_duplicate_clause(t9):
@@ -104,7 +102,7 @@ def test_brute_min_bformula_small_bounds():
     k = BoolFunction("k", 0, (1,))
     phi = parse_bformula("(or2 x (k))", (fn_or(2), k))
     assert brute_min_bformula(phi.functions, phi, SizeMeasure.LITERALS, 0) == (
-        0, BFormula(phi.functions, BApp("k", ())),
+        0, BFormula(phi.functions, (("k", 0),)),
     )
     for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
         with pytest.raises(FormatError):
@@ -162,10 +160,11 @@ def test_min_unsat_is_unsatisfiable(t9):
 
 
 def _reference_levels_by_literals(basis, var_masks, full, bound):
-    """levels[s] maps truth-table mask -> some tree with exactly s leaves."""
+    """levels[s] maps truth-table mask -> some tree with exactly s leaves,
+    as a nested tuple: a variable's name, or a `(func, args)` pair."""
     levels = {s: {} for s in range(bound + 1)}
     if bound >= 1:
-        levels[1] = {mask: BVar(name) for name, mask in var_masks.items()}
+        levels[1] = {mask: name for name, mask in var_masks.items()}
     # constant applications add size-0 subtrees and unary/constant feedback
     # within a level, so iterate to a fixpoint
     changed = True
@@ -186,10 +185,11 @@ def _reference_levels_by_literals(basis, var_masks, full, bound):
 
 
 def _reference_levels_by_gates(basis, var_masks, full, bound):
-    """levels[g] maps truth-table mask -> some tree with exactly g gates."""
+    """levels[g] maps truth-table mask -> some tree with exactly g gates,
+    as a nested tuple."""
     levels = {g: {} for g in range(bound + 1)}
     for name, mask in var_masks.items():
-        levels[0][mask] = BVar(name)
+        levels[0][mask] = name
     for g in range(1, bound + 1):
         level = levels[g]
         for f in basis:
@@ -202,7 +202,7 @@ def _reference_levels_by_gates(basis, var_masks, full, bound):
 
 
 def _reference_app(f, levels, split, combo):
-    return BApp(f.name, tuple(levels[s][m] for s, m in zip(split, combo)))
+    return (f.name, tuple(levels[s][m] for s, m in zip(split, combo)))
 
 
 def _reference_min_bformula(basis, formula, measure, bound):
@@ -221,7 +221,7 @@ def _reference_min_bformula(basis, formula, measure, bound):
         levels = _reference_levels_by_gates(basis, var_masks, full, bound)
     for size in sorted(levels):
         if target in levels[size]:
-            return size, BFormula(basis, levels[size][target])
+            return size, BFormula(basis, tree_steps(levels[size][target]))
     return None
 
 
@@ -236,11 +236,11 @@ def _random_basis(rng, prefix):
 
 def _random_tree(basis, rng, depth, pool):
     """A variable or an application (a constant among them), at most `depth`
-    applications deep."""
+    applications deep, as a nested tuple."""
     if depth == 0 or rng.random() < 0.3:
-        return BVar(rng.choice(pool))
+        return rng.choice(pool)
     f = rng.choice(basis)
-    return BApp(f.name, tuple(_random_tree(basis, rng, depth - 1, pool) for _ in range(f.arity)))
+    return (f.name, tuple(_random_tree(basis, rng, depth - 1, pool) for _ in range(f.arity)))
 
 
 def test_least_size_search_matches_level_builders():
@@ -258,7 +258,7 @@ def test_least_size_search_matches_level_builders():
         own = basis if rng.random() < 0.5 else _random_basis(rng, "g")
         if not any(f.arity for f in own):
             own += (fn_or(2),)
-        phi = BFormula(own, _random_tree(own, rng, 3, "xy"[: rng.randint(1, 2)]))
+        phi = BFormula(own, tree_steps(_random_tree(own, rng, 3, "xy"[: rng.randint(1, 2)])))
         measure = rng.choice((SizeMeasure.LITERALS, SizeMeasure.GATES))
         # a ternary function at bound 5 costs the reference up to 1.5 s
         bound = rng.randint(3, 4 if any(f.arity == 3 for f in basis) else 5)

@@ -11,10 +11,8 @@ from boolmin.classify import FunctionShape, classify_basis, function_shape
 from boolmin.errors import ClassificationError, FormatError
 from boolmin.formats import parse_bformula, serialize_bformula
 from boolmin.model import (
-    BApp,
     BFormula,
     BoolFunction,
-    BVar,
     SizeMeasure,
     all_assignments,
     dualize,
@@ -138,7 +136,7 @@ def test_min_post_with_constants():
 
 def test_min_post_rejects_mixed_basis():
     with pytest.raises(ClassificationError):
-        min_post((fn_and(2), fn_xor(2)), BFormula((fn_and(2), fn_xor(2)), BVar("x")), SizeMeasure.LITERALS)
+        min_post((fn_and(2), fn_xor(2)), BFormula((fn_and(2), fn_xor(2)), ("x",)), SizeMeasure.LITERALS)
 
 
 def test_min_post_unreachable_target():
@@ -261,14 +259,14 @@ def test_reach_table_dominates_unrestricted_closure():
 
 def balanced_or_tree(leaves):
     """Group a level into or3 gates (or2 where a pair is left) until one
-    root remains."""
+    root remains; leaves and result are post-order steps."""
     level = list(leaves)
     while len(level) > 1:
         nxt = []
         while level:
             k = 2 if len(level) in (2, 4) else min(3, len(level))
             group, level = level[:k], level[k:]
-            nxt.append(group[0] if k == 1 else BApp(f"or{k}", tuple(group)))
+            nxt.append(group[0] if k == 1 else sum(group, ()) + ((f"or{k}", k),))
         level = nxt
     return level[0]
 
@@ -277,7 +275,7 @@ def test_min_post_deep_witness():
     n = 3000
     basis = (fn_or(2), fn_or(3))
     names = [f"x{i}" for i in range(n)]
-    phi = BFormula(basis, balanced_or_tree(BVar(v) for v in names))
+    phi = BFormula(basis, balanced_or_tree((v,) for v in names))
     for measure, expected in (
         (SizeMeasure.LITERALS, n),
         (SizeMeasure.GATES, gate_lower_bound(n, 3)),
@@ -331,10 +329,10 @@ def test_min_post_dummy_argument_chain():
     # of the 2D (l, n) space
     f = BoolFunction("f", 3, tuple(int(a or b) for a, b, _ in all_assignments(3)))
     for n in (100, 2000):
-        node = BVar("x0")
+        steps = ["x0"]
         for i in range(1, n):
-            node = BApp("f", (node, BVar(f"x{i}"), BVar("x0")))
-        phi = BFormula((f,), node)
+            steps += [f"x{i}", "x0", ("f", 3)]
+        phi = BFormula((f,), steps)
         # g gates of f hold 2g + 1 leaves, so the literal minimum is 2(n - 1) + 1
         for measure, expected in ((SizeMeasure.GATES, n - 1), (SizeMeasure.LITERALS, 2 * n - 1)):
             size, witness, stats = min_post((f,), phi, measure)
@@ -380,7 +378,7 @@ def full_table_reference(basis, formula, measure):
         set(formula.var_names), shapes,
     )
     witness = BFormula._trusted(basis, steps)
-    assert BFormula(basis, witness.root).steps == steps
+    assert BFormula(basis, steps).steps == steps
     return (size, witness, PostStats(measure, size, state, len(table.states))), table
 
 
@@ -405,8 +403,8 @@ def random_post_formula(basis, rng, leaves):
     when it has one: the leaf name "#f" stands for the constant f."""
     consts = [f.name for f in basis if f.arity == 0]
     pool = ["x", "y", "u", "v"] * len(consts) + [f"#{c}" for c in consts] or "xyuv"
-    root = random_btree(basis, rng, leaves, pool)
-    return BFormula(basis, substitute(root, {f"#{c}": BApp(c, ()) for c in consts}))
+    steps = random_btree(basis, rng, leaves, pool)
+    return BFormula(basis, substitute(steps, {f"#{c}": ((c, 0),) for c in consts}))
 
 
 def test_min_post_matches_full_table_reference(monkeypatch):
@@ -441,7 +439,7 @@ def test_min_post_matches_full_table_reference(monkeypatch):
 
 def test_min_post_witness_postorder():
     # the witness comes with the steps its output walk wrote, and is the
-    # formula that validating its tree gives
+    # formula that validating those steps gives
     rng = random.Random(83)
     witnesses = 0
     for _ in range(300):
@@ -453,7 +451,7 @@ def test_min_post_witness_postorder():
                 continue
             witness = got[1]
             assert_steps(witness)
-            validated = BFormula(basis, witness.root)
+            validated = BFormula(basis, witness.steps)
             assert witness == validated and hash(witness) == hash(validated)
             assert witness.var_names == validated.var_names
             assert formula_size(witness, measure) == got[0]
@@ -463,7 +461,7 @@ def test_min_post_witness_postorder():
 
 def test_min_post_duplicate_basis_names():
     basis = (fn_or(2), fn_or(2))
-    phi = BFormula(basis[:1], BApp("or2", (BVar("x"), BVar("y"))))
+    phi = BFormula(basis[:1], ("x", "y", ("or2", 2)))
     with pytest.raises(FormatError, match="duplicate function names in basis"):
         min_post(basis, phi, SizeMeasure.LITERALS)
 
@@ -588,13 +586,13 @@ def test_min_post_matches_grouped_table_reference(monkeypatch):
 def packed_tree(basis, leaves):
     """Group each level into gates of the basis's widest arity (a leftover
     group takes the gate of its size, or moves up alone) until one root
-    remains."""
+    remains; leaves and result are post-order steps."""
     gates = {f.arity: f.name for f in basis}
     level = list(leaves)
     while len(level) > 1:
         width = max(gates)
         groups = [level[i:i + width] for i in range(0, len(level), width)]
-        level = [g[0] if len(g) == 1 else BApp(gates[len(g)], tuple(g)) for g in groups]
+        level = [g[0] if len(g) == 1 else sum(g, ()) + ((gates[len(g)], len(g)),) for g in groups]
     return level[0]
 
 
@@ -604,7 +602,7 @@ def test_min_post_stops_before_the_full_table(basis, measure):
     # 96 leaves over x0..x11, each variable an odd number of times, so that
     # all twelve stay relevant under XOR too
     labels = [i % 12 for i in range(84)] + [i // 2 for i in range(12)]
-    phi = BFormula(basis, packed_tree(basis, (BVar(f"x{i}") for i in labels)))
+    phi = BFormula(basis, packed_tree(basis, ((f"x{i}",) for i in labels)))
     size, witness, stats = min_post(basis, phi, measure)
     want, full = full_table_reference(basis, phi, measure)
     assert (size, serialize_bformula(witness), stats.tuple) == (
