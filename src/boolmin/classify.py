@@ -101,20 +101,15 @@ class FunctionShape:
     relevant: frozenset[int]
     zero_value: int
 
-    def dual(self, one_value: int) -> "FunctionShape":
-        """The shape of the dual function, given this function's value at the
-        all-one assignment: OR and AND swap places, the rest stays."""
-        return FunctionShape(
-            self.and_function, self.or_function, self.xor_function, self.relevant, 1 ^ one_value
-        )
 
-
+@lru_cache(maxsize=None)
 def function_shape(f: BoolFunction) -> FunctionShape:
     """Detect OR/AND/XOR shape by comparing the table mask with the OR, the
     AND and the parity of the relevant variables' columns.
 
     Variable i is relevant iff negating it changes the table.  Constants have
-    all three shapes.
+    all three shapes.  Memoized by function value: equal functions share one
+    shape.
     """
     n = f.arity
     mask = bits(code for code, value in enumerate(f.table) if value)
@@ -132,11 +127,9 @@ def function_shape(f: BoolFunction) -> FunctionShape:
     )
 
 
-def classify_basis(funcs, shapes: list[FunctionShape] | None = None) -> str:
-    """P-or / P-and / P-xor when all members share a shape, else coNP-hard.
-    `shapes` holds the members' shapes if the caller already has them."""
-    if shapes is None:
-        shapes = [function_shape(f) for f in funcs]
+def classify_basis(funcs) -> str:
+    """P-or / P-and / P-xor when all members share a shape, else coNP-hard."""
+    shapes = [function_shape(f) for f in funcs]
     if not shapes:
         raise ValueError("basis must be nonempty")
     if all(s.xor_function for s in shapes):

@@ -300,15 +300,6 @@ def serialize_cnf_formula(formula: CnfFormula, language_path: str | None = None)
     return "\n".join(lines) + "\n"
 
 
-def serialize_function(f: BoolFunction) -> str:
-    bits = "".join(str(b) for b in f.table)
-    return f"function {f.name} arity {f.arity} table {bits}\n"
-
-
-def serialize_functions(funcs: tuple[BoolFunction, ...]) -> str:
-    return "".join(serialize_function(f) for f in funcs)
-
-
 def serialize_bformula(formula: BFormula) -> str:
     """`(func arg ...)` text, written from the post-order steps in one pass
     without a tree.  The steps reversed are the pre-order with arguments

@@ -22,6 +22,7 @@ from .model import (
     var_mask,
 )
 from .oracle import min_unsat_formula
+from .post import max_leaves
 from .std import rel_horn_impl
 
 
@@ -43,18 +44,6 @@ def _fixed_negative(formula, measure: SizeMeasure) -> ReductionResult:
     return ReductionResult(MeeInstance(formula, 0, measure), True)
 
 
-def _max_vars_within_gate_bound(basis: tuple[BoolFunction, ...], k: int) -> int:
-    """Largest variable count of a basis-formula with at most k gates.
-
-    A tree of g gates with arities a_1..a_g has sum(a_i) - (g - 1) leaf
-    slots, maximized by using the largest arity throughout.
-    """
-    max_arity = max((f.arity for f in basis), default=0)
-    if max_arity <= 1 or k == 0:
-        return 1
-    return k * (max_arity - 1) + 1
-
-
 def reduce_unsat_to_mee_post(
     basis: tuple[BoolFunction, ...],
     psi_unsat: BFormula,
@@ -66,10 +55,7 @@ def reduce_unsat_to_mee_post(
     if satisfiable(psi_unsat):
         raise ValueError("psi_unsat must be unsatisfiable")
     k = formula_size(psi_unsat, measure)
-    if measure is SizeMeasure.LITERALS:
-        weight_cap = k
-    else:
-        weight_cap = _max_vars_within_gate_bound(basis, k)
+    weight_cap = k if measure is SizeMeasure.LITERALS else max_leaves(basis, k)
     names = formula.var_names
     weight_cap = min(weight_cap, len(names))
     for weight in range(weight_cap + 1):

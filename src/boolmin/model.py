@@ -51,9 +51,12 @@ value, not once per formula: its classification
 table and its minimum unsatisfiable formula (`oracle.min_unsat_formula`)
 are memoized by the language, and `formats.load_language` gives equal
 include-free texts one language object.  The dual language is kept on the
-language object itself, so that the dual of the dual is that object.  These
-results are shared by every caller: the report and the templates are
-read-only, and nothing writes an emitter after it is built.
+language object itself, so that the dual of the dual is that object.  In the
+same way a function's shape (`classify.function_shape`) is computed once per
+function value, so a basis parsed again, or dualized for `post.min_post`'s
+AND route, reads the shapes already computed.  These results are shared by
+every caller: the report, the templates and the shapes are read-only, and
+nothing writes an emitter after it is built.
 """
 from __future__ import annotations
 
@@ -281,11 +284,6 @@ def var_mask(i: int, n: int) -> int:
     return mask
 
 
-def clause_mask(rel: Relation, var_ids: Sequence[int], n_vars: int) -> int:
-    """Solution bitmask of a single clause over an n-variable assignment space."""
-    return rel.mask_op([var_mask(v, n_vars) for v in var_ids], (1 << (1 << n_vars)) - 1)
-
-
 # op(masks, full) -> mask: a function applied pointwise to argument masks
 MaskOp = Callable[[Sequence[int], int], int]
 
@@ -345,17 +343,12 @@ class BoolFunction:
     def __post_init__(self):
         if self.arity < 0:
             raise FormatError(f"function {self.name}: negative arity")
-        if len(self.table) != 1 << self.arity:
-            raise FormatError(
-                f"function {self.name}: table length {len(self.table)} != 2^{self.arity}"
-            )
+        size = len(self.table)
+        # compares without building 2^arity, which a huge arity cannot afford
+        if self.arity != size.bit_length() - 1 or size & (size - 1):
+            raise FormatError(f"function {self.name}: table length {size} != 2^{self.arity}")
         if any(b not in (0, 1) for b in self.table):
             raise FormatError(f"function {self.name}: table entries must be bits")
-
-    def value(self, args: Sequence[int]) -> int:
-        if len(args) != self.arity:
-            raise FormatError(f"function {self.name}: expected {self.arity} arguments")
-        return self.table[tuple_to_code(args)]
 
     @cached_property
     def mask_op(self) -> MaskOp:

@@ -56,7 +56,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from itertools import count
 
-from .classify import FunctionShape, classify_basis, function_shape
+from .classify import classify_basis, function_shape
 from .errors import ClassificationError
 from .model import BFormula, BoolFunction, SizeMeasure, Step, _validate
 
@@ -80,18 +80,27 @@ def _compose(host: State, guest: State, relevant: bool, xor: bool) -> State:
     return (0, l + guest[1] - 1, n)
 
 
-def relevant_variables(
-    formula: BFormula, cls: str, shapes: list[FunctionShape] | None = None
-) -> tuple[frozenset[str], int]:
+def max_leaves(basis: tuple[BoolFunction, ...], k: int) -> int:
+    """Largest leaf count of a basis-formula with at most k gates, and so
+    the largest count of its variables.
+
+    A tree of g gates with arities a_1..a_g has sum(a_i) - (g - 1) leaf
+    slots, maximized by using the largest arity throughout.
+    """
+    max_arity = max((f.arity for f in basis), default=0)
+    if max_arity <= 1 or k == 0:
+        return 1
+    return k * (max_arity - 1) + 1
+
+
+def relevant_variables(formula: BFormula, cls: str) -> tuple[frozenset[str], int]:
     """Relevant variables by unit-vector probes, plus the constant offset.
 
     V and L probe against the all-zero baseline; E is the dual case and
-    probes against all ones.  `shapes` holds the shapes of the formula's
-    functions if the caller already has them.
+    probes against all ones.
     """
-    if shapes is None:
-        shapes = [function_shape(f) for f in formula.functions]
-    for f, shape in zip(formula.functions, shapes):
+    for f in formula.functions:
+        shape = function_shape(f)
         ok = {"V": shape.or_function, "E": shape.and_function, "L": shape.xor_function}[cls]
         if not ok:
             raise ClassificationError(f"function {f.name} is outside class {cls}")
@@ -124,7 +133,6 @@ def build_reach_table(
     cls: str,
     n_bound: int,
     gate_cap: Callable[[int, State], float],
-    shapes: list[FunctionShape],
 ) -> ReachTable:
     """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
     over compositions whose irrelevant guests are leafless, settling cells
@@ -138,7 +146,7 @@ def build_reach_table(
     the least bound given so far has settled.  A cap of g - 1 stops it at
     once.  Cells leave the heap in nondecreasing gate count, so the table
     settled up to the stop is a prefix of the full one, back-references
-    included.  `shapes` holds the basis functions' shapes."""
+    included."""
     xor = cls != "V"
     unit_arity = max((f.arity for f in basis), default=0)
     best: dict[State, int] = {}
@@ -152,8 +160,9 @@ def build_reach_table(
 
     if n_bound >= 1:
         offer((0, 1, 1), 0, ("var",))
-    for f, shape in zip(basis, shapes):
+    for f in basis:
         if f.arity <= n_bound:
+            shape = function_shape(f)
             c, l = shape.zero_value, len(shape.relevant)
             # an OR that is constant 1 has no relevant variable
             offer((1, 0, f.arity) if c and not xor else (c, l, f.arity), 1, ("fn", f.name))
@@ -218,7 +227,6 @@ def _witness(
     gate_names: Mapping[str, str],
     relevant_sorted: list[str],
     avoid: set[str],
-    shapes: list[FunctionShape],
 ) -> tuple[Step, ...]:
     """The post-order steps (see `model`) of the tree that a state's
     back-references describe, its designated (relevant) leaves named after
@@ -230,10 +238,10 @@ def _witness(
     holds each one, so a guest goes into its host's leaf in constant time and
     the host's designated and free leaf queues grow in place.  The finished
     tree is read off in post-order straight into steps, so no tree node is
-    built.  `shapes` holds the basis functions' shapes.
+    built.
     """
     cls = table.cls
-    arities = {f.name: (f.arity, shape.relevant) for f, shape in zip(basis, shapes)}
+    arities = {f.name: (f.arity, function_shape(f).relevant) for f in basis}
     leaf_ids = count()
     slot: dict[int, tuple[list, int]] = {}
     # (one-element root box, designated leaves, free leaves) per built part
@@ -337,31 +345,23 @@ def min_post(
 
     The reach table is settled only until the optimum is final (see the
     module docstring), so `reach_states` counts the cells settled by then.
-    An AND-basis runs the OR table over its dual basis.  Each function's
-    shape is computed once and handed to every step that reads it."""
-    shapes = [function_shape(f) for f in basis]
-    verdict = classify_basis(basis, shapes)
+    An AND-basis runs the OR table over its dual basis."""
+    verdict = classify_basis(basis)
     if verdict == "coNP-hard":
         raise ClassificationError(
             "basis mixes OR/AND/XOR shapes; minimization is not polynomial"
         )
     cls = {"P-or": "V", "P-and": "E", "P-xor": "L"}[verdict]
-    relevant, c_target = relevant_variables(
-        formula, cls, shapes if formula.functions == basis else None
-    )
+    relevant, c_target = relevant_variables(formula, cls)
     l_target = len(relevant)
     dp_basis = basis
     if cls == "E":
         # the formula's dual has the same relevant variables and constant 1 ^ c
         dp_basis, cls, c_target = tuple(f.dual() for f in basis), "V", 1 ^ c_target
-        shapes = [s.dual(f.table[-1]) for f, s in zip(basis, shapes)]
     steps = formula.steps
     n_phi = sum(isinstance(step, str) for step in steps)
-    g_phi = len(steps) - n_phi
     max_arity = max((f.arity for f in basis), default=0)
-    n_bound = max(n_phi, max_arity, 1)
-    if max_arity >= 2:
-        n_bound = max(n_bound, g_phi * (max_arity - 1) + 1)
+    n_bound = max(n_phi, max_arity, max_leaves(basis, len(steps) - n_phi))
     goal = (c_target, l_target, l_target)
 
     def gate_cap(g: int, s: State) -> float:
@@ -373,7 +373,7 @@ def min_post(
             return g
         return math.inf
 
-    table = build_reach_table(dp_basis, cls, n_bound, gate_cap, shapes)
+    table = build_reach_table(dp_basis, cls, n_bound, gate_cap)
 
     best: tuple[int, State] | None = None
     for (c, l, n), (g, _) in table.states.items():
@@ -387,9 +387,7 @@ def min_post(
     size, state = best
 
     gate_names = {d.name: f.name for d, f in zip(dp_basis, basis)}
-    steps = _witness(
-        state, table, dp_basis, gate_names, sorted(relevant), set(formula.var_names), shapes
-    )
+    steps = _witness(state, table, dp_basis, gate_names, sorted(relevant), set(formula.var_names))
     if len(gate_names) != len(basis):
         _validate(basis, steps)  # raises: duplicate function names
     # every gate is a basis function at its arity, and the names are unique

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from boolmin.affine import _xor_constant
-from boolmin.model import BFormula, CnfFormula, ConstraintLanguage, Relation
+from boolmin.model import BFormula, CnfFormula, ConstraintLanguage, Relation, var_mask
 from boolmin.std import (
     rel_eq,
     rel_impl,
@@ -39,6 +39,11 @@ def affine_lang():
         (rel_pos(), rel_neg(), rel_parity(2, 0, "even2"), rel_parity(2, 1, "odd2"),
          rel_parity(3, 0, "even3"), rel_parity(3, 1, "odd3"))
     )
+
+
+def clause_mask(rel: Relation, var_ids, n_vars: int) -> int:
+    """Solution bitmask of a single clause over an n-variable assignment space."""
+    return rel.mask_op([var_mask(v, n_vars) for v in var_ids], (1 << (1 << n_vars)) - 1)
 
 
 def random_cnf(lang: ConstraintLanguage, rng: random.Random, n_vars: int, n_clauses: int) -> CnfFormula:

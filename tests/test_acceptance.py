@@ -32,7 +32,6 @@ from boolmin.model import (
     Relation,
     SizeMeasure,
     all_assignments,
-    clause_mask,
     dualize,
     equivalent,
     satisfiable,
@@ -54,7 +53,13 @@ from boolmin.std import (
     rel_xor,
 )
 
-from conftest import clause_to_equation, gate_lower_bound, random_bformula, random_cnf
+from conftest import (
+    clause_mask,
+    clause_to_equation,
+    gate_lower_bound,
+    random_bformula,
+    random_cnf,
+)
 
 
 def _report(num: int, description: str, problems: list) -> None:

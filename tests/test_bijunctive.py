@@ -12,7 +12,6 @@ from boolmin.model import (
     CnfFormula,
     ConstraintLanguage,
     Relation,
-    clause_mask,
     equivalent,
     satisfiable,
     var_mask,
@@ -20,7 +19,7 @@ from boolmin.model import (
 from boolmin.oracle import brute_min_cnf, unsat_minimum
 from boolmin.std import rel_eq, rel_impl, rel_nand, rel_neg, rel_or, rel_pos, rel_xor
 
-from conftest import random_cnf
+from conftest import clause_mask, random_cnf
 
 BASE = {
     "pos": rel_pos(),

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from boolmin.classify import (
     report_lines,
 )
 from boolmin.errors import ClassificationError
+from boolmin.formats import parse_functions
 from boolmin.ihsb import min_ihsb_cnf, min_ihsb_minus_cnf
 from boolmin.model import (
     BoolFunction,
@@ -68,6 +70,35 @@ def test_closure_properties_of_standard_relations():
     assert closed_under(rel_nand(2), "min2")
 
 
+# each closure operation applied to one coordinate of k tuples
+CLOSURE_OP_DEFINITIONS = {
+    "min2": (2, min),
+    "max2": (2, max),
+    "maj3": (3, lambda a, b, c: int(a + b + c >= 2)),
+    "xor3": (3, lambda a, b, c: a ^ b ^ c),
+    "orAndMix": (3, lambda a, b, c: a | (b & c)),
+    "andOrMix": (3, lambda a, b, c: a & (b | c)),
+}
+
+
+def closed_under_reference(rel, op):
+    """The op applied coordinatewise to every k-tuple of R's tuples stays in R."""
+    k, fn = CLOSURE_OP_DEFINITIONS[op]
+    return all(tuple(map(fn, *ts)) in rel.tuples for ts in product(rel.tuples, repeat=k))
+
+
+def test_closed_under_matches_definition():
+    rels = [Relation("r", a, t) for a in (1, 2, 3) for t in _nonempty_relations(a)]
+    assert len(rels) == 273
+    rng = random.Random(4)
+    rows = list(all_assignments(4))
+    for _ in range(100):
+        rels.append(Relation("r", 4, frozenset(rng.sample(rows, rng.randint(1, len(rows))))))
+    for rel in rels:
+        for op in CLOSURE_OP_DEFINITIONS:
+            assert closed_under(rel, op) == closed_under_reference(rel, op), (op, rel.tuples)
+
+
 def test_irreducibility_examples():
     assert is_irreducible(rel_or(3))
     x_or_yz = rel_from(
@@ -79,6 +110,21 @@ def test_irreducibility_examples():
     # full unary relation decomposes into the empty conjunction
     assert not is_irreducible(rel_from("top", 1, {(0,), (1,)}))
     assert is_irreducible(rel_pos())
+
+
+def test_function_shape_is_memoized_and_read_only():
+    text = "function or2 arity 2 table 0111\nfunction and2 arity 2 table 0001\n"
+    first, second = parse_functions(text), parse_functions(text)
+    assert first[0] is not second[0] and first == second
+    for f, g in zip(first, second):
+        assert function_shape(f) is function_shape(g)
+    f = first[1]
+    assert f.dual().dual() is not f
+    assert function_shape(f.dual().dual()) is function_shape(f)
+    shape = function_shape(f)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shape.or_function = True
+    assert shape.and_function and not shape.or_function and shape.relevant == frozenset({0, 1})
 
 
 def test_function_shape_examples():
@@ -319,14 +365,6 @@ def test_function_shape_matches_reference_on_every_small_table():
             s = function_shape(f)
             got = (s.or_function, s.and_function, s.xor_function, s.relevant, s.zero_value)
             assert got == function_shape_reference(f), table
-
-
-def test_dual_shape_matches_shape_of_dual_on_every_small_table():
-    for arity in range(4):
-        for code in range(1 << (1 << arity)):
-            table = tuple((code >> row) & 1 for row in range(1 << arity))
-            f = BoolFunction("f", arity, table)
-            assert function_shape(f).dual(table[-1]) == function_shape(f.dual()), table
 
 
 def test_irreducibility_matches_reference():

@@ -399,6 +399,7 @@ def _extra_files(workdir) -> None:
         "xor.lang": "relation odd2 arity 2\n01 10\n",
         "u.cnf": "language xor.lang\nvars x\nclause odd2 x x\n",
         "an.fns": "function andnot arity 2 table 0010\n",
+        "huge.fns": "function f arity 100000000000 table 01\n",
         "psi.bf": "(andnot x x)\n",
         "target.bf": "(andnot y y)\n",
         "g.fns": "function and2 arity 2 table 0001\nfunction orT arity 3 table 00010111\n"
@@ -468,6 +469,7 @@ CONTRACT_CASES = [
      2),
     (["gen-random", "--language", "base.lang", "--vars", "0", "--clauses", "0", "--seed", "9"],
      0),
+    (["classify", "--basis", "huge.fns"], 2),
 ]
 
 _PIECE_RE = re.compile(r"\s+|[()]|[^\s()]+")

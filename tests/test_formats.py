@@ -334,15 +334,25 @@ def test_cnf_error_precedence(tmp_path, text, message):
     assert _outcome(reference_parse_cnf_formula, text, str(tmp_path)) == ("FormatError", message)
 
 
+def serialize_functions(funcs) -> str:
+    """Basis-file text: one `function NAME arity K table BITS` line each."""
+    return "".join(
+        f"function {f.name} arity {f.arity} table {''.join(map(str, f.table))}\n" for f in funcs
+    )
+
+
 def test_function_roundtrip():
     funcs = (fn_or(2), fn_xor(3))
-    text = formats.serialize_functions(funcs)
+    text = serialize_functions(funcs)
     assert formats.parse_functions(text) == funcs
 
 
 def test_function_table_length_checked():
     with pytest.raises(FormatError):
         formats.parse_functions("function f arity 2 table 011\n")
+    # a huge arity is compared without building 2^arity
+    with pytest.raises(FormatError, match=r"^function f: table length 2 != 2\^100000000000$"):
+        formats.parse_functions("function f arity 100000000000 table 01\n")
 
 
 def test_bformula_roundtrip():

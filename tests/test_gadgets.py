@@ -8,7 +8,6 @@ from boolmin.formats import parse_bformula
 from boolmin.gadgets import (
     WEIGHT_BLOCK,
     _arg_order,
-    _max_vars_within_gate_bound,
     build_and_or_gadget,
     build_maj_gadget,
     eval_dnf,
@@ -28,6 +27,7 @@ from boolmin.model import (
     satisfiable,
 )
 from boolmin.oracle import brute_min_bformula, brute_min_cnf
+from boolmin.post import max_leaves
 from boolmin.std import fn_and, fn_or, rel_parity
 
 ANDNOT = BoolFunction("andnot", 2, (0, 0, 1, 0))  # x and not y
@@ -81,7 +81,7 @@ def test_post_reduction_soundness_both_measures():
 def _reference_fixed_negative(basis, psi, formula, measure):
     """The verdict probed one assignment at a time, lightest first."""
     k = formula_size(psi, measure)
-    cap = k if measure is SizeMeasure.LITERALS else _max_vars_within_gate_bound(basis, k)
+    cap = k if measure is SizeMeasure.LITERALS else max_leaves(basis, k)
     names = formula.var_names
     for size in range(min(cap, len(names)) + 1):
         for true_vars in combinations(names, size):

@@ -18,7 +18,6 @@ from boolmin.model import (
     Relation,
     SizeMeasure,
     all_assignments,
-    clause_mask,
     dualize,
     equivalent,
     formula_size,
@@ -28,7 +27,7 @@ from boolmin.model import (
 )
 from boolmin.std import fn_and, fn_const, fn_not, fn_or, fn_xor, rel_impl
 
-from conftest import assert_steps, random_bformula, random_cnf, tree_steps
+from conftest import assert_steps, clause_mask, random_bformula, random_cnf, tree_steps
 
 
 def bf(*funcs):
@@ -249,8 +248,10 @@ def test_relation_validation():
 def test_table_bit_order():
     # table index has x1 as most significant bit
     f = BoolFunction("first", 2, (0, 0, 1, 1))  # equals x1
-    assert f.value((1, 0)) == 1
-    assert f.value((0, 1)) == 0
+    assert _ref_value(f, (1, 0)) == 1
+    assert _ref_value(f, (0, 1)) == 0
+    x1 = BFormula((f,), ("x1", "x2", ("first", 2)))
+    assert truth_table(x1, ("x1", "x2")) == 0b1100
 
 
 def test_reimport_releases_earlier_import():
@@ -431,11 +432,20 @@ def _ref_cnf(f: CnfFormula, bits) -> int:
     ))
 
 
+def _ref_value(f: BoolFunction, args) -> int:
+    """f's table entry at args, the first argument the most significant bit."""
+    assert len(args) == f.arity
+    code = 0
+    for bit in args:
+        code = 2 * code + bit
+    return f.table[code]
+
+
 def _ref_node(node, funcs, values) -> int:
     if isinstance(node, str):
         return values[node]
     func, args = node
-    return funcs[func].value([_ref_node(a, funcs, values) for a in args])
+    return _ref_value(funcs[func], [_ref_node(a, funcs, values) for a in args])
 
 
 def _ref_table(rows) -> int:

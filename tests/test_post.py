@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from boolmin import post
-from boolmin.classify import FunctionShape, classify_basis, function_shape
+from boolmin.classify import classify_basis, function_shape
 from boolmin.errors import ClassificationError, FormatError
 from boolmin.formats import parse_bformula, serialize_bformula
 from boolmin.model import (
@@ -214,8 +214,7 @@ def never_stop(g, s):
 
 
 def min_gates(basis, cls, n_bound):
-    shapes = [function_shape(f) for f in basis]
-    table = build_reach_table(basis, cls, n_bound, never_stop, shapes)
+    table = build_reach_table(basis, cls, n_bound, never_stop)
     return {s: g for s, (g, _) in table.states.items()}
 
 
@@ -361,8 +360,7 @@ def full_table_reference(basis, formula, measure):
     n_bound = max(n_phi, max_arity, 1)
     if max_arity >= 2:
         n_bound = max(n_bound, g_phi * (max_arity - 1) + 1)
-    shapes = [function_shape(f) for f in basis]
-    table = build_reach_table(basis, cls, n_bound, never_stop, shapes)
+    table = build_reach_table(basis, cls, n_bound, never_stop)
     best = None
     for (c, l, n), (g, _) in table.states.items():
         if c != c_target or not _identify_compatible(cls, l, len(relevant)):
@@ -375,7 +373,7 @@ def full_table_reference(basis, formula, measure):
     size, state = best
     steps = _witness(
         state, table, basis, {f.name: f.name for f in basis}, sorted(relevant),
-        set(formula.var_names), shapes,
+        set(formula.var_names),
     )
     witness = BFormula._trusted(basis, steps)
     assert BFormula(basis, steps).steps == steps
@@ -473,7 +471,6 @@ def grouped_table_reference(
     cls: str,
     n_bound: int,
     gate_cap: Callable[[int, State], float],
-    shapes: list[FunctionShape] | None = None,
 ) -> ReachTable:
     """Minimum gate count per (c, l, n) cell with at most n_bound leaves,
     settling cells in nondecreasing gate count (Knuth 1977).  A pair whose
@@ -484,10 +481,7 @@ def grouped_table_reference(
     the least bound given so far has settled.  A cap of g - 1 stops it at
     once.  Cells leave the heap in nondecreasing gate count, so the table
     settled up to the stop is a prefix of the full one, back-references
-    included.  `shapes` holds the basis functions' shapes if the caller
-    already has them."""
-    if shapes is None:
-        shapes = [function_shape(f) for f in basis]
+    included."""
     xor = cls != "V"
     unit_arity = max((f.arity for f in basis), default=0)
     best: dict[State, int] = {}
@@ -501,8 +495,9 @@ def grouped_table_reference(
 
     if n_bound >= 1:
         offer((0, 1, 1), 0, ("var",))
-    for f, shape in zip(basis, shapes):
+    for f in basis:
         if f.arity <= n_bound:
+            shape = function_shape(f)
             c, l = shape.zero_value, len(shape.relevant)
             # an OR that is constant 1 has no relevant variable
             offer((1, 0, f.arity) if c and not xor else (c, l, f.arity), 1, ("fn", f.name))
