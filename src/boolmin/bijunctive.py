@@ -4,11 +4,13 @@ Every irreducible binary or unary relation encodes as implications between
 literals, so a formula becomes a directed graph on the 2n literals (closed
 under contraposition).  Minimization finds the forced literals units first:
 one pass propagates the explicit units, and only the literals of the
-variables left unforced get reach sets, over the residual graph between
-them, where a literal that reaches its negation forces the other side.  It
-then collapses strongly connected classes of the free literals, pins the
-forced variables, transitive-reduces the condensation counting a
-skew-paired edge as one clause, and re-emits using the language's own
+variables left unforced are condensed, over the residual graph between
+them (`graph.condense`).  That one walk gives their reach sets, where a
+literal that reaches its negation forces the other side, their strongly
+connected classes and the transitive reduction of the condensation; the
+free literals keep the classes and reduced edges among them.  It then pins
+the forced variables, ties each class together and emits the reduced
+edges, a skew-paired edge as one clause, all in the language's own
 relations.  The construction is validated against the brute-force oracle.
 
 Both directions read one table per relation of arity <= 2: its diagonal
@@ -280,10 +282,10 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     Units first: the explicit units propagate through the literal graph in
     one linear pass, and every literal they reach is forced.  Then the
     residual: the literals of the variables left unforced, numbered densely
-    in literal order, get reach sets over the edges between them alone.  A
+    in literal order, are condensed over the edges between them alone.  A
     residual literal that reaches its negation is untenable, so its
     negation's residual reach is forced as well.  The literals still free
-    form the classes, and the reduction runs on the residual reach sets."""
+    keep the classes and reduced edges of that condensation among them."""
     g = to_literal_graph(formula)
     if g.contradictory:
         return unsat_minimum(formula)
@@ -299,11 +301,11 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     # (2k, 2k + 1) is both literals of one variable, so negation is still ^ 1
     lits = [lit for lit in range(2 * g.n) if lit_var(lit) not in forced_vars]
     dense = {lit: u for u, lit in enumerate(lits)}
-    edges = [(dense[a], dense[b]) for a, b in g.edges if a in dense and b in dense]
     succ = [[] for _ in lits]
-    for u, w in edges:
-        succ[u].append(w)
-    reach = graph.reach(succ)
+    for a, b in g.edges:
+        if a in dense and b in dense:
+            succ[dense[a]].append(dense[b])
+    reach, rep, edges = graph.condense(succ)
     failed = 0
     for u, mask in enumerate(reach):
         if mask >> negate(u) & 1:
@@ -313,11 +315,10 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
         return unsat_minimum(formula)
 
     # a free literal reaches only free or forced-true literals, so no class
-    # crosses into the forced ones
-    free = [u for u in range(len(lits)) if not failed >> (u & ~1) & 3]
-    comp = graph.components(free, reach)
-    class_of = {lits[u]: lits[c] for u, c in comp.items()}
-    reduced = [(lits[c], lits[d]) for c, d in graph.reduction(edges, comp, reach)]
+    # crosses into the forced ones, and every path between free literals
+    # stays free: the reduced edges between them are those of the free graph
+    class_of = {lits[u]: lits[rep[u]] for u in range(len(lits)) if not failed >> (u & ~1) & 3}
+    reduced = [(lits[c], lits[d]) for c, d in edges if lits[c] in class_of and lits[d] in class_of]
     return _emit(formula, forced, class_of, reduced)
 
 

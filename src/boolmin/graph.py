@@ -1,9 +1,12 @@
-"""Implication-graph kernel shared by the CNF minimizers: the nodes a set of
-sources leads to, reachability as int bitsets, strongly connected
-components, and the unique transitive reduction of the condensation.
+"""Implication-graph kernel shared by the CNF minimizers.  Nodes are 0..n-1
+and `succ[u]` lists the successors of u.  A reach set is an int whose bit v
+is set iff the node leads to v (every node leads to itself).
 
-Nodes are 0..n-1 and `succ[u]` lists the successors of u.  A reach set is an
-int whose bit v is set iff the node leads to v (every node leads to itself).
+One walk, Tarjan's (1972, iterative), yields the strongly connected
+components in close order: each after every component it reaches.  As a
+component closes, `closure` ORs labels over it and its successors, and
+`condense` sets the reach sets, `rep` (the least member of each component)
+and the transitive reduction of the condensation (Aho-Garey-Ullman 1972).
 """
 from __future__ import annotations
 
@@ -25,48 +28,6 @@ def members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def closure(succ: list[list[int]], labels: list[int]) -> list[int]:
-    """out[u] is the OR of labels[v] over every v that u leads to.
-
-    Tarjan's strongly connected components, iteratively: a component closes
-    only after every component it reaches has closed, so its value is its
-    members' labels plus its successors' finished values."""
-    n = len(succ)
-    out = list(labels)  # final for sinks, which are never visited
-    order: dict[int, int] = {}
-    low = [n] * n  # n for sinks and closed nodes: lowers nothing
-    stack: list[int] = []
-    for root in range(n):
-        if root in order or not succ[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            u, i = work.pop()
-            if i == 0:
-                order[u] = low[u] = len(order)
-                stack.append(u)
-            else:
-                low[u] = min(low[u], low[succ[u][i - 1]])
-            if i < len(succ[u]):
-                work.append((u, i + 1))
-                v = succ[u][i]
-                if v not in order and succ[v]:
-                    work.append((v, 0))
-            elif low[u] == order[u]:
-                group = [stack.pop()]
-                while group[-1] != u:
-                    group.append(stack.pop())
-                value = 0
-                for w in group:
-                    low[w] = n
-                    value |= labels[w]
-                    for x in succ[w]:
-                        value |= out[x]
-                for w in group:
-                    out[w] = value
-    return out
-
-
 def descendants(succ: list[list[int]], sources: Iterable[int]) -> set[int]:
     """Every node some source leads to, the sources included, in one pass
     over the edges."""
@@ -80,43 +41,86 @@ def descendants(succ: list[list[int]], sources: Iterable[int]) -> set[int]:
     return seen
 
 
-def reach(succ: list[list[int]]) -> list[int]:
-    """Reach set of every node."""
-    return closure(succ, [1 << u for u in range(len(succ))])
+def _components(succ: list[list[int]]) -> Iterator[list[int]]:
+    """The components of the nodes that have successors, in close order.  A
+    sink is never visited: it is a component that reaches nothing else."""
+    n = len(succ)
+    order: dict[int, int] = {}
+    low = [n] * n  # n for sinks and closed nodes: lowers nothing
+    stack: list[int] = []
+    for root in range(n):
+        if root in order or not succ[root]:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            u, edges = work[-1]
+            for v in edges:
+                if v in order:
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                elif succ[v]:
+                    order[v] = low[v] = len(order)
+                    stack.append(v)
+                    work.append((v, iter(succ[v])))
+                    break
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
+                if low[u] == order[u]:
+                    group = [stack.pop()]
+                    while group[-1] != u:
+                        group.append(stack.pop())
+                    for w in group:
+                        low[w] = n
+                    yield group
 
 
-def components(nodes: Iterable[int], reach: list[int]) -> dict[int, int]:
-    """Map each node to the least of the given nodes in its strongly connected
-    component: nodes with equal reach sets lead to each other.
-
-    Equal sets are grouped by sorting, not hashing: the reach sets of a chain
-    are 2^n - 2^u, which Python's int hash folds onto 61 values."""
-    order = sorted(nodes)
-    comp: dict[int, int] = {}
-    first = None
-    # a stable sort keeps each group in node order, least member first
-    for u in sorted(order, key=reach.__getitem__):
-        if first is None or reach[u] != reach[first]:
-            first = u
-        comp[u] = first
-    return {u: comp[u] for u in order}
-
-
-def reduction(
-    edges: Iterable[tuple[int, int]], comp: dict[int, int], reach: list[int]
-) -> set[tuple[int, int]]:
-    """Transitive reduction of the condensation, as edges between component
-    representatives: (c, d) for each edge from c's component to d's that no
-    other path from c to d makes redundant.  Edges with an end outside comp
-    are ignored."""
-    succ = dict.fromkeys(comp.values(), 0)
-    for u, v in edges:
-        if u in comp and v in comp and comp[u] != comp[v]:
-            succ[comp[u]] |= 1 << comp[v]
-    out: set[tuple[int, int]] = set()
-    for c, mask in succ.items():
-        further = 0
-        for d in members(mask):
-            further |= reach[d] & ~(1 << d)
-        out.update((c, d) for d in members(mask & ~further))
+def closure(succ: list[list[int]], labels: list[int]) -> list[int]:
+    """out[u] is the OR of labels[v] over every v that u leads to."""
+    out = list(labels)  # final for sinks
+    for group in _components(succ):
+        value = 0
+        for w in group:
+            value |= labels[w]
+            for x in succ[w]:
+                value |= out[x]
+        for w in group:
+            out[w] = value
     return out
+
+
+def condense(succ: list[list[int]]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """(reach, rep, edges): every node's reach set and the least member of
+    its component, and the transitive reduction of the condensation as
+    (rep c, rep d) pairs.  A successor d of c is redundant iff another
+    successor leads to it, which closed after d: taking them in decreasing
+    close order, d stays iff no successor kept before it leads to it."""
+    n = len(succ)
+    reach = [0 if s else 1 << u for u, s in enumerate(succ)]  # final for sinks
+    rep = list(range(n))
+    rank = [-1] * n  # close index of each component's rep; -1 for sinks
+    edges: list[tuple[int, int]] = []
+    for k, group in enumerate(_components(succ)):
+        c = min(group)
+        rank[c] = k
+        for w in group:
+            rep[w] = c
+        value = 0
+        targets = set()
+        for w in group:
+            value |= 1 << w
+            for x in succ[w]:
+                if rep[x] != c:
+                    targets.add(rep[x])
+                    value |= reach[x]
+        for w in group:
+            reach[w] = value
+        further = 0
+        for d in sorted(targets, key=rank.__getitem__, reverse=True):
+            if not further >> d & 1:
+                edges.append((c, d))
+                further |= reach[d]
+    return reach, rep, edges

@@ -13,9 +13,10 @@ equality is the implication pair u -> v, v -> u, so the equality classes are
 the strongly connected components of the implications (Aspvall-Plass-Tarjan
 1979).  The minimum is the fixpoint of the rewrite rules that add entailed
 literals, shrink OR-clauses, drop entailed OR-clauses and drop tautological
-implications.  One pass over the implications' reach sets computes it:
+implications.  One pass over the implications' condensation computes it:
 
-1. A variable is falsified iff it leads to a negative literal.
+1. A variable is falsified iff it leads to a negative literal, and the
+   formula is unsatisfiable iff a positive literal or a whole OR-clause is.
 2. A variable is forced iff a positive literal leads to it, or every
    unfalsified member of some OR-clause does: unit propagation
    (Dowling-Gallier 1984) in closed form.  A forced variable leads only to
@@ -29,7 +30,9 @@ implications.  One pass over the implications' reach sets computes it:
    clause entails stay.
 4. Implications into a forced variable or out of a falsified one go.  The
    rest join live (unforced, unfalsified) variables, and every path between
-   live variables stays live, so the reach sets among them do not change.
+   live variables stays live, so among them the components (`rep`) and the
+   reduced edges that `graph.condense` read off the whole graph as its
+   components closed are those of the implications left.
 
 So no rule finds anything to do on the result: the literal sets are closed
 under implication, every common successor of an OR-clause's members is
@@ -128,17 +131,6 @@ class ImplGraph:
         self.impl: set[tuple[int, int]] = set()
         self.ors: set[frozenset[int]] = set()
 
-    def successors(self) -> list[list[int]]:
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.impl:
-            succ[u].append(v)
-        return succ
-
-    def reach(self) -> list[int]:
-        """Reachability bitsets: bit v of reach[u] is set iff u leads to v
-        through implications (u leads to u)."""
-        return graph.reach(self.successors())
-
 
 def graph_from_cnf(
     formula: CnfFormula, templates: BaseTemplates | None = None
@@ -171,18 +163,20 @@ def graph_from_cnf(
     return g, templates
 
 
-def _falsy(g: ImplGraph, reach: list[int]) -> int:
-    """Bitset of the nodes that lead to a negative literal."""
-    neg = graph.bits(g.neg)
-    return graph.bits(u for u in range(g.n) if reach[u] & neg)
-
-
-def unsat_check_ihsb(g: ImplGraph, reach: list[int]) -> bool:
-    """True iff some OR-clause (literals count as 1-ary OR-clauses) has every
-    disjunct leading to a variable occurring as a negative literal; `reach`
-    is `g.reach()`."""
-    falsy = _falsy(g, reach)
-    return bool(graph.bits(g.pos) & falsy) or any(not graph.bits(c) & ~falsy for c in g.ors)
+def unsat_check_ihsb(g: ImplGraph) -> int | None:
+    """The falsified variables, those leading to a negative literal, as a
+    bitset; None when the formula is unsatisfiable: a positive literal, or
+    every member of some OR-clause, is falsified.  Without negative literals
+    every variable true satisfies it, and nothing is walked."""
+    if not g.neg:
+        return 0
+    pred: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.impl:
+        pred[v].append(u)
+    falsy = graph.bits(graph.descendants(pred, g.neg))
+    if graph.bits(g.pos) & falsy or any(not graph.bits(c) & ~falsy for c in g.ors):
+        return None
+    return falsy
 
 
 def _unsatisfiable(what: str) -> RuntimeError:
@@ -233,18 +227,19 @@ class PartitionedFormula:
     or_clauses: tuple[tuple[int, ...], ...]
 
 
-def min_ihsb(
-    g: ImplGraph, eq_available: bool, reach: list[int]
-) -> tuple[PartitionedFormula, int]:
+def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedFormula, int]:
     """Minimize in one pass (see the module docstring) and canonicalize;
     `g` is left at the rewrite rules' fixpoint.  The pass count, always 1,
     is returned with the result.
 
-    The input must be satisfiable; callers handle unsatisfiable formulas by
-    substituting the precomputed minimum unsatisfiable formula.  `reach` is
-    `g.reach()`.
+    The input must be satisfiable, and `falsy` is its falsified set from
+    `unsat_check_ihsb`; callers handle unsatisfiable formulas by
+    substituting the precomputed minimum unsatisfiable formula.
     """
-    falsy = _falsy(g, reach)
+    succ: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.impl:
+        succ[u].append(v)
+    reach, rep, reduced = graph.condense(succ)
     forced = 0
     for p in g.pos:
         forced |= reach[p]
@@ -258,62 +253,59 @@ def min_ihsb(
         forced |= common
     if forced & falsy:
         raise _unsatisfiable("a forced variable is falsified")
+    g.pos = set(graph.members(forced))
 
     # Of OR-clauses entailing each other the last in sorted order stays,
     # compared first as given and then as shrunk, which keeps the clause
     # that the rewrite rules keep: they drop entailed clauses before they
     # shrink.  An unfalsified variable leads to a member of a clause iff it
     # leads to a member of its shrunk form, so one closure serves both scans.
-    ors = sorted(sorted(c) for c in g.ors if not graph.bits(c) & forced)
+    ors = sorted(sorted(c) for c in g.ors if c.isdisjoint(g.pos))
     occ = [0] * g.n  # occ[y]: indices of the clauses containing y
     for j, c in enumerate(ors):
         for y in c:
             occ[y] |= 1 << j
     # hit[x]: clauses containing some y that x leads to
-    hit = graph.closure(g.successors(), occ) if len(ors) > 1 else occ
-    shrunk = {j: _shrink(ors[j], falsy, reach) for j in _strongest(range(len(ors)), ors, hit)}
+    hit = graph.closure(succ, occ) if len(ors) > 1 else occ
+    # only a member that is falsified or leads elsewhere can drop
+    shrunk = {j: _shrink(ors[j], falsy, reach) if any(succ[x] or falsy >> x & 1 for x in ors[j])
+              else ors[j] for j in _strongest(range(len(ors)), ors, hit)}
     kept = _strongest(sorted(shrunk, key=shrunk.__getitem__), shrunk, hit)
     g.ors = {frozenset(shrunk[j]) for j in kept}
-    g.pos = set(graph.members(forced))
     g.neg = set(graph.members(falsy))
     if forced | falsy:
         g.impl = {(u, w) for u, w in g.impl if not (forced >> w | falsy >> u) & 1}
 
-    # Every implication left joins two live (unforced, unfalsified)
-    # variables, and every path between live variables stays live, so the
-    # reach sets above still group and reduce them, and the components are
-    # the equality classes of the live variables.  Canonical form: the
-    # unique transitive reduction of the condensation, plus each class as an
+    # Among live variables the components and reduced edges of the whole
+    # graph are those of the implications left (step 4).  Canonical form:
+    # the reduced edges between live classes, plus each class as an
     # equality chain, or as one implication cycle when the language cannot
     # express equality; OR members name their class.
-    comp = graph.components({u for e in g.impl for u in e}, reach)
-    impl = graph.reduction(g.impl, comp, reach)
+    impl = [(c, d) for c, d in reduced if not (falsy >> c | forced >> d) & 1]
     classes: dict[int, list[int]] = {}
-    for u, c in comp.items():
-        classes.setdefault(c, []).append(u)
+    for u, c in enumerate(rep):
+        if c != u and not (forced | falsy) >> u & 1:
+            classes.setdefault(c, [c]).append(u)
     eq_out: list[tuple[int, int]] = []
     for members in classes.values():
-        if len(members) < 2:
-            continue
         chain = list(zip(members, members[1:]))
         if eq_available:
             eq_out.extend(chain)
         else:
-            impl.update(chain)
-            impl.add((members[-1], members[0]))
+            impl.extend(chain)
+            impl.append((members[-1], members[0]))
     ors = g.ors
-    if eq_available:
-        ors = {frozenset(comp.get(x, x) for x in c) for c in ors}
+    if eq_available and classes:
+        ors = {frozenset(rep[x] for x in c) for c in ors}
 
-    result = PartitionedFormula(
+    return PartitionedFormula(
         g.n,
         tuple(sorted(g.pos)),
         tuple(sorted(g.neg)),
         tuple(sorted(impl)),
         tuple(sorted(eq_out)),
         tuple(sorted(tuple(sorted(c)) for c in ors)),
-    )
-    return result, 1
+    ), 1
 
 
 def restrict_vocabulary(
@@ -377,14 +369,14 @@ def min_ihsb_cnf(
     own vocabulary.  `templates` reads the formula's relations: by default
     the language's own, and for IHSB- its `dual_templates`."""
     g, templates = graph_from_cnf(formula, templates)
-    reach = g.reach()
-    if unsat_check_ihsb(g, reach):
+    falsy = unsat_check_ihsb(g)
+    if falsy is None:
         if not templates.dual:
             return unsat_minimum(formula)
         # the dual language's minimum unsatisfiable formula, renamed back
         dual_out, stats = unsat_minimum(formula.dual())
         return dual_out.dual(), stats
-    base, passes = min_ihsb(g, templates.eq is not None, reach)
+    base, passes = min_ihsb(g, templates.eq is not None, falsy)
     out = restrict_vocabulary(
         base, templates, formula.language, formula.var_names, formula.language_path
     )

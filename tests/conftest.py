@@ -113,6 +113,44 @@ def assert_steps(formula: BFormula) -> None:
     assert depth == 1
 
 
+def reach_sets(succ: list[list[int]]) -> list[int]:
+    """Reference reach bitsets, one depth-first search per node: bit v of
+    the u-th set is set iff u leads to v (every node leads to itself)."""
+    out = []
+    for start in range(len(succ)):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for v in succ[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        out.append(sum(1 << v for v in seen))
+    return out
+
+
+def mutual_classes(nodes, reach: list[int]) -> dict[int, int]:
+    """Each of the given nodes, in increasing order, mapped to the least of
+    them that it leads to and is led to by."""
+    order = sorted(nodes)
+    return {u: min(v for v in order if reach[u] >> v & 1 and reach[v] >> u & 1) for u in order}
+
+
+def reduced_edges(edges, comp: dict[int, int], reach: list[int]) -> set[tuple[int, int]]:
+    """The transitive reduction of the condensation by its definition: an
+    edge from class c to class d stays, as (c, d), iff no node of a third
+    class lies on a path from c to d.  Edges with an end outside comp are
+    ignored."""
+    out = set()
+    for u, v in edges:
+        if u in comp and v in comp and comp[u] != comp[v]:
+            c, d = comp[u], comp[v]
+            if not any(comp[w] not in (c, d) and reach[c] >> w & 1 and reach[w] >> d & 1
+                       for w in comp):
+                out.add((c, d))
+    return out
+
+
 def clause_to_equation(clause, rel: Relation) -> tuple[int, int]:
     """GF(2) row (coefficient bitmask keyed by variable id, constant bit).
 

@@ -19,7 +19,7 @@ from boolmin.model import (
 from boolmin.oracle import brute_min_cnf, unsat_minimum
 from boolmin.std import rel_eq, rel_impl, rel_nand, rel_neg, rel_or, rel_pos, rel_xor
 
-from conftest import clause_mask, random_cnf
+from conftest import clause_mask, mutual_classes, random_cnf, reach_sets, reduced_edges
 
 BASE = {
     "pos": rel_pos(),
@@ -46,7 +46,7 @@ def literal_reach(g):
     succ = [[] for _ in range(2 * g.n)]
     for a, b in g.edges:
         succ[a].append(b)
-    return graph.reach(succ)
+    return reach_sets(succ)
 
 
 def test_literal_graph_encoding(bijunctive_full):
@@ -236,8 +236,8 @@ def all_pairs_min_bijunctive(formula):
         return unsat_minimum(formula)
     forced_vars = {lit // 2 for lit in forced}
     free_lits = [lit for lit in range(2 * g.n) if lit // 2 not in forced_vars]
-    class_of = graph.components(free_lits, reach)
-    return _emit(formula, forced, class_of, list(graph.reduction(g.edges, class_of, reach)))
+    class_of = mutual_classes(free_lits, reach)
+    return _emit(formula, forced, class_of, list(reduced_edges(g.edges, class_of, reach)))
 
 
 def outcome(minimizer, f):

@@ -4,11 +4,16 @@ from boolmin import graph
 
 
 def random_digraph(rng, n):
+    """Sinks and cycles come with the edge density; about one successor
+    list in four repeats an edge."""
     p = rng.choice((0.1, 0.2, 0.35))
     edges = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
     succ = [[] for _ in range(n)]
     for u, v in sorted(edges):
         succ[u].append(v)
+    for out in succ:
+        if out and rng.random() < 0.25:
+            out.insert(rng.randrange(len(out) + 1), rng.choice(out))
     return edges, succ
 
 
@@ -39,7 +44,7 @@ def test_bits_and_members():
 
 def test_reach_matches_dfs():
     for _, n, _, succ in cases(1):
-        reach = graph.reach(succ)
+        reach, _, _ = graph.condense(succ)
         assert reach == [graph.bits(dfs(succ, u)) for u in range(n)]
 
 
@@ -62,47 +67,37 @@ def test_closure_ors_labels_over_reachable_nodes():
 
 
 def test_components_are_mutual_reachability_classes():
-    for rng, n, _, succ in cases(3):
-        reach = graph.reach(succ)
-        nodes = [u for u in range(n) if rng.random() < 0.8]
-        comp = graph.components(nodes, reach)
-        assert list(comp) == nodes
-        for u in nodes:
-            mutual = [v for v in nodes if v in dfs(succ, u) and u in dfs(succ, v)]
-            assert comp[u] == min(mutual)
+    for _, n, _, succ in cases(3):
+        _, rep, _ = graph.condense(succ)
+        for u in range(n):
+            mutual = [v for v in dfs(succ, u) if u in dfs(succ, v)]
+            assert rep[u] == min(mutual)
 
 
 def test_reduction_keeps_edges_without_another_path():
     for _, n, edges, succ in cases(4):
-        reach = graph.reach(succ)
-        comp = graph.components(range(n), reach)
-        down = {u: {comp[v] for v in dfs(succ, u)} for u in range(n)}
+        _, rep, reduced = graph.condense(succ)
+        down = {u: {rep[v] for v in dfs(succ, u)} for u in range(n)}
         expected = set()
         for u, v in edges:
-            c, d = comp[u], comp[v]
+            c, d = rep[u], rep[v]
             # another path from c to d passes through a third component
             if c != d and not any(
                 w not in (c, d) and d in down[w] for w in down[c]
             ):
                 expected.add((c, d))
-        assert graph.reduction(edges, comp, reach) == expected
-
-
-def test_reduction_ignores_edges_leaving_comp():
-    succ = [[1], [2], []]
-    reach = graph.reach(succ)
-    comp = graph.components([0, 1], reach)
-    assert graph.reduction({(0, 1), (1, 2), (0, 2)}, comp, reach) == {(0, 1)}
+        assert sorted(reduced) == sorted(expected)
 
 
 def test_long_path_and_cycle_do_not_recurse():
     n = 20000
     path = [[u + 1] for u in range(n - 1)] + [[]]
-    reach = graph.reach(path)
+    reach, rep, reduced = graph.condense(path)
     assert reach[0] == (1 << n) - 1 and reach[n - 1] == 1 << (n - 1)
-    comp = graph.components(range(n), reach)
-    edges = {(u, u + 1) for u in range(n - 1)}
-    assert graph.reduction(edges | {(0, 2)}, comp, reach) == edges
+    assert rep == list(range(n)) and sorted(reduced) == [(u, u + 1) for u in range(n - 1)]
+    assert graph.closure(path, [1] * n) == [1] * n
+    path[0].append(2)
+    assert sorted(graph.condense(path)[2]) == [(u, u + 1) for u in range(n - 1)]
     cycle = [[(u + 1) % n] for u in range(n)]
-    reach = graph.reach(cycle)
-    assert set(graph.components(range(n), reach).values()) == {0}
+    _, rep, reduced = graph.condense(cycle)
+    assert rep == [0] * n and reduced == []

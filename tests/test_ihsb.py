@@ -11,7 +11,6 @@ from boolmin.formats import load_language, serialize_cnf_formula
 from boolmin.ihsb import (
     ImplGraph,
     PartitionedFormula,
-    _falsy,
     dual_templates,
     graph_from_cnf,
     language_templates,
@@ -40,7 +39,7 @@ from boolmin.std import (
     theorem9_language,
 )
 
-from conftest import random_cnf
+from conftest import mutual_classes, random_cnf, reach_sets, reduced_edges
 
 # IHSB+ without equality: cycles stay implication cycles in the output
 NO_EQ = ConstraintLanguage((rel_pos(), rel_neg(), rel_impl(), rel_or(2), rel_or(3)))
@@ -48,6 +47,26 @@ NO_EQ = ConstraintLanguage((rel_pos(), rel_neg(), rel_impl(), rel_or(2), rel_or(
 
 def F(lang, names, *specs):
     return CnfFormula(lang, tuple(names), tuple((r, tuple(v)) for r, v in specs))
+
+
+def successors(g: ImplGraph) -> list[list[int]]:
+    succ = [[] for _ in range(g.n)]
+    for u, v in g.impl:
+        succ[u].append(v)
+    return succ
+
+
+def falsified(g: ImplGraph, reach: list[int]) -> int:
+    """Reference falsified set: the variables leading to a negative literal."""
+    neg = graph.bits(g.neg)
+    return graph.bits(u for u in range(g.n) if reach[u] & neg)
+
+
+def unsatisfiable(g: ImplGraph) -> bool:
+    """Reference check: a positive literal, or every member of some
+    OR-clause, leads to a negative literal."""
+    falsy = falsified(g, reach_sets(successors(g)))
+    return bool(graph.bits(g.pos) & falsy) or any(not graph.bits(c) & ~falsy for c in g.ors)
 
 
 def minimize(f):
@@ -108,23 +127,27 @@ def test_templates_are_memoized_and_read_only(t9):
 
 def test_leadsto(t9):
     f = F(t9, "xyz", ("imp", (0, 1)), ("imp", (1, 2)))
-    reach = graph_from_cnf(f)[0].reach()
+    reach, _, _ = graph.condense(successors(graph_from_cnf(f)[0]))
     assert reach[0] >> 0 & 1
     assert reach[0] >> 2 & 1
     assert not reach[2] >> 0 & 1
     h = F(t9, "xy", ("eq", (0, 1)),)
-    reach = graph_from_cnf(h)[0].reach()
+    reach, rep, _ = graph.condense(successors(graph_from_cnf(h)[0]))
     assert reach[1] >> 0 & 1 and reach[0] >> 1 & 1
+    assert rep == [0, 0]
 
 
 def test_unsat_check(t9):
     f = F(t9, "xy", ("pos", (0,)), ("imp", (0, 1)), ("neg", (1,)))
     g, _ = graph_from_cnf(f)
-    assert unsat_check_ihsb(g, g.reach())
+    assert unsat_check_ihsb(g) is None
     g2, _ = graph_from_cnf(F(t9, "xy", ("or2", (0, 1))))
-    assert not unsat_check_ihsb(g2, g2.reach())
+    assert unsat_check_ihsb(g2) == 0
     g3, _ = graph_from_cnf(F(t9, "x", ("pos", (0,)), ("neg", (0,))))
-    assert unsat_check_ihsb(g3, g3.reach())
+    assert unsat_check_ihsb(g3) is None
+    g4, _ = graph_from_cnf(F(t9, "xyz", ("or2", (0, 1)), ("neg", (0,)), ("imp", (1, 2)),
+                             ("neg", (2,))))
+    assert unsat_check_ihsb(g4) is None
 
 
 def test_unsat_check_matches_truth_table(t9):
@@ -132,21 +155,20 @@ def test_unsat_check_matches_truth_table(t9):
     for _ in range(120):
         f = random_cnf(t9, rng, rng.randint(2, 5), rng.randint(1, 6))
         g, _ = graph_from_cnf(f)
-        assert unsat_check_ihsb(g, g.reach()) == (not satisfiable(f))
+        assert (unsat_check_ihsb(g) is None) == (not satisfiable(f))
 
 
-def test_reach_passed_on_matches_fresh_reach(t9):
-    # min_ihsb_cnf computes reach once for the check and the fixpoint
+def test_falsified_set_passed_on_matches_fresh_one(t9):
+    # min_ihsb_cnf computes the falsified set once, in the check, and hands
+    # it to min_ihsb: it equals the set read off fresh reach sets
     rng = random.Random(41)
     for _ in range(60):
         f = random_cnf(t9, rng, rng.randint(2, 6), rng.randint(1, 8))
         g, _ = graph_from_cnf(f)
-        fresh, _ = graph_from_cnf(f)
-        reach = g.reach()
-        unsat = unsat_check_ihsb(g, reach)
-        assert unsat == unsat_check_ihsb(fresh, fresh.reach())
-        if not unsat:
-            assert min_ihsb(g, True, reach) == min_ihsb(fresh, True, fresh.reach())
+        falsy = unsat_check_ihsb(g)
+        assert (falsy is None) == unsatisfiable(g)
+        if falsy is not None:
+            assert falsy == falsified(g, reach_sets(successors(g)))
 
 
 def test_empty_formula(t9):
@@ -359,8 +381,8 @@ def test_emptied_or_clause_is_an_error():
     g = ImplGraph(2)
     g.ors.add(frozenset({0, 1}))
     g.neg.update({0, 1})
-    with pytest.raises(RuntimeError, match="this is a bug"):
-        min_ihsb(g, True, g.reach())
+    with pytest.raises(RuntimeError, match="OR-clause emptied.*this is a bug"):
+        min_ihsb(g, True, falsified(g, reach_sets(successors(g))))
 
 
 def test_forced_and_falsified_variable_is_an_error():
@@ -369,8 +391,27 @@ def test_forced_and_falsified_variable_is_an_error():
     g.pos.add(0)
     g.impl.add((0, 1))
     g.neg.add(1)
-    with pytest.raises(RuntimeError, match="this is a bug"):
-        min_ihsb(g, True, g.reach())
+    with pytest.raises(RuntimeError, match="forced variable is falsified.*this is a bug"):
+        min_ihsb(g, True, falsified(g, reach_sets(successors(g))))
+
+
+def test_forced_pass_raises_exactly_on_unsatisfiable_input(t9):
+    # handed an unsatisfiable graph, min_ihsb's forced pass finds an emptied
+    # OR-clause or a forced variable that is falsified; on a satisfiable one
+    # it finds neither
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(300):
+        f = random_cnf(t9, rng, rng.randint(1, 6), rng.randint(1, 9))
+        g, _ = graph_from_cnf(f)
+        try:
+            min_ihsb(g, True, falsified(g, reach_sets(successors(g))))
+        except RuntimeError as err:
+            assert not satisfiable(f)
+            kinds.add(str(err).split(":")[0])
+        else:
+            assert satisfiable(f)
+    assert kinds == {"OR-clause emptied by falsified members", "a forced variable is falsified"}
 
 
 # implication with its arguments swapped: pmi(a, b) is b -> a
@@ -437,7 +478,10 @@ def _rule_or_subsumption(g: ImplGraph, reach) -> bool:
         for y in c:
             occ[y] |= 1 << j
     # hit[x]: clauses containing some y that x leads to
-    hit = graph.closure(g.successors(), occ)
+    hit = [0] * g.n
+    for x in range(g.n):
+        for y in graph.members(reach[x]):
+            hit[x] |= occ[y]
     dropped = 0
     for p in g.pos:
         dropped |= hit[p]
@@ -473,14 +517,14 @@ def _rule_positive_propagation(g: ImplGraph, reach) -> bool:
 
 
 def _rule_negative_propagation(g: ImplGraph, reach) -> bool:
-    return _add_literals(g.neg, _falsy(g, reach))
+    return _add_literals(g.neg, falsified(g, reach))
 
 
 def _rule_shrink_ors(g: ImplGraph, reach) -> bool:
     """Drop from each OR-clause the falsified members and every member that
     leads to another member; of members leading to each other the least
     stays."""
-    falsy = _falsy(g, reach)
+    falsy = falsified(g, reach)
     fired = False
     for c in list(g.ors):
         mask = graph.bits(c)
@@ -522,19 +566,19 @@ _RULES = (
 
 
 def fixpoint_reference(
-    g: ImplGraph, eq_available: bool = True, reach: list[int] | None = None
+    g: ImplGraph, eq_available: bool = True, falsy: int | None = None
 ) -> tuple[PartitionedFormula, int]:
     """Run the fixpoint rules to completion and canonicalize.
 
     Each pass applies every rule, in order, to all of its matches; reach is
     recomputed after a rule that removed implications.  Passes repeat until
-    one changes nothing, and the count of passes is returned.
+    one changes nothing, and the count of passes is returned.  `falsy`, the
+    falsified set `min_ihsb` takes, is not read: the rules find it.
     """
     cap = (len(g.pos) + len(g.neg) + len(g.impl) + len(g.ors) + g.n) ** 2 + 16
     passes = 0
     changed = True
-    if reach is None:
-        reach = g.reach()
+    reach = reach_sets(successors(g))
     while changed:
         passes += 1
         if passes > cap:
@@ -545,15 +589,15 @@ def fixpoint_reference(
             if rule(g, reach):
                 changed = True
                 if len(g.impl) != edges:
-                    reach = g.reach()
+                    reach = reach_sets(successors(g))
 
     # The implications of forced variables are gone (tautology rule), so the
     # components are the equality classes of the free variables.  Canonical
     # form: the unique transitive reduction of the condensation, plus each
     # class as an equality chain, or as one implication cycle when the
     # language cannot express equality; OR members name their class.
-    comp = graph.components({u for e in g.impl for u in e}, reach)
-    impl = graph.reduction(g.impl, comp, reach)
+    comp = mutual_classes({u for e in g.impl for u in e}, reach)
+    impl = reduced_edges(g.impl, comp, reach)
     classes: dict[int, list[int]] = {}
     for u, c in comp.items():
         classes.setdefault(c, []).append(u)
@@ -595,8 +639,7 @@ def satisfiable_corpus(lang, seed, count):
         f = CnfFormula(lang, tuple(f"v{i}" for i in range(n_vars)), tuple(
             (r.name, tuple(rng.randrange(n_vars) for _ in range(r.arity))) for r in rels
         ))
-        g, _ = graph_from_cnf(f)
-        if not unsat_check_ihsb(g, g.reach()):
+        if not unsatisfiable(graph_from_cnf(f)[0]):
             found += 1
             yield f
 
@@ -608,7 +651,7 @@ def test_one_pass_matches_fixpoint_reference(t9, lang):
         g, templates = graph_from_cnf(f)
         want, _ = fixpoint_reference(g, templates.eq is not None)
         g, _ = graph_from_cnf(f)
-        got, passes = min_ihsb(g, templates.eq is not None, g.reach())
+        got, passes = min_ihsb(g, templates.eq is not None, unsat_check_ihsb(g))
         assert got == want and passes == 1
 
 
@@ -626,7 +669,7 @@ def test_mutual_ors_keep_the_last_as_given_then_as_shrunk():
     specs = [("or3", (0, 3, 4)), ("or2", (2, 4))]
     specs += [("imp", e) for e in ((0, 3), (2, 3), (3, 2))]
     g, _ = graph_from_cnf(F(NO_EQ, "abcde", *specs))
-    got, _ = min_ihsb(g, False, g.reach())
+    got, _ = min_ihsb(g, False, unsat_check_ihsb(g))
     assert got.or_clauses == ((2, 4),)
 
 
@@ -635,8 +678,8 @@ def test_no_rule_fires_on_the_output(t9, lang):
     lang = {"t9": t9, "no-eq": NO_EQ, "pmi-eq": PMI_EQ}[lang]
     for f in satisfiable_corpus(lang, 71, 300):
         g, templates = graph_from_cnf(f)
-        min_ihsb(g, templates.eq is not None, g.reach())
-        reach = g.reach()
+        min_ihsb(g, templates.eq is not None, unsat_check_ihsb(g))
+        reach = reach_sets(successors(g))
         for rule in _RULES:
             assert not rule(g, reach), rule.__name__
 
