@@ -301,10 +301,7 @@ def min_bijunctive(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:
     # (2k, 2k + 1) is both literals of one variable, so negation is still ^ 1
     lits = [lit for lit in range(2 * g.n) if lit_var(lit) not in forced_vars]
     dense = {lit: u for u, lit in enumerate(lits)}
-    succ = [[] for _ in lits]
-    for a, b in g.edges:
-        if a in dense and b in dense:
-            succ[dense[a]].append(dense[b])
+    succ = [[dense[b] for b in succ[a] if b in dense] for a in lits]
     reach, rep, edges = graph.condense(succ)
     failed = 0
     for u, mask in enumerate(reach):

@@ -4,9 +4,11 @@ is set iff the node leads to v (every node leads to itself).
 
 One walk, Tarjan's (1972, iterative), yields the strongly connected
 components in close order: each after every component it reaches.  As a
-component closes, `closure` ORs labels over it and its successors, and
-`condense` sets the reach sets, `rep` (the least member of each component)
-and the transitive reduction of the condensation (Aho-Garey-Ullman 1972).
+component closes, `condense` sets the reach sets, `rep` (the least member of
+each component) and the transitive reduction of the condensation
+(Aho-Garey-Ullman 1972).  The reduction keeps every reachability between
+components, and its edges come in close order, so any other closure over the
+graph is one fold over them (see `condense`).
 """
 from __future__ import annotations
 
@@ -78,26 +80,19 @@ def _components(succ: list[list[int]]) -> Iterator[list[int]]:
                     yield group
 
 
-def closure(succ: list[list[int]], labels: list[int]) -> list[int]:
-    """out[u] is the OR of labels[v] over every v that u leads to."""
-    out = list(labels)  # final for sinks
-    for group in _components(succ):
-        value = 0
-        for w in group:
-            value |= labels[w]
-            for x in succ[w]:
-                value |= out[x]
-        for w in group:
-            out[w] = value
-    return out
-
-
 def condense(succ: list[list[int]]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """(reach, rep, edges): every node's reach set and the least member of
     its component, and the transitive reduction of the condensation as
     (rep c, rep d) pairs.  A successor d of c is redundant iff another
     successor leads to it, which closed after d: taking them in decreasing
-    close order, d stays iff no successor kept before it leads to it."""
+    close order, d stays iff no successor kept before it leads to it.
+
+    The edges out of a component are appended together as it closes, so
+    every edge out of d comes before every edge into d.  A fold that runs
+    `value[c] |= value[d]` over the edges in list order, starting from one
+    value per rep, therefore reads each d final and leaves on each rep the
+    OR of the starting values of every component it reaches, its own
+    included."""
     n = len(succ)
     reach = [0 if s else 1 << u for u, s in enumerate(succ)]  # final for sinks
     rep = list(range(n))

@@ -121,8 +121,9 @@ def dual_templates(lang: ConstraintLanguage) -> BaseTemplates:
 
 
 class ImplGraph:
-    """Working state: literals, implications and OR-clauses over the
-    variables.  An equality is held as its two implications."""
+    """A formula in the base vocabulary: literals, implications and
+    OR-clauses over the variables.  An equality is held as its two
+    implications."""
 
     def __init__(self, n: int):
         self.n = n
@@ -198,11 +199,11 @@ def _shrink(c: list[int], falsy: int, reach: list[int]) -> list[int]:
     return rest
 
 
-def _strongest(order: Sequence[int], members, hit: list[int]) -> list[int]:
+def _strongest(order: Sequence[int], members, hit: list[int], rep: list[int]) -> list[int]:
     """The clauses of `order` entailed by no other one, in order.  Clause j
     entails clause k when each x in members[j] leads to some member of k,
-    that is, when hit[x] has bit k; of clauses entailing each other the last
-    in `order` stays."""
+    that is, when hit[rep[x]] has bit k; of clauses entailing each other the
+    last in `order` stays."""
     dropped = 0
     # Entailment is a preorder, so scanning from the end, a clause not yet
     # dropped is the last of its class and entailed by nothing stronger.
@@ -210,7 +211,7 @@ def _strongest(order: Sequence[int], members, hit: list[int]) -> list[int]:
         if not dropped >> j & 1:
             entailed = -1
             for x in members[j]:
-                entailed &= hit[x]
+                entailed &= hit[rep[x]]
             dropped |= entailed & ~(1 << j)
     return [j for j in order if not dropped >> j & 1]
 
@@ -229,8 +230,8 @@ class PartitionedFormula:
 
 def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedFormula, int]:
     """Minimize in one pass (see the module docstring) and canonicalize;
-    `g` is left at the rewrite rules' fixpoint.  The pass count, always 1,
-    is returned with the result.
+    `g` is only read.  The pass count, always 1, is returned with the
+    result.
 
     The input must be satisfiable, and `falsy` is its falsified set from
     `unsat_check_ihsb`; callers handle unsatisfiable formulas by
@@ -253,28 +254,31 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
         forced |= common
     if forced & falsy:
         raise _unsatisfiable("a forced variable is falsified")
-    g.pos = set(graph.members(forced))
+    pos = set(graph.members(forced))
 
     # Of OR-clauses entailing each other the last in sorted order stays,
     # compared first as given and then as shrunk, which keeps the clause
     # that the rewrite rules keep: they drop entailed clauses before they
     # shrink.  An unfalsified variable leads to a member of a clause iff it
-    # leads to a member of its shrunk form, so one closure serves both scans.
-    ors = sorted(sorted(c) for c in g.ors if c.isdisjoint(g.pos))
+    # leads to a member of its shrunk form, so one set of hits serves both
+    # scans.
+    ors = sorted(sorted(c) for c in g.ors if c.isdisjoint(pos))
     occ = [0] * g.n  # occ[y]: indices of the clauses containing y
     for j, c in enumerate(ors):
         for y in c:
             occ[y] |= 1 << j
-    # hit[x]: clauses containing some y that x leads to
-    hit = graph.closure(succ, occ) if len(ors) > 1 else occ
+    # hit[rep[x]]: clauses containing some y that x leads to, folded over
+    # the reduced edges in the order `condense` closed their components
+    hit = list(occ)
+    for u, c in enumerate(rep):
+        if c != u:
+            hit[c] |= occ[u]
+    for c, d in reduced:
+        hit[c] |= hit[d]
     # only a member that is falsified or leads elsewhere can drop
     shrunk = {j: _shrink(ors[j], falsy, reach) if any(succ[x] or falsy >> x & 1 for x in ors[j])
-              else ors[j] for j in _strongest(range(len(ors)), ors, hit)}
-    kept = _strongest(sorted(shrunk, key=shrunk.__getitem__), shrunk, hit)
-    g.ors = {frozenset(shrunk[j]) for j in kept}
-    g.neg = set(graph.members(falsy))
-    if forced | falsy:
-        g.impl = {(u, w) for u, w in g.impl if not (forced >> w | falsy >> u) & 1}
+              else ors[j] for j in _strongest(range(len(ors)), ors, hit, rep)}
+    kept = _strongest(sorted(shrunk, key=shrunk.__getitem__), shrunk, hit, rep)
 
     # Among live variables the components and reduced edges of the whole
     # graph are those of the implications left (step 4).  Canonical form:
@@ -294,14 +298,14 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
         else:
             impl.extend(chain)
             impl.append((members[-1], members[0]))
-    ors = g.ors
+    ors = [shrunk[j] for j in kept]
     if eq_available and classes:
-        ors = {frozenset(rep[x] for x in c) for c in ors}
+        ors = [[rep[x] for x in c] for c in ors]
 
     return PartitionedFormula(
         g.n,
-        tuple(sorted(g.pos)),
-        tuple(sorted(g.neg)),
+        tuple(sorted(pos)),
+        tuple(graph.members(falsy)),
         tuple(sorted(impl)),
         tuple(sorted(eq_out)),
         tuple(sorted(tuple(sorted(c)) for c in ors)),
@@ -315,8 +319,9 @@ def restrict_vocabulary(
     var_names: tuple[str, ...],
     language_path: str | None = None,
 ) -> CnfFormula:
-    """Emit one language clause per base clause (equalities may need an
-    implication pair when the equality relation is unavailable)."""
+    """Emit one language clause per base clause.  Equalities come only from
+    a language with an equality relation: without one, `min_ihsb` writes a
+    class as an implication cycle."""
     or_arities = sorted(templates.or_arities)
     clauses: list[Clause] = []
 
@@ -345,11 +350,7 @@ def restrict_vocabulary(
     for u, v in base.impl_clauses:
         emit_imp(u, v)
     for u, v in base.eq_clauses:
-        if templates.eq is not None:
-            clauses.append((templates.eq, (u, v)))
-        else:
-            emit_imp(u, v)
-            emit_imp(v, u)
+        clauses.append((templates.eq, (u, v)))
     for c in base.or_clauses:
         fitting = [m for m in or_arities if m >= len(c)]
         if not fitting:

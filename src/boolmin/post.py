@@ -58,7 +58,7 @@ from itertools import count
 
 from .classify import classify_basis, function_shape
 from .errors import ClassificationError
-from .model import BFormula, BoolFunction, SizeMeasure, Step, _validate
+from .model import BFormula, BoolFunction, SizeMeasure, Step, _validate, formula_size
 
 
 State = tuple[int, int, int]
@@ -236,9 +236,11 @@ def _witness(
     One explicit-stack walk over the back-references builds each part once.
     Leaves are integer ids, and `slot` keeps the argument list and index that
     holds each one, so a guest goes into its host's leaf in constant time and
-    the host's designated and free leaf queues grow in place.  The finished
-    tree is read off in post-order straight into steps, so no tree node is
-    built.
+    the host's designated and free leaf queues grow in place.  Only gate
+    leaves have a slot: a bare variable is never a host or a guest, since
+    composing with its cell (0, 1, 1) gives the partner's own cell at the
+    partner's gate count, which `offer` never takes.  The finished tree is
+    read off in post-order straight into steps, so no tree node is built.
     """
     cls = table.cls
     arities = {f.name: (f.arity, function_shape(f).relevant) for f in basis}
@@ -253,9 +255,7 @@ def _witness(
         tag = ref[0]
         if tag == "var":
             leaf = next(leaf_ids)
-            box: list = [leaf]
-            slot[leaf] = (box, 0)
-            parts.append((box, deque([leaf]), deque()))
+            parts.append(([leaf], deque([leaf]), deque()))
         elif tag == "fn":
             arity, relevant = arities[ref[1]]
             args: list = [next(leaf_ids) for _ in range(arity)]
@@ -282,8 +282,6 @@ def _witness(
             free.extend(guest_free)
             args, i = slot.pop(leaf)
             args[i] = guest_box[0]
-            if isinstance(args[i], int):
-                slot[args[i]] = (args, i)
         if cls == "V" and s[0] == 1:
             # an OR that is constant 1 has no relevant variable left
             _, des, free = parts[-1]
@@ -359,7 +357,7 @@ def min_post(
         # the formula's dual has the same relevant variables and constant 1 ^ c
         dp_basis, cls, c_target = tuple(f.dual() for f in basis), "V", 1 ^ c_target
     steps = formula.steps
-    n_phi = sum(isinstance(step, str) for step in steps)
+    n_phi = formula_size(formula, SizeMeasure.LITERALS)
     max_arity = max((f.arity for f in basis), default=0)
     n_bound = max(n_phi, max_arity, max_leaves(basis, len(steps) - n_phi))
     goal = (c_target, l_target, l_target)

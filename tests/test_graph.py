@@ -55,10 +55,28 @@ def test_descendants_match_dfs():
         assert graph.descendants(succ, sources) == expected
 
 
-def test_closure_ors_labels_over_reachable_nodes():
+def fold(succ, labels):
+    """Each node's OR of labels over the nodes it leads to, read off
+    `condense`: labels gather on their component's rep, then flow back
+    along the reduced edges in list order."""
+    _, rep, reduced = graph.condense(succ)
+    value = list(labels)
+    for u, c in enumerate(rep):
+        if c != u:
+            value[c] |= labels[u]
+    for c, d in reduced:
+        value[c] |= value[d]
+    return [value[c] for c in rep]
+
+
+def test_fold_over_reduced_edges_ors_labels_over_reachable_nodes():
     for rng, n, _, succ in cases(2):
+        # every edge out of a component comes before every edge into it
+        _, _, reduced = graph.condense(succ)
+        last_out = {c: i for i, (c, _) in enumerate(reduced)}
+        assert all(last_out.get(d, -1) < i for i, (_, d) in enumerate(reduced))
         labels = [rng.getrandbits(8) for _ in range(n)]
-        out = graph.closure(succ, labels)
+        out = fold(succ, labels)
         for u in range(n):
             expected = 0
             for v in dfs(succ, u):
@@ -95,7 +113,7 @@ def test_long_path_and_cycle_do_not_recurse():
     reach, rep, reduced = graph.condense(path)
     assert reach[0] == (1 << n) - 1 and reach[n - 1] == 1 << (n - 1)
     assert rep == list(range(n)) and sorted(reduced) == [(u, u + 1) for u in range(n - 1)]
-    assert graph.closure(path, [1] * n) == [1] * n
+    assert fold(path, [0] * (n - 1) + [1]) == [1] * n
     path[0].append(2)
     assert sorted(graph.condense(path)[2]) == [(u, u + 1) for u in range(n - 1)]
     cycle = [[(u + 1) % n] for u in range(n)]

@@ -256,6 +256,17 @@ def test_reach_table_dominates_unrestricted_closure():
     assert dominated >= 100
 
 
+def test_no_back_reference_composes_a_bare_variable():
+    # composing with the cell (0, 1, 1) gives the partner's own cell at the
+    # partner's gate count, which is never taken: `_witness` gives a bare
+    # variable no slot
+    var = (0, 1, 1)
+    for basis, cls, n_bound in closure_cases():
+        table = build_reach_table(basis, cls, n_bound, never_stop)
+        assert table.states[var] == (0, ("var",))
+        assert all(var not in ref[1:] for _, ref in table.states.values())
+
+
 def balanced_or_tree(leaves):
     """Group a level into or3 gates (or2 where a pair is left) until one
     root remains; leaves and result are post-order steps."""
