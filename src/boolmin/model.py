@@ -24,9 +24,11 @@ All truth-table work runs on one bit-parallel kernel.  A *mask* is an int
 with one bit per assignment column (bit idx of a full table is the value at
 assignment idx); `full` sets every column and `var_mask(i, n)` is variable
 i's column.  Relations and functions compile once (`mask_op`, cached) to
-`op(masks, full)`, applied pointwise: OR, AND and XOR/XNOR tables fold with
-one bit operation per argument, other tables are a sum of products over
-their true rows.  `CnfFormula.mask` and `BFormula.mask` evaluate over any
+`op(masks, full)`, applied pointwise.  OR, AND and XOR/XNOR tables fold
+with one bit operation per argument.  Every other table becomes an
+irredundant sum of prime cubes (Minato-Morreale ISOP, Minato 1992), which
+one interpreter, `_cover`, runs: `imp` becomes ¬a ∨ b and `maj` becomes
+ab ∨ ac ∨ bc.  `CnfFormula.mask` and `BFormula.mask` evaluate over any
 columns: all 2^n assignments (`truth_table`), one assignment (`full = 1`),
 or the n + 1 probes of `post.relevant_variables`.
 
@@ -114,7 +116,7 @@ class Relation:
     @cached_property
     def mask_op(self) -> MaskOp:
         """The relation as a function, applied pointwise to argument masks."""
-        return _compile(tuple(int(code in self.codes) for code in range(1 << self.arity)))
+        return _compile(sum(1 << code for code in self.codes), self.arity)
 
     def dual(self) -> "Relation":
         flipped = frozenset(tuple(1 - b for b in t) for t in self.tuples)
@@ -126,10 +128,6 @@ def tuple_to_code(t: Sequence[int]) -> int:
     for b in t:
         code = (code << 1) | b
     return code
-
-
-def code_to_tuple(code: int, arity: int) -> tuple[int, ...]:
-    return tuple((code >> (arity - 1 - i)) & 1 for i in range(arity))
 
 
 @dataclass(frozen=True)
@@ -288,20 +286,22 @@ def var_mask(i: int, n: int) -> int:
 MaskOp = Callable[[Sequence[int], int], int]
 
 
-def _compile(table: tuple[int, ...]) -> MaskOp:
-    """Mask operator of a truth table (entry i at the argument code i)."""
-    size = len(table)
-    parity = tuple(bin(code).count("1") & 1 for code in range(size))
-    if table == (0,) + (1,) * (size - 1):
+def _compile(table: int, arity: int) -> MaskOp:
+    """Mask operator of a truth table given as one int whose bit c is the
+    value at the argument code c: a fold for OR, AND, XOR and XNOR (one
+    operation per argument), else an irredundant cover of the table."""
+    size = 1 << arity
+    full = (1 << size) - 1
+    parity = reduce(xor, (var_mask(i, arity) for i in range(arity)), 0)
+    if table == full ^ 1:
         return _or
-    if table == (0,) * (size - 1) + (1,):
+    if table == 1 << (size - 1):
         return _and
     if table == parity:
         return _xor
-    if all(a != b for a, b in zip(table, parity)):
+    if table == full ^ parity:
         return _xnor
-    arity = size.bit_length() - 1
-    return partial(_sum_of_products, [code_to_tuple(c, arity) for c in range(size) if table[c]])
+    return partial(_cover, tuple(_isop(table, table, arity, 0)[0]) if table else ())
 
 
 def _or(masks: Sequence[int], full: int) -> int:
@@ -320,14 +320,45 @@ def _xnor(masks: Sequence[int], full: int) -> int:
     return full ^ reduce(xor, masks, 0)
 
 
-def _sum_of_products(rows: list[tuple[int, ...]], masks: Sequence[int], full: int) -> int:
-    """OR over the true rows of the AND of the matching literal masks."""
-    literals = ([full ^ m for m in masks], masks)
+# a product term: the argument ids it reads positive, then those it negates
+Cube = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _isop(lower: int, upper: int, n: int, var: int) -> tuple[list[Cube], int]:
+    """Minato-Morreale ISOP (Minato 1992): prime cubes over arguments var..
+    that cover every 1 of `lower` (nonzero) and no 0 of `upper`, none of
+    them redundant, with the table of their sum.  Both bounds are tables
+    over the last n arguments; argument var is the top bit of their code,
+    so its cofactors are the low and the high halves."""
+    ones = (1 << (1 << n)) - 1
+    if upper == ones:
+        return [((), ())], ones
+    half = 1 << (n - 1)
+    low = (1 << half) - 1
+    lower0, lower1, upper0, upper1 = lower & low, lower >> half, upper & low, upper >> half
+    # the cubes that need the literal not-var, then var, then neither
+    cubes, cover0, cover1, cover = [], 0, 0, 0
+    if need := lower0 & ~upper1:
+        sub, cover0 = _isop(need, upper0, n - 1, var + 1)
+        cubes += [(pos, (var,) + neg) for pos, neg in sub]
+    if need := lower1 & ~upper0:
+        sub, cover1 = _isop(need, upper1, n - 1, var + 1)
+        cubes += [((var,) + pos, neg) for pos, neg in sub]
+    if need := (lower0 & ~cover0) | (lower1 & ~cover1):
+        sub, cover = _isop(need, upper0 & upper1, n - 1, var + 1)
+        cubes += sub
+    return cubes, (cover1 | cover) << half | cover0 | cover
+
+
+def _cover(cubes: tuple[Cube, ...], masks: Sequence[int], full: int) -> int:
+    """OR over the cubes of the AND of their literals' masks."""
     out = 0
-    for row in rows:
+    for pos, neg in cubes:
         term = full
-        for i, bit in enumerate(row):
-            term &= literals[bit][i]
+        for i in pos:
+            term &= masks[i]
+        for i in neg:
+            term &= ~masks[i]
         out |= term
     return out
 
@@ -353,7 +384,7 @@ class BoolFunction:
     @cached_property
     def mask_op(self) -> MaskOp:
         """The function applied pointwise to argument masks."""
-        return _compile(self.table)
+        return _compile(sum(bit << code for code, bit in enumerate(self.table)), self.arity)
 
     def dual(self) -> "BoolFunction":
         size = 1 << self.arity

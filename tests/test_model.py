@@ -24,8 +24,10 @@ from boolmin.model import (
     satisfiable,
     substitute,
     truth_table,
+    var_mask,
 )
-from boolmin.std import fn_and, fn_const, fn_not, fn_or, fn_xor, rel_impl
+from boolmin.model import _and, _compile, _cover, _or, _xnor, _xor
+from boolmin.std import fn_and, fn_const, fn_not, fn_or, fn_xor, rel_impl, rel_or, rel_parity
 
 from conftest import assert_steps, clause_mask, random_bformula, random_cnf, tree_steps
 
@@ -509,6 +511,106 @@ def test_bformula_kernel_matches_pointwise():
         g = BFormula(basis, f.steps + (("not", 1), ("not", 1)))
         assert equivalent(f, g)
         assert not equivalent(f, BFormula(basis, f.steps + (("not", 1),)))
+
+
+def _spare_columns(arity: int, seed: int) -> tuple[list[int], int, list[int]]:
+    """Argument masks for an arity-k table: the columns of k of k + 1
+    variables in shuffled order, so one variable is spare; with the full
+    mask and, per argument code c, the mask of the columns whose arguments
+    read c, found one column at a time."""
+    n = arity + 1
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    masks = [var_mask(v, n) for v in order[:arity]]
+    reads = [0] * (1 << arity)
+    for col in range(1 << n):
+        code = 0
+        for m in masks:
+            code = 2 * code + (m >> col & 1)
+        reads[code] |= 1 << col
+    return masks, (1 << (1 << n)) - 1, reads
+
+
+def _pointwise(table: int, reads: list[int]) -> int:
+    return sum(cols for code, cols in enumerate(reads) if table >> code & 1)
+
+
+def test_every_table_to_arity_4_compiles_to_its_pointwise_op():
+    for arity in range(5):
+        masks, full, reads = _spare_columns(arity, arity)
+        for table in range(1 << (1 << arity)):
+            assert _compile(table, arity)(masks, full) == _pointwise(table, reads), (arity, table)
+
+
+def test_seeded_tables_of_arity_5_to_8_compile_to_their_pointwise_ops():
+    rng = random.Random(58)
+    for k in range(200):
+        arity = rng.randint(5, 8)
+        table = rng.getrandbits(1 << arity) | 1 << rng.randrange(1 << arity)
+        masks, full, reads = _spare_columns(arity, k)
+        bits = tuple(table >> code & 1 for code in range(1 << arity))
+        f = BoolFunction("f", arity, bits)
+        rel = Relation("r", arity, frozenset(t for t, b in zip(all_assignments(arity), bits) if b))
+        assert f.mask_op(masks, full) == rel.mask_op(masks, full) == _pointwise(table, reads)
+
+
+def test_or_and_xor_xnor_tables_compile_to_folds():
+    for arity in range(2, 7):
+        assert fn_or(arity).mask_op is rel_or(arity).mask_op is _or
+        assert fn_and(arity).mask_op is _and
+        assert fn_xor(arity).mask_op is rel_parity(arity, 1).mask_op is _xor
+        assert fn_xor(arity, 1).mask_op is rel_parity(arity, 0).mask_op is _xnor
+    assert fn_const(0).mask_op is _or and fn_const(1).mask_op is _and
+    assert BoolFunction("id", 1, (0, 1)).mask_op is _or
+    assert fn_not().mask_op is _xnor
+
+
+def _cover_table(cubes, arity: int) -> int:
+    return _cover(cubes, [var_mask(i, arity) for i in range(arity)], (1 << (1 << arity)) - 1)
+
+
+def _assert_irredundant(table: int, arity: int) -> None:
+    op = _compile(table, arity)
+    if op in (_or, _and, _xor, _xnor):
+        return
+    cubes = op.args[0]
+    assert op.func is _cover and _cover_table(cubes, arity) == table
+    assert len(cubes) <= bin(table).count("1")
+    for i, (pos, neg) in enumerate(cubes):
+        assert _cover_table(cubes[:i] + cubes[i + 1:], arity) != table
+        for j in range(len(pos)):
+            shorter = (pos[:j] + pos[j + 1:], neg)
+            assert _cover_table(cubes[:i] + (shorter,) + cubes[i + 1:], arity) != table
+        for j in range(len(neg)):
+            shorter = (pos, neg[:j] + neg[j + 1:])
+            assert _cover_table(cubes[:i] + (shorter,) + cubes[i + 1:], arity) != table
+
+
+def test_covers_are_irredundant_and_prime():
+    """Dropping any cube, or any literal of a cube, changes the table; so
+    no cover has more cubes than its table has true rows."""
+    for arity in range(4):
+        for table in range(1 << (1 << arity)):
+            _assert_irredundant(table, arity)
+    rng = random.Random(46)
+    for _ in range(60):
+        arity = rng.randint(4, 6)
+        _assert_irredundant(rng.getrandbits(1 << arity), arity)
+    maj = BoolFunction("maj", 3, (0, 0, 0, 1, 0, 1, 1, 1))
+    assert maj.mask_op.args[0] == (((0, 1), ()), ((0, 2), ()), ((1, 2), ()))
+    assert rel_impl().mask_op.args[0] == (((), (0,)), ((1,), ()))
+
+
+def test_compiled_ops_survive_pickle():
+    rng = random.Random(3)
+    masks, full, _ = _spare_columns(3, 3)
+    f = BoolFunction("rnd", 3, tuple(rng.randrange(2) for _ in range(8)))
+    for obj in (f, rel_impl(), BoolFunction("maj", 3, (0, 0, 0, 1, 0, 1, 1, 1))):
+        before = obj.mask_op(masks, full)
+        assert "mask_op" in obj.__dict__
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and "mask_op" in copy.__dict__
+        assert copy.mask_op(masks, full) == before
 
 
 def test_equivalence_at_twenty_variables(t9):
