@@ -38,8 +38,7 @@ def _read(path: str) -> tuple[str, str]:
     """File text plus the directory for resolving relative includes."""
     if path == "-":
         return sys.stdin.read(), "."
-    with open(path, encoding="utf-8") as fh:
-        return fh.read(), os.path.dirname(path) or "."
+    return formats.read_text(path), os.path.dirname(path) or "."
 
 
 def _write_out(text: str, out: str | None) -> None:

@@ -84,6 +84,18 @@ def parse_relation(text: str) -> Relation:
     return lang.relations[0]
 
 
+def read_text(path: str) -> str:
+    """A file's UTF-8 text, with newlines translated as text mode does
+    (`\r\n` and `\r` become `\n`).  The bytes come in one unbuffered
+    read: text mode would add a buffer, a decoder wrapper, a seek and a
+    terminal check to every small file."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def load_language(path: str, _including: tuple[str, ...] = ()) -> ConstraintLanguage:
     """The language a file defines.  The file is read on every call, so an
     edited file is always seen.  An include-free text is parsed once and
@@ -91,8 +103,7 @@ def load_language(path: str, _including: tuple[str, ...] = ()) -> ConstraintLang
     (see `model` for what else is computed once per language).  A text with
     an include line is parsed on every call, since the files it includes may
     have changed.  A malformed text raises on every call."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     lang = _include_free_languages.get(text)
     if lang is not None:
         return lang
@@ -187,8 +198,7 @@ def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
 
 
 def load_cnf_formula(path: str) -> CnfFormula:
-    with open(path, encoding="utf-8") as fh:
-        return parse_cnf_formula(fh.read(), os.path.dirname(path) or ".")
+    return parse_cnf_formula(read_text(path), os.path.dirname(path) or ".")
 
 
 def parse_functions(text: str) -> tuple[BoolFunction, ...]:
@@ -212,8 +222,7 @@ def parse_functions(text: str) -> tuple[BoolFunction, ...]:
 
 
 def load_functions(path: str) -> tuple[BoolFunction, ...]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_functions(fh.read())
+    return parse_functions(read_text(path))
 
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
@@ -273,8 +282,7 @@ def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
 
 
 def load_bformula(path: str, functions: tuple[BoolFunction, ...]) -> BFormula:
-    with open(path, encoding="utf-8") as fh:
-        return parse_bformula(fh.read(), functions)
+    return parse_bformula(read_text(path), functions)
 
 
 def serialize_relation(rel: Relation) -> str:

@@ -2,13 +2,15 @@
 and `succ[u]` lists the successors of u.  A reach set is an int whose bit v
 is set iff the node leads to v (every node leads to itself).
 
-One walk, Tarjan's (1972, iterative), yields the strongly connected
-components in close order: each after every component it reaches.  As a
-component closes, `condense` sets the reach sets, `rep` (the least member of
-each component) and the transitive reduction of the condensation
+`condense` is one walk, Tarjan's (1972, iterative), which closes the
+strongly connected components in close order: each after every component it
+reaches.  As a component closes, the walk sets its reach set, its `rep` (the
+least member) and its edges in the transitive reduction of the condensation
 (Aho-Garey-Ullman 1972).  The reduction keeps every reachability between
 components, and its edges come in close order, so any other closure over the
-graph is one fold over them (see `condense`).
+graph is one fold over them (see `condense`).  Most components of a sparse
+implication graph are single nodes, whose close builds no member list, and
+a component with one target appends its edge without sorting.
 """
 from __future__ import annotations
 
@@ -43,43 +45,6 @@ def descendants(succ: list[list[int]], sources: Iterable[int]) -> set[int]:
     return seen
 
 
-def _components(succ: list[list[int]]) -> Iterator[list[int]]:
-    """The components of the nodes that have successors, in close order.  A
-    sink is never visited: it is a component that reaches nothing else."""
-    n = len(succ)
-    order: dict[int, int] = {}
-    low = [n] * n  # n for sinks and closed nodes: lowers nothing
-    stack: list[int] = []
-    for root in range(n):
-        if root in order or not succ[root]:
-            continue
-        order[root] = low[root] = len(order)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            u, edges = work[-1]
-            for v in edges:
-                if v in order:
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                elif succ[v]:
-                    order[v] = low[v] = len(order)
-                    stack.append(v)
-                    work.append((v, iter(succ[v])))
-                    break
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
-                if low[u] == order[u]:
-                    group = [stack.pop()]
-                    while group[-1] != u:
-                        group.append(stack.pop())
-                    for w in group:
-                        low[w] = n
-                    yield group
-
-
 def condense(succ: list[list[int]]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """(reach, rep, edges): every node's reach set and the least member of
     its component, and the transitive reduction of the condensation as
@@ -92,30 +57,85 @@ def condense(succ: list[list[int]]) -> tuple[list[int], list[int], list[tuple[in
     `value[c] |= value[d]` over the edges in list order, starting from one
     value per rep, therefore reads each d final and leaves on each rep the
     OR of the starting values of every component it reaches, its own
-    included."""
+    included.
+
+    The walk visits only nodes with successors: a sink is a component that
+    reaches nothing else, with reach and rep final from the start."""
     n = len(succ)
     reach = [0 if s else 1 << u for u, s in enumerate(succ)]  # final for sinks
     rep = list(range(n))
     rank = [-1] * n  # close index of each component's rep; -1 for sinks
     edges: list[tuple[int, int]] = []
-    for k, group in enumerate(_components(succ)):
-        c = min(group)
-        rank[c] = k
-        for w in group:
-            rep[w] = c
-        value = 0
-        targets = set()
-        for w in group:
-            value |= 1 << w
-            for x in succ[w]:
-                if rep[x] != c:
-                    targets.add(rep[x])
-                    value |= reach[x]
-        for w in group:
-            reach[w] = value
-        further = 0
-        for d in sorted(targets, key=rank.__getitem__, reverse=True):
-            if not further >> d & 1:
-                edges.append((c, d))
-                further |= reach[d]
+    order = [-1] * n  # DFS number; -1 until visited
+    low = [n] * n  # n for sinks and closed nodes: lowers nothing
+    stack: list[int] = []
+    visited = closed = 0
+    for root in range(n):
+        if order[root] >= 0 or not succ[root]:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            u, out = work[-1]
+            for v in out:
+                if order[v] >= 0:
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                elif succ[v]:
+                    order[v] = low[v] = visited
+                    visited += 1
+                    stack.append(v)
+                    work.append((v, iter(succ[v])))
+                    break
+            else:
+                work.pop()
+                lu = low[u]
+                if work and lu < low[work[-1][0]]:
+                    low[work[-1][0]] = lu
+                if lu != order[u]:
+                    continue
+                # u closes its component, whose members lie on the stack
+                # from u up; every node they lead to outside it is closed
+                targets = set()
+                if stack[-1] == u:  # a single node
+                    stack.pop()
+                    low[u] = n
+                    c = u
+                    value = 1 << u
+                    for x in succ[u]:
+                        if rep[x] != c:
+                            targets.add(rep[x])
+                    for d in targets:
+                        value |= reach[d]
+                    reach[u] = value
+                else:
+                    group = [stack.pop()]
+                    while group[-1] != u:
+                        group.append(stack.pop())
+                    c = min(group)
+                    value = 0
+                    for w in group:
+                        rep[w] = c
+                        low[w] = n
+                        value |= 1 << w
+                    for w in group:
+                        for x in succ[w]:
+                            if rep[x] != c:
+                                targets.add(rep[x])
+                    for d in targets:
+                        value |= reach[d]
+                    for w in group:
+                        reach[w] = value
+                rank[c] = closed
+                closed += 1
+                if len(targets) == 1:
+                    edges.append((c, targets.pop()))
+                    continue
+                further = 0
+                for d in sorted(targets, key=rank.__getitem__, reverse=True):
+                    if not further >> d & 1:
+                        edges.append((c, d))
+                        further |= reach[d]
     return reach, rep, edges

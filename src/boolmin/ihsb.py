@@ -174,21 +174,20 @@ def unsat_check_ihsb(g: ImplGraph) -> int | None:
     pred: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.impl:
         pred[v].append(u)
-    falsy = graph.bits(graph.descendants(pred, g.neg))
-    if graph.bits(g.pos) & falsy or any(not graph.bits(c) & ~falsy for c in g.ors):
+    falsified = graph.descendants(pred, g.neg)
+    if not g.pos.isdisjoint(falsified) or any(c <= falsified for c in g.ors):
         return None
-    return falsy
+    return graph.bits(falsified)
 
 
 def _unsatisfiable(what: str) -> RuntimeError:
     return RuntimeError(f"{what}: the input was unsatisfiable; this is a bug")
 
 
-def _shrink(c: list[int], falsy: int, reach: list[int]) -> list[int]:
-    """The members of an OR-clause that are not falsified and lead to no
-    other such member, in the clause's order; of members leading to each
-    other the least stays."""
-    live = graph.bits(c) & ~falsy
+def _shrink(c: list[int], live: int, reach: list[int]) -> list[int]:
+    """The members of an OR-clause that are live (not falsified; `live` is
+    their bitset) and lead to no other live member, in the clause's order;
+    of members leading to each other the least stays."""
     rest = []
     for x in c:
         others = reach[x] & live & ~(1 << x)
@@ -267,18 +266,33 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
     for j, c in enumerate(ors):
         for y in c:
             occ[y] |= 1 << j
+    # the members of multi-node components other than their rep
+    merged = [(u, c) for u, c in enumerate(rep) if c != u]
     # hit[rep[x]]: clauses containing some y that x leads to, folded over
     # the reduced edges in the order `condense` closed their components
     hit = list(occ)
-    for u, c in enumerate(rep):
-        if c != u:
-            hit[c] |= occ[u]
+    for u, c in merged:
+        hit[c] |= occ[u]
     for c, d in reduced:
         hit[c] |= hit[d]
     # only a member that is falsified or leads elsewhere can drop
-    shrunk = {j: _shrink(ors[j], falsy, reach) if any(succ[x] or falsy >> x & 1 for x in ors[j])
-              else ors[j] for j in _strongest(range(len(ors)), ors, hit, rep)}
-    kept = _strongest(sorted(shrunk, key=shrunk.__getitem__), shrunk, hit, rep)
+    movable = falsy | graph.bits(u for u, out in enumerate(succ) if out)
+    shrunk: dict[int, list[int]] = {}
+    shrank = False
+    for j in _strongest(range(len(ors)), ors, hit, rep):
+        c = ors[j]
+        mask = graph.bits(c)
+        if mask & movable:
+            rest = _shrink(c, mask & ~falsy, reach)
+            shrank = shrank or len(rest) < len(c)
+            c = rest
+        shrunk[j] = c
+    # Unshrunk, the survivors of the first scan entail no other survivor:
+    # each one dropped every clause it entails.  So the second scan, over
+    # the same clauses in the same order, would drop nothing.
+    kept = list(shrunk)
+    if shrank:
+        kept = _strongest(sorted(shrunk, key=shrunk.__getitem__), shrunk, hit, rep)
 
     # Among live variables the components and reduced edges of the whole
     # graph are those of the implications left (step 4).  Canonical form:
@@ -287,8 +301,8 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
     # express equality; OR members name their class.
     impl = [(c, d) for c, d in reduced if not (falsy >> c | forced >> d) & 1]
     classes: dict[int, list[int]] = {}
-    for u, c in enumerate(rep):
-        if c != u and not (forced | falsy) >> u & 1:
+    for u, c in merged:
+        if not (forced | falsy) >> u & 1:
             classes.setdefault(c, [c]).append(u)
     eq_out: list[tuple[int, int]] = []
     for members in classes.values():

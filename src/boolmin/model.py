@@ -53,7 +53,9 @@ value, not once per formula: its classification
 table and its minimum unsatisfiable formula (`oracle.min_unsat_formula`)
 are memoized by the language, and `formats.load_language` gives equal
 include-free texts one language object.  The dual language is kept on the
-language object itself, so that the dual of the dual is that object.  In the
+language object itself, so that the dual of the dual is that object, and so
+is its hash, which every one of those memo lookups reads (a pickle leaves
+the hash behind: str hashes differ between processes).  In the
 same way a function's shape (`classify.function_shape`) is computed once per
 function value, so a basis parsed again, or dualized for `post.min_post`'s
 AND route, reads the shapes already computed.  These results are shared by
@@ -153,13 +155,27 @@ class ConstraintLanguage:
         except KeyError:
             raise FormatError(f"unknown relation {name!r}") from None
 
+    def __hash__(self) -> int:
+        """The hash of the relations, computed once per language object:
+        every memo keyed by the language looks it up."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            # frozen instances: store as `cached_property` does, past __setattr__
+            h = self.__dict__["_hash"] = hash(self.relations)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle carries no hash
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def dual(self) -> "ConstraintLanguage":
         """The language of the dual relations, built once per language
         object; its dual is this very object."""
         dual = self.__dict__.get("_dual")
         if dual is None:
             dual = ConstraintLanguage(tuple(r.dual() for r in self.relations))
-            # frozen instances: store as `cached_property` does, past __setattr__
             dual.__dict__["_dual"] = self
             self.__dict__["_dual"] = dual
         return dual

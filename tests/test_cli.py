@@ -361,6 +361,19 @@ def test_malformed_input_exit_code(workdir, capsys):
     assert main(["minimize", "--formula", "missing.cnf"]) == 2
 
 
+def test_unreadable_language_exits_malformed(workdir, capsys):
+    # the messages of a file opened and decoded in text mode
+    (workdir / "latin1.lang").write_bytes(b"relation pos arity 1\n1 # caf\xe9\n")
+    (workdir / "dir.lang").mkdir()
+    for lang, message in (
+        ("latin1.lang", "'utf-8' codec can't decode byte 0xe9 in position 28: invalid continuation byte"),
+        ("dir.lang", "[Errno 21] Is a directory: './dir.lang'"),
+    ):
+        (workdir / "g.cnf").write_text(f"language {lang}\nvars x\nclause pos x\n")
+        assert main(["minimize", "--formula", "g.cnf"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_internal_error_is_not_a_decision(workdir, capsys, monkeypatch):
     def crash(args):
         raise KeyError("boom")

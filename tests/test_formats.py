@@ -100,6 +100,17 @@ def test_equal_language_texts_give_one_language(tmp_path):
     assert formats.load_language(str(tmp_path / "sub" / "b.lang")) is lang
 
 
+def test_crlf_language_file_gives_its_lf_twins_language(tmp_path):
+    text = formats.serialize_language(theorem9_language(2)).replace("\n", " # note\n")
+    (tmp_path / "lf.lang").write_bytes(text.encode())
+    (tmp_path / "crlf.lang").write_bytes(text.replace("\n", "\r\n").encode())
+    (tmp_path / "cr.lang").write_bytes(text.replace("\n", "\r").encode())
+    lang = formats.load_language(str(tmp_path / "lf.lang"))
+    assert formats.load_language(str(tmp_path / "crlf.lang")) is lang
+    assert formats.load_language(str(tmp_path / "cr.lang")) is lang
+    assert formats.read_text(str(tmp_path / "crlf.lang")) == text
+
+
 def test_cnf_roundtrip(tmp_path):
     lang = theorem9_language(3)
     (tmp_path / "base.lang").write_text(formats.serialize_language(lang))

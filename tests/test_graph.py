@@ -17,6 +17,32 @@ def random_digraph(rng, n):
     return edges, succ
 
 
+def clustered_digraph(rng, n):
+    """Many multi-node components, each closed by a cycle through its
+    members, with edges only from a component to later ones, and several
+    sinks that many components point to; node numbers are shuffled."""
+    label = list(range(n))
+    rng.shuffle(label)
+    sinks = rng.randint(2, 5)
+    groups, rest = [], label[sinks:]
+    while rest:
+        size = rng.randint(1, 4)
+        groups.append(rest[:size])
+        rest = rest[size:]
+    edges = set()
+    for k, group in enumerate(groups):
+        if len(group) > 1:
+            edges.update(zip(group, group[1:] + group[:1]))
+        later = [v for g in groups[k + 1:] for v in g] + label[:sinks]
+        for u in group:
+            edges.update((u, v) for v in group if u != v and rng.random() < 0.3)
+            edges.update((u, v) for v in later if rng.random() < 0.15)
+    succ = [[] for _ in range(n)]
+    for u, v in sorted(edges, key=lambda e: rng.random()):
+        succ[u].append(v)
+    return edges, succ
+
+
 def dfs(succ, start):
     seen = {start}
     stack = [start]
@@ -33,6 +59,9 @@ def cases(seed, count=300):
     for _ in range(count):
         n = rng.randint(1, 12)
         yield rng, n, *random_digraph(rng, n)
+    for _ in range(count // 3):
+        n = rng.randint(6, 24)
+        yield rng, n, *clustered_digraph(rng, n)
 
 
 def test_bits_and_members():
@@ -107,6 +136,65 @@ def test_reduction_keeps_edges_without_another_path():
         assert sorted(reduced) == sorted(expected)
 
 
+def reference_condense(succ):
+    """Tarjan's walk written recursively, with the same close: a
+    component's members come off the stack from the top down to its root,
+    its targets are gathered member by member in that order, and they are
+    kept in decreasing close order, ties (sinks) in the order gathered."""
+    n = len(succ)
+    order, low, stack, closed = {}, {}, [], []
+
+    def visit(u):
+        order[u] = low[u] = len(order)
+        stack.append(u)
+        for v in succ[u]:
+            if v not in order:
+                if succ[v]:
+                    visit(v)
+                    low[u] = min(low[u], low[v])
+            elif v in stack:
+                low[u] = min(low[u], order[v])
+        if low[u] == order[u]:
+            group = [stack.pop()]
+            while group[-1] != u:
+                group.append(stack.pop())
+            closed.append(group)
+
+    for u in range(n):
+        if u not in order and succ[u]:
+            visit(u)
+    reach = [0 if s else 1 << u for u, s in enumerate(succ)]
+    rep = list(range(n))
+    rank = [-1] * n
+    edges = []
+    for k, group in enumerate(closed):
+        c = min(group)
+        rank[c] = k
+        for w in group:
+            rep[w] = c
+        targets = set()
+        for w in group:
+            for x in succ[w]:
+                if rep[x] != c:
+                    targets.add(rep[x])
+        value = graph.bits(group)
+        for d in targets:
+            value |= reach[d]
+        for w in group:
+            reach[w] = value
+        further = 0
+        for d in sorted(targets, key=rank.__getitem__, reverse=True):
+            if not further >> d & 1:
+                edges.append((c, d))
+                further |= reach[d]
+    return reach, rep, edges
+
+
+def test_condense_matches_recursive_reference_edge_order_included():
+    for _, _, _, succ in cases(6):
+        assert graph.condense(succ) == reference_condense(succ)
+
+
 def test_long_path_and_cycle_do_not_recurse():
     n = 20000
     path = [[u + 1] for u in range(n - 1)] + [[]]
@@ -119,3 +207,9 @@ def test_long_path_and_cycle_do_not_recurse():
     cycle = [[(u + 1) % n] for u in range(n)]
     _, rep, reduced = graph.condense(cycle)
     assert rep == [0] * n and reduced == []
+    # a chain of 2-cycles closes a two-node component at every step
+    pairs = [[u + 1] if u % 2 == 0 else [u - 1, u + 1] for u in range(n - 1)] + [[n - 2]]
+    reach, rep, reduced = graph.condense(pairs)
+    assert reach[0] == (1 << n) - 1 and reach[n - 1] == 3 << (n - 2)
+    assert rep == [u & ~1 for u in range(n)]
+    assert sorted(reduced) == [(u, u + 2) for u in range(0, n - 2, 2)]

@@ -174,6 +174,47 @@ def test_language_dual_is_built_once(t9):
     assert f.dual().language is dual and f.dual().dual().language is lang
 
 
+def test_equal_languages_hash_equal_and_share_memo_entries(t9):
+    from boolmin.classify import classify_language
+
+    a = ConstraintLanguage(t9.relations)
+    b = ConstraintLanguage(
+        tuple(Relation(r.name, r.arity, frozenset(r.tuples)) for r in t9.relations)
+    )
+    assert a is not b and a == b and hash(a) == hash(b)
+    report = classify_language(a)
+    entries = classify_language.cache_info().currsize
+    assert classify_language(b) is report
+    assert classify_language.cache_info().currsize == entries
+    assert a.dual().dual() is a and hash(a.dual()) == hash(b.dual())
+
+
+def test_language_pickle_rehashes_in_another_process(t9):
+    # str hashes differ between processes, so a pickled language must not
+    # carry the hash cached where it was made
+    lang = ConstraintLanguage(t9.relations)
+    hash(lang)
+    dual = lang.dual()
+    hash(dual)
+    copy = pickle.loads(pickle.dumps(lang))
+    assert copy == lang and hash(copy) == hash(lang) and copy.dual().dual() is copy
+    code = """
+import pickle, sys
+from boolmin.model import ConstraintLanguage, Relation
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = ConstraintLanguage(tuple(
+    Relation(r.name, r.arity, frozenset(r.tuples)) for r in loaded.relations))
+assert loaded is not fresh and hash(loaded) == hash(fresh)
+assert {fresh: 1}[loaded] == 1 and {loaded: 1}[fresh] == 1
+assert hash(loaded.dual()) == hash(fresh.dual()) and loaded.dual().dual() is loaded
+"""
+    src = os.path.dirname(os.path.dirname(boolmin.__file__))
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", code], env=env, input=pickle.dumps(lang))
+        assert done.returncode == 0
+
+
 def test_dual_eval_identity_cnf(t9):
     # relations dualize by flipping tuples, so solutions flip coordinatewise:
     # eval(dual(phi), a) == eval(phi, complement of a)
