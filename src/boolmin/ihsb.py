@@ -312,9 +312,12 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
         else:
             impl.extend(chain)
             impl.append((members[-1], members[0]))
+    # the members are sorted, and shrinking keeps their order; only naming
+    # the classes can unsort a clause, so only a renamed one is sorted again
     ors = [shrunk[j] for j in kept]
     if eq_available and classes:
-        ors = [[rep[x] for x in c] for c in ors]
+        named = ([rep[x] for x in c] for c in ors)
+        ors = [d if d == c else sorted(d) for c, d in zip(ors, named)]
 
     return PartitionedFormula(
         g.n,
@@ -322,7 +325,7 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
         tuple(graph.members(falsy)),
         tuple(sorted(impl)),
         tuple(sorted(eq_out)),
-        tuple(sorted(tuple(sorted(c)) for c in ors)),
+        tuple(sorted(map(tuple, ors))),
     ), 1
 
 

@@ -50,16 +50,20 @@ What depends on a constraint language alone is computed once per language
 value, not once per formula: its classification
 (`classify.classify_language`), its IHSB base templates
 (`ihsb.language_templates`, `ihsb.dual_templates`), its bijunctive clause
-table and its minimum unsatisfiable formula (`oracle.min_unsat_formula`)
-are memoized by the language, and `formats.load_language` gives equal
+table, its minimum unsatisfiable formula (`oracle.min_unsat_formula`) and,
+per variable count, the oracles' table of its distinct clauses
+(`oracle._clause_table`) are memoized by the language, and
+`formats.load_language` gives equal
 include-free texts one language object.  The dual language is kept on the
 language object itself, so that the dual of the dual is that object, and so
 is its hash, which every one of those memo lookups reads (a pickle leaves
 the hash behind: str hashes differ between processes).  In the
 same way a function's shape (`classify.function_shape`) is computed once per
 function value, so a basis parsed again, or dualized for `post.min_post`'s
-AND route, reads the shapes already computed.  These results are shared by
-every caller: the report, the templates and the shapes are read-only, and
+AND route, reads the shapes already computed, and `oracle.brute_min_bformula`
+keeps one least-size search per basis value, pool size and measure, grown
+only as far as a call needs.  These results are shared by every caller: the
+report, the templates, the shapes and the clause tables are read-only, and
 nothing writes an emitter after it is built.
 """
 from __future__ import annotations

@@ -3,11 +3,19 @@ expressibility, and minimum unsatisfiable formulas.
 
 Everything here works on solution bitmasks (one bit per assignment) and is
 deliberately independent of the polynomial-time minimizers it validates.
+
+Each search space is built once and kept for the life of the process.  The
+distinct clauses of a language over n variables (`_clause_table`) are
+memoized per (language, n); `brute_min_cnf`, `expressible` and
+`min_unsat_formula` filter them by the target.  `brute_min_bformula`'s
+least-size search depends on the basis, the pool size and the measure only,
+and is kept per such key and resumed by later calls (`_SEARCHES`).
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
+from typing import Sequence
 
 from .errors import FormatError, ResourceLimitError
 from .graph import bits
@@ -20,7 +28,6 @@ from .model import (
     MinimizeStats,
     Relation,
     SizeMeasure,
-    Step,
     truth_table,
     var_mask,
 )
@@ -30,27 +37,32 @@ MAX_ORACLE_CLAUSES = 8
 MAX_ORACLE_BF_SIZE = 8
 
 
-def _candidate_clauses(
-    lang: ConstraintLanguage, n_vars: int, superset_of: int
-) -> tuple[list[int], list[Clause]]:
-    """Deduplicated clause masks (with a representative clause each) whose
-    solution sets contain `superset_of`, in deterministic first-seen order."""
-    masks: list[int] = []
-    reps: list[Clause] = []
-    seen: set[int] = set()
+@lru_cache(maxsize=None)
+def _clause_table(
+    lang: ConstraintLanguage, n_vars: int
+) -> tuple[tuple[int, ...], tuple[Clause, ...]]:
+    """Every distinct clause mask of `lang` over n_vars variables, with the
+    first clause that gives it, in first-seen order: relations in language
+    order, variable tuples in lexicographic order.  Built once per language
+    value and variable count."""
+    first: dict[int, Clause] = {}
     columns = [var_mask(i, n_vars) for i in range(n_vars)]
     full = (1 << (1 << n_vars)) - 1
     for rel in lang.relations:
         op = rel.mask_op
         for ids in product(range(n_vars), repeat=rel.arity):
-            mask = op([columns[v] for v in ids], full)
-            if mask in seen:
-                continue
-            seen.add(mask)
-            if mask & superset_of == superset_of:
-                masks.append(mask)
-                reps.append((rel.name, ids))
-    return masks, reps
+            first.setdefault(op([columns[v] for v in ids], full), (rel.name, ids))
+    return tuple(first), tuple(first.values())
+
+
+def _candidate_clauses(
+    lang: ConstraintLanguage, n_vars: int, superset_of: int
+) -> tuple[list[int], list[Clause]]:
+    """The clause masks of `_clause_table(lang, n_vars)` whose solution sets
+    contain `superset_of`, with their clauses, in the table's order."""
+    masks, reps = _clause_table(lang, n_vars)
+    picked = [i for i, mask in enumerate(masks) if mask & superset_of == superset_of]
+    return [masks[i] for i in picked], [reps[i] for i in picked]
 
 
 def _check_clause_bound(k_max: int) -> None:
@@ -188,8 +200,81 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+# the least-size searches by (basis, pool size, measure), grown on demand
+_SEARCHES: dict[tuple[tuple[BoolFunction, ...], int, SizeMeasure], "_LeastSizeSearch"] = {}
+
+
+class _LeastSizeSearch:
+    """One least-size search over a basis, a pool of n variables and a size
+    measure, grown only as far as a call needs.  `steps_of` maps each truth
+    table found so far to its first tree of least size, as post-order steps
+    whose leaves are pool positions; levels up to `complete` are swept to
+    the end."""
+
+    def __init__(self, basis: tuple[BoolFunction, ...], n: int, measure: SizeMeasure):
+        self.gate_cost = 1 if measure is SizeMeasure.GATES else 0
+        self.steps_of: dict[int, tuple] = {}
+        self.complete = -1
+        self._found = _discoveries(basis, n, self.gate_cost, self.steps_of)
+
+    def least(self, target: int, bound: int) -> tuple[int, tuple] | None:
+        """The least size of `target` and its tree, if that size is at most
+        `bound`; else None."""
+        if target not in self.steps_of:
+            found = self._found
+            while self.complete < bound:
+                out = next(found)
+                if out is None:
+                    self.complete += 1
+                elif out == target:
+                    break
+        steps = self.steps_of.get(target)
+        if steps is None:
+            return None
+        leaves = sum(step.__class__ is int for step in steps)
+        size = len(steps) - leaves if self.gate_cost else leaves
+        return (size, steps) if size <= bound else None
+
+
+def _discoveries(basis: tuple[BoolFunction, ...], n: int, gate_cost: int, steps_of: dict):
+    """Enter each truth table over n variables into `steps_of` at its least
+    size, level by level, and yield it; yield None after each level.
+
+    A gates level reads smaller levels only, so one sweep settles it; a
+    literals level reads itself through size-0 subtrees (constants) and
+    unary functions, so it is swept to a fixpoint.  A table keeps its first
+    tree: the steps of its argument tables, concatenated, then the
+    application.
+    """
+    full = (1 << (1 << n)) - 1
+    levels: list[list[int]] = []  # levels[s]: the tables of least size s
+    for size in count():
+        level: list[int] = []
+        levels.append(level)
+        if size == 1 - gate_cost:
+            for i in range(n):
+                mask = var_mask(i, n)
+                steps_of[mask] = (i,)
+                level.append(mask)
+                yield mask
+        changed = size >= gate_cost
+        while changed:
+            changed = False
+            for f in basis:
+                op, app = f.mask_op, ((f.name, f.arity),)
+                for split in _compositions(size - gate_cost, f.arity):
+                    for combo in product(*(levels[s] for s in split)):
+                        out = op(combo, full)
+                        if out not in steps_of:
+                            steps_of[out] = sum(map(steps_of.__getitem__, combo), ()) + app
+                            level.append(out)
+                            changed = not gate_cost
+                            yield out
+        yield None
+
+
 def brute_min_bformula(
-    basis: tuple[BoolFunction, ...],
+    basis: Sequence[BoolFunction],
     formula: BFormula,
     measure: SizeMeasure,
     bound: int,
@@ -206,10 +291,16 @@ def brute_min_bformula(
     Sizes are built in increasing order, each truth table is kept only at
     the least size it has, and the search stops at the first tree found for
     the target.  A table keeps its first tree as post-order steps (see
-    `model`): those of its argument tables, concatenated, then the
-    application.  The pruning loses no minimum: every subtree of a least-size
+    `model`).  The pruning loses no minimum: every subtree of a least-size
     tree is least-size for its own table, since swapping in a cheaper
     subtree would keep the function and lower the size.
+
+    The search depends only on the basis, the pool's size and the measure,
+    so it is kept per `(tuple(basis), len(pool), measure)` for the life of
+    the process, with pool positions for leaves that are renamed to the
+    pool on return.  A later call resumes it where an earlier one stopped;
+    its discovery order is fixed, so every answer is the one a fresh search
+    gives.  A search that raises partway is dropped.
     """
     if bound < 0:
         raise FormatError("size bound must be nonnegative")
@@ -222,37 +313,17 @@ def brute_min_bformula(
         fresh += "w"
     pool = tuple(sorted(set(formula.var_names) | {fresh}))
     target = truth_table(formula, pool)
-    full = (1 << (1 << len(pool))) - 1
-    var_masks = {name: var_mask(i, len(pool)) for i, name in enumerate(pool)}
-    # a gate costs 1 and a variable 0, or the reverse
-    gate_cost = 1 if measure is SizeMeasure.GATES else 0
-    # each truth table's first formula of least size, as post-order steps
-    steps_of: dict[int, tuple[Step, ...]] = {}
-    levels: list[list[int]] = []  # levels[s]: the tables of least size s
-    for size in range(bound + 1):
-        level: list[int] = []
-        levels.append(level)
-        if size == 1 - gate_cost:
-            for name, mask in var_masks.items():
-                steps_of[mask] = (name,)
-                level.append(mask)
-            if target in steps_of:
-                return size, BFormula(basis, steps_of[target])
-        # a gates level reads smaller levels only, so one sweep settles it; a
-        # literals level reads itself through size-0 subtrees (constants) and
-        # unary functions, so it is swept to a fixpoint
-        changed = size >= gate_cost
-        while changed:
-            changed = False
-            for f in basis:
-                op, app = f.mask_op, ((f.name, f.arity),)
-                for split in _compositions(size - gate_cost, f.arity):
-                    for combo in product(*(levels[s] for s in split)):
-                        out = op(combo, full)
-                        if out not in steps_of:
-                            steps_of[out] = sum(map(steps_of.__getitem__, combo), ()) + app
-                            level.append(out)
-                            if out == target:
-                                return size, BFormula(basis, steps_of[out])
-                            changed = not gate_cost
-    return None
+    key = (tuple(basis), len(pool), measure)
+    search = _SEARCHES.get(key)
+    if search is None:
+        search = _SEARCHES[key] = _LeastSizeSearch(*key)
+    try:
+        found = search.least(target, bound)
+    except BaseException:
+        # the search's generator is closed once it raised
+        _SEARCHES.pop(key, None)
+        raise
+    if found is None:
+        return None
+    size, steps = found
+    return size, BFormula(basis, tuple(pool[s] if s.__class__ is int else s for s in steps))

@@ -1,8 +1,10 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
 
+from boolmin import oracle
 from boolmin.errors import FormatError, ResourceLimitError
 from boolmin.model import (
     BFormula,
@@ -38,7 +40,7 @@ from boolmin.std import (
 )
 from boolmin.formats import parse_bformula, serialize_bformula
 
-from conftest import random_cnf, tree_steps
+from conftest import clause_mask, random_cnf, tree_steps
 
 
 def test_brute_min_cnf_duplicate_clause(t9):
@@ -274,5 +276,110 @@ def test_least_size_search_matches_level_builders():
             assert equivalent(found[1], phi)
             assert formula_size(found[1], measure) == found[0]
             other_witness += 1
+        # the kept search has the target above a lower bound, and answers
+        # its own bound again with the same witness
+        if found[0]:
+            assert _reference_min_bformula(basis, phi, measure, found[0] - 1) is None
+            assert brute_min_bformula(basis, phi, measure, found[0] - 1) is None
+        assert brute_min_bformula(basis, phi, measure, bound) == found
     assert nones >= 30
     print(f"[least-size search] searches=600 none={nones} other_witness={other_witness}")
+
+
+def _witness_text(result):
+    return None if result is None else (result[0], serialize_bformula(result[1]))
+
+
+def test_kept_searches_resume_like_fresh_ones():
+    """Growing one kept search bound by bound, and resuming it from every
+    earlier stop, gives the answers of a fresh search at each bound."""
+    rng = random.Random(29)
+    basis = (BoolFunction("resume1", 1, (1, 0)), BoolFunction("resume2", 2, (1, 1, 1, 0)))
+    phis = [BFormula(basis, tree_steps(_random_tree(basis, rng, 3, "xy"))) for _ in range(40)]
+    for measure in (SizeMeasure.LITERALS, SizeMeasure.GATES):
+        for bound in range(6):
+            for phi in phis:
+                expected = _reference_min_bformula(basis, phi, measure, bound)
+                assert _witness_text(brute_min_bformula(basis, phi, measure, bound)) == (
+                    _witness_text(expected)
+                )
+
+
+def test_search_that_raised_is_dropped_and_list_bases_share_it():
+    def nand(name):
+        return BoolFunction(name, 2, (1, 1, 1, 0))
+
+    phi = parse_bformula("(xor2 x y)", (BoolFunction("xor2", 2, (0, 1, 1, 0)),))
+    for interrupt, name in ((KeyboardInterrupt, "nand_k"), (RuntimeError, "nand_r")):
+        expected = _reference_min_bformula((nand(name),), phi, SizeMeasure.GATES, 5)
+        assert expected is not None and expected[0] == 5
+        # the swapped op raises in level 1 of the 5 the search needs
+        poisoned = nand(name)
+        real, calls = poisoned.mask_op, []
+
+        def flaky(masks, full):
+            calls.append(1)
+            if len(calls) > 6:
+                raise interrupt("stopped partway")
+            return real(masks, full)
+
+        poisoned.__dict__["mask_op"] = flaky
+        with pytest.raises(interrupt):
+            brute_min_bformula((poisoned,), phi, SizeMeasure.GATES, 5)
+        assert len(calls) == 7
+        found = brute_min_bformula((nand(name),), phi, SizeMeasure.GATES, 5)
+        assert _witness_text(found) == _witness_text(expected)
+        # a list basis names the same kept search as the equal tuple
+        searches = len(oracle._SEARCHES)
+        found = brute_min_bformula([nand(name)], phi, SizeMeasure.GATES, 5)
+        assert len(oracle._SEARCHES) == searches
+        assert found[1].functions == [nand(name)]
+        assert _witness_text(found) == _witness_text(expected)
+
+
+def _seeded_cnf_calls():
+    """Seeded brute_min_cnf and expressible calls over three languages."""
+    rng = random.Random(30)
+    langs = (
+        ConstraintLanguage((rel_or(2), rel_impl(), rel_pos(), rel_neg())),
+        ConstraintLanguage((rel_xor(), rel_parity(3, 1), rel_pos())),
+        ConstraintLanguage((rel_nand(2), rel_horn_impl(2), rel_neg())),
+    )
+    calls = []
+    for _ in range(60):
+        lang = rng.choice(langs)
+        f = random_cnf(lang, rng, rng.randint(1, 4), rng.randint(0, 3))
+        calls.append(partial(brute_min_cnf, rng.choice(langs), f, rng.randint(0, 4)))
+    for lang in langs:
+        for rel in lang.relations:
+            for base in langs:
+                calls.append(partial(expressible, rel, base, rng.randint(0, 3)))
+    return calls
+
+
+def test_clause_tables_are_shared_and_order_free(t9):
+    a = ConstraintLanguage(t9.relations)
+    b = ConstraintLanguage(
+        tuple(Relation(r.name, r.arity, frozenset(r.tuples)) for r in t9.relations)
+    )
+    assert a is not b and a == b
+    table = oracle._clause_table(a, 3)
+    entries = oracle._clause_table.cache_info().currsize
+    assert oracle._clause_table(b, 3) is table
+    assert oracle._clause_table.cache_info().currsize == entries
+    # every distinct clause mask once, with its first clause, in first-seen order
+    first = {}
+    for rel in a.relations:
+        for ids in product(range(3), repeat=rel.arity):
+            first.setdefault(clause_mask(rel, ids, 3), (rel.name, ids))
+    assert table == (tuple(first), tuple(first.values()))
+
+    def results(calls):
+        return [(r[0], r[1].clauses) if isinstance(r, tuple) else r
+                for r in (call() for call in calls)]
+
+    calls = _seeded_cnf_calls()
+    oracle._clause_table.cache_clear()
+    forward = results(calls)
+    oracle._clause_table.cache_clear()
+    assert results(calls[::-1])[::-1] == forward
