@@ -25,9 +25,11 @@ implications.  One pass over the implications' condensation computes it:
    clause, so they never shrink the set that a clause's unfalsified
    members all lead to: nothing more becomes forced.
 3. OR-clauses with a forced member go.  The others lose their falsified
-   members and every member that leads to another one (of members leading
-   to each other the least stays), and then only the clauses that no other
-   clause entails stay.
+   members and every member that leads to a member of another class, and
+   each member left is named by its class: the least member, `rep`.  Then
+   only the clauses that no other clause entails stay.  Named so, no two
+   clauses entail each other, so no tie is left to break: equivalent
+   inputs keep the same clauses.
 4. Implications into a forced variable or out of a falsified one go.  The
    rest join live (unforced, unfalsified) variables, and every path between
    live variables stays live, so among them the components (`rep`) and the
@@ -37,11 +39,12 @@ implications.  One pass over the implications' condensation computes it:
 So no rule finds anything to do on the result: the literal sets are closed
 under implication, every common successor of an OR-clause's members is
 forced and no longer reachable from them, and the clauses kept neither
-shrink nor entail each other.
+shrink nor entail each other: each member of a clause is the only one of
+its class there and leads to no other member.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -184,35 +187,35 @@ def _unsatisfiable(what: str) -> RuntimeError:
     return RuntimeError(f"{what}: the input was unsatisfiable; this is a bug")
 
 
-def _shrink(c: list[int], live: int, reach: list[int]) -> list[int]:
-    """The members of an OR-clause that are live (not falsified; `live` is
-    their bitset) and lead to no other live member, in the clause's order;
-    of members leading to each other the least stays."""
-    rest = []
+def _shrink(c: frozenset[int], live: int, reach: list[int], rep: list[int]) -> set[int]:
+    """The classes (`rep`) of the members of an OR-clause that are live (not
+    falsified; `live` is their bitset) and lead to no live member outside
+    their own class."""
+    rest = set()
     for x in c:
         others = reach[x] & live & ~(1 << x)
         if live >> x & 1 and (
-            not others or all(x < y and reach[y] >> x & 1 for y in graph.members(others))
+            not others or all(rep[y] == rep[x] for y in graph.members(others))
         ):
-            rest.append(x)
+            rest.add(rep[x])
     return rest
 
 
-def _strongest(order: Sequence[int], members, hit: list[int], rep: list[int]) -> list[int]:
-    """The clauses of `order` entailed by no other one, in order.  Clause j
-    entails clause k when each x in members[j] leads to some member of k,
-    that is, when hit[rep[x]] has bit k; of clauses entailing each other the
-    last in `order` stays."""
+def _strongest(ors: list[tuple[int, ...]], hit: list[int]) -> list[tuple[int, ...]]:
+    """The clauses of `ors` entailed by no other one, in order.  Clause j
+    entails clause k when each member x of j leads to some member of k, that
+    is, when hit[x] has bit k."""
     dropped = 0
-    # Entailment is a preorder, so scanning from the end, a clause not yet
-    # dropped is the last of its class and entailed by nothing stronger.
-    for j in reversed(order):
+    # No two of the clauses entail each other (see `min_ihsb`), so entailment
+    # orders them strictly, and a clause not dropped when it is reached
+    # drops every clause it entails.
+    for j, c in enumerate(ors):
         if not dropped >> j & 1:
             entailed = -1
-            for x in members[j]:
-                entailed &= hit[rep[x]]
+            for x in c:
+                entailed &= hit[x]
             dropped |= entailed & ~(1 << j)
-    return [j for j in order if not dropped >> j & 1]
+    return [c for j, c in enumerate(ors) if not dropped >> j & 1]
 
 
 @dataclass(frozen=True)
@@ -253,56 +256,41 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
         forced |= common
     if forced & falsy:
         raise _unsatisfiable("a forced variable is falsified")
-    pos = set(graph.members(forced))
 
-    # Of OR-clauses entailing each other the last in sorted order stays,
-    # compared first as given and then as shrunk, which keeps the clause
-    # that the rewrite rules keep: they drop entailed clauses before they
-    # shrink.  An unfalsified variable leads to a member of a clause iff it
-    # leads to a member of its shrunk form, so one set of hits serves both
-    # scans.
-    ors = sorted(sorted(c) for c in g.ors if c.isdisjoint(pos))
-    occ = [0] * g.n  # occ[y]: indices of the clauses containing y
+    # Each OR-clause with no forced member shrinks to the classes of its
+    # live members that lead to no live member of another class.  Two such
+    # clauses never entail each other: a member x of one would lead to a
+    # member of the other and back to a member of its own, which shrinking
+    # puts in x's class, so each member of either is a member of the other.
+    # Only a member that is falsified or leads elsewhere can drop, and only
+    # a member with a successor can share its class.
+    movable = falsy | graph.bits(u for u, out in enumerate(succ) if out)
+    shrunk = set()
+    for c in g.ors:
+        mask = graph.bits(c)
+        if not mask & forced:
+            if mask & movable:
+                c = _shrink(c, mask & ~falsy, reach, rep)
+            shrunk.add(tuple(sorted(c)))
+    ors = sorted(shrunk)
+    # hit[x] for a rep x: the clauses containing a class that x leads to,
+    # folded over the reduced edges in the order `condense` closed them
+    hit = [0] * g.n
     for j, c in enumerate(ors):
         for y in c:
-            occ[y] |= 1 << j
-    # the members of multi-node components other than their rep
-    merged = [(u, c) for u, c in enumerate(rep) if c != u]
-    # hit[rep[x]]: clauses containing some y that x leads to, folded over
-    # the reduced edges in the order `condense` closed their components
-    hit = list(occ)
-    for u, c in merged:
-        hit[c] |= occ[u]
+            hit[y] |= 1 << j
     for c, d in reduced:
         hit[c] |= hit[d]
-    # only a member that is falsified or leads elsewhere can drop
-    movable = falsy | graph.bits(u for u, out in enumerate(succ) if out)
-    shrunk: dict[int, list[int]] = {}
-    shrank = False
-    for j in _strongest(range(len(ors)), ors, hit, rep):
-        c = ors[j]
-        mask = graph.bits(c)
-        if mask & movable:
-            rest = _shrink(c, mask & ~falsy, reach)
-            shrank = shrank or len(rest) < len(c)
-            c = rest
-        shrunk[j] = c
-    # Unshrunk, the survivors of the first scan entail no other survivor:
-    # each one dropped every clause it entails.  So the second scan, over
-    # the same clauses in the same order, would drop nothing.
-    kept = list(shrunk)
-    if shrank:
-        kept = _strongest(sorted(shrunk, key=shrunk.__getitem__), shrunk, hit, rep)
 
     # Among live variables the components and reduced edges of the whole
     # graph are those of the implications left (step 4).  Canonical form:
     # the reduced edges between live classes, plus each class as an
     # equality chain, or as one implication cycle when the language cannot
-    # express equality; OR members name their class.
+    # express equality.
     impl = [(c, d) for c, d in reduced if not (falsy >> c | forced >> d) & 1]
     classes: dict[int, list[int]] = {}
-    for u, c in merged:
-        if not (forced | falsy) >> u & 1:
+    for u, c in enumerate(rep):
+        if c != u and not (forced | falsy) >> u & 1:
             classes.setdefault(c, [c]).append(u)
     eq_out: list[tuple[int, int]] = []
     for members in classes.values():
@@ -312,20 +300,14 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
         else:
             impl.extend(chain)
             impl.append((members[-1], members[0]))
-    # the members are sorted, and shrinking keeps their order; only naming
-    # the classes can unsort a clause, so only a renamed one is sorted again
-    ors = [shrunk[j] for j in kept]
-    if eq_available and classes:
-        named = ([rep[x] for x in c] for c in ors)
-        ors = [d if d == c else sorted(d) for c, d in zip(ors, named)]
 
     return PartitionedFormula(
         g.n,
-        tuple(sorted(pos)),
+        tuple(graph.members(forced)),
         tuple(graph.members(falsy)),
         tuple(sorted(impl)),
         tuple(sorted(eq_out)),
-        tuple(sorted(map(tuple, ors))),
+        tuple(_strongest(ors, hit)),
     ), 1
 
 

@@ -18,7 +18,7 @@ from itertools import count, product
 from typing import Sequence
 
 from .errors import FormatError, ResourceLimitError
-from .graph import bits
+from .graph import bits, members
 from .model import (
     BFormula,
     BoolFunction,
@@ -81,13 +81,17 @@ def _min_cover(masks: list[int], universe: int, k_max: int) -> list[int] | None:
     """
     if universe == 0:
         return []
-    elements = [i for i in range(universe.bit_length()) if (universe >> i) & 1]
-    coverers: dict[int, list[int]] = {}
-    for e in elements:
-        cov = [ci for ci, m in enumerate(masks) if not (m >> e) & 1]
-        if not cov:
-            return None
-        coverers[e] = cov
+    elements = list(members(universe))
+    # coverers[e]: the candidates excluding assignment e, in ascending order
+    coverers: dict[int, list[int]] = {e: [] for e in elements}
+    covered = 0
+    for ci, m in enumerate(masks):
+        excluded = universe & ~m
+        covered |= excluded
+        for e in members(excluded):
+            coverers[e].append(ci)
+    if covered != universe:
+        return None
 
     def dfs(uncovered: int, depth: int, chosen: list[int]) -> list[int] | None:
         if uncovered == 0:
@@ -157,21 +161,16 @@ def min_unsat_formula(lang: ConstraintLanguage, clause_bound: int = 4) -> CnfFor
     """Minimum-clause unsatisfiable lang-formula, or None if every formula
     within the bound is satisfiable.
 
-    Searched over a single variable first (identifying all variables keeps an
+    Searched over a single variable: identifying all variables keeps an
     unsatisfiable formula unsatisfiable without raising the clause count, so
-    the one-variable search is already exhaustive), then widened to two
-    variables as a safety net.
+    that search is exhaustive.
     """
     _check_clause_bound(clause_bound)
-    for n in (1, 2):
-        var_names = tuple(f"u{i}" for i in range(n))
-        masks, reps = _candidate_clauses(lang, n, 0)
-        universe = (1 << (1 << n)) - 1
-        picked = _min_cover(masks, universe, clause_bound)
-        if picked is not None:
-            clauses = tuple(reps[ci] for ci in picked)
-            return CnfFormula(lang, var_names, clauses)
-    return None
+    masks, reps = _candidate_clauses(lang, 1, 0)
+    picked = _min_cover(masks, 0b11, clause_bound)
+    if picked is None:
+        return None
+    return CnfFormula(lang, ("u0",), tuple(reps[ci] for ci in picked))
 
 
 def unsat_minimum(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:

@@ -342,8 +342,8 @@ def test_mutually_entailing_ors_keep_one():
     specs = [("or2", (0, 1)), ("or2", (2, 3))]
     specs += [("imp", e) for e in ((0, 2), (2, 0), (1, 3), (3, 1))]
     out, _ = minimize(F(NO_EQ, "abcd", *specs))
-    # the later clause in sorted order stays
-    assert [c for c in out.clauses if c[0] == "or2"] == [("or2", (2, 3))]
+    # both name the classes {a, c} and {b, d} by their least members
+    assert [c for c in out.clauses if c[0] == "or2"] == [("or2", (0, 1))]
     assert len(out.clauses) == 5
 
 
@@ -443,10 +443,10 @@ def test_or_member_names_its_class(t9, cycle, member):
     # with equality: a chain over the class, and the OR on its least member
     chain = [("eq", (u, u + 1)) for u in range(size - 1)]
     assert list(out.clauses) == chain + [("or2", (0, size))]
-    # without: the cycle stays, and so does the member the clause names
+    # without: the cycle stays, and the OR names the class's least member
     out, _ = minimize(F(NO_EQ, names, *specs))
     ring = sorted([(u, u + 1) for u in range(size - 1)] + [(size - 1, 0)])
-    assert list(out.clauses) == [("imp", e) for e in ring] + [("or2", (member, size))]
+    assert list(out.clauses) == [("imp", e) for e in ring] + [("or2", (0, size))]
 
 
 # The rewrite loop that min_ihsb replaced, kept as its reference: six rules
@@ -595,7 +595,8 @@ def fixpoint_reference(
     # components are the equality classes of the free variables.  Canonical
     # form: the unique transitive reduction of the condensation, plus each
     # class as an equality chain, or as one implication cycle when the
-    # language cannot express equality; OR members name their class.
+    # language cannot express equality.  OR members name their class in
+    # every language.
     comp = mutual_classes({u for e in g.impl for u in e}, reach)
     impl = reduced_edges(g.impl, comp, reach)
     classes: dict[int, list[int]] = {}
@@ -611,9 +612,7 @@ def fixpoint_reference(
         else:
             impl.update(chain)
             impl.add((members[-1], members[0]))
-    ors = g.ors
-    if eq_available:
-        ors = {frozenset(comp.get(x, x) for x in c) for c in ors}
+    ors = {frozenset(comp.get(x, x) for x in c) for c in g.ors}
 
     result = PartitionedFormula(
         g.n,
@@ -626,12 +625,12 @@ def fixpoint_reference(
     return result, passes
 
 
-def satisfiable_corpus(lang, seed, count):
+def satisfiable_corpus(lang, seed, count, shape_weights={"imp": 6}):
     """Seeded random formulas that pass the IHSB satisfiability check, with
-    implications weighted up so that cycles, and OR-clauses over them, are
-    common."""
+    each relation drawn by the weight of its shape (default 1): implications
+    weighted up so that cycles, and OR-clauses over them, are common."""
     rng = random.Random(seed)
-    weights = [6 if relation_shape(r)[0] == "imp" else 1 for r in lang.relations]
+    weights = [shape_weights.get(relation_shape(r)[0], 1) for r in lang.relations]
     found = 0
     while found < count:
         n_vars = rng.randint(2, 9)
@@ -663,14 +662,55 @@ def test_ihsb_minus_matches_fixpoint_reference(lang, monkeypatch):
     assert got == [min_ihsb_minus_cnf(f)[0] for f in formulas]
 
 
-def test_mutual_ors_keep_the_last_as_given_then_as_shrunk():
-    # {a, d, e} and {c, e} entail each other through a -> d and c <-> d;
-    # as given {c, e} sorts last, shrunk to {d, e} the other one would
-    specs = [("or3", (0, 3, 4)), ("or2", (2, 4))]
-    specs += [("imp", e) for e in ((0, 3), (2, 3), (3, 2))]
-    g, _ = graph_from_cnf(F(NO_EQ, "abcde", *specs))
-    got, _ = min_ihsb(g, False, unsat_check_ihsb(g))
-    assert got.or_clauses == ((2, 4),)
+def test_mutual_ors_name_the_least_member_of_each_class():
+    # Through a -> d and c <-> d, {a, d, e} and {c, e} entail each other, and
+    # so do {d, e} and {c, e}: the two inputs are equivalent, and both keep
+    # one clause on the class {c, d}, named by c
+    imps = [("imp", e) for e in ((0, 3), (2, 3), (3, 2))]
+    for ors in ([("or3", (0, 3, 4)), ("or2", (2, 4))], [("or2", (3, 4)), ("or2", (2, 4))]):
+        g, _ = graph_from_cnf(F(NO_EQ, "abcde", *ors, *imps))
+        got, _ = min_ihsb(g, False, unsat_check_ihsb(g))
+        assert got.or_clauses == ((2, 4),)
+
+
+def equivalent_inputs(f, templates, minimize, rng):
+    """Three inputs equivalent to f: its clauses shuffled, its clauses plus
+    those of its minimum, and each OR-clause member replaced by a random
+    other member of its equality class, if it has one."""
+    shuffled = list(f.clauses)
+    rng.shuffle(shuffled)
+    g, _ = graph_from_cnf(f, templates)
+    comp = mutual_classes(range(g.n), reach_sets(successors(g)))
+    others = [[v for v in range(g.n) if comp[v] == comp[u] != v] or [u] for u in range(g.n)]
+    substituted = [
+        (name, tuple(rng.choice(others[v]) for v in vs))
+        if templates.shapes[name][0] == "or" else (name, vs)
+        for name, vs in f.clauses
+    ]
+    plus_minimum = f.clauses + minimize(f)[0].clauses
+    return [dataclasses.replace(f, clauses=tuple(cs))
+            for cs in (shuffled, plus_minimum, substituted)]
+
+
+@pytest.mark.parametrize("lang", ["t9", "no-eq", "pmi-eq"])
+@pytest.mark.parametrize("minus", [False, True], ids=["ihsb+", "ihsb-"])
+def test_equivalent_inputs_give_identical_outputs(t9, lang, minus):
+    lang = {"t9": t9, "no-eq": NO_EQ, "pmi-eq": PMI_EQ}[lang]
+    rng = random.Random(101)
+    substituted = 0
+    # no literals, which force or falsify OR-clause members
+    for f in satisfiable_corpus(lang, 103, 300, {"imp": 6, "or": 4, "pos": 0, "neg": 0}):
+        minimize, templates = min_ihsb_cnf, language_templates(lang)
+        if minus:
+            f = f.dual()
+            minimize, templates = min_ihsb_minus_cnf, dual_templates(f.language)
+        want = serialize_cnf_formula(minimize(f)[0], "in.lang")
+        others = equivalent_inputs(f, templates, minimize, rng)
+        for other in others:
+            assert equivalent(other, f)
+            assert serialize_cnf_formula(minimize(other)[0], "in.lang") == want
+        substituted += others[-1].clauses != f.clauses
+    assert substituted >= 30
 
 
 def graph_of(base: PartitionedFormula) -> ImplGraph:

@@ -158,6 +158,33 @@ def test_min_unsat_is_unsatisfiable(t9):
     assert all(result.mask(bits, 1) == 0 for bits in all_assignments(result.n_vars))
 
 
+def test_min_unsat_needs_one_variable_only(t9, bijunctive_full, affine_lang):
+    # identifying every variable keeps an unsatisfiable formula unsatisfiable
+    # at the same clause count, so two variables find nothing that one misses
+    # and nothing smaller
+    rng = random.Random(97)
+    langs = [t9, bijunctive_full, affine_lang,
+             ConstraintLanguage((rel_or(2), rel_or(3))),
+             ConstraintLanguage((rel_pos(), rel_neg())),
+             ConstraintLanguage((rel_parity(2, 1, "odd2"),))]
+    for _ in range(80):
+        rels = []
+        for i in range(rng.randint(1, 3)):
+            arity = rng.randint(1, 3)
+            rows = list(product((0, 1), repeat=arity))
+            rels.append(Relation(f"r{i}", arity, frozenset(rng.sample(rows, rng.randint(1, len(rows))))))
+        langs.append(ConstraintLanguage(tuple(rels)))
+    found = 0
+    for lang in langs:
+        one = oracle._min_cover(oracle._candidate_clauses(lang, 1, 0)[0], 0b11, 4)
+        two = oracle._min_cover(oracle._candidate_clauses(lang, 2, 0)[0], 0xF, 4)
+        assert (one is None) == (two is None)
+        if one is not None:
+            assert len(two) == len(one)
+            found += 1
+    assert found >= 20
+
+
 # --- the least-size search against the level builders it replaced -----------
 
 
