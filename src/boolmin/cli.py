@@ -59,11 +59,6 @@ def _load_bformula(path: str, basis_path: str):
     return formats.parse_bformula(_read(path)[0], basis), basis
 
 
-def _is_cnf_file(text: str) -> bool:
-    lines = formats._content_lines(text)
-    return bool(lines) and lines[0][0] in ("language", "vars", "clause")
-
-
 def cmd_classify(args) -> int:
     if args.language:
         lang = formats.parse_language(*_read(args.language))
@@ -120,7 +115,7 @@ def cmd_irreducible(args) -> int:
 def cmd_equiv(args) -> int:
     text_a, base_a = _read(args.a)
     text_b, base_b = _read(args.b)
-    if _is_cnf_file(text_a):
+    if formats.is_cnf_text(text_a):
         fa = formats.parse_cnf_formula(text_a, base_a)
         fb = formats.parse_cnf_formula(text_b, base_b)
     else:
@@ -215,23 +210,6 @@ def cmd_oracle_min_unsat(args) -> int:
     return EXIT_OK
 
 
-def _parse_dnf(text: str):
-    terms = []
-    for tokens in formats._content_lines(text):
-        if tokens[0] != "term":
-            raise FormatError("DNF files contain `term LIT...` lines (~x negates)")
-        term = []
-        for tok in tokens[1:]:
-            name = tok.removeprefix("~")
-            if not name or name.startswith("~"):
-                raise FormatError(f"DNF literal {tok!r} is not a variable or its negation")
-            term.append((name, not tok.startswith("~")))
-        terms.append(tuple(term))
-    if not terms:
-        raise FormatError("empty DNF")
-    return terms
-
-
 def cmd_gadget_unsat_post(args) -> int:
     psi, basis = _load_bformula(args.psi, args.basis)
     formula = formats.parse_bformula(_read(args.formula)[0], basis)
@@ -279,7 +257,7 @@ def cmd_gadget_maj(args) -> int:
 
 
 def cmd_gadget_horn_dnf(args) -> int:
-    terms = _parse_dnf(_read(args.dnf)[0])
+    terms = formats.parse_dnf(_read(args.dnf)[0])
     out = pure_horn_dnf_to_cnf(terms)
     _write_with_language(out, args.out, "positive Horn", "positive-horn.lang")
     return EXIT_OK

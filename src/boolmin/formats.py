@@ -1,5 +1,7 @@
-"""Line-oriented text formats for relations, languages, formulas and
-functions (UTF-8, `#` starts a comment)."""
+"""Text formats for relations, languages, formulas, functions and DNFs
+(UTF-8, `#` starts a comment).  Every format but the B-formula's is
+line-based and read through one tokenizer, `_content_lines`; a B-formula is
+one parenthesized expression, read by its own token pattern."""
 from __future__ import annotations
 
 import os
@@ -20,14 +22,14 @@ from .model import (
 _BIT_RE = re.compile(r"^[01]+$")
 
 
-def _content_lines(text: str) -> list[list[str]]:
-    """Token lists of non-empty lines with comments stripped."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
+def _content_lines(text: str) -> list[tuple[str, ...]]:
+    """The tokens of each non-empty line, comments stripped.  They are held
+    in tuples, which the collector untracks, not in lists it walks (see
+    `model`)."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return list(map(tuple, filter(None, map(str.split, lines))))
 
 
 def _parse_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
@@ -42,7 +44,7 @@ def parse_language(text: str, base_dir: str = ".") -> ConstraintLanguage:
 
 
 def _parse_language_lines(
-    lines: list[list[str]], base_dir: str, _including: tuple[str, ...]
+    lines: list[tuple[str, ...]], base_dir: str, _including: tuple[str, ...]
 ) -> ConstraintLanguage:
     """The language of a text's content lines.  `_including` holds the real
     paths of the files on the current include chain."""
@@ -133,22 +135,15 @@ def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
     or a wrong argument count (in clause order)."""
     language = None
     language_path = None
-    var_names: list[str] = []
+    var_names: tuple[str, ...] = ()
     saw_vars = False
-    # tuples, which the collector untracks, not token lists it walks
     clause_lines: list[tuple[str, ...]] = []
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    for line in lines:
-        tokens = line.split()
-        if not tokens:
-            continue
+    for tokens in _content_lines(text):
         key = tokens[0]
         if key == "clause":
             if len(tokens) < 2:
                 raise FormatError("clause line needs a relation name")
-            clause_lines.append(tuple(tokens))
+            clause_lines.append(tokens)
         elif key == "vars":
             if saw_vars:
                 raise FormatError("duplicate vars line")
@@ -163,7 +158,6 @@ def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
             language = load_language(os.path.join(base_dir, language_path))
         else:
             raise FormatError(f"unexpected token {key!r} in formula file")
-    del lines
     if language is None:
         raise FormatError("formula file is missing a language line")
     # the name lookup bounds every id; an arity mismatch (None for an unknown
@@ -194,11 +188,36 @@ def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
         if expected is None:
             raise FormatError(f"unknown relation {rel!r}")
         raise FormatError(f"clause {rel}: got {len(ids)} arguments, arity is {expected}")
-    return CnfFormula._trusted(language, tuple(var_names), tuple(clauses), language_path)
+    return CnfFormula._trusted(language, var_names, tuple(clauses), language_path)
 
 
 def load_cnf_formula(path: str) -> CnfFormula:
     return parse_cnf_formula(read_text(path), os.path.dirname(path) or ".")
+
+
+def is_cnf_text(text: str) -> bool:
+    """True iff the text's first content line is a CNF formula line."""
+    lines = _content_lines(text)
+    return bool(lines) and lines[0][0] in ("language", "vars", "clause")
+
+
+def parse_dnf(text: str) -> list[tuple[tuple[str, bool], ...]]:
+    """Parse `term LIT...` lines, `~x` negating x, into terms of (variable,
+    polarity) literals."""
+    terms = []
+    for tokens in _content_lines(text):
+        if tokens[0] != "term":
+            raise FormatError("DNF files contain `term LIT...` lines (~x negates)")
+        term = []
+        for tok in tokens[1:]:
+            name = tok.removeprefix("~")
+            if not name or name.startswith("~"):
+                raise FormatError(f"DNF literal {tok!r} is not a variable or its negation")
+            term.append((name, not tok.startswith("~")))
+        terms.append(tuple(term))
+    if not terms:
+        raise FormatError("empty DNF")
+    return terms
 
 
 def parse_functions(text: str) -> tuple[BoolFunction, ...]:

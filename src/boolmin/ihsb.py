@@ -34,7 +34,10 @@ implications.  One pass over the implications' condensation computes it:
    rest join live (unforced, unfalsified) variables, and every path between
    live variables stays live, so among them the components (`rep`) and the
    reduced edges that `graph.condense` read off the whole graph as its
-   components closed are those of the implications left.
+   components closed are those of the implications left.  Each live class
+   is kept as its sorted members, whatever the language: the minimum is a
+   normal form in the base vocabulary, and only `restrict_vocabulary`
+   writes a class, as an equality chain or as one implication cycle.
 
 So no rule finds anything to do on the result: the literal sets are closed
 under implication, every common successor of an OR-clause's members is
@@ -220,17 +223,18 @@ def _strongest(ors: list[tuple[int, ...]], hit: list[int]) -> list[tuple[int, ..
 
 @dataclass(frozen=True)
 class PartitionedFormula:
-    """Canonical minimized formula in the base vocabulary."""
+    """Canonical minimized formula in the base vocabulary, the same for
+    every language: each class of two or more live variables, sorted."""
 
     n: int
     pos_literals: tuple[int, ...]
     neg_literals: tuple[int, ...]
     impl_clauses: tuple[tuple[int, int], ...]
-    eq_clauses: tuple[tuple[int, int], ...]
+    classes: tuple[tuple[int, ...], ...]
     or_clauses: tuple[tuple[int, ...], ...]
 
 
-def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedFormula, int]:
+def min_ihsb(g: ImplGraph, falsy: int) -> tuple[PartitionedFormula, int]:
     """Minimize in one pass (see the module docstring) and canonicalize;
     `g` is only read.  The pass count, always 1, is returned with the
     result.
@@ -283,30 +287,19 @@ def min_ihsb(g: ImplGraph, eq_available: bool, falsy: int) -> tuple[PartitionedF
         hit[c] |= hit[d]
 
     # Among live variables the components and reduced edges of the whole
-    # graph are those of the implications left (step 4).  Canonical form:
-    # the reduced edges between live classes, plus each class as an
-    # equality chain, or as one implication cycle when the language cannot
-    # express equality.
+    # graph are those of the implications left (step 4): the reduced edges
+    # between live classes, and each live class of two or more members.
     impl = [(c, d) for c, d in reduced if not (falsy >> c | forced >> d) & 1]
     classes: dict[int, list[int]] = {}
     for u, c in enumerate(rep):
         if c != u and not (forced | falsy) >> u & 1:
             classes.setdefault(c, [c]).append(u)
-    eq_out: list[tuple[int, int]] = []
-    for members in classes.values():
-        chain = list(zip(members, members[1:]))
-        if eq_available:
-            eq_out.extend(chain)
-        else:
-            impl.extend(chain)
-            impl.append((members[-1], members[0]))
-
     return PartitionedFormula(
         g.n,
         tuple(graph.members(forced)),
         tuple(graph.members(falsy)),
         tuple(sorted(impl)),
-        tuple(sorted(eq_out)),
+        tuple(sorted(map(tuple, classes.values()))),
         tuple(_strongest(ors, hit)),
     ), 1
 
@@ -318,37 +311,34 @@ def restrict_vocabulary(
     var_names: tuple[str, ...],
     language_path: str | None = None,
 ) -> CnfFormula:
-    """Emit one language clause per base clause.  Equalities come only from
-    a language with an equality relation: without one, `min_ihsb` writes a
-    class as an implication cycle."""
+    """Emit one language clause per base clause.  A class is written as an
+    equality chain when the language has an equality relation, and else as
+    one implication cycle, merged into the sorted implications."""
     or_arities = sorted(templates.or_arities)
     clauses: list[Clause] = []
-
-    def emit_pos(v: int) -> None:
+    for v in base.pos_literals:
         if templates.pos is not None:
             clauses.append((templates.pos, (v,)))
-            return
-        if or_arities:
+        elif or_arities:
             m = or_arities[0]
             clauses.append((templates.or_arities[m], (v,) * m))
-            return
-        raise VocabularyError("language cannot express a positive literal")
-
-    def emit_imp(u: int, v: int) -> None:
-        if templates.imp is None:
-            raise VocabularyError("language cannot express an implication")
-        name, flipped = templates.imp
-        clauses.append((name, (v, u) if flipped else (u, v)))
-
-    for v in base.pos_literals:
-        emit_pos(v)
+        else:
+            raise VocabularyError("language cannot express a positive literal")
     for v in base.neg_literals:
         if templates.neg is None:
             raise VocabularyError("language cannot express a negative literal")
         clauses.append((templates.neg, (v,)))
-    for u, v in base.impl_clauses:
-        emit_imp(u, v)
-    for u, v in base.eq_clauses:
+    impl = base.impl_clauses
+    chains = [e for c in base.classes for e in zip(c, c[1:])]
+    if templates.eq is None:
+        impl = sorted([*impl, *chains, *((c[-1], c[0]) for c in base.classes)])
+        chains = []
+    for u, v in impl:
+        if templates.imp is None:
+            raise VocabularyError("language cannot express an implication")
+        name, flipped = templates.imp
+        clauses.append((name, (v, u) if flipped else (u, v)))
+    for u, v in sorted(chains):
         clauses.append((templates.eq, (u, v)))
     for c in base.or_clauses:
         fitting = [m for m in or_arities if m >= len(c)]
@@ -376,7 +366,7 @@ def min_ihsb_cnf(
         # the dual language's minimum unsatisfiable formula, renamed back
         dual_out, stats = unsat_minimum(formula.dual())
         return dual_out.dual(), stats
-    base, passes = min_ihsb(g, templates.eq is not None, falsy)
+    base, passes = min_ihsb(g, falsy)
     out = restrict_vocabulary(
         base, templates, formula.language, formula.var_names, formula.language_path
     )

@@ -7,9 +7,10 @@ deliberately independent of the polynomial-time minimizers it validates.
 Each search space is built once and kept for the life of the process.  The
 distinct clauses of a language over n variables (`_clause_table`) are
 memoized per (language, n); `brute_min_cnf`, `expressible` and
-`min_unsat_formula` filter them by the target.  `brute_min_bformula`'s
-least-size search depends on the basis, the pool size and the measure only,
-and is kept per such key and resumed by later calls (`_SEARCHES`).
+`min_unsat_formula` each take from them the fewest whose conjunction is the
+target (`_least_cover`).  `brute_min_bformula`'s least-size search depends
+on the basis, the pool size and the measure only, and is kept per such key
+and resumed by later calls (`_SEARCHES`).
 """
 from __future__ import annotations
 
@@ -53,16 +54,6 @@ def _clause_table(
         for ids in product(range(n_vars), repeat=rel.arity):
             first.setdefault(op([columns[v] for v in ids], full), (rel.name, ids))
     return tuple(first), tuple(first.values())
-
-
-def _candidate_clauses(
-    lang: ConstraintLanguage, n_vars: int, superset_of: int
-) -> tuple[list[int], list[Clause]]:
-    """The clause masks of `_clause_table(lang, n_vars)` whose solution sets
-    contain `superset_of`, with their clauses, in the table's order."""
-    masks, reps = _clause_table(lang, n_vars)
-    picked = [i for i, mask in enumerate(masks) if mask & superset_of == superset_of]
-    return [masks[i] for i in picked], [reps[i] for i in picked]
 
 
 def _check_clause_bound(k_max: int) -> None:
@@ -122,6 +113,19 @@ def _min_cover(masks: list[int], universe: int, k_max: int) -> list[int] | None:
     return None
 
 
+def _least_cover(
+    lang: ConstraintLanguage, n_vars: int, target: int, k_max: int
+) -> list[Clause] | None:
+    """The fewest clauses of `lang` over n_vars variables, at most k_max,
+    whose conjunction has the solution set `target`, from the clauses of
+    `_clause_table` whose solution sets contain it; None if there are none."""
+    masks, reps = _clause_table(lang, n_vars)
+    picked = [i for i, mask in enumerate(masks) if mask & target == target]
+    universe = ((1 << (1 << n_vars)) - 1) & ~target
+    cover = _min_cover([masks[i] for i in picked], universe, k_max)
+    return None if cover is None else [reps[picked[ci]] for ci in cover]
+
+
 def brute_min_cnf(
     lang: ConstraintLanguage, formula: CnfFormula, k_max: int
 ) -> tuple[int, CnfFormula] | None:
@@ -131,16 +135,12 @@ def brute_min_cnf(
     if n > MAX_ORACLE_VARS:
         raise ResourceLimitError(f"brute_min_cnf supports at most {MAX_ORACLE_VARS} variables")
     _check_clause_bound(k_max)
-    target = formula.solution_mask()
-    masks, reps = _candidate_clauses(lang, n, target)
-    universe = ((1 << (1 << n)) - 1) & ~target
-    picked = _min_cover(masks, universe, k_max)
-    if picked is None:
+    clauses = _least_cover(lang, n, formula.solution_mask(), k_max)
+    if clauses is None:
         return None
     # the input's language path names lang's relations only if lang is its language
     path = formula.language_path if lang == formula.language else None
-    witness = CnfFormula(lang, formula.var_names, tuple(reps[ci] for ci in picked), path)
-    return len(picked), witness
+    return len(clauses), CnfFormula(lang, formula.var_names, tuple(clauses), path)
 
 
 def expressible(rel: Relation, base: ConstraintLanguage, clause_bound: int) -> bool:
@@ -150,10 +150,7 @@ def expressible(rel: Relation, base: ConstraintLanguage, clause_bound: int) -> b
     if n > 4:
         raise ResourceLimitError("expressible supports relations of arity at most 4")
     _check_clause_bound(clause_bound)
-    target = bits(rel.codes)
-    masks, _ = _candidate_clauses(base, n, target)
-    universe = ((1 << (1 << n)) - 1) & ~target
-    return _min_cover(masks, universe, clause_bound) is not None
+    return _least_cover(base, n, bits(rel.codes), clause_bound) is not None
 
 
 @lru_cache(maxsize=None)
@@ -166,11 +163,8 @@ def min_unsat_formula(lang: ConstraintLanguage, clause_bound: int = 4) -> CnfFor
     that search is exhaustive.
     """
     _check_clause_bound(clause_bound)
-    masks, reps = _candidate_clauses(lang, 1, 0)
-    picked = _min_cover(masks, 0b11, clause_bound)
-    if picked is None:
-        return None
-    return CnfFormula(lang, ("u0",), tuple(reps[ci] for ci in picked))
+    clauses = _least_cover(lang, 1, 0, clause_bound)
+    return None if clauses is None else CnfFormula(lang, ("u0",), tuple(clauses))
 
 
 def unsat_minimum(formula: CnfFormula) -> tuple[CnfFormula, MinimizeStats]:

@@ -318,7 +318,7 @@ def test_gadget_horn_dnf_out_loads(workdir, capsys):
     assert code == 0 and out == ""
     assert (workdir / "horn.cnf").read_text().startswith("language horn.cnf.lang\n")
     loaded = formats.load_cnf_formula(str(workdir / "horn.cnf"))
-    terms = cli._parse_dnf((workdir / "d.dnf").read_text())
+    terms = formats.parse_dnf((workdir / "d.dnf").read_text())
     for bits in all_assignments(loaded.n_vars):
         values = dict(zip(loaded.var_names, bits))
         assert loaded.mask(bits, 1) == 1 - eval_dnf(terms, values)
@@ -425,6 +425,9 @@ def _extra_files(workdir) -> None:
         "d.dnf": "term x ~y\nterm x z ~w\n",
         "bare.dnf": "term x ~\n",
         "double.dnf": "term x ~~y\n",
+        "comments.dnf": "# no terms\n",
+        "wide.cnf": "language base.lang\nvars " + " ".join(f"v{i}" for i in range(25))
+                    + "\nclause or2 v0 v24\n",
     }
     for name, text in files.items():
         (workdir / name).write_text(text)
@@ -485,6 +488,23 @@ CONTRACT_CASES = [
     (["classify", "--basis", "huge.fns"], 2),
 ]
 
+# inputs that reach a negative decision, a resource cap or an empty input,
+# with their exit codes, the stream they write to and all that they write there
+DECISION_CASES = [
+    (["oracle", "min-cnf", "--formula", "f.cnf", "--max-clauses", "0"], 1,
+     "out", "min_clauses=none\n"),
+    (["oracle", "min-bf", "--basis", "basis.fns", "--formula", "phi.bf", "--measure",
+      "literals", "--max-size", "1"], 1, "out", "min_size=none\n"),
+    (["oracle", "min-cnf", "--formula", "f.cnf", "--max-clauses", "9"], 3,
+     "err", "error: clause bound capped at 8\n"),
+    (["oracle", "min-bf", "--basis", "basis.fns", "--formula", "phi.bf", "--measure",
+      "literals", "--max-size", "9"], 3, "err", "error: brute_min_bformula bound capped at 8\n"),
+    (["equiv", "--a", "wide.cnf", "--b", "wide.cnf"], 3,
+     "err", "error: operation would enumerate 2^25 assignments (cap 24 variables)\n"),
+    (["gadget", "horn-dnf", "--dnf", "comments.dnf"], 2, "err", "error: empty DNF\n"),
+]
+CONTRACT_CASES += [(argv, code) for argv, code, _, _ in DECISION_CASES]
+
 _PIECE_RE = re.compile(r"\s+|[()]|[^\s()]+")
 
 
@@ -515,6 +535,13 @@ def test_contract_cases(workdir, capsys, argv, expected):
     _extra_files(workdir)
     assert main(argv) == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected, stream, text", DECISION_CASES)
+def test_decision_cases_write_one_line(workdir, capsys, argv, expected, stream, text):
+    _extra_files(workdir)
+    assert main(argv) == expected
+    assert getattr(capsys.readouterr(), stream) == text
 
 
 def test_seeded_cli_fuzz(workdir, capsys):

@@ -99,6 +99,15 @@ def test_brute_min_bformula_examples():
     assert size == 3
 
 
+def test_brute_min_bformula_fresh_name_avoids_formula_variables():
+    # the pool's fresh variable `w` is lengthened past the formula's w and ww
+    or2 = fn_or(2)
+    phi = parse_bformula("(or2 w (or2 w ww))", (or2,))
+    size, witness = brute_min_bformula((or2,), phi, SizeMeasure.LITERALS, 6)
+    assert size == 2 and equivalent(witness, phi)
+    assert set(witness.var_names) == {"w", "ww"}
+
+
 def test_brute_min_bformula_small_bounds():
     # a constant-1 gate makes (or2 x (k)) a formula without literals
     k = BoolFunction("k", 0, (1,))
@@ -176,8 +185,8 @@ def test_min_unsat_needs_one_variable_only(t9, bijunctive_full, affine_lang):
         langs.append(ConstraintLanguage(tuple(rels)))
     found = 0
     for lang in langs:
-        one = oracle._min_cover(oracle._candidate_clauses(lang, 1, 0)[0], 0b11, 4)
-        two = oracle._min_cover(oracle._candidate_clauses(lang, 2, 0)[0], 0xF, 4)
+        one = oracle._least_cover(lang, 1, 0, 4)
+        two = oracle._least_cover(lang, 2, 0, 4)
         assert (one is None) == (two is None)
         if one is not None:
             assert len(two) == len(one)

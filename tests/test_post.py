@@ -220,9 +220,11 @@ def min_gates(basis, cls, n_bound):
 
 def closure_cases():
     """(basis, cls, n_bound): 40 seeded random bases, then a 2D state space
-    (the dummy argument makes l < n reachable) and a constant inside a gate
+    (the dummy argument makes l < n reachable), a constant inside a gate
     (some cells are reached only by inserting a unit, a gate with its
-    constant argument, at a relevant leaf)."""
+    constant argument, at a relevant leaf) and constants of two arities
+    beside or3 (a cell is offered again after it settled, and the stale
+    heap entry is skipped)."""
     rng = random.Random(73)
     for _ in range(40):
         cls = rng.choice("VL")
@@ -230,6 +232,7 @@ def closure_cases():
         yield basis, cls, rng.randint(1, 24)
     yield (fn_or(2), OR2D), "V", 32
     yield (fn_const(0), XOR2D), "L", 7
+    yield (fn_or(3), fn_const(1), BoolFunction("zero1", 1, (0, 0))), "V", 3
 
 
 def test_reach_table_matches_pairwise_closure():
