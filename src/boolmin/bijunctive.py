@@ -20,7 +20,6 @@ pairs it allows on (u, v) when applied as (u, v) and as (v, u).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import graph
@@ -62,15 +61,15 @@ def _diagonal(rel: Relation) -> frozenset[int]:
     return frozenset(t[0] for t in rel.tuples if len(set(t)) == 1)
 
 
-@dataclass
 class LiteralGraph:
     """Directed edges over 2n literals, closed under contraposition, plus
     literals forced by unit or degenerate clauses."""
 
-    n: int
-    edges: set[tuple[int, int]] = field(default_factory=set)
-    forced: set[int] = field(default_factory=set)
-    contradictory: bool = False
+    def __init__(self, n: int):
+        self.n = n
+        self.edges: set[tuple[int, int]] = set()
+        self.forced: set[int] = set()
+        self.contradictory = False
 
 
 def to_literal_graph(formula: CnfFormula) -> LiteralGraph:

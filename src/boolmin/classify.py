@@ -4,12 +4,11 @@ verdicts that drive minimizer dispatch."""
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 from .graph import bits
-from .model import BoolFunction, ConstraintLanguage, Relation, dual_name, var_mask
+from .model import BoolFunction, ConstraintLanguage, Record, Relation, dual_name, var_mask
 
 CLOSURE_OPS = ("min2", "max2", "maj3", "xor3", "orAndMix", "andOrMix")
 
@@ -90,8 +89,7 @@ def is_irreducible(rel: Relation) -> bool:
     return lifted != mask
 
 
-@dataclass(frozen=True)
-class FunctionShape:
+class FunctionShape(Record):
     """Which of the three tractable shapes a function has, with its
     relevant-variable set and its value at the all-zero assignment."""
 
@@ -141,8 +139,7 @@ def classify_basis(funcs) -> str:
     return "coNP-hard"
 
 
-@dataclass(frozen=True)
-class RelationFlags:
+class RelationFlags(Record):
     affine: bool
     bijunctive: bool
     horn: bool
@@ -150,6 +147,17 @@ class RelationFlags:
     ihsb_plus: bool
     ihsb_minus: bool
     irreducible: bool
+
+    def __init__(self, affine, bijunctive, horn, dual_horn, ihsb_plus, ihsb_minus, irreducible):
+        self.__dict__.update(
+            affine=affine,
+            bijunctive=bijunctive,
+            horn=horn,
+            dual_horn=dual_horn,
+            ihsb_plus=ihsb_plus,
+            ihsb_minus=ihsb_minus,
+            irreducible=irreducible,
+        )
 
 
 def relation_flags(rel: Relation) -> RelationFlags:
@@ -164,8 +172,7 @@ def relation_flags(rel: Relation) -> RelationFlags:
     )
 
 
-@dataclass(frozen=True)
-class HornWitness:
+class HornWitness(Record):
     """A relation of the language equal, up to argument permutation, to
     x1 and ... and xk -> y."""
 
@@ -174,8 +181,7 @@ class HornWitness:
     permutation: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """A language's verdict and per-relation flags.  One report is shared by
     every caller (see `classify_language`), so `flags` is read-only."""
 

@@ -3,7 +3,6 @@ in both frameworks, the AND/OR and majority equivalence gadgets, and the
 pure-Horn DNF translation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, count, islice, product
 
 from .errors import ClassificationError, FormatError, ResourceLimitError
@@ -13,6 +12,7 @@ from .model import (
     CnfFormula,
     ConstraintLanguage,
     MeeInstance,
+    Record,
     SizeMeasure,
     Step,
     formula_size,
@@ -30,8 +30,7 @@ from .std import rel_horn_impl
 WEIGHT_BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     """Either a genuine MEE instance or the canonical fixed-negative
     instance (bound 0 plus an explicit marker, so downstream tools never
     mistake it for a real question)."""

@@ -48,19 +48,17 @@ its class there and leads to no other member.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 from . import graph
 from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats
+from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats, Record
 from .oracle import unsat_minimum
 
 
-@dataclass(frozen=True)
-class BaseTemplates:
+class BaseTemplates(Record):
     """Which base shapes the language offers, and through which relation;
     `shapes` holds the shape of every relation name.  `dual` marks the
     templates of an IHSB- language, whose shapes are those of the dual
@@ -221,8 +219,7 @@ def _strongest(ors: list[tuple[int, ...]], hit: list[int]) -> list[tuple[int, ..
     return [c for j, c in enumerate(ors) if not dropped >> j & 1]
 
 
-@dataclass(frozen=True)
-class PartitionedFormula:
+class PartitionedFormula(Record):
     """Canonical minimized formula in the base vocabulary, the same for
     every language: each class of two or more live variables, sorted."""
 

@@ -17,8 +17,23 @@ and every consumer reads it by unpacking (`for name, vs in f.clauses`).
 untracks a tuple whose items it does not track: the vars tuple of ints at the
 first collection that sees it, and the clause at that collection or the
 next.  So the clauses of a large formula drop out of its walks, where a
-record class (a dataclass, or even a `NamedTuple`, whose instances are never
+record class (a `Record`, or even a `NamedTuple`, whose instances are never
 untracked) would be walked again by every collection of its generation.
+
+The value classes (relations, languages, formulas, functions, and the
+stats, shapes, reports and templates of the other modules) derive from
+`Record`.  A class annotates its fields; `Record`'s `__init__` stores them,
+given positionally, straight into `self.__dict__`, and a class whose
+arguments need checks or defaults writes its own `__init__` that does the
+same after them (a `_trusted` constructor stores them without the checks).  `Record` gives
+`==`, `hash` and `repr` over the annotated fields, in order, read through
+one `operator.attrgetter` built when the class is created, and refuses to
+assign or delete an attribute with `dataclasses.FrozenInstanceError`.
+`cached_property`, a language's cached hash and pickling read and write
+`__dict__` directly.  So a class costs no generated code when the package
+is imported, unlike a dataclass, whose decorator compiles its methods from
+source; and `dataclasses`, which loads `inspect`, is imported only when an
+assignment is refused.
 
 All truth-table work runs on one bit-parallel kernel.  A *mask* is an int
 with one bit per assignment column (bit idx of a full table is the value at
@@ -68,11 +83,10 @@ nothing writes an emitter after it is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial, reduce
 from itertools import product
-from operator import and_, or_, xor
+from operator import and_, attrgetter, or_, xor
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ResourceLimitError
@@ -95,24 +109,64 @@ def all_assignments(n: int) -> Iterator[tuple[int, ...]]:
     return product((0, 1), repeat=n)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Record:
+    """Immutable value with `==`, `hash` and `repr` over the fields its class
+    annotates, in order (see the module docstring).  `_compared`, when a
+    class sets it, names the fields that `==` and `hash` read instead.  The
+    default `__init__` takes the fields positionally, in order."""
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = cls.__dict__.get("__annotations__")
+        if fields:  # a subclass that annotates nothing keeps its base's fields
+            cls._fields = tuple(fields)
+            cls._key = attrgetter(*cls.__dict__.get("_compared", cls._fields))
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen(f"cannot delete field {name!r}")
+
+
+def _frozen(message: str) -> Exception:
+    # imported only here: loading `dataclasses` also loads `inspect`
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class Relation(Record):
     """A named, nonempty set of fixed-arity Boolean tuples."""
 
     name: str
     arity: int
     tuples: frozenset[tuple[int, ...]]
 
-    def __post_init__(self):
-        if not 1 <= self.arity <= MAX_RELATION_ARITY:
-            raise FormatError(
-                f"relation {self.name}: arity {self.arity} outside 1..{MAX_RELATION_ARITY}"
-            )
-        if not self.tuples:
-            raise FormatError(f"relation {self.name}: empty relations are not allowed")
-        for t in self.tuples:
-            if len(t) != self.arity or any(b not in (0, 1) for b in t):
-                raise FormatError(f"relation {self.name}: bad tuple {t}")
+    def __init__(self, name: str, arity: int, tuples: frozenset[tuple[int, ...]]):
+        if not 1 <= arity <= MAX_RELATION_ARITY:
+            raise FormatError(f"relation {name}: arity {arity} outside 1..{MAX_RELATION_ARITY}")
+        if not tuples:
+            raise FormatError(f"relation {name}: empty relations are not allowed")
+        for t in tuples:
+            if len(t) != arity or any(b not in (0, 1) for b in t):
+                raise FormatError(f"relation {name}: bad tuple {t}")
+        self.__dict__.update(name=name, arity=arity, tuples=tuples)
 
     @cached_property
     def codes(self) -> frozenset[int]:
@@ -136,18 +190,18 @@ def tuple_to_code(t: Sequence[int]) -> int:
     return code
 
 
-@dataclass(frozen=True)
-class ConstraintLanguage:
+class ConstraintLanguage(Record):
     """Finite ordered list of relations with unique names."""
 
     relations: tuple[Relation, ...]
 
-    def __post_init__(self):
-        if not self.relations:
+    def __init__(self, relations: tuple[Relation, ...]):
+        if not relations:
             raise FormatError("a constraint language must contain at least one relation")
-        names = [r.name for r in self.relations]
+        names = [r.name for r in relations]
         if len(set(names)) != len(names):
             raise FormatError("duplicate relation names in constraint language")
+        self.__dict__["relations"] = relations
 
     @cached_property
     def by_name(self) -> dict[str, Relation]:
@@ -190,24 +244,31 @@ class ConstraintLanguage:
 Clause = tuple[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """Conjunction of clauses over a constraint language.
 
     Variable ids are dense 0..n-1; var_names[i] is the display name of
-    variable i and defines the canonical order.
+    variable i and defines the canonical order.  `==` and `hash` leave out
+    the path the language was loaded from.
     """
 
     language: ConstraintLanguage
     var_names: tuple[str, ...]
     clauses: tuple[Clause, ...]
-    language_path: str | None = field(default=None, compare=False)
+    language_path: str | None
+    _compared = ("language", "var_names", "clauses")
 
-    def __post_init__(self):
-        if len(set(self.var_names)) != len(self.var_names):
+    def __init__(
+        self,
+        language: ConstraintLanguage,
+        var_names: tuple[str, ...],
+        clauses: tuple[Clause, ...],
+        language_path: str | None = None,
+    ):
+        if len(set(var_names)) != len(var_names):
             raise FormatError("duplicate variable names")
-        n = len(self.var_names)
-        for c in self.clauses:
+        n = len(var_names)
+        for c in clauses:
             if not (
                 isinstance(c, tuple)
                 and len(c) == 2
@@ -217,13 +278,16 @@ class CnfFormula:
             ):
                 raise FormatError(f"malformed clause {c!r}: expected a (relation, vars) pair")
             name, vs = c
-            rel = self.language.get(name)
+            rel = language.get(name)
             if len(vs) != rel.arity:
                 raise FormatError(
                     f"clause {name}: got {len(vs)} arguments, arity is {rel.arity}"
                 )
             if any(not 0 <= v < n for v in vs):
                 raise FormatError(f"clause {name}: variable id out of range")
+        self.__dict__.update(
+            language=language, var_names=var_names, clauses=clauses, language_path=language_path
+        )
 
     @classmethod
     def _trusted(
@@ -233,16 +297,13 @@ class CnfFormula:
         clauses: tuple[Clause, ...],
         language_path: str | None = None,
     ) -> "CnfFormula":
-        """A formula from parts already checked, without `__post_init__`:
+        """A formula from parts already checked, without `__init__`'s checks:
         the parser's own checks, or clauses derived from a checked formula
         over relations of the language they name, at their arity."""
         formula = object.__new__(cls)
-        # field by field, as the frozen dataclass's own __init__ sets them
-        set_field = object.__setattr__
-        set_field(formula, "language", language)
-        set_field(formula, "var_names", var_names)
-        set_field(formula, "clauses", clauses)
-        set_field(formula, "language_path", language_path)
+        formula.__dict__.update(
+            language=language, var_names=var_names, clauses=clauses, language_path=language_path
+        )
         return formula
 
     @property
@@ -270,13 +331,21 @@ class CnfFormula:
         )
 
 
-@dataclass(frozen=True)
-class MinimizeStats:
+class MinimizeStats(Record):
     input_clauses: int
     output_clauses: int
-    passes: int = 0
-    rank: int | None = None
-    reductions: int | None = None
+    passes: int
+    rank: int | None
+    reductions: int | None
+
+    def __init__(self, input_clauses, output_clauses, passes=0, rank=None, reductions=None):
+        self.__dict__.update(
+            input_clauses=input_clauses,
+            output_clauses=output_clauses,
+            passes=passes,
+            rank=rank,
+            reductions=reductions,
+        )
 
     def lines(self) -> list[str]:
         out = [
@@ -383,23 +452,23 @@ def _cover(cubes: tuple[Cube, ...], masks: Sequence[int], full: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class BoolFunction:
+class BoolFunction(Record):
     """Truth-table-defined connector of fixed arity (arity 0 allowed)."""
 
     name: str
     arity: int
     table: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.arity < 0:
-            raise FormatError(f"function {self.name}: negative arity")
-        size = len(self.table)
+    def __init__(self, name: str, arity: int, table: tuple[int, ...]):
+        if arity < 0:
+            raise FormatError(f"function {name}: negative arity")
+        size = len(table)
         # compares without building 2^arity, which a huge arity cannot afford
-        if self.arity != size.bit_length() - 1 or size & (size - 1):
-            raise FormatError(f"function {self.name}: table length {size} != 2^{self.arity}")
-        if any(b not in (0, 1) for b in self.table):
-            raise FormatError(f"function {self.name}: table entries must be bits")
+        if arity != size.bit_length() - 1 or size & (size - 1):
+            raise FormatError(f"function {name}: table length {size} != 2^{arity}")
+        if any(b not in (0, 1) for b in table):
+            raise FormatError(f"function {name}: table entries must be bits")
+        self.__dict__.update(name=name, arity=arity, table=table)
 
     @cached_property
     def mask_op(self) -> MaskOp:
@@ -417,8 +486,7 @@ class BoolFunction:
 Step = str | tuple[str, int]
 
 
-@dataclass(frozen=True, init=False)
-class BFormula:
+class BFormula(Record):
     """Formula over a finite basis of functions, given by its post-order
     steps, such as `("x", "y", ("or2", 2))` for `(or2 x y)`; `==`, `hash`,
     `repr` and pickling read the basis and the steps."""
@@ -431,8 +499,7 @@ class BFormula:
             raise FormatError(f"steps {steps!r}: expected a sequence of steps, not a string")
         steps = tuple(steps)
         _validate(functions, steps)
-        object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "steps", steps)
+        self.__dict__.update(functions=functions, steps=steps)
 
     @classmethod
     def _trusted(cls, functions: tuple[BoolFunction, ...], steps: tuple[Step, ...]) -> "BFormula":
@@ -440,8 +507,7 @@ class BFormula:
         with unique names and a tuple of well-formed steps whose every
         application names a basis function at its arity."""
         formula = object.__new__(cls)
-        object.__setattr__(formula, "functions", functions)
-        object.__setattr__(formula, "steps", steps)
+        formula.__dict__.update(functions=functions, steps=steps)
         return formula
 
     def __reduce__(self):
@@ -550,8 +616,7 @@ class SizeMeasure(Enum):
 Formula = CnfFormula | BFormula
 
 
-@dataclass(frozen=True)
-class MeeInstance:
+class MeeInstance(Record):
     """A formula together with a size bound; positive iff an equivalent
     formula within the bound exists."""
 
@@ -559,9 +624,10 @@ class MeeInstance:
     bound: int
     measure: SizeMeasure
 
-    def __post_init__(self):
-        if self.bound < 0:
+    def __init__(self, formula: Formula, bound: int, measure: SizeMeasure):
+        if bound < 0:
             raise FormatError("size bound must be nonnegative")
+        self.__dict__.update(formula=formula, bound=bound, measure=measure)
 
 
 def formula_size(formula: Formula, measure: SizeMeasure) -> int:

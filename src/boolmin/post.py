@@ -53,12 +53,11 @@ import heapq
 import math
 from collections import deque
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from itertools import count
 
 from .classify import classify_basis, function_shape
 from .errors import ClassificationError
-from .model import BFormula, BoolFunction, SizeMeasure, Step, _validate, formula_size
+from .model import BFormula, BoolFunction, Record, SizeMeasure, Step, _validate, formula_size
 
 
 State = tuple[int, int, int]
@@ -116,8 +115,7 @@ def relevant_variables(formula: BFormula, cls: str) -> tuple[frozenset[str], int
     return frozenset(relevant), c
 
 
-@dataclass(frozen=True)
-class ReachTable:
+class ReachTable(Record):
     """Generic-composition reachability: state -> (min gates, back-reference),
     the minimum over compositions whose irrelevant guests are leafless.
 
@@ -317,8 +315,7 @@ def _witness(
     )
 
 
-@dataclass(frozen=True)
-class PostStats:
+class PostStats(Record):
     measure: SizeMeasure
     min_size: int
     tuple: State

@@ -47,6 +47,21 @@ def test_classify_basis(workdir, capsys):
     assert "verdict=P-or" in out
 
 
+@pytest.mark.parametrize("table, verdict, shape", [
+    ("0001", "P-and", "and"),
+    ("0110", "P-xor", "xor"),
+    ("1001", "P-xor", "xor"),
+    ("0010", "coNP-hard", "none"),
+])
+def test_classify_basis_names_each_shape(workdir, capsys, table, verdict, shape):
+    (workdir / "one.fns").write_text(
+        f"function f arity 2 table {table}\nfunction c arity 0 table 1\n"
+    )
+    code, out = run(capsys, "classify", "--basis", "one.fns")
+    assert code == 0
+    assert out == f"verdict={verdict}\nf.shape={shape}\nc.shape=or/and/xor\n"
+
+
 def test_minimize_roundtrip(workdir, capsys):
     code, out = run(capsys, "minimize", "--formula", "f.cnf", "--stats")
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from boolmin import graph, ihsb
 from boolmin.classify import relation_shape
-from boolmin.errors import ClassificationError
+from boolmin.errors import ClassificationError, VocabularyError
 from boolmin.formats import load_language, serialize_cnf_formula
 from boolmin.ihsb import (
     ImplGraph,
@@ -17,6 +17,7 @@ from boolmin.ihsb import (
     min_ihsb,
     min_ihsb_cnf,
     min_ihsb_minus_cnf,
+    restrict_vocabulary,
     unsat_check_ihsb,
 )
 from boolmin.model import (
@@ -47,6 +48,28 @@ NO_EQ = ConstraintLanguage((rel_pos(), rel_neg(), rel_impl(), rel_or(2), rel_or(
 
 def F(lang, names, *specs):
     return CnfFormula(lang, tuple(names), tuple((r, tuple(v)) for r, v in specs))
+
+
+@pytest.mark.parametrize("relations, base, message", [
+    ((rel_impl(), rel_neg()), PartitionedFormula(1, (0,), (), (), (), ()),
+     "language cannot express a positive literal"),
+    ((rel_pos(), rel_impl()), PartitionedFormula(1, (), (0,), (), (), ()),
+     "language cannot express a negative literal"),
+    ((rel_pos(), rel_neg()), PartitionedFormula(2, (), (), ((0, 1),), (), ()),
+     "language cannot express an implication"),
+    # without equality a class is written as implications
+    ((rel_pos(),), PartitionedFormula(2, (), (), (), ((0, 1),), ()),
+     "language cannot express an implication"),
+    ((rel_pos(), rel_or(2)), PartitionedFormula(3, (), (), (), (), ((0, 1, 2),)),
+     "no OR relation of arity >= 3 available"),
+], ids=["pos", "neg", "imp", "class", "or-arity"])
+def test_restrict_vocabulary_names_the_missing_shape(relations, base, message):
+    # a minimum of an input over the language never needs a missing shape,
+    # so these bases are built by hand
+    lang = ConstraintLanguage(relations)
+    names = tuple(f"x{i}" for i in range(base.n))
+    with pytest.raises(VocabularyError, match=f"^{message}$"):
+        restrict_vocabulary(base, language_templates(lang), lang, names)
 
 
 def successors(g: ImplGraph) -> list[list[int]]:
@@ -700,7 +723,7 @@ def equivalent_inputs(f, templates, minimize, rng):
         for name, vs in f.clauses
     ]
     plus_minimum = f.clauses + minimize(f)[0].clauses
-    return [dataclasses.replace(f, clauses=tuple(cs))
+    return [CnfFormula(f.language, f.var_names, tuple(cs), f.language_path)
             for cs in (shuffled, plus_minimum, substituted)]
 
 

@@ -15,6 +15,7 @@ from boolmin.model import (
     BoolFunction,
     CnfFormula,
     ConstraintLanguage,
+    MeeInstance,
     Relation,
     SizeMeasure,
     all_assignments,
@@ -286,6 +287,18 @@ def test_relation_validation():
         Relation("wide", 9, frozenset({tuple([0] * 9)}))
     with pytest.raises(FormatError):
         Relation("bad", 2, frozenset({(0, 1, 1)}))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConstraintLanguage(()), "a constraint language must contain at least one relation"),
+    (lambda: BoolFunction("f", -1, (0,)), "function f: negative arity"),
+    (lambda: BoolFunction("f", 1, (0, 2)), "function f: table entries must be bits"),
+    (lambda: MeeInstance(BFormula((fn_not(),), ("x", ("not", 1))), -1, SizeMeasure.GATES),
+     "size bound must be nonnegative"),
+], ids=["no-relation", "negative-arity", "table-bits", "negative-bound"])
+def test_value_constructors_reject_each_fault(build, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_table_bit_order():
