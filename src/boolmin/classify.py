@@ -5,10 +5,17 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from types import MappingProxyType
 
 from .graph import bits
-from .model import BoolFunction, ConstraintLanguage, Record, Relation, dual_name, var_mask
+from .model import (
+    BoolFunction,
+    ConstraintLanguage,
+    FrozenDict,
+    Record,
+    Relation,
+    dual_name,
+    var_mask,
+)
 
 CLOSURE_OPS = ("min2", "max2", "maj3", "xor3", "orAndMix", "andOrMix")
 
@@ -266,7 +273,7 @@ def classify_language(lang: ConstraintLanguage) -> ClassificationReport:
             )
     else:
         verdict = "coNP-hard-nonschaefer"
-    return ClassificationReport(MappingProxyType(flags), verdict, schaefer, caveat, witness)
+    return ClassificationReport(FrozenDict(flags), verdict, schaefer, caveat, witness)
 
 
 def report_lines(report: ClassificationReport) -> list[str]:

@@ -1,7 +1,7 @@
 """Text formats for relations, languages, formulas, functions and DNFs
 (UTF-8, `#` starts a comment).  Every format but the B-formula's is
 line-based and read through one tokenizer, `_content_lines`; a B-formula is
-one parenthesized expression, read by its own token pattern."""
+one parenthesized expression, split at whitespace and around parentheses."""
 from __future__ import annotations
 
 import os
@@ -244,9 +244,6 @@ def load_functions(path: str) -> tuple[BoolFunction, ...]:
     return parse_functions(read_text(path))
 
 
-_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
-
-
 def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
     """Parse a single parenthesized expression, e.g. `(or2 x (or2 x y))`.
 
@@ -260,7 +257,7 @@ def parse_bformula(text: str, functions: tuple[BoolFunction, ...]) -> BFormula:
     `BFormula(functions, steps)` gives for the same steps."""
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = _TOKEN_RE.findall(text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise FormatError("empty B-formula")
     tokens_left = iter(tokens)

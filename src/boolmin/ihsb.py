@@ -49,12 +49,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from types import MappingProxyType
 
 from . import graph
 from .classify import relation_shape
 from .errors import ClassificationError, VocabularyError
-from .model import Clause, CnfFormula, ConstraintLanguage, MinimizeStats, Record
+from .model import Clause, CnfFormula, ConstraintLanguage, FrozenDict, MinimizeStats, Record
 from .oracle import unsat_minimum
 
 
@@ -100,7 +99,7 @@ def _match_templates(lang: ConstraintLanguage, read: ConstraintLanguage) -> Base
         elif kind[0] == "or" and kind[1] not in or_arities:
             or_arities[kind[1]] = name
     return BaseTemplates(
-        pos, neg, imp, eq, MappingProxyType(or_arities), MappingProxyType(shapes), read is not lang
+        pos, neg, imp, eq, FrozenDict(or_arities), FrozenDict(shapes), read is not lang
     )
 
 
@@ -145,8 +144,9 @@ def graph_from_cnf(
     if templates is None:
         templates = language_templates(formula.language)
     g = ImplGraph(formula.n_vars)
+    shapes = templates.shapes
     for name, vs in formula.clauses:
-        kind = templates.shapes[name]
+        kind = shapes[name]
         if kind[0] == "pos":
             g.pos.add(vs[0])
         elif kind[0] == "neg":

@@ -28,7 +28,9 @@ arguments need checks or defaults writes its own `__init__` that does the
 same after them (a `_trusted` constructor stores them without the checks).  `Record` gives
 `==`, `hash` and `repr` over the annotated fields, in order, read through
 one `operator.attrgetter` built when the class is created, and refuses to
-assign or delete an attribute with `dataclasses.FrozenInstanceError`.
+assign or delete an attribute with `dataclasses.FrozenInstanceError`.  A
+field that holds a mapping holds a `FrozenDict`, so the record still
+hashes and pickles.
 `cached_property`, a language's cached hash and pickling read and write
 `__dict__` directly.  So a class costs no generated code when the package
 is imported, unlike a dataclass, whose decorator compiles its methods from
@@ -77,9 +79,10 @@ same way a function's shape (`classify.function_shape`) is computed once per
 function value, so a basis parsed again, or dualized for `post.min_post`'s
 AND route, reads the shapes already computed, and `oracle.brute_min_bformula`
 keeps one least-size search per basis value, pool size and measure, grown
-only as far as a call needs.  These results are shared by every caller: the
-report, the templates, the shapes and the clause tables are read-only, and
-nothing writes an emitter after it is built.
+only as far as a call needs, within a budget of tables.  These results are
+shared by every caller: the report, the templates, the shapes and the
+clause tables are read-only, and nothing writes an emitter after it is
+built.
 """
 from __future__ import annotations
 
@@ -149,6 +152,25 @@ def _frozen(message: str) -> Exception:
     from dataclasses import FrozenInstanceError
 
     return FrozenInstanceError(message)
+
+
+class FrozenDict(dict):
+    """A read-only dict, for the mappings a `Record` holds: it hashes as
+    the set of its items, and a pickle carries it as a plain dict."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
 class Relation(Record):

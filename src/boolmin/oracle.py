@@ -4,13 +4,13 @@ expressibility, and minimum unsatisfiable formulas.
 Everything here works on solution bitmasks (one bit per assignment) and is
 deliberately independent of the polynomial-time minimizers it validates.
 
-Each search space is built once and kept for the life of the process.  The
-distinct clauses of a language over n variables (`_clause_table`) are
-memoized per (language, n); `brute_min_cnf`, `expressible` and
-`min_unsat_formula` each take from them the fewest whose conjunction is the
-target (`_least_cover`).  `brute_min_bformula`'s least-size search depends
-on the basis, the pool size and the measure only, and is kept per such key
-and resumed by later calls (`_SEARCHES`).
+Each search space is built once.  The distinct clauses of a language over
+n variables (`_clause_table`) are memoized per (language, n) for the life of
+the process; `brute_min_cnf`, `expressible` and `min_unsat_formula` each
+take from them the fewest whose conjunction is the target (`_least_cover`).
+`brute_min_bformula`'s least-size search depends on the basis, the pool size
+and the measure only, and is kept per such key and resumed by later calls
+(`_SEARCHES`), within a budget of `MAX_KEPT_TABLES` truth tables in all.
 """
 from __future__ import annotations
 
@@ -36,6 +36,10 @@ from .model import (
 MAX_ORACLE_VARS = 8
 MAX_ORACLE_CLAUSES = 8
 MAX_ORACLE_BF_SIZE = 8
+# the truth tables the kept least-size searches may hold in all: at 11
+# variables about 400 bytes each, with the tree; the oracle-check workload
+# keeps about 275
+MAX_KEPT_TABLES = 8192
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +197,8 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-# the least-size searches by (basis, pool size, measure), grown on demand
+# the least-size searches by (basis, pool size, measure), grown on demand,
+# from the least recently used to the most
 _SEARCHES: dict[tuple[tuple[BoolFunction, ...], int, SizeMeasure], "_LeastSizeSearch"] = {}
 
 
@@ -289,11 +294,14 @@ def brute_min_bformula(
     subtree would keep the function and lower the size.
 
     The search depends only on the basis, the pool's size and the measure,
-    so it is kept per `(tuple(basis), len(pool), measure)` for the life of
-    the process, with pool positions for leaves that are renamed to the
-    pool on return.  A later call resumes it where an earlier one stopped;
-    its discovery order is fixed, so every answer is the one a fresh search
-    gives.  A search that raises partway is dropped.
+    so it is kept per `(tuple(basis), len(pool), measure)`, with pool
+    positions for leaves that are renamed to the pool on return.  A later
+    call resumes it where an earlier one stopped; its discovery order is
+    fixed, so every answer is the one a fresh search gives.  A search that
+    raises partway is dropped.  Once the kept searches hold more than
+    `MAX_KEPT_TABLES` tables, the least recently used are dropped, never
+    the one just used; a dropped search is built again when needed, and
+    gives the same answers.
     """
     if bound < 0:
         raise FormatError("size bound must be nonnegative")
@@ -307,15 +315,19 @@ def brute_min_bformula(
     pool = tuple(sorted(set(formula.var_names) | {fresh}))
     target = truth_table(formula, pool)
     key = (tuple(basis), len(pool), measure)
-    search = _SEARCHES.get(key)
-    if search is None:
-        search = _SEARCHES[key] = _LeastSizeSearch(*key)
+    search = _SEARCHES.pop(key, None) or _LeastSizeSearch(*key)
+    _SEARCHES[key] = search
     try:
         found = search.least(target, bound)
     except BaseException:
         # the search's generator is closed once it raised
         _SEARCHES.pop(key, None)
         raise
+    held = sum(len(kept.steps_of) for kept in _SEARCHES.values())
+    for old in list(_SEARCHES)[:-1]:
+        if held <= MAX_KEPT_TABLES:
+            break
+        held -= len(_SEARCHES.pop(old).steps_of)
     if found is None:
         return None
     size, steps = found

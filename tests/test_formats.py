@@ -2,6 +2,8 @@ import gc
 import os
 import pickle
 import random
+import re
+import sys
 
 import pytest
 
@@ -480,6 +482,58 @@ def test_bformula_comments():
     assert _message(lambda: formats.parse_bformula("# only a comment\n", funcs)) == (
         "empty B-formula"
     )
+
+
+def test_bformula_every_whitespace_character_separates_tokens():
+    funcs = (fn_or(2),)
+    want = formats.parse_bformula("(or2 x y)", funcs)
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for c in spaces:
+        assert formats.parse_bformula("(or2" + c + "x" + c + "y)", funcs) == want, hex(ord(c))
+
+
+def _bformula_outcome(text: str, funcs) -> tuple:
+    try:
+        return "ok", formats.parse_bformula(text, funcs).steps
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def _random_tree_tokens(rng: random.Random, depth: int) -> list[str]:
+    """A tree's tokens; one application in ten has a wrong argument count."""
+    if depth == 0 or rng.random() < 0.35:
+        return [rng.choice(("x", "y", "z1"))]
+    func = rng.choice(("or2", "or2", "xor3", "xor3", "nope"))
+    arity = 3 if func == "xor3" else 2
+    if rng.random() < 0.1:
+        arity += rng.choice((-1, 1))
+    args = [tok for _ in range(arity) for tok in _random_tree_tokens(rng, depth - 1)]
+    return ["(", func, *args, ")"]
+
+
+def test_bformula_tokens_are_parentheses_and_whitespace_free_runs():
+    # each text parses as its tokens joined by single spaces, the tokens
+    # being every parenthesis and every maximal run of other non-whitespace
+    funcs = (fn_or(2), fn_xor(3))
+    rng = random.Random(34)
+    spaces = " \n\t\x0b\x1c\x85\xa0\u2028\u3000"
+    words = ("(", ")", "or2", "xor3", "x", "y")
+    outcomes = set()
+    for _ in range(2000):
+        tokens = _random_tree_tokens(rng, 4)
+        if rng.random() < 0.3:  # insert, drop or replace one token
+            at = rng.randrange(len(tokens) + 1)
+            tokens[at:at + rng.randint(0, 1)] = rng.sample(words, rng.randint(0, 1))
+        text = "".join(
+            tok + "".join(rng.choice(spaces) for _ in range(rng.choice((0, 0, 1, 1, 2, 3))))
+            for tok in tokens
+        )
+        rebuilt = " ".join(re.findall(r"\(|\)|[^\s()]+", text))
+        outcome = _bformula_outcome(text, funcs)
+        assert outcome == _bformula_outcome(rebuilt, funcs), repr(text)
+        outcomes.add(outcome[0] if outcome[0] == "ok" else outcome[1].split(":")[0])
+    assert len(outcomes) > 8
 
 
 def test_mee_header_roundtrip():

@@ -373,6 +373,41 @@ def test_search_that_raised_is_dropped_and_list_bases_share_it():
         assert _witness_text(found) == _witness_text(expected)
 
 
+def test_evicted_searches_are_least_recently_used_and_rebuilt_alike(monkeypatch):
+    """Past the table budget the least recently used searches are dropped,
+    never the one just used; a dropped search built again finds the same
+    tables in the same order, so it gives the same answers."""
+    def nand(name):
+        return BoolFunction(name, 2, (1, 1, 1, 0))
+
+    # targets in x and y over a foreign basis: some lie above the bound
+    rng = random.Random(34)
+    own = (BoolFunction("xor2", 2, (0, 1, 1, 0)), fn_or(2), fn_and(2))
+    phis = [BFormula(own, tree_steps(_random_tree(own, rng, 3, "xy"))) for _ in range(40)]
+    phis = [phi for phi in phis if len(phi.var_names) == 2]
+    key = {name: ((nand(name),), 3, SizeMeasure.GATES) for name in ("ev_a", "ev_b", "ev_c")}
+
+    def answers(name):
+        return [_witness_text(brute_min_bformula((nand(name),), phi, SizeMeasure.GATES, 4))
+                for phi in phis]
+
+    def tables(name):
+        return list(oracle._SEARCHES[key[name]].steps_of.items())
+
+    first = answers("ev_b")
+    grown = tables("ev_b")
+    assert len(grown) > 10 and None in first and len(set(first)) > 3
+    answers("ev_a")
+    # room for two searches: c's drops every older one but a, used last
+    monkeypatch.setattr(oracle, "MAX_KEPT_TABLES", 2 * len(grown))
+    answers("ev_c")
+    assert list(oracle._SEARCHES) == [key["ev_a"], key["ev_c"]]
+    # room for none: only the one just used is kept
+    monkeypatch.setattr(oracle, "MAX_KEPT_TABLES", len(grown) - 1)
+    assert answers("ev_b") == first
+    assert list(oracle._SEARCHES) == [key["ev_b"]] and tables("ev_b") == grown
+
+
 def _seeded_cnf_calls():
     """Seeded brute_min_cnf and expressible calls over three languages."""
     rng = random.Random(30)

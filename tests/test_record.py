@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import sys
-from types import MappingProxyType
 
 import pytest
 
@@ -23,6 +22,7 @@ from boolmin.model import (
     BoolFunction,
     CnfFormula,
     ConstraintLanguage,
+    FrozenDict,
     MeeInstance,
     MinimizeStats,
     Relation,
@@ -72,15 +72,15 @@ SAMPLES = {
     HornWitness: (lambda: HornWitness("horn2", 2, (2, 0, 1)), ("relation", "k", "permutation")),
     ClassificationReport: (
         lambda: ClassificationReport(
-            MappingProxyType({"imp": relation_flags(rel_impl())}),
+            FrozenDict({"imp": relation_flags(rel_impl())}),
             "P-ihsb+", True, False, HornWitness("horn2", 2, (0, 1, 2)),
         ),
         ("flags", "verdict", "schaefer", "irreducibility_caveat", "horn_witness"),
     ),
     BaseTemplates: (
         lambda: BaseTemplates(
-            "pos", None, ("imp", False), None, MappingProxyType({2: "or2"}),
-            MappingProxyType({"pos": ("pos",), "or2": ("or", 2)}), False,
+            "pos", None, ("imp", False), None, FrozenDict({2: "or2"}),
+            FrozenDict({"pos": ("pos",), "or2": ("or", 2)}), False,
         ),
         ("pos", "neg", "imp", "eq", "or_arities", "shapes", "dual"),
     ),
@@ -99,10 +99,8 @@ SAMPLES = {
     ReductionResult: (lambda: ReductionResult(_mee(), False), ("instance", "fixed_negative")),
 }
 CLASSES = list(SAMPLES)
-# a dict or a mapping proxy has no hash, so neither have the records that
-# hold one; and a mapping proxy cannot be pickled
-UNHASHABLE = (ReachTable, ClassificationReport, BaseTemplates)
-PICKLED = [cls for cls in CLASSES if cls not in (ClassificationReport, BaseTemplates)]
+# a dict has no hash, so neither has the record that holds one
+UNHASHABLE = (ReachTable,)
 
 
 def ids(cls):
@@ -157,7 +155,7 @@ def test_fields_cannot_be_set_or_deleted(cls):
     assert record.__dict__ == before
 
 
-@pytest.mark.parametrize("cls", PICKLED, ids=ids)
+@pytest.mark.parametrize("cls", CLASSES, ids=ids)
 def test_pickle_round_trip_gives_an_equal_record(cls):
     make, _ = SAMPLES[cls]
     record = make()
@@ -165,6 +163,29 @@ def test_pickle_round_trip_gives_an_equal_record(cls):
     assert type(loaded) is cls and loaded == record and repr(loaded) == repr(record)
     if cls not in UNHASHABLE:
         assert hash(loaded) == hash(record)
+
+
+def test_frozen_dict_is_a_read_only_hashable_dict():
+    items = {"or2": ("or", 2), "pos": ("pos",)}
+    frozen = FrozenDict(items)
+    assert frozen == items and list(frozen) == list(items) and frozen["pos"] == ("pos",)
+    # equal items in any order give equal hashes
+    assert hash(frozen) == hash(FrozenDict(reversed(items.items())))
+    loaded = pickle.loads(pickle.dumps(frozen))
+    assert type(loaded) is FrozenDict and loaded == frozen
+    for write in (
+        lambda d: d.__setitem__("neg", ("neg",)),
+        lambda d: d.__delitem__("pos"),
+        lambda d: d.__ior__({"neg": ("neg",)}),
+        lambda d: d.update(neg=("neg",)),
+        lambda d: d.setdefault("neg", ("neg",)),
+        lambda d: d.pop("pos"),
+        lambda d: d.popitem(),
+        lambda d: d.clear(),
+    ):
+        with pytest.raises(TypeError, match="^FrozenDict is read-only$"):
+            write(frozen)
+    assert frozen == items
 
 
 def test_cnf_formula_ignores_its_language_path():
