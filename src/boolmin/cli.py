@@ -1,9 +1,10 @@
 """Command-line entry point: classification, minimization, oracle searches,
-gadget generation and format utilities.
+gadget generation and format utilities.  Every file is read by `formats`.
 
 Exit codes: 0 success or positive decision, 1 negative decision, 2 malformed
-input, 3 resource cap exceeded, 4 the classification forbids polynomial
-minimization, 5 internal error (a fault in boolmin, never a decision).
+input (`FormatError`) or an unreadable file (`OSError`), 3 resource cap
+exceeded, 4 the classification forbids polynomial minimization, 5 internal
+error: any other exception, a fault in boolmin, never a decision.
 """
 from __future__ import annotations
 
@@ -34,13 +35,6 @@ EXIT_CLASSIFICATION = 4
 EXIT_INTERNAL = 5
 
 
-def _read(path: str) -> tuple[str, str]:
-    """File text plus the directory for resolving relative includes."""
-    if path == "-":
-        return sys.stdin.read(), "."
-    return formats.read_text(path), os.path.dirname(path) or "."
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -49,23 +43,13 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_formula(path: str) -> CnfFormula:
-    text, base = _read(path)
-    return formats.parse_cnf_formula(text, base)
-
-
-def _load_bformula(path: str, basis_path: str):
-    basis = formats.parse_functions(_read(basis_path)[0])
-    return formats.parse_bformula(_read(path)[0], basis), basis
-
-
 def cmd_classify(args) -> int:
     if args.language:
-        lang = formats.parse_language(*_read(args.language))
+        lang = formats.load_language(args.language)
         for line in report_lines(classify_language(lang)):
             print(line)
         return EXIT_OK
-    basis = formats.parse_functions(_read(args.basis)[0])
+    basis = formats.load_functions(args.basis)
     print(f"verdict={classify_basis(basis)}")
     for f in basis:
         shape = function_shape(f)
@@ -81,7 +65,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    out, stats = minimize(_load_formula(args.formula))
+    out, stats = minimize(formats.load_cnf_formula(args.formula))
     text = ""
     if args.stats:
         text += "".join(f"# {line}\n" for line in stats.lines())
@@ -91,7 +75,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_minimize_post(args) -> int:
-    formula, basis = _load_bformula(args.formula, args.basis)
+    basis = formats.load_functions(args.basis)
+    formula = formats.load_bformula(args.formula, basis)
     result = min_post(basis, formula, SizeMeasure(args.measure))
     if result is None:
         # the formula is parsed over the basis, so it is its own witness
@@ -106,22 +91,21 @@ def cmd_minimize_post(args) -> int:
 
 
 def cmd_irreducible(args) -> int:
-    rel = formats.parse_relation(_read(args.relation)[0])
+    rel = formats.parse_relation(formats.read_text(args.relation))
     verdict = is_irreducible(rel)
     print(f"irreducible={'true' if verdict else 'false'}")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def cmd_equiv(args) -> int:
-    text_a, base_a = _read(args.a)
-    text_b, base_b = _read(args.b)
+    text_a, text_b = formats.read_text(args.a), formats.read_text(args.b)
     if formats.is_cnf_text(text_a):
-        fa = formats.parse_cnf_formula(text_a, base_a)
-        fb = formats.parse_cnf_formula(text_b, base_b)
+        fa = formats.load_cnf_formula(args.a, text_a)
+        fb = formats.load_cnf_formula(args.b, text_b)
     else:
         if not args.basis:
             raise FormatError("--basis is required to compare B-formulas")
-        basis = formats.parse_functions(_read(args.basis)[0])
+        basis = formats.load_functions(args.basis)
         fa = formats.parse_bformula(text_a, basis)
         fb = formats.parse_bformula(text_b, basis)
     same = equivalent(fa, fb)
@@ -148,7 +132,8 @@ def _write_with_language(formula: CnfFormula, out: str | None, what: str, lang_n
 
 
 def cmd_dualize(args) -> int:
-    _write_with_language(dualize(_load_formula(args.formula)), args.out, "dual", "dual.lang")
+    dual = dualize(formats.load_cnf_formula(args.formula))
+    _write_with_language(dual, args.out, "dual", "dual.lang")
     return EXIT_OK
 
 
@@ -164,11 +149,11 @@ def _write_oracle_witness(witness: CnfFormula, lang_path: str, what: str) -> Non
 
 
 def cmd_oracle_min_cnf(args) -> int:
-    text, base = _read(args.formula)
-    formula = formats.parse_cnf_formula(text, base)
-    lang, lang_path = formula.language, os.path.join(base, formula.language_path)
+    formula = formats.load_cnf_formula(args.formula)
+    lang = formula.language
+    lang_path = os.path.join(os.path.dirname(args.formula) or ".", formula.language_path)
     if args.language:
-        lang, lang_path = formats.parse_language(*_read(args.language)), args.language
+        lang, lang_path = formats.load_language(args.language), args.language
     result = brute_min_cnf(lang, formula, args.max_clauses)
     if result is None:
         print("min_clauses=none")
@@ -180,7 +165,8 @@ def cmd_oracle_min_cnf(args) -> int:
 
 
 def cmd_oracle_min_bf(args) -> int:
-    formula, basis = _load_bformula(args.formula, args.basis)
+    basis = formats.load_functions(args.basis)
+    formula = formats.load_bformula(args.formula, basis)
     result = brute_min_bformula(basis, formula, SizeMeasure(args.measure), args.max_size)
     if result is None:
         print("min_size=none")
@@ -192,15 +178,15 @@ def cmd_oracle_min_bf(args) -> int:
 
 
 def cmd_oracle_expressible(args) -> int:
-    rel = formats.parse_relation(_read(args.relation)[0])
-    base = formats.parse_language(*_read(args.base))
+    rel = formats.parse_relation(formats.read_text(args.relation))
+    base = formats.load_language(args.base)
     verdict = expressible(rel, base, args.max_clauses)
     print(f"expressible={'true' if verdict else 'false'}")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def cmd_oracle_min_unsat(args) -> int:
-    lang = formats.parse_language(*_read(args.language))
+    lang = formats.load_language(args.language)
     result = min_unsat_formula(lang, args.max_clauses)
     if result is None:
         print("min_unsat=none")
@@ -211,15 +197,16 @@ def cmd_oracle_min_unsat(args) -> int:
 
 
 def cmd_gadget_unsat_post(args) -> int:
-    psi, basis = _load_bformula(args.psi, args.basis)
-    formula = formats.parse_bformula(_read(args.formula)[0], basis)
+    basis = formats.load_functions(args.basis)
+    psi = formats.load_bformula(args.psi, basis)
+    formula = formats.load_bformula(args.formula, basis)
     result = reduce_unsat_to_mee_post(basis, psi, formula, SizeMeasure(args.measure))
     sys.stdout.write(formats.serialize_mee_instance(result.instance, result.fixed_negative))
     return EXIT_NEGATIVE if result.fixed_negative else EXIT_OK
 
 
 def cmd_gadget_unsat_cnf(args) -> int:
-    formula = _load_formula(args.formula)
+    formula = formats.load_cnf_formula(args.formula)
     result = reduce_unsat_to_mee_cnf(formula.language, formula)
     sys.stdout.write(
         formats.serialize_mee_instance(
@@ -231,16 +218,16 @@ def cmd_gadget_unsat_cnf(args) -> int:
 
 def _gadget_frame(args):
     """The basis, the two formulas h1 and h2, and the largest basis arity."""
-    basis = formats.parse_functions(_read(args.basis)[0])
-    h1 = formats.parse_bformula(_read(args.h1)[0], basis)
-    h2 = formats.parse_bformula(_read(args.h2)[0], basis)
+    basis = formats.load_functions(args.basis)
+    h1 = formats.load_bformula(args.h1, basis)
+    h2 = formats.load_bformula(args.h2, basis)
     return basis, h1, h2, max(f.arity for f in basis)
 
 
 def cmd_gadget_and_or(args) -> int:
     basis, h1, h2, m = _gadget_frame(args)
-    f_and = formats.parse_bformula(_read(args.f_and)[0], basis)
-    f_or = formats.parse_bformula(_read(args.f_or)[0], basis)
+    f_and = formats.load_bformula(args.f_and, basis)
+    f_or = formats.load_bformula(args.f_or, basis)
     measure = SizeMeasure(args.measure)
     gadget, bound = build_and_or_gadget(f_and, f_or, h1, h2, m, measure)
     sys.stdout.write(formats.serialize_mee_instance(MeeInstance(gadget, bound, measure)))
@@ -249,7 +236,7 @@ def cmd_gadget_and_or(args) -> int:
 
 def cmd_gadget_maj(args) -> int:
     basis, h1, h2, m = _gadget_frame(args)
-    f_maj = formats.parse_bformula(_read(args.f_maj)[0], basis)
+    f_maj = formats.load_bformula(args.f_maj, basis)
     measure = SizeMeasure(args.measure)
     gadget, bound = build_maj_gadget(f_maj, h1, h2, m, measure)
     sys.stdout.write(formats.serialize_mee_instance(MeeInstance(gadget, bound, measure)))
@@ -257,7 +244,7 @@ def cmd_gadget_maj(args) -> int:
 
 
 def cmd_gadget_horn_dnf(args) -> int:
-    terms = formats.parse_dnf(_read(args.dnf)[0])
+    terms = formats.parse_dnf(formats.read_text(args.dnf))
     out = pure_horn_dnf_to_cnf(terms)
     _write_with_language(out, args.out, "positive Horn", "positive-horn.lang")
     return EXIT_OK
@@ -268,7 +255,7 @@ def cmd_gen_random(args) -> int:
         raise FormatError("--vars and --clauses must be nonnegative")
     if args.clauses and not args.vars:
         raise FormatError("clauses need at least one variable")
-    lang = formats.parse_language(*_read(args.language))
+    lang = formats.load_language(args.language)
     rng = random.Random(args.seed)
     names = tuple(f"v{i}" for i in range(args.vars))
     clauses = []
@@ -392,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError, ValueError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ResourceLimitError as exc:

@@ -1,11 +1,14 @@
 """Text formats for relations, languages, formulas, functions and DNFs
-(UTF-8, `#` starts a comment).  Every format but the B-formula's is
-line-based and read through one tokenizer, `_content_lines`; a B-formula is
-one parenthesized expression, split at whitespace and around parentheses."""
+(UTF-8, `#` starts a comment).  Every file is read by `read_text`, and a
+relative path in a loaded file (`include`, `language`) resolves from the
+file's directory.  Every format but the B-formula's is line-based and read
+through one tokenizer, `_content_lines`; a B-formula is one parenthesized
+expression, split at whitespace and around parentheses."""
 from __future__ import annotations
 
 import os
 import re
+import sys
 
 from .errors import FormatError
 from .model import (
@@ -38,9 +41,10 @@ def _parse_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in token)
 
 
-def parse_language(text: str, base_dir: str = ".") -> ConstraintLanguage:
-    """Parse a sequence of relation blocks and include lines."""
-    return _parse_language_lines(_content_lines(text), base_dir, ())
+def parse_language(text: str) -> ConstraintLanguage:
+    """Parse a sequence of relation blocks and include lines, whose paths
+    resolve from the working directory."""
+    return _parse_language_lines(_content_lines(text), ".", ())
 
 
 def _parse_language_lines(
@@ -88,11 +92,18 @@ def parse_relation(text: str) -> Relation:
 
 def read_text(path: str) -> str:
     """A file's UTF-8 text, with newlines translated as text mode does
-    (`\r\n` and `\r` become `\n`).  The bytes come in one unbuffered
-    read: text mode would add a buffer, a decoder wrapper, a seek and a
-    terminal check to every small file."""
-    with open(path, "rb", buffering=0) as fh:
-        text = fh.read().decode("utf-8")
+    (`\r\n` and `\r` become `\n`), or standard input's for the path `-`.
+    A file's bytes come in one unbuffered read: text mode would add a
+    buffer, a decoder wrapper, a seek and a terminal check to every small
+    file.  A NUL byte in the path or a text that is not UTF-8 raises
+    `FormatError`."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+    except ValueError as exc:
+        raise FormatError(f"{exc}: {path!r}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -191,8 +202,12 @@ def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:
     return CnfFormula._trusted(language, var_names, tuple(clauses), language_path)
 
 
-def load_cnf_formula(path: str) -> CnfFormula:
-    return parse_cnf_formula(read_text(path), os.path.dirname(path) or ".")
+def load_cnf_formula(path: str, text: str | None = None) -> CnfFormula:
+    """The formula in the file at `path`, whose language line resolves from
+    the file's directory; `text` is the file's text, if it is read already."""
+    if text is None:
+        text = read_text(path)
+    return parse_cnf_formula(text, os.path.dirname(path) or ".")
 
 
 def is_cnf_text(text: str) -> bool:

@@ -52,7 +52,7 @@ def reduce_unsat_to_mee_post(
     """Reduce non-satisfiability of `formula` to an MEE instance, given a
     fixed unsatisfiable basis-formula."""
     if satisfiable(psi_unsat):
-        raise ValueError("psi_unsat must be unsatisfiable")
+        raise FormatError("psi_unsat must be unsatisfiable")
     k = formula_size(psi_unsat, measure)
     weight_cap = k if measure is SizeMeasure.LITERALS else max_leaves(basis, k)
     names = formula.var_names
@@ -93,7 +93,7 @@ def _check_table(formula: BFormula, names: tuple[str, ...], expected) -> None:
     """`expected` maps the names' variable masks to the intended mask."""
     columns = [var_mask(i, len(names)) for i in range(len(names))]
     if truth_table(formula, names) != expected(*columns):
-        raise ValueError(f"gadget connective contract violated by {names}")
+        raise FormatError(f"gadget connective contract violated by {names}")
 
 
 def _fresh_names(avoid: set[str], n: int, prefix: str) -> list[str]:
@@ -141,7 +141,7 @@ def build_and_or_gadget(
     ox, oy, ot = or_vars
     x, y, full = var_mask(0, 2), var_mask(1, 2), 0b1111
     if f_or.mask({ox: x, oy: y, ot: full}, full) != x | y:
-        raise ValueError("f_or(x, y, 1) must equal x or y")
+        raise FormatError("f_or(x, y, 1) must equal x or y")
 
     functions = _merged_functions(f_and, f_or, h1, h2)
 

@@ -4,9 +4,9 @@ with the IHSB- case handled by duality.
 An IHSB- formula is not dualized: its clauses are read through the
 templates of the dual relations (`dual_templates`), which carry the
 formula's own relation names, so the same pass runs on it and the result is
-emitted in those names.  Only an unsatisfiable one takes the dual route, to
-answer with the dual language's minimum unsatisfiable formula, renamed back.
-Templates are computed once per language (see `model`).
+emitted in those names.  An unsatisfiable formula of either class is
+answered with its language's minimum unsatisfiable formula.  Templates are
+computed once per language (see `model`).
 
 A formula is rewritten in the base vocabulary {x, not-x, ->, =, OR^m}.  An
 equality is the implication pair u -> v, v -> u, so the equality classes are
@@ -59,10 +59,8 @@ from .oracle import unsat_minimum
 
 class BaseTemplates(Record):
     """Which base shapes the language offers, and through which relation;
-    `shapes` holds the shape of every relation name.  `dual` marks the
-    templates of an IHSB- language, whose shapes are those of the dual
-    relations.  Templates are shared by every formula over the language, so
-    they are read-only."""
+    `shapes` holds the shape of every relation name.  Templates are shared
+    by every formula over the language, so they are read-only."""
 
     pos: str | None
     neg: str | None
@@ -70,7 +68,6 @@ class BaseTemplates(Record):
     eq: str | None
     or_arities: Mapping[int, str]
     shapes: Mapping[str, tuple]
-    dual: bool
 
 
 def _match_templates(lang: ConstraintLanguage, read: ConstraintLanguage) -> BaseTemplates:
@@ -98,9 +95,7 @@ def _match_templates(lang: ConstraintLanguage, read: ConstraintLanguage) -> Base
             eq = name
         elif kind[0] == "or" and kind[1] not in or_arities:
             or_arities[kind[1]] = name
-    return BaseTemplates(
-        pos, neg, imp, eq, FrozenDict(or_arities), FrozenDict(shapes), read is not lang
-    )
+    return BaseTemplates(pos, neg, imp, eq, FrozenDict(or_arities), FrozenDict(shapes))
 
 
 @lru_cache(maxsize=None)
@@ -354,15 +349,12 @@ def min_ihsb_cnf(
     """Full pipeline for irreducible IHSB+ languages: rewrite to the base
     vocabulary, check satisfiability, minimize, re-emit in the language's
     own vocabulary.  `templates` reads the formula's relations: by default
-    the language's own, and for IHSB- its `dual_templates`."""
+    the language's own, and for IHSB- its `dual_templates`.  An
+    unsatisfiable formula is answered with `unsat_minimum`."""
     g, templates = graph_from_cnf(formula, templates)
     falsy = unsat_check_ihsb(g)
     if falsy is None:
-        if not templates.dual:
-            return unsat_minimum(formula)
-        # the dual language's minimum unsatisfiable formula, renamed back
-        dual_out, stats = unsat_minimum(formula.dual())
-        return dual_out.dual(), stats
+        return unsat_minimum(formula)
     base, passes = min_ihsb(g, falsy)
     out = restrict_vocabulary(
         base, templates, formula.language, formula.var_names, formula.language_path

@@ -377,11 +377,12 @@ def test_malformed_input_exit_code(workdir, capsys):
 
 
 def test_unreadable_language_exits_malformed(workdir, capsys):
-    # the messages of a file opened and decoded in text mode
+    # a decoding error names the file, as an opening error does
     (workdir / "latin1.lang").write_bytes(b"relation pos arity 1\n1 # caf\xe9\n")
     (workdir / "dir.lang").mkdir()
     for lang, message in (
-        ("latin1.lang", "'utf-8' codec can't decode byte 0xe9 in position 28: invalid continuation byte"),
+        ("latin1.lang", "'utf-8' codec can't decode byte 0xe9 in position 28: "
+                        "invalid continuation byte: './latin1.lang'"),
         ("dir.lang", "[Errno 21] Is a directory: './dir.lang'"),
     ):
         (workdir / "g.cnf").write_text(f"language {lang}\nvars x\nclause pos x\n")
@@ -403,6 +404,16 @@ def test_internal_error_is_not_a_decision(workdir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_classify", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["classify", "--basis", "basis.fns"])
+
+
+def test_internal_value_error_is_not_malformed_input(workdir, capsys, monkeypatch):
+    # only a FormatError or an OSError means malformed input
+    def slip(formula):
+        raise ValueError("internal slip")
+
+    monkeypatch.setattr(cli, "minimize", slip)
+    assert main(["minimize", "--formula", "f.cnf"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: ValueError: internal slip\n"
 
 
 # --- the exit-code contract under malformed and extreme inputs ---------------
@@ -443,9 +454,21 @@ def _extra_files(workdir) -> None:
         "comments.dnf": "# no terms\n",
         "wide.cnf": "language base.lang\nvars " + " ".join(f"v{i}" for i in range(25))
                     + "\nclause or2 v0 v24\n",
+        "two.lang": "include a.lang b.lang\n",
+        "nul.lang": "include a\0b.lang\n",
+        "two.rel": "relation imp arity 2\n00 01 11\nrelation pos arity 1\n1\n",
+        "word.fns": "function f arity two table 01\n",
+        "comments.fns": "# no functions\n",
+        "and3.bf": "(and2 x (and2 y z))\n",
+        "or.lang": "relation or2 arity 2\n01 10 11\n",
+        "or.cnf": "language or.lang\nvars x y\nclause or2 x y\n",
+        "pn.lang": "relation pos arity 1\n1\nrelation neg arity 1\n0\n",
+        "many.cnf": "language pn.lang\nvars " + " ".join(f"v{i}" for i in range(230))
+                    + "\nclause pos v0\n",
     }
     for name, text in files.items():
         (workdir / name).write_text(text)
+    (workdir / "latin1.lang").write_bytes(b"relation pos arity 1\n1 # caf\xe9\n")
 
 
 # every subcommand, with the files its run may have mutated
@@ -503,7 +526,7 @@ CONTRACT_CASES = [
     (["classify", "--basis", "huge.fns"], 2),
 ]
 
-# inputs that reach a negative decision, a resource cap or an empty input,
+# inputs that reach a negative decision, a resource cap or a malformed input,
 # with their exit codes, the stream they write to and all that they write there
 DECISION_CASES = [
     (["oracle", "min-cnf", "--formula", "f.cnf", "--max-clauses", "0"], 1,
@@ -517,6 +540,33 @@ DECISION_CASES = [
     (["equiv", "--a", "wide.cnf", "--b", "wide.cnf"], 3,
      "err", "error: operation would enumerate 2^25 assignments (cap 24 variables)\n"),
     (["gadget", "horn-dnf", "--dnf", "comments.dnf"], 2, "err", "error: empty DNF\n"),
+    (["classify", "--language", "latin1.lang"], 2, "err",
+     "error: 'utf-8' codec can't decode byte 0xe9 in position 28: invalid continuation byte: "
+     "'latin1.lang'\n"),
+    # a cycle is listed from the file named on the command line
+    (["classify", "--language", "a.lang"], 2, "err",
+     "error: include cycle: WORKDIR/a.lang -> WORKDIR/b.lang -> WORKDIR/a.lang\n"),
+    (["classify", "--language", "two.lang"], 2, "err",
+     "error: include expects exactly one path\n"),
+    (["classify", "--language", "nul.lang"], 2, "err",
+     "error: embedded null byte: './a\\x00b.lang'\n"),
+    (["irreducible", "--relation", "two.rel"], 2, "err",
+     "error: expected exactly one relation in file\n"),
+    (["classify", "--basis", "word.fns"], 2, "err",
+     "error: function f: arity is not an integer\n"),
+    (["classify", "--basis", "comments.fns"], 2, "err", "error: no function lines found\n"),
+    (["gadget", "and-or", "--basis", "g.fns", "--f-and", "fand.bf", "--f-or", "fand.bf",
+      "--h1", "h1.bf", "--h2", "h2.bf"], 2, "err",
+     "error: f_or must use exactly three variables (x, y, t)\n"),
+    (["gadget", "maj", "--basis", "g.fns", "--f-maj", "fand.bf", "--h1", "h1.bf",
+      "--h2", "h1.bf"], 2, "err", "error: f_maj must use exactly three variables\n"),
+    (["gadget", "maj", "--basis", "g.fns", "--f-maj", "and3.bf", "--h1", "h1.bf",
+      "--h2", "h1.bf"], 2, "err",
+     "error: gadget connective contract violated by ('x', 'y', 'z')\n"),
+    (["gadget", "unsat-cnf", "--formula", "or.cnf"], 4, "err",
+     "error: language has no unsatisfiable formula; reduction undefined\n"),
+    (["gadget", "unsat-cnf", "--formula", "many.cnf"], 3, "err",
+     "error: too many candidate formulas for the reduction\n"),
 ]
 CONTRACT_CASES += [(argv, code) for argv, code, _, _ in DECISION_CASES]
 
@@ -556,15 +606,39 @@ def test_contract_cases(workdir, capsys, argv, expected):
 def test_decision_cases_write_one_line(workdir, capsys, argv, expected, stream, text):
     _extra_files(workdir)
     assert main(argv) == expected
+    text = text.replace("WORKDIR", os.path.realpath(workdir))
     assert getattr(capsys.readouterr(), stream) == text
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["minimize", "--formula", "f.cnf"], "f.cnf"),
+    (["minimize-post", "--basis", "basis.fns", "--formula", "phi.bf", "--measure", "literals"],
+     "phi.bf"),
+    (["classify", "--basis", "basis.fns"], "basis.fns"),
+    (["irreducible", "--relation", "or3.rel"], "or3.rel"),
+    (["gadget", "horn-dnf", "--dnf", "d.dnf"], "d.dnf"),
+    (["gen-random", "--language", "base.lang", "--vars", "4", "--clauses", "3", "--seed", "9"],
+     "base.lang"),
+])
+def test_standard_input_reads_as_the_file(workdir, capsys, monkeypatch, argv, name):
+    # a formula's language line resolves from the working directory, which
+    # is the file's; gen-random names its language argument in its output
+    _extra_files(workdir)
+    by_path = main(argv), capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO((workdir / name).read_text()))
+    code = main(["-" if arg == name else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out.replace("language -\n", f"language {name}\n"), err) == (
+        by_path[0], *by_path[1]
+    )
 
 
 def test_seeded_cli_fuzz(workdir, capsys):
     _extra_files(workdir)
-    pristine = {p.name: p.read_text() for p in workdir.iterdir()}
     # the words of the fuzzed files only, so that a fixture added for another
     # test leaves the seeded inputs as they are
     fuzzed = {name for _, names in FUZZ_CASES for name in names}
+    pristine = {name: (workdir / name).read_text() for name in fuzzed}
     vocabulary = sorted({w for name in fuzzed for w in _PIECE_RE.findall(pristine[name])
                          if not w.isspace()} | {"include", "-1", "0", "9"})
     rng = random.Random(2011)

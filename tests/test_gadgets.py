@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from boolmin.errors import FormatError
 from boolmin.formats import parse_bformula
 from boolmin.gadgets import (
     WEIGHT_BLOCK,
@@ -52,7 +53,7 @@ def test_post_reduction_examples():
 
 
 def test_post_reduction_requires_unsat_psi():
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         reduce_unsat_to_mee_post((ANDNOT,), anf("(andnot x y)"), anf("x"), SizeMeasure.LITERALS)
 
 
@@ -235,11 +236,9 @@ def test_and_or_gadget_contract_check():
     h = BFormula((AND2, ORT), ("x",))
     # an f_or that computes a conjunction fails the f_or(x, y, 1) = x|y check
     broken_or = BFormula((AND2,), ("x", "y", "t", ("and2", 2), ("and2", 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         build_and_or_gadget(f_and, broken_or, h, h, 3)
     # a three-variable f_and is rejected outright
-    from boolmin.errors import FormatError
-
     with pytest.raises(FormatError):
         build_and_or_gadget(f_or, f_or, h, h, 3)
 

@@ -28,7 +28,7 @@ from boolmin.model import (
     equivalent,
     satisfiable,
 )
-from boolmin.oracle import brute_min_cnf
+from boolmin.oracle import brute_min_cnf, unsat_minimum
 from boolmin.std import (
     rel_eq,
     rel_impl,
@@ -129,7 +129,7 @@ def test_misclassified_language_rejected():
 def test_templates_are_memoized_and_read_only(t9):
     plain = language_templates(t9)
     assert language_templates(theorem9_language(3)) is plain
-    assert not plain.dual and plain.or_arities == {2: "or2", 3: "or3"}
+    assert plain.or_arities == {2: "or2", 3: "or3"}
     with pytest.raises(dataclasses.FrozenInstanceError):
         plain.pos = "neg"
     with pytest.raises(TypeError):
@@ -139,7 +139,6 @@ def test_templates_are_memoized_and_read_only(t9):
     # an IHSB- language reads the dual relations' shapes under its own names
     minus = dual_templates(t9.dual())
     assert dual_templates(theorem9_language(3).dual()) is minus
-    assert minus.dual
     assert dict(minus.shapes) == {dual_name(k): v for k, v in plain.shapes.items()}
     assert (minus.pos, minus.neg, minus.eq) == tuple(map(dual_name, (plain.pos, plain.neg, plain.eq)))
     assert minus.imp == (dual_name(plain.imp[0]), plain.imp[1])
@@ -819,8 +818,16 @@ def test_ihsb_minus_matches_dual_route_reference(t9, lang):
         f = CnfFormula(lang, f.var_names, f.clauses, "in.lang")
         got, got_stats = min_ihsb_minus_cnf(f)
         want, want_stats = dual_route_reference(f)
-        assert serialize_cnf_formula(got) == serialize_cnf_formula(want)
-        assert got_stats == want_stats
         assert got.language is f.language and want.language is f.language
-        unsatisfiable += not satisfiable(f)
+        if satisfiable(f):
+            assert serialize_cnf_formula(got) == serialize_cnf_formula(want)
+            assert got_stats == want_stats
+        else:
+            # every unsatisfiable input gets its language's minimum, which
+            # is as small as the dual route's answer
+            minimum, minimum_stats = unsat_minimum(f)
+            assert serialize_cnf_formula(got) == serialize_cnf_formula(minimum)
+            assert got_stats == minimum_stats
+            assert len(got.clauses) == len(want.clauses)
+            unsatisfiable += 1
     assert unsatisfiable >= 20

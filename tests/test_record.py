@@ -80,9 +80,9 @@ SAMPLES = {
     BaseTemplates: (
         lambda: BaseTemplates(
             "pos", None, ("imp", False), None, FrozenDict({2: "or2"}),
-            FrozenDict({"pos": ("pos",), "or2": ("or", 2)}), False,
+            FrozenDict({"pos": ("pos",), "or2": ("or", 2)}),
         ),
-        ("pos", "neg", "imp", "eq", "or_arities", "shapes", "dual"),
+        ("pos", "neg", "imp", "eq", "or_arities", "shapes"),
     ),
     PartitionedFormula: (
         lambda: PartitionedFormula(4, (0,), (1,), ((2, 3),), ((2, 3),), ((0, 2, 3),)),

@@ -10,13 +10,14 @@ times the minimizer alone.  A CNF class plants a formula with
 class draws an OR-basis formula with n leaves over a 16-variable pool with
 `perfbench/gen.nested_formula`, as the post-dp workload does, parses it
 with `parse_bformula` and times `min_post` under the literals measure.
-Around the call it times `perfbench/calibrate.Reference`'s chunk, and
-divides the minimizer's seconds by the speed factor of those two samples,
-as the benchmark harness does: the calibrated seconds are seconds on a
+Before the parse, between it and the minimizer and after the minimizer it
+times `perfbench/calibrate.Reference`'s chunk, and divides the parse's and
+the minimizer's seconds each by the speed factor of the two samples around
+it, as the benchmark harness does: the calibrated seconds are seconds on a
 machine that runs the chunk in its nominal time.  One line per point gives
 the class, n, m (not for `post`) and, each as its median over the runs,
-the parse seconds, the minimizer's calibrated seconds, its raw seconds, the
-speed factor and the process's peak RSS (`ru_maxrss`, which includes the
+the parse's calibrated seconds, the minimizer's calibrated seconds, its raw
+seconds, its speed factor and the process's peak RSS (`ru_maxrss`, which includes the
 generated text and the parsed formula).  The probe only imports from
 `perfbench/` and `src/`; it writes nothing.
 """
@@ -49,8 +50,8 @@ POST_POOL = [f"x{i}" for i in range(16)]
 
 
 def probe(cls: str, n: int) -> dict[str, float]:
-    """One run: parse seconds, the minimizer's raw and calibrated seconds,
-    the speed factor and the peak RSS in MB."""
+    """One run: the parse's and the minimizer's raw and calibrated seconds
+    and speed factors, and the peak RSS in MB."""
     sys.path[:0] = [path for path in (BENCH, SRC) if path not in sys.path]
     import boolmin
     import boolmin.formats
@@ -72,16 +73,20 @@ def probe(cls: str, n: int) -> dict[str, float]:
         parse = partial(boolmin.formats.parse_cnf_formula, text, data)
         minimize = getattr(boolmin, name)
     reference = calibrate.Reference()
+    first = reference.sample()
     start = time.perf_counter()
     formula = parse()
-    parse_s = time.perf_counter() - start
-    before = reference.sample()
+    parse_raw_s = time.perf_counter() - start
+    between = reference.sample()
     start = time.perf_counter()
     minimize(formula)
     raw_s = time.perf_counter() - start
-    factor = calibrate.factor(before, reference.sample())
+    parse_factor = calibrate.factor(first, between)
+    factor = calibrate.factor(between, reference.sample())
     return {
-        "parse_s": parse_s,
+        "parse_s": parse_raw_s / parse_factor,
+        "parse_raw_s": parse_raw_s,
+        "parse_factor": parse_factor,
         "calibrated_s": raw_s / factor,
         "raw_s": raw_s,
         "factor": factor,
@@ -104,7 +109,7 @@ def main() -> None:
                     runs.append(pool.apply(probe, (cls, n)))
             mid = {key: statistics.median(run[key] for run in runs) for key in runs[0]}
             m = "" if ratio is None else f" m={round(ratio * n)}"
-            print(f"{cls} n={n}{m} parse_s={mid['parse_s']:.2f} "
+            print(f"{cls} n={n}{m} parse_s={mid['parse_s']:.3f} "
                   f"{name}_s={mid['calibrated_s']:.2f} raw_s={mid['raw_s']:.2f} "
                   f"factor={mid['factor']:.2f} peak_rss_mb={mid['peak_rss_mb']:.0f}", flush=True)
 
