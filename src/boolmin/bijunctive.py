@@ -199,6 +199,17 @@ def _class_tree_clauses(members: dict[int, int], emitter: _Emitter) -> list[Clau
     implications; an opposite link costs 1 with XOR else 2 via OR plus NAND.
     The cheapest of (polarity chains + one cross link), (all cross links)
     and a cycle of edge clauses is emitted.
+
+    The cycle runs through the positive literals, then the negative ones.
+    When one of its edges has no clause, as for a same-polarity edge in a
+    language without `imp`, and the class has p >= 1 positive and q >= 1
+    negative variables, the cycle alternates positive and negative
+    literals, the shorter side repeated: 2 max(p, q) edge clauses, k when
+    p = q.  That is optimal without `imp`, `eq` and `xor`: every edge of the
+    class then joins a positive and a negative literal, and a clause puts
+    one edge in the class (its contrapositive lies in the mirror class).
+    Each positive literal needs an edge out and an edge in, all distinct,
+    and so does each negative one, so at least 2 max(p, q) clauses.
     """
     plus = sorted(v for v, s in members.items() if s == 1)
     minus = sorted(v for v, s in members.items() if s == 0)
@@ -231,6 +242,11 @@ def _class_tree_clauses(members: dict[int, int], emitter: _Emitter) -> list[Clau
         # pairwise links when no single-clause equivalence relation exists
         lits = [pos_lit(v) for v in plus] + [neg_lit(v) for v in minus]
         out = [emitter.edge_clause(x, y) for x, y in zip(lits, lits[1:] + lits[:1])]
+        if None in out and plus and minus:
+            k = max(len(plus), len(minus))
+            lits = [lit for i in range(k)
+                    for lit in (pos_lit(plus[i % len(plus)]), neg_lit(minus[i % len(minus)]))]
+            out = [emitter.edge_clause(x, y) for x, y in zip(lits, lits[1:] + lits[:1])]
         return None if None in out else out
 
     options = [c for c in (chains_plus_cross(), all_cross(), cycle()) if c is not None]

@@ -155,27 +155,16 @@ class RelationFlags(Record):
     ihsb_minus: bool
     irreducible: bool
 
-    def __init__(self, affine, bijunctive, horn, dual_horn, ihsb_plus, ihsb_minus, irreducible):
-        self.__dict__.update(
-            affine=affine,
-            bijunctive=bijunctive,
-            horn=horn,
-            dual_horn=dual_horn,
-            ihsb_plus=ihsb_plus,
-            ihsb_minus=ihsb_minus,
-            irreducible=irreducible,
-        )
-
 
 def relation_flags(rel: Relation) -> RelationFlags:
     return RelationFlags(
-        affine=closed_under(rel, "xor3"),
-        bijunctive=closed_under(rel, "maj3"),
-        horn=closed_under(rel, "min2"),
-        dual_horn=closed_under(rel, "max2"),
-        ihsb_plus=closed_under(rel, "orAndMix"),
-        ihsb_minus=closed_under(rel, "andOrMix"),
-        irreducible=is_irreducible(rel),
+        closed_under(rel, "xor3"),
+        closed_under(rel, "maj3"),
+        closed_under(rel, "min2"),
+        closed_under(rel, "max2"),
+        closed_under(rel, "orAndMix"),
+        closed_under(rel, "andOrMix"),
+        is_irreducible(rel),
     )
 
 

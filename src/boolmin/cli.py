@@ -1,5 +1,8 @@
 """Command-line entry point: classification, minimization, oracle searches,
-gadget generation and format utilities.  Every file is read by `formats`.
+gadget generation and format utilities.  Every file is read by `formats`,
+which decides where a path resolves from and what `-` means.  One writer,
+`_write_cnf`, decides how a formula names its language, except that
+`minimize` and `gadget unsat-cnf` echo their input's `language` line.
 
 Exit codes: 0 success or positive decision, 1 negative decision, 2 malformed
 input (`FormatError`) or an unreadable file (`OSError`), 3 resource cap
@@ -91,7 +94,7 @@ def cmd_minimize_post(args) -> int:
 
 
 def cmd_irreducible(args) -> int:
-    rel = formats.parse_relation(formats.read_text(args.relation))
+    rel = formats.load_relation(args.relation)
     verdict = is_irreducible(rel)
     print(f"irreducible={'true' if verdict else 'false'}")
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -113,39 +116,34 @@ def cmd_equiv(args) -> int:
     return EXIT_OK if same else EXIT_NEGATIVE
 
 
-def _write_with_language(formula: CnfFormula, out: str | None, what: str, lang_name: str) -> None:
-    """Write a formula together with the language its clauses name.  With
-    `out`, the language goes to `out.lang` and the formula, which references
-    that file by its base name, to `out`; without it, both go to standard
-    output, the language block first."""
+def _write_cnf(
+    formula: CnfFormula, lang_path: str | None, what: str, out: str | None = None
+) -> None:
+    """Write a formula so that it loads again.  A language read from a file
+    is named by its absolute path, which loads from any directory.  A
+    language with no file, one read from `-` or one built here, is written
+    too: with `out`, to `out.lang`, which the formula at `out` names by its
+    base name; without it, to standard output, its block first, and the
+    formula names it `<what>.lang`, in lower case with dashes for spaces."""
+    if lang_path is not None and lang_path != "-":
+        _write_out(formats.serialize_cnf_formula(formula, os.path.abspath(lang_path)), out)
+        return
     lang_text = formats.serialize_language(formula.language)
     if out:
-        lang_path = out + ".lang"
-        with open(lang_path, "w", encoding="utf-8") as fh:
-            fh.write(lang_text)
-        _write_out(formats.serialize_cnf_formula(formula, os.path.basename(lang_path)), out)
+        _write_out(lang_text, out + ".lang")
+        _write_out(formats.serialize_cnf_formula(formula, os.path.basename(out) + ".lang"), out)
     else:
         print(f"# {what} language")
         sys.stdout.write(lang_text)
         print(f"# {what} formula (clauses reference the relations above)")
-        sys.stdout.write(formats.serialize_cnf_formula(formula, lang_name))
+        name = what.lower().replace(" ", "-") + ".lang"
+        sys.stdout.write(formats.serialize_cnf_formula(formula, name))
 
 
 def cmd_dualize(args) -> int:
     dual = dualize(formats.load_cnf_formula(args.formula))
-    _write_with_language(dual, args.out, "dual", "dual.lang")
+    _write_cnf(dual, None, "dual", args.out)
     return EXIT_OK
-
-
-def _write_oracle_witness(witness: CnfFormula, lang_path: str, what: str) -> None:
-    """An oracle's witness, naming its language by absolute path, which keeps
-    it loadable from any directory.  A language read from standard input has
-    no path, so its block is written first and the witness names it
-    `<what>.lang`, as `dualize` does."""
-    if lang_path == "-":
-        _write_with_language(witness, None, what, f"{what}.lang")
-    else:
-        sys.stdout.write(formats.serialize_cnf_formula(witness, os.path.abspath(lang_path)))
 
 
 def cmd_oracle_min_cnf(args) -> int:
@@ -160,7 +158,7 @@ def cmd_oracle_min_cnf(args) -> int:
         return EXIT_NEGATIVE
     size, witness = result
     print(f"min_clauses={size}")
-    _write_oracle_witness(witness, lang_path, "min-cnf")
+    _write_cnf(witness, lang_path, "min-cnf")
     return EXIT_OK
 
 
@@ -178,7 +176,7 @@ def cmd_oracle_min_bf(args) -> int:
 
 
 def cmd_oracle_expressible(args) -> int:
-    rel = formats.parse_relation(formats.read_text(args.relation))
+    rel = formats.load_relation(args.relation)
     base = formats.load_language(args.base)
     verdict = expressible(rel, base, args.max_clauses)
     print(f"expressible={'true' if verdict else 'false'}")
@@ -192,7 +190,7 @@ def cmd_oracle_min_unsat(args) -> int:
         print("min_unsat=none")
         return EXIT_NEGATIVE
     print(f"min_unsat_clauses={len(result.clauses)}")
-    _write_oracle_witness(result, args.language, "min-unsat")
+    _write_cnf(result, args.language, "min-unsat")
     return EXIT_OK
 
 
@@ -246,7 +244,7 @@ def cmd_gadget_maj(args) -> int:
 def cmd_gadget_horn_dnf(args) -> int:
     terms = formats.parse_dnf(formats.read_text(args.dnf))
     out = pure_horn_dnf_to_cnf(terms)
-    _write_with_language(out, args.out, "positive Horn", "positive-horn.lang")
+    _write_cnf(out, None, "positive Horn", args.out)
     return EXIT_OK
 
 
@@ -264,7 +262,7 @@ def cmd_gen_random(args) -> int:
         ids = tuple(rng.randrange(args.vars) for _ in range(rel.arity))
         clauses.append((rel.name, ids))
     formula = CnfFormula(lang, names, tuple(clauses))
-    sys.stdout.write(formats.serialize_cnf_formula(formula, args.language))
+    _write_cnf(formula, args.language, "random")
     return EXIT_OK
 
 

@@ -1,9 +1,13 @@
 """Text formats for relations, languages, formulas, functions and DNFs
-(UTF-8, `#` starts a comment).  Every file is read by `read_text`, and a
-relative path in a loaded file (`include`, `language`) resolves from the
-file's directory.  Every format but the B-formula's is line-based and read
-through one tokenizer, `_content_lines`; a B-formula is one parenthesized
-expression, split at whitespace and around parentheses."""
+(UTF-8, `#` starts a comment).  This module alone decides where a path
+resolves from and what `-` means.  Every file is read by `read_text`, where
+`-` is standard input, read once; a relative path in a loaded file
+(`include`, `language`) resolves from that file's directory, or from the
+working directory for standard input.  A relation file is a language file
+that defines one relation (`load_relation`).  Every format but the
+B-formula's is line-based and read through one tokenizer, `_content_lines`;
+a B-formula is one parenthesized expression, split at whitespace and
+around parentheses."""
 from __future__ import annotations
 
 import os
@@ -41,12 +45,6 @@ def _parse_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in token)
 
 
-def parse_language(text: str) -> ConstraintLanguage:
-    """Parse a sequence of relation blocks and include lines, whose paths
-    resolve from the working directory."""
-    return _parse_language_lines(_content_lines(text), ".", ())
-
-
 def _parse_language_lines(
     lines: list[tuple[str, ...]], base_dir: str, _including: tuple[str, ...]
 ) -> ConstraintLanguage:
@@ -82,12 +80,8 @@ def _parse_language_lines(
     return ConstraintLanguage(tuple(relations))
 
 
-def parse_relation(text: str) -> Relation:
-    """Parse a file holding exactly one relation block."""
-    lang = parse_language(text)
-    if len(lang.relations) != 1:
-        raise FormatError("expected exactly one relation in file")
-    return lang.relations[0]
+# the standard-input stream `read_text` has read, which it reads only once
+_stdin_read = None
 
 
 def read_text(path: str) -> str:
@@ -95,10 +89,14 @@ def read_text(path: str) -> str:
     (`\r\n` and `\r` become `\n`), or standard input's for the path `-`.
     A file's bytes come in one unbuffered read: text mode would add a
     buffer, a decoder wrapper, a seek and a terminal check to every small
-    file.  A NUL byte in the path or a text that is not UTF-8 raises
-    `FormatError`."""
+    file.  A NUL byte in the path, a text that is not UTF-8 or a second
+    read of the same standard-input stream raises `FormatError`."""
+    global _stdin_read
+    if path == "-" and sys.stdin is _stdin_read:
+        raise FormatError("standard input was already read")
     try:
         if path == "-":
+            _stdin_read = sys.stdin
             return sys.stdin.read()
         with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode("utf-8")
@@ -134,6 +132,15 @@ def load_language(path: str, _including: tuple[str, ...] = ()) -> ConstraintLang
 
 # the language of each include-free language text met so far
 _include_free_languages: dict[str, ConstraintLanguage] = {}
+
+
+def load_relation(path: str) -> Relation:
+    """The one relation a language file defines, its includes resolved from
+    the file's directory as `load_language` resolves them."""
+    lang = load_language(path)
+    if len(lang.relations) != 1:
+        raise FormatError("expected exactly one relation in file")
+    return lang.relations[0]
 
 
 def parse_cnf_formula(text: str, base_dir: str = ".") -> CnfFormula:

@@ -25,12 +25,12 @@ stats, shapes, reports and templates of the other modules) derive from
 `Record`.  A class annotates its fields; `Record`'s `__init__` stores them,
 given positionally, straight into `self.__dict__`, and a class whose
 arguments need checks or defaults writes its own `__init__` that does the
-same after them (a `_trusted` constructor stores them without the checks).  `Record` gives
-`==`, `hash` and `repr` over the annotated fields, in order, read through
-one `operator.attrgetter` built when the class is created, and refuses to
-assign or delete an attribute with `dataclasses.FrozenInstanceError`.  A
-field that holds a mapping holds a `FrozenDict`, so the record still
-hashes and pickles.
+same after them; `Record._trusted` stores them, given in order, without
+the checks.  `Record` gives `==`, `hash` and `repr` over the annotated
+fields, in order, read through one `operator.attrgetter` built when the
+class is created, and refuses to assign or delete an attribute with
+`dataclasses.FrozenInstanceError`.  A field that holds a mapping holds a
+`FrozenDict`, so the record still hashes and pickles.
 `cached_property`, a language's cached hash and pickling read and write
 `__dict__` directly.  So a class costs no generated code when the package
 is imported, unlike a dataclass, whose decorator compiles its methods from
@@ -127,6 +127,14 @@ class Record:
 
     def __init__(self, *values):
         self.__dict__.update(zip(self._fields, values, strict=True))
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record from fields already checked, given positionally in
+        order, without the checks of its class's own `__init__`."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values, strict=True))
+        return record
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -271,7 +279,10 @@ class CnfFormula(Record):
 
     Variable ids are dense 0..n-1; var_names[i] is the display name of
     variable i and defines the canonical order.  `==` and `hash` leave out
-    the path the language was loaded from.
+    the path the language was loaded from.  `_trusted` takes all four fields
+    without checks, from the parser, which checks them itself, or as
+    clauses derived from a checked formula over relations of the language
+    they name, at their arity.
     """
 
     language: ConstraintLanguage
@@ -310,23 +321,6 @@ class CnfFormula(Record):
         self.__dict__.update(
             language=language, var_names=var_names, clauses=clauses, language_path=language_path
         )
-
-    @classmethod
-    def _trusted(
-        cls,
-        language: ConstraintLanguage,
-        var_names: tuple[str, ...],
-        clauses: tuple[Clause, ...],
-        language_path: str | None = None,
-    ) -> "CnfFormula":
-        """A formula from parts already checked, without `__init__`'s checks:
-        the parser's own checks, or clauses derived from a checked formula
-        over relations of the language they name, at their arity."""
-        formula = object.__new__(cls)
-        formula.__dict__.update(
-            language=language, var_names=var_names, clauses=clauses, language_path=language_path
-        )
-        return formula
 
     @property
     def n_vars(self) -> int:
@@ -511,7 +505,9 @@ Step = str | tuple[str, int]
 class BFormula(Record):
     """Formula over a finite basis of functions, given by its post-order
     steps, such as `("x", "y", ("or2", 2))` for `(or2 x y)`; `==`, `hash`,
-    `repr` and pickling read the basis and the steps."""
+    `repr` and pickling read the basis and the steps.  `_trusted` takes a
+    basis with unique names and a tuple of well-formed steps whose every
+    application names a basis function at its arity."""
 
     functions: tuple[BoolFunction, ...]
     steps: tuple[Step, ...]
@@ -522,15 +518,6 @@ class BFormula(Record):
         steps = tuple(steps)
         _validate(functions, steps)
         self.__dict__.update(functions=functions, steps=steps)
-
-    @classmethod
-    def _trusted(cls, functions: tuple[BoolFunction, ...], steps: tuple[Step, ...]) -> "BFormula":
-        """A formula from parts already checked, without validation: a basis
-        with unique names and a tuple of well-formed steps whose every
-        application names a basis function at its arity."""
-        formula = object.__new__(cls)
-        formula.__dict__.update(functions=functions, steps=steps)
-        return formula
 
     def __reduce__(self):
         return BFormula._trusted, (self.functions, self.steps)

@@ -330,3 +330,50 @@ def test_forced_chain_keeps_memory_linear():
         tracemalloc.stop()
     assert out.clauses == tuple(("pos", (i,)) for i in range(n))
     assert peak < 20 * 2**20, peak
+
+
+# --- classes over languages without imp ----------------------------------
+
+
+@pytest.mark.parametrize("specs", [
+    # a ~c, ~c b, b ~d, ~d a: two positive and two negative variables
+    [("nand2", (0, 2)), ("or2", (2, 1)), ("nand2", (1, 3)), ("or2", (3, 0))],
+    # a, b, e positive and c, d negative: c is met twice on the way round
+    [("nand2", (0, 2)), ("or2", (2, 1)), ("nand2", (1, 3)), ("or2", (3, 4)),
+     ("nand2", (4, 2)), ("or2", (2, 0))],
+])
+def test_mixed_class_without_imp_alternates_polarities(specs):
+    # no same-polarity edge has a clause, so the class is one walk that
+    # alternates positive and negative literals, 2 max(p, q) clauses
+    lang = lang_of("or2", "nand2")
+    f = F(lang, "abcde", *specs)
+    out, _ = min_bijunctive(f)
+    assert equivalent(out, f)
+    assert len(out.clauses) == brute_min_cnf(lang, f, len(specs))[0] == len(specs)
+
+
+def test_planted_class_census_against_oracle():
+    # every language of BASE relations and n = 2..5: clauses drawn from those
+    # the language allows on one planted class, where every literal is equal
+    # (variable v read with a random sign), so they link its literals
+    rng = random.Random(71)
+    checked = 0
+    for size in range(1, len(BASE) + 1):
+        for names in itertools.combinations(BASE, size):
+            lang = lang_of(*names)
+            for n in range(2, 6):
+                for _ in range(3):
+                    sign = [rng.randrange(2) for _ in range(n)]
+                    models = (tuple(sign), tuple(1 - s for s in sign))
+                    allowed = [(rel.name, args) for rel in lang.relations
+                               for args in itertools.product(range(n), repeat=rel.arity)
+                               if all(tuple(m[v] for v in args) in rel.tuples for m in models)]
+                    if not allowed:
+                        continue
+                    f = F(lang, "abcde"[:n], *rng.choices(allowed, k=rng.randint(n, 8)))
+                    out, _ = min_bijunctive(f)
+                    assert equivalent(out, f), (names, f.clauses)
+                    best = brute_min_cnf(lang, f, len(f.clauses))[0]
+                    assert len(out.clauses) == best, (names, f.clauses)
+                    checked += 1
+    assert checked > 2900

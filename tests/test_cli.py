@@ -359,6 +359,19 @@ def test_gen_random_deterministic(workdir, capsys):
     assert len(parsed.clauses) == 3
 
 
+def test_gen_random_output_loads_from_another_directory(workdir, capsys):
+    # the language is named by its absolute path, as the oracles name theirs
+    code, out = run(capsys, "gen-random", "--language", "base.lang", "--vars", "4",
+                    "--clauses", "3", "--seed", "9")
+    assert code == 0
+    (workdir / "out").mkdir()
+    (workdir / "out" / "g.cnf").write_text(out)
+    formula = formats.load_cnf_formula("out/g.cnf")
+    assert os.path.samefile(formula.language_path, workdir / "base.lang")
+    code, out = run(capsys, "minimize", "--formula", "out/g.cnf")
+    assert code == 0 and equivalent(formats.parse_cnf_formula(out), formula)
+
+
 def test_malformed_inputs_are_described(workdir, capsys):
     argv = ["gen-random", "--language", "base.lang", "--vars", "0", "--clauses", "3", "--seed", "9"]
     assert main(argv) == 2
@@ -465,7 +478,10 @@ def _extra_files(workdir) -> None:
         "pn.lang": "relation pos arity 1\n1\nrelation neg arity 1\n0\n",
         "many.cnf": "language pn.lang\nvars " + " ".join(f"v{i}" for i in range(230))
                     + "\nclause pos v0\n",
+        "sub/p.lang": "relation or2 arity 2\n01 10 11\n",
+        "sub/r.rel": "include p.lang\n",
     }
+    (workdir / "sub").mkdir()
     for name, text in files.items():
         (workdir / name).write_text(text)
     (workdir / "latin1.lang").write_bytes(b"relation pos arity 1\n1 # caf\xe9\n")
@@ -526,8 +542,9 @@ CONTRACT_CASES = [
     (["classify", "--basis", "huge.fns"], 2),
 ]
 
-# inputs that reach a negative decision, a resource cap or a malformed input,
-# with their exit codes, the stream they write to and all that they write there
+# inputs that reach a decision, a resource cap or a malformed input, with
+# their exit codes, the stream they write to and all that they write there;
+# standard input holds the text of or.lang
 DECISION_CASES = [
     (["oracle", "min-cnf", "--formula", "f.cnf", "--max-clauses", "0"], 1,
      "out", "min_clauses=none\n"),
@@ -567,6 +584,19 @@ DECISION_CASES = [
      "error: language has no unsatisfiable formula; reduction undefined\n"),
     (["gadget", "unsat-cnf", "--formula", "many.cnf"], 3, "err",
      "error: too many candidate formulas for the reduction\n"),
+    # a relation file's includes resolve from its directory
+    (["irreducible", "--relation", "sub/r.rel"], 0, "out", "irreducible=true\n"),
+    (["oracle", "expressible", "--relation", "sub/r.rel", "--base", "base.lang",
+      "--max-clauses", "3"], 0, "out", "expressible=true\n"),
+    (["equiv", "--a", "-", "--b", "-"], 2, "err", "error: standard input was already read\n"),
+    # a language file is named by its absolute path, one read from `-` by
+    # the block written first
+    (["gen-random", "--language", "sub/p.lang", "--vars", "2", "--clauses", "2", "--seed", "9"],
+     0, "out", "language WORKDIR/sub/p.lang\nvars v0 v1\nclause or2 v1 v1\nclause or2 v0 v0\n"),
+    (["gen-random", "--language", "-", "--vars", "2", "--clauses", "2", "--seed", "9"],
+     0, "out", "# random language\nrelation or2 arity 2\n01 10 11\n"
+     "# random formula (clauses reference the relations above)\n"
+     "language random.lang\nvars v0 v1\nclause or2 v1 v1\nclause or2 v0 v0\n"),
 ]
 CONTRACT_CASES += [(argv, code) for argv, code, _, _ in DECISION_CASES]
 
@@ -596,15 +626,17 @@ def _mutate(rng: random.Random, name: str, text: str, vocabulary: list[str]) -> 
 
 
 @pytest.mark.parametrize("argv, expected", CONTRACT_CASES)
-def test_contract_cases(workdir, capsys, argv, expected):
+def test_contract_cases(workdir, capsys, monkeypatch, argv, expected):
     _extra_files(workdir)
+    monkeypatch.setattr(sys, "stdin", io.StringIO((workdir / "or.lang").read_text()))
     assert main(argv) == expected
     assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, expected, stream, text", DECISION_CASES)
-def test_decision_cases_write_one_line(workdir, capsys, argv, expected, stream, text):
+def test_decision_cases_write_one_line(workdir, capsys, monkeypatch, argv, expected, stream, text):
     _extra_files(workdir)
+    monkeypatch.setattr(sys, "stdin", io.StringIO((workdir / "or.lang").read_text()))
     assert main(argv) == expected
     text = text.replace("WORKDIR", os.path.realpath(workdir))
     assert getattr(capsys.readouterr(), stream) == text
@@ -622,15 +654,19 @@ def test_decision_cases_write_one_line(workdir, capsys, argv, expected, stream, 
 ])
 def test_standard_input_reads_as_the_file(workdir, capsys, monkeypatch, argv, name):
     # a formula's language line resolves from the working directory, which
-    # is the file's; gen-random names its language argument in its output
+    # is the file's; gen-random names a language file by its absolute path,
+    # and writes a language read from `-` as a block that its formula names
     _extra_files(workdir)
     by_path = main(argv), capsys.readouterr()
     monkeypatch.setattr(sys, "stdin", io.StringIO((workdir / name).read_text()))
     code = main(["-" if arg == name else arg for arg in argv])
     out, err = capsys.readouterr()
-    assert (code, out.replace("language -\n", f"language {name}\n"), err) == (
-        by_path[0], *by_path[1]
-    )
+    if argv[0] == "gen-random":
+        block = ("# random language\n" + formats.serialize_language(formats.load_language(name))
+                 + "# random formula (clauses reference the relations above)\n")
+        assert out.startswith(block + "language random.lang\n")
+        out = f"language {os.path.abspath(name)}\n" + out[len(block):].split("\n", 1)[1]
+    assert (code, out, err) == (by_path[0], *by_path[1])
 
 
 def test_seeded_cli_fuzz(workdir, capsys):

@@ -1,4 +1,5 @@
 import gc
+import io
 import os
 import pickle
 import random
@@ -20,22 +21,45 @@ from boolmin.std import fn_or, fn_xor, theorem9_language
 from conftest import assert_steps, tree_steps
 
 
-def test_language_roundtrip():
+def test_language_roundtrip(tmp_path):
     lang = theorem9_language(3)
-    text = formats.serialize_language(lang)
-    assert formats.parse_language(text) == lang
+    (tmp_path / "t.lang").write_text(formats.serialize_language(lang))
+    assert formats.load_language(str(tmp_path / "t.lang")) == lang
 
 
-def test_relation_comments_and_multiline():
-    text = """
+def test_relation_comments_and_multiline(tmp_path):
+    (tmp_path / "or2.rel").write_text("""
     # a comment
     relation or2 arity 2   # trailing comment
     01 10
     11
-    """
-    rel = formats.parse_relation(text)
+    """)
+    rel = formats.load_relation(str(tmp_path / "or2.rel"))
     assert rel.arity == 2
     assert len(rel.tuples) == 3
+
+
+def test_relation_includes_resolve_from_its_directory(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "p.lang").write_text("relation or2 arity 2\n01 10 11\n")
+    (tmp_path / "sub" / "r.rel").write_text("include p.lang\n")
+    monkeypatch.chdir(tmp_path)
+    assert formats.load_relation("sub/r.rel").tuples == {(0, 1), (1, 0), (1, 1)}
+    (tmp_path / "sub" / "r.rel").write_text("include p.lang\nrelation pos arity 1\n1\n")
+    with pytest.raises(FormatError, match="^expected exactly one relation in file$"):
+        formats.load_relation("sub/r.rel")
+
+
+def test_standard_input_is_read_once(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("relation pos arity 1\n1\n"))
+    assert formats.read_text("-") == "relation pos arity 1\n1\n"
+    with pytest.raises(FormatError, match="^standard input was already read$"):
+        formats.read_text("-")
+    with pytest.raises(FormatError, match="^standard input was already read$"):
+        formats.load_language("-")
+    # another stream is read as usual
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert formats.read_text("-") == ""
 
 
 def test_include(tmp_path):

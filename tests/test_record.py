@@ -156,6 +156,14 @@ def test_fields_cannot_be_set_or_deleted(cls):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=ids)
+def test_trusted_constructor_stores_the_fields_in_order(cls):
+    make, names = SAMPLES[cls]
+    record = make()
+    trusted = cls._trusted(*(getattr(record, name) for name in names))
+    assert type(trusted) is cls and trusted == record and repr(trusted) == repr(record)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=ids)
 def test_pickle_round_trip_gives_an_equal_record(cls):
     make, _ = SAMPLES[cls]
     record = make()
